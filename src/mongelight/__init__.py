@@ -29,8 +29,6 @@ from .semiriemann import (
     NearNullPivotError,
     OrthoFrame,
     christoffel_at,
-    gradient_at,
-    hessian_at,
     metric_at,
     orthonormalize,
 )
@@ -86,8 +84,6 @@ __all__ = [
     "NearNullPivotError",
     "metric_at",
     "christoffel_at",
-    "gradient_at",
-    "hessian_at",
     "orthonormalize",
     "MongeGenerator",
     "SurfacePoint",

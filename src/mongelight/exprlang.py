@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping, Sequence, Union
 
 __all__ = [
@@ -95,7 +96,7 @@ class CoordinateChart:
                 raise ValueError(f"duplicate identifier {name!r}")
             seen.add(name)
         object.__setattr__(self, "names", tuple(self.names))
-        object.__setattr__(self, "parameters", dict(self.parameters))
+        object.__setattr__(self, "parameters", MappingProxyType(dict(self.parameters)))
 
     @property
     def dimension(self) -> int:

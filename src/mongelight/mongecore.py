@@ -60,6 +60,7 @@ __all__ = [
     "ScreenRankError",
     "IllPosedFitError",
     "TangencyError",
+    "NonFiniteValueError",
     "EmptySampleError",
     "ambient_metric_at",
     "normal_and_transversal_at",
@@ -96,16 +97,21 @@ class TangencyError(Exception):
     """A Gauss/Weingarten tangency certificate exceeded tolerance."""
 
 
+class NonFiniteValueError(Exception):
+    """A number derived at a sample point overflowed or became NaN."""
+
+
 class EmptySampleError(Exception):
     """classify() received no sample points."""
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class MongeGenerator:
     """The generating triple: chart, base metric, and scalar field.
 
     Flagged degenerate exactly where g(grad F, grad F) = 1; the induced
     metric on the graph hypersurface is lightlike at those points.
+    Frozen, because per-point results are cached by generator identity.
     """
 
     name: str
@@ -162,7 +168,6 @@ class _PointData:
     ginv: np.ndarray
     dg: np.ndarray  # dg[i, j, k] = d_i g_jk
     gamma: np.ndarray  # gamma[k, i, j]
-    f: float
     dF: np.ndarray
     d2F: np.ndarray  # plain coordinate partials d_i d_j F
     hess: np.ndarray  # covariant Hessian
@@ -188,6 +193,11 @@ def _point_data(gen: MongeGenerator, base: tuple[float, ...]) -> _PointData:
     dF = jet.grad
     d2F = jet.hess
     hess = d2F - np.einsum("kij,k->ij", gamma, dF)
+    # evaluate() checks only the value lane; any overflowed derivative lane
+    # (dg, dF or d2F) leaves hess non-finite, and an infinite dF would turn
+    # the frame's Gram matrix into NaN
+    if not np.isfinite(hess).all():
+        raise NonFiniteValueError(f"derivatives not finite at {list(base)}")
     xi_hat = ginv @ dF
     norm2 = float(dF @ xi_hat)
 
@@ -199,7 +209,7 @@ def _point_data(gen: MongeGenerator, base: tuple[float, ...]) -> _PointData:
     frame = np.hstack([dF.reshape(d, 1), np.eye(d)])
     induced = -np.outer(dF, dF) + g
 
-    return _PointData(g, ginv, dg, gamma, jet.value, dF, d2F, hess, xi_hat, norm2,
+    return _PointData(g, ginv, dg, gamma, dF, d2F, hess, xi_hat, norm2,
                       gbar, xi, nxi, frame, induced)
 
 
@@ -269,15 +279,28 @@ def umbilic_fit_at(gen: MongeGenerator, p) -> tuple[float, float]:
     by 1 + ||Hess||_inf + ||T||_inf.  The point is umbilic when the
     residual is below tolerance, geodesic when ||Hess||_inf itself is.
     """
-    data = _point_data(gen, _base_of(p))
-    target = np.outer(data.dF, data.dF) - data.g
-    tt = float(np.sum(target * target))
-    if np.max(np.abs(target)) < 1e-12 * local_scale(data.g, np.outer(data.dF, data.dF)):
+    rho, residual, _ = _umbilic_fit(_point_data(gen, _base_of(p)))
+    if rho is None:
         raise IllPosedFitError("dF (x) dF - g vanishes; cannot fit rho")
-    rho = float(np.sum(data.hess * target)) / tt
-    residual = float(np.max(np.abs(data.hess - rho * target)))
-    residual /= 1.0 + float(np.max(np.abs(data.hess))) + float(np.max(np.abs(target)))
     return rho, residual
+
+
+def _umbilic_fit(data: _PointData) -> tuple[float | None, float | None, float]:
+    """(rho, residual, normalizer) of umbilic_fit_at; the normalizer
+    1 + ||Hess||_inf + ||T||_inf also scales classify()'s second-form gates.
+
+    rho and residual are None where T = dF (x) dF - g vanishes, as it does
+    at every lightlike point of a 1-dimensional chart.
+    """
+    outer = np.outer(data.dF, data.dF)
+    target = outer - data.g
+    peak = float(np.max(np.abs(target)))
+    normalizer = 1.0 + float(np.max(np.abs(data.hess))) + peak
+    if peak < 1e-12 * local_scale(data.g, outer):
+        return None, None, normalizer
+    rho = float(np.sum(data.hess * target)) / float(np.sum(target * target))
+    residual = float(np.max(np.abs(data.hess - rho * target))) / normalizer
+    return rho, residual, normalizer
 
 
 def kernel_frame_at(gen: MongeGenerator, p) -> OrthoFrame:
@@ -353,9 +376,29 @@ def screen_frame_at(gen: MongeGenerator, p, tolerance: float = 1e-8) -> OrthoFra
 # Gauss-Weingarten data
 
 
-def _ambient_derivative(data: _PointData, i: int, j: int) -> np.ndarray:
-    """Ambient covariant derivative of e_j along e_i: (d_i d_j F, Gamma^._ij)."""
-    return np.concatenate(([data.d2F[i, j]], data.gamma[:, i, j]))
+def _gauss_split(
+    data: _PointData, xi_scale: float, tolerance: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(ambient, tangent, B, |gbar(tangent, xi)|), each indexed [i, j] by the
+    derivative of e_j along e_i.
+
+    Raises TangencyError at the first pair, in row-major order, whose
+    certificate exceeds tolerance * local_scale(ambient[i, j], xi, gbar).
+    """
+    ambient = np.concatenate((data.d2F[:, :, None], data.gamma.transpose(1, 2, 0)), axis=2)
+    B = -xi_scale * data.hess
+    tangent = ambient - B[:, :, None] * (data.nxi / xi_scale)
+    xi = xi_scale * data.xi
+    certificate = np.abs(tangent @ data.gbar @ xi)
+    peak = max(float(np.max(np.abs(xi))), float(np.max(np.abs(data.gbar))))
+    scale = 1.0 + np.maximum(np.max(np.abs(ambient), axis=2), peak)
+    failing = np.flatnonzero(certificate > tolerance * scale)
+    if failing.size:
+        raise TangencyError(
+            f"Gauss tangent part pairs with xi "
+            f"({certificate.flat[failing[0]]:.3e} > {tolerance:g} * scale)"
+        )
+    return ambient, tangent, B, certificate
 
 
 def ambient_derivative_at(gen: MongeGenerator, p, i: int, j: int) -> np.ndarray:
@@ -365,7 +408,8 @@ def ambient_derivative_at(gen: MongeGenerator, p, i: int, j: int) -> np.ndarray:
     the base connection coefficients (the x0 direction is flat and
     parallel in the product metric).
     """
-    return _ambient_derivative(_point_data(gen, _base_of(p)), i, j)
+    # an infinite tolerance skips the tangency gate, which belongs to the split
+    return _gauss_split(_point_data(gen, _base_of(p)), 1.0, np.inf)[0][i, j]
 
 
 def gauss_decompose_at(
@@ -373,23 +417,14 @@ def gauss_decompose_at(
 ) -> tuple[np.ndarray, float]:
     """Split the ambient derivative of e_j along e_i into tangent + B * N.
 
-    Returns (tangent_part, B(i, j)).  The tangency certificate
-    gbar(tangent, xi) < tolerance * scale is asserted before returning; it
-    measures the agreement of B = -Hess with the defining projection
-    gbar(ambient derivative, xi) and fails off the degenerate locus.
+    Returns (tangent_part, B(i, j)).  The tangency certificates
+    gbar(tangent, xi) < tolerance * scale of every pair at the point are
+    asserted before returning; they measure the agreement of B = -Hess
+    with the defining projection gbar(ambient derivative, xi) and fail off
+    the degenerate locus.
     """
-    data = _point_data(gen, _base_of(p))
-    ambient = _ambient_derivative(data, i, j)
-    b = -xi_scale * data.hess[i, j]
-    tangent = ambient - b * (data.nxi / xi_scale)
-    xi = xi_scale * data.xi
-    cert = abs(float(tangent @ data.gbar @ xi))
-    scale = local_scale(ambient, xi, data.gbar)
-    if cert > tolerance * scale:
-        raise TangencyError(
-            f"Gauss tangent part pairs with xi ({cert:.3e} > {tolerance:g} * scale)"
-        )
-    return tangent, b
+    _, tangent, B, _ = _gauss_split(_point_data(gen, _base_of(p)), xi_scale, tolerance)
+    return tangent[i, j], B[i, j]
 
 
 def weingarten_at(
@@ -480,20 +515,14 @@ class PointAnalysis:
     index: int
     point: SurfacePoint
     error: str | None = None
-    xi: np.ndarray | None = None
-    n_xi: np.ndarray | None = None
-    frame_e: np.ndarray | None = None
-    induced_g: np.ndarray | None = None
     radical_rank: int | None = None
     B: np.ndarray | None = None
-    screen: OrthoFrame | None = None
     lightlike_defect: float | None = None
     umbilic_rho: float | None = None
     umbilic_residual: float | None = None
     minimal_defect: float | None = None
     integrability_defect: float | None = None
     tau: np.ndarray | None = None
-    shape_op: np.ndarray | None = None
     certificates: dict = field(default_factory=dict)
     scales: dict = field(default_factory=dict)
     is_lightlike: bool | None = None
@@ -524,8 +553,8 @@ _POINT_ERRORS = (
     DegenerateMetricError,
     NearNullPivotError,
     ScreenRankError,
-    IllPosedFitError,
     TangencyError,
+    NonFiniteValueError,
 )
 
 
@@ -541,26 +570,19 @@ def _analyze_point(
         data = _point_data(gen, base)
         d = gen.dimension
 
-        analysis.xi, analysis.n_xi = normal_and_transversal_at(gen, sp, xi_scale)
-        analysis.frame_e, analysis.induced_g, analysis.radical_rank = monge_frame_at(
-            gen, sp, tol.base
-        )
+        frame, _, analysis.radical_rank = monge_frame_at(gen, sp, tol.base)
         analysis.lightlike_defect = data.norm2 - 1.0
         scale_light = 1.0 + abs(data.norm2)
         analysis.is_lightlike = abs(analysis.lightlike_defect) < tol.base * scale_light
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", NotLightlikeWarning)
-            analysis.B = second_fundamental_form_at(gen, sp, xi_scale, tol.base)
-        analysis.umbilic_rho, analysis.umbilic_residual = umbilic_fit_at(gen, sp)
-        target = np.outer(data.dF, data.dF) - data.g
-        scale_form = 1.0 + float(np.max(np.abs(data.hess))) + float(np.max(np.abs(target)))
+        analysis.B = -xi_scale * data.hess
+        rho, residual, scale_form = _umbilic_fit(data)
+        if d >= 2:  # every 1 x 1 form is a multiple of T: the fit says nothing
+            analysis.umbilic_rho, analysis.umbilic_residual = rho, residual
         analysis.scales = {"lightlike": scale_light, "second_form": scale_form}
 
         xi = xi_scale * data.xi
-        analysis.certificates["normality"] = float(
-            np.max(np.abs(analysis.frame_e @ data.gbar @ xi))
-        )
+        analysis.certificates["normality"] = float(np.max(np.abs(frame @ data.gbar @ xi)))
         analysis.certificates["xi_null"] = float(xi @ data.gbar @ xi)
 
         if analysis.is_lightlike:
@@ -568,30 +590,30 @@ def _analyze_point(
             analysis.certificates["xi_nxi"] = float(xi @ data.gbar @ nxi)
             analysis.certificates["nxi_nxi"] = float(nxi @ data.gbar @ nxi)
             if d >= 2:
-                analysis.screen = screen_frame_at(gen, sp, tol.base)
+                screen = screen_frame_at(gen, sp, tol.base)
                 analysis.certificates["screen_nxi"] = float(
-                    np.max(np.abs(analysis.screen.vectors @ data.gbar @ nxi))
+                    np.max(np.abs(screen.vectors @ data.gbar @ nxi))
                 )
                 analysis.minimal_defect = minimal_defect_at(gen, sp)
                 analysis.integrability_defect = screen_integrability_defect_at(gen, sp)
-
-            taus = []
-            shape_rows = []
-            gauss_cert = 0.0
-            for i in range(d):
-                a_vec, tau_i = weingarten_at(gen, sp, i, xi_scale, tol.base)
-                taus.append(tau_i)
-                coeff, *_ = np.linalg.lstsq(analysis.frame_e.T, a_vec, rcond=None)
-                shape_rows.append(coeff)
-                for j in range(d):
-                    tangent, _ = gauss_decompose_at(gen, sp, i, j, xi_scale, tol.base)
-                    gauss_cert = max(gauss_cert, abs(float(tangent @ data.gbar @ xi)))
-            analysis.tau = np.array(taus)
-            analysis.shape_op = np.array(shape_rows)
-            analysis.certificates["gauss_tangency"] = gauss_cert
+            analysis.tau = np.array(
+                [weingarten_at(gen, sp, i, xi_scale, tol.base)[1] for i in range(d)]
+            )
+            *_, certificate = _gauss_split(data, xi_scale, tol.base)
+            analysis.certificates["gauss_tangency"] = float(np.max(certificate))
+        _require_finite(analysis)
     except _POINT_ERRORS as exc:
-        analysis.error = str(exc)
+        # partial results of a failed point may be non-finite; keep none
+        analysis = PointAnalysis(index=index, point=sp, error=str(exc))
     return analysis
+
+
+def _require_finite(analysis: PointAnalysis):
+    """Raise NonFiniteValueError if a number bound for the report is not finite."""
+    numbers = {**vars(analysis), **analysis.scales, **analysis.certificates}
+    for name, value in numbers.items():
+        if isinstance(value, (float, np.ndarray)) and not np.isfinite(value).all():
+            raise NonFiniteValueError(f"{name} is not finite")
 
 
 def classify(
@@ -604,8 +626,8 @@ def classify(
 
     Verdicts: degenerate (all lightlike defects below tolerance),
     totally_geodesic (all second forms vanish), totally_umbilical (all
-    umbilic residuals vanish), minimal (all minimal defects vanish; None
-    when no point carries one).  Points that fail to evaluate are recorded
+    umbilic residuals vanish; None on 1-dimensional charts), minimal (all
+    minimal defects vanish; None when no point carries one).  Points that fail to evaluate are recorded
     with their error; above 10% failures every verdict is "indeterminate".
     """
     if tol is None:
@@ -621,11 +643,12 @@ def classify(
     good = [a for a in analyses if a.error is None]
     failed_fraction = 1.0 - len(good) / len(analyses)
 
-    def aggregate(values: list[tuple[int, float]], gate) -> Verdict:
-        if not values:
+    def aggregate(values: list[tuple[int, float]]) -> Verdict:
+        # not applicable unless every analyzed point carries a value
+        if not values or len(values) < len(good):
             return Verdict(value=None)
         worst_index, worst = max(values, key=lambda item: abs(item[1]))
-        return Verdict(all(gate(v) for _, v in values), worst_index, worst)
+        return Verdict(all(abs(v) < tol.base for _, v in values), worst_index, worst)
 
     if failed_fraction > 0.10:
         verdicts = {
@@ -638,19 +661,17 @@ def classify(
             (a.index, float(np.max(np.abs(a.B))) / (abs(xi_scale) * a.scales["second_form"]))
             for a in good
         ]
-        umb = [(a.index, a.umbilic_residual) for a in good]
+        umb = [(a.index, a.umbilic_residual) for a in good if a.umbilic_residual is not None]
         mini = [
             (a.index, a.minimal_defect / a.scales["second_form"])
             for a in good
             if a.minimal_defect is not None
         ]
         verdicts = {
-            "degenerate": aggregate(light, lambda v: abs(v) < tol.base),
-            "totally_geodesic": aggregate(geo, lambda v: abs(v) < tol.base),
-            "totally_umbilical": aggregate(umb, lambda v: abs(v) < tol.base),
-            "minimal": aggregate(mini, lambda v: abs(v) < tol.base)
-            if len(mini) == len(good) and mini
-            else Verdict(value=None),
+            "degenerate": aggregate(light),
+            "totally_geodesic": aggregate(geo),
+            "totally_umbilical": aggregate(umb),
+            "minimal": aggregate(mini),
         }
 
     return ClassificationReport(

@@ -331,8 +331,9 @@ def report_to_dict(report: ClassificationReport) -> dict:
 
 
 def render_report(report: ClassificationReport) -> str:
-    """Deterministic JSON text: fixed key order, stable float formatting."""
-    return json.dumps(report_to_dict(report), indent=2) + "\n"
+    """Deterministic strict JSON text: fixed key order, stable float
+    formatting, and no NaN or Infinity."""
+    return json.dumps(report_to_dict(report), indent=2, allow_nan=False) + "\n"
 
 
 def write_report(report: ClassificationReport, path):

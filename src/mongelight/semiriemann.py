@@ -2,8 +2,8 @@
 
 Everything here is a pure function of (field, point): metric values and
 inverse, Levi-Civita connection coefficients from jet derivatives of the
-metric, raised gradients, covariant Hessians of a scalar field, and
-Gram-Schmidt orthonormalization under an indefinite inner product.
+metric, and Gram-Schmidt orthonormalization under an indefinite inner
+product.
 """
 
 from __future__ import annotations
@@ -28,8 +28,6 @@ __all__ = [
     "metric_jets_at",
     "christoffel_from_partials",
     "christoffel_at",
-    "gradient_at",
-    "hessian_at",
     "orthonormalize",
 ]
 
@@ -111,7 +109,8 @@ def invert_metric(g: np.ndarray, where: str = "") -> np.ndarray:
     if np.max(np.abs(g - g.T)) > SYMMETRY_TOLERANCE * scale:
         raise DegenerateMetricError(f"metric not symmetric{where}")
     d = g.shape[0]
-    if abs(np.linalg.det(g)) < DEGENERACY_THRESHOLD * scale**d:
+    # in logs, because scale**d overflows for extreme metrics
+    if np.linalg.slogdet(g)[1] < np.log(DEGENERACY_THRESHOLD) + d * np.log(scale):
         raise DegenerateMetricError(f"metric degenerate{where}")
     ginv = np.linalg.inv(g)
     residual = np.max(np.abs(g @ ginv - np.eye(d)))
@@ -160,30 +159,6 @@ def christoffel_at(field: MetricField, point: Sequence[float]) -> np.ndarray:
     g, dg = metric_jets_at(field, point)
     ginv = invert_metric(g, f" at {list(point)}")
     return christoffel_from_partials(ginv, dg)
-
-
-def _scalar_jet(F: Expr, chart: CoordinateChart, point) -> autodiff.Jet2:
-    value = evaluate(F, autodiff.seed(point), chart.parameters)
-    if not isinstance(value, autodiff.Jet2):
-        value = autodiff.constant(value, chart.dimension)
-    return value
-
-
-def gradient_at(
-    field: MetricField, F: Expr, point: Sequence[float]
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Raised gradient of F, its differential dF, and the squared norm g(grad, grad)."""
-    _, ginv = metric_at(field, point)
-    dF = _scalar_jet(F, field.chart, point).grad
-    xi = ginv @ dF
-    return xi, dF, float(dF @ xi)
-
-
-def hessian_at(field: MetricField, F: Expr, point: Sequence[float]) -> np.ndarray:
-    """Covariant Hessian: Hess_ij = d_i d_j F - Gamma^k_ij d_k F (exactly symmetric)."""
-    gamma = christoffel_at(field, point)
-    jet = _scalar_jet(F, field.chart, point)
-    return jet.hess - np.einsum("kij,k->ij", gamma, jet.grad)
 
 
 def orthonormalize(

@@ -31,8 +31,6 @@ from mongelight.mongecore import (
 from mongelight.reportio import grid_sample, render_report
 from mongelight.semiriemann import (
     MetricField,
-    gradient_at,
-    hessian_at,
     local_scale,
 )
 
@@ -77,7 +75,7 @@ def test_criterion_1_hyperbolic_plane_regression():
     for sp in points:
         x, y = sp.base
         worst_defect = max(worst_defect, abs(lightlike_defect_at(gen, sp)))
-        hess = hessian_at(gen.metric, gen.scalar_field, sp.base)
+        hess = -second_fundamental_form_at(gen, sp)
         want = -1.0 / (y * y)
         worst_hess = max(worst_hess, abs(hess[0, 0] - want) / abs(want))
         rho, residual = umbilic_fit_at(gen, sp)
@@ -114,9 +112,9 @@ def test_criterion_2_exterior_chart_regression():
     worst_xi = worst_hess = worst_rho = 0.0
     for sp in points:
         r = sp.base[1]
-        xi_hat, _, _ = gradient_at(gen.metric, gen.scalar_field, sp.base)
+        xi_hat = normal_and_transversal_at(gen, sp)[0][1:]
         worst_xi = max(worst_xi, abs(xi_hat[1] - math.sqrt((r - R) / r)))
-        hess = hessian_at(gen.metric, gen.scalar_field, sp.base)
+        hess = -second_fundamental_form_at(gen, sp)
         want_hess = -R * math.sqrt(r - R) / (2.0 * r**2.5)
         worst_hess = max(worst_hess, abs(hess[0, 0] - want_hess) / abs(want_hess))
         rho, _ = umbilic_fit_at(gen, sp)
@@ -342,7 +340,7 @@ def test_criterion_7c_frame_independence_1000():
     checks = 0
     for gen, base in cases:
         frame = kernel_frame_at(gen, base)
-        hess = hessian_at(gen.metric, gen.scalar_field, base)
+        hess = -second_fundamental_form_at(gen, base)
         reference = minimal_defect_at(gen, base)
         for _ in range(10):
             q = random_sign_orthogonal(rng, frame.signs)

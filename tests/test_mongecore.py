@@ -1,5 +1,7 @@
 """Induced-object and classification tests for the graph-hypersurface core."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -27,7 +29,7 @@ from mongelight.mongecore import (
     weingarten_at,
 )
 from mongelight.reportio import grid_sample
-from mongelight.semiriemann import MetricField, gradient_at, hessian_at, local_scale
+from mongelight.semiriemann import MetricField, local_scale
 
 from _oracles import (
     fd_christoffel,
@@ -132,7 +134,7 @@ class TestLightlikeDefect:
         for _ in range(40):
             base = tuple(rng.uniform(-1.5, 1.5, size=3))
             defect = lightlike_defect_at(gen, base)
-            _, dF, _ = gradient_at(gen.metric, gen.scalar_field, base)
+            dF = monge_frame_at(gen, base)[0][:, 0]
             assert defect == pytest.approx(float(dF @ dF) - 1.0, abs=1e-10)
             grad_fd = fd_gradient(f, base)
             assert defect == pytest.approx(float(grad_fd @ grad_fd) - 1.0, abs=1e-8)
@@ -285,7 +287,7 @@ class TestKernelFrameAndMinimal:
             for base in sample_admissible(rng, gen, entry.default_samples.ranges, 10):
                 frame = kernel_frame_at(gen, base)
                 reference = minimal_defect_at(gen, base)
-                hess = hessian_at(gen.metric, gen.scalar_field, base)
+                hess = -second_fundamental_form_at(gen, base)
                 for _ in range(5):
                     q = random_sign_orthogonal(rng, frame.signs)
                     mixed = q.T @ frame.vectors
@@ -311,7 +313,7 @@ class TestKernelFrameAndMinimal:
         assert lightlike_defect_at(gen, base) == pytest.approx(0.0, abs=1e-12)
         frame = kernel_frame_at(gen, base)
         assert sorted(frame.signs) == [-1, 1]
-        hess = hessian_at(gen.metric, gen.scalar_field, base)
+        hess = -second_fundamental_form_at(gen, base)
         reference = minimal_defect_at(gen, base)
         rng = np.random.default_rng(55)
         for _ in range(25):
@@ -459,9 +461,7 @@ class TestWeingarten:
         h = 1e-6
 
         def xi_hat(point):
-            from mongelight.semiriemann import gradient_at
-
-            return gradient_at(gen.metric, gen.scalar_field, point)[0]
+            return normal_and_transversal_at(gen, point)[0][1:]
 
         gamma = fd_christoffel(metric_evaluator(gen.metric, gen.chart), base)
         for i in range(2):
@@ -532,7 +532,7 @@ class TestNormalityInvariants:
             entry = catalog.builtin(name)
             gen = entry.generator
             for sp in grid_sample(gen, entry.default_samples)[:10]:
-                xi_hat, _, _ = gradient_at(gen.metric, gen.scalar_field, sp.base)
+                xi_hat = normal_and_transversal_at(gen, sp)[0][1:]
                 B = second_fundamental_form_at(gen, sp)
                 assert np.max(np.abs(B @ xi_hat)) < 1e-8 * local_scale(B, xi_hat)
 
@@ -618,6 +618,37 @@ class TestClassify:
         failed = [a for a in report.points if a.error is not None]
         assert len(failed) == 3
 
+    def test_extreme_metric_recorded_degenerate(self):
+        # the determinant gate once overflowed on scale**d and crashed classify
+        chart = CoordinateChart(("x", "y"))
+        gen = MongeGenerator(
+            "extreme",
+            chart,
+            MetricField.from_strings(chart, [["1e-200", "0"], ["0", "1e200"]]),
+            parse("x", chart),
+        )
+        report = classify(gen, [gen.surface_point((0.5, 0.5))])
+        assert report.points[0].error.startswith("metric degenerate")
+
+    def test_infinite_derivative_recorded(self):
+        # sqrt(x)*1e300 is finite at x = 1e-100 but its slope overflows
+        gen = euclidean(("x", "y"), "sqrt(x)*1e300")
+        report = classify(gen, [gen.surface_point((1e-100, 0.5))])
+        assert report.points[0].error.startswith("derivatives not finite")
+
+    def test_null_line_fit_not_applicable(self):
+        # dF (x) dF - g vanishes on a null curve, so there is no umbilic fit
+        chart = CoordinateChart(("x",))
+        gen = MongeGenerator(
+            "null_line", chart, MetricField.from_strings(chart, [["1"]]), parse("x", chart)
+        )
+        report = classify(gen, [gen.surface_point((x,)) for x in (-1.0, 0.0, 1.0)])
+        assert report.failed_fraction == 0
+        assert report.verdicts["degenerate"].value is True
+        assert report.verdicts["totally_umbilical"].value is None
+        assert report.verdicts["minimal"].value is None
+        assert all(a.umbilic_rho is None and a.umbilic_residual is None for a in report.points)
+
     def test_outside_domain_recorded(self):
         gen = HYP2.generator
         good = gen.surface_point((0.0, 2.0))
@@ -639,3 +670,19 @@ class TestClassify:
         entry = catalog.builtin("nonlightlike_control")
         report = classify(entry.generator, default_points(entry), Tolerances(10.0))
         assert report.verdicts["degenerate"].value is True
+
+
+class TestGeneratorImmutable:
+    # per-point results are cached by generator identity, so a generator
+    # that could change would be answered from stale entries
+    def test_scalar_field_frozen(self):
+        gen = HYP2.generator
+        assert lightlike_defect_at(gen, (0.0, 2.0)) == 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            gen.scalar_field = parse("2*ln(y)", gen.chart)
+
+    def test_parameters_read_only(self):
+        gen = SCHW.generator
+        with pytest.raises(TypeError):
+            gen.chart.parameters["R"] = 2.0
+        assert gen.params["R"] == 1.0

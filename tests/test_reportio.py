@@ -238,3 +238,25 @@ class TestReports:
         doc = report_to_dict(classify(gen, points))
         assert doc["points"][1]["error"] is not None
         assert doc["failed_fraction"] == pytest.approx(1.0 / 3.0)
+
+    @pytest.mark.parametrize("scalar", ["exp(x)*1e300", "x^2*1e200"])
+    def test_overflowing_values_become_point_errors(self, scalar):
+        from mongelight.exprlang import CoordinateChart, parse
+        from mongelight.mongecore import MongeGenerator
+        from mongelight.semiriemann import MetricField
+
+        chart = CoordinateChart(("x", "y"))
+        gen = MongeGenerator(
+            "overflow",
+            chart,
+            MetricField.from_strings(chart, [["1", "0"], ["0", "1"]]),
+            parse(scalar, chart),
+        )
+        points = [gen.surface_point((x, y)) for x in (-1.0, 0.5, 1.0) for y in (-1.0, 1.0)]
+        text = render_report(classify(gen, points))
+
+        def reject(token):
+            raise ValueError(f"non-finite number {token}")
+
+        doc = json.loads(text, parse_constant=reject)
+        assert all(p["error"] is not None for p in doc["points"])

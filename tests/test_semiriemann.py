@@ -6,13 +6,18 @@ import pytest
 
 from mongelight import catalog
 from mongelight.exprlang import CoordinateChart, parse
+from mongelight.mongecore import (
+    MongeGenerator,
+    lightlike_defect_at,
+    monge_frame_at,
+    normal_and_transversal_at,
+    second_fundamental_form_at,
+)
 from mongelight.semiriemann import (
     DegenerateMetricError,
     MetricField,
     NearNullPivotError,
     christoffel_at,
-    gradient_at,
-    hessian_at,
     local_scale,
     metric_at,
     orthonormalize,
@@ -22,6 +27,13 @@ from _oracles import fd_christoffel, fd_metric_partials, metric_evaluator, sampl
 
 HYP2 = catalog.builtin("hyperbolic2").generator
 SCHW = catalog.builtin("schwarzschild_tr").generator
+
+
+def _flat(scalar):
+    chart = CoordinateChart(("x", "y"))
+    flat = MetricField.from_strings(chart, [["1", "0"], ["0", "1"]])
+    return MongeGenerator("flat", chart, flat, parse(scalar, chart))
+
 
 IDENTITY3 = MetricField.from_strings(
     CoordinateChart(("x", "y", "z")),
@@ -109,22 +121,27 @@ class TestChristoffel:
 
 
 class TestGradient:
+    # the raised gradient, dF and g(grad F, grad F) as the per-point kernel
+    # exposes them: xi = (1, grad F), e_i = (dF_i, delta_i), defect + 1
     def test_hyperbolic_plane(self):
-        xi, dF, norm2 = gradient_at(HYP2.metric, HYP2.scalar_field, [0.0, 2.0])
+        xi = normal_and_transversal_at(HYP2, [0.0, 2.0])[0][1:]
+        dF = monge_frame_at(HYP2, [0.0, 2.0])[0][:, 0]
+        norm2 = lightlike_defect_at(HYP2, [0.0, 2.0]) + 1
         assert np.allclose(xi, [0.0, 2.0], atol=1e-15)
         assert np.allclose(dF, [0.0, 0.5], atol=0)
         assert norm2 == pytest.approx(1.0, abs=1e-14)
 
     def test_exterior_chart(self):
-        xi, _, norm2 = gradient_at(SCHW.metric, SCHW.scalar_field, [0.0, 2.0])
+        xi = normal_and_transversal_at(SCHW, [0.0, 2.0])[0][1:]
+        norm2 = lightlike_defect_at(SCHW, [0.0, 2.0]) + 1
         assert xi[0] == pytest.approx(0.0, abs=1e-15)
         assert xi[1] == pytest.approx(0.7071067811865476, abs=1e-14)
         assert norm2 == pytest.approx(1.0, abs=1e-14)
 
     def test_flat_linear(self):
-        chart = CoordinateChart(("x", "y"))
-        flat = MetricField.from_strings(chart, [["1", "0"], ["0", "1"]])
-        xi, _, norm2 = gradient_at(flat, parse("2*x", chart), [0.3, 0.4])
+        gen = _flat("2*x")
+        xi = normal_and_transversal_at(gen, [0.3, 0.4])[0][1:]
+        norm2 = lightlike_defect_at(gen, [0.3, 0.4]) + 1
         assert xi.tolist() == [2.0, 0.0]
         assert norm2 == 4.0
 
@@ -136,32 +153,32 @@ class TestGradient:
             gen = entry.generator
             for base in sample_admissible(rng, gen, entry.default_samples.ranges, 25):
                 g, _ = metric_at(gen.metric, base)
-                xi, dF, norm2 = gradient_at(gen.metric, gen.scalar_field, base)
+                xi = normal_and_transversal_at(gen, base)[0][1:]
+                dF = monge_frame_at(gen, base)[0][:, 0]
                 assert abs(float(dF @ xi) - float(xi @ g @ xi)) <= 1e-10 * local_scale(g, xi)
 
 
 class TestHessian:
+    # the covariant Hessian is -B at xi_scale 1
     def test_hyperbolic_plane(self):
-        hess = hessian_at(HYP2.metric, HYP2.scalar_field, [0.0, 2.0])
+        hess = -second_fundamental_form_at(HYP2, [0.0, 2.0])
         assert np.allclose(hess, [[-0.25, 0.0], [0.0, 0.0]], atol=1e-16)
 
     def test_exterior_chart_closed_form(self):
         # Hess_tt = -R sqrt(r - R) / (2 r^(5/2)); frozen at r = 2, R = 1
-        hess = hessian_at(SCHW.metric, SCHW.scalar_field, [0.0, 2.0])
+        hess = -second_fundamental_form_at(SCHW, [0.0, 2.0])
         assert hess[0, 0] == pytest.approx(-0.08838834764831844, rel=1e-12)
         assert abs(hess[0, 1]) < 1e-15 and abs(hess[1, 1]) < 1e-15
 
     def test_flat_linear_vanishes(self):
-        chart = CoordinateChart(("x", "y"))
-        flat = MetricField.from_strings(chart, [["1", "0"], ["0", "1"]])
-        assert not hessian_at(flat, parse("x", chart), [1.0, 2.0]).any()
+        assert not (-second_fundamental_form_at(_flat("x"), [1.0, 2.0])).any()
 
     def test_exact_symmetry(self):
         rng = np.random.default_rng(8)
         entry = catalog.builtin("schwarzschild_tr")
         gen = entry.generator
         for base in sample_admissible(rng, gen, entry.default_samples.ranges, 50):
-            hess = hessian_at(gen.metric, gen.scalar_field, base)
+            hess = -second_fundamental_form_at(gen, base)
             assert np.array_equal(hess, hess.T)
 
 
