@@ -43,50 +43,50 @@ class Jet2:
 
     def __add__(self, other):
         if isinstance(other, Jet2):
-            return Jet2(self.value + other.value, self.grad + other.grad, self.hess + other.hess)
-        return Jet2(self.value + other, self.grad, self.hess)
+            return _jet(self.value + other.value, self.grad + other.grad, self.hess + other.hess)
+        return _jet(self.value + other, self.grad, self.hess)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, Jet2):
-            return Jet2(self.value - other.value, self.grad - other.grad, self.hess - other.hess)
-        return Jet2(self.value - other, self.grad, self.hess)
+            return _jet(self.value - other.value, self.grad - other.grad, self.hess - other.hess)
+        return _jet(self.value - other, self.grad, self.hess)
 
     def __rsub__(self, other):
-        return Jet2(other - self.value, -self.grad, -self.hess)
+        return _jet(other - self.value, -self.grad, -self.hess)
 
     def __neg__(self):
-        return Jet2(-self.value, -self.grad, -self.hess)
+        return _jet(-self.value, -self.grad, -self.hess)
 
     def __mul__(self, other):
         if isinstance(other, Jet2):
-            cross = np.outer(self.grad, other.grad)
+            cross = self.grad[:, None] * other.grad
             sym = cross + cross.T  # formed first so the Hessian stays exactly symmetric
-            return Jet2(
+            return _jet(
                 self.value * other.value,
                 self.value * other.grad + other.value * self.grad,
                 self.value * other.hess + other.value * self.hess + sym,
             )
-        return Jet2(self.value * other, self.grad * other, self.hess * other)
+        return _jet(self.value * other, self.grad * other, self.hess * other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if not isinstance(other, Jet2):
-            return Jet2(self.value / other, self.grad / other, self.hess / other)
+            return _jet(self.value / other, self.grad / other, self.hess / other)
         q = self.value / other.value  # raises ZeroDivisionError like floats
         qg = (self.grad - q * other.grad) / other.value
-        cross = np.outer(qg, other.grad)
+        cross = qg[:, None] * other.grad
         qh = (self.hess - q * other.hess - (cross + cross.T)) / other.value
-        return Jet2(q, qg, qh)
+        return _jet(q, qg, qh)
 
     def __rtruediv__(self, other):
         q = other / self.value
         qg = (-q * self.grad) / self.value
-        cross = np.outer(qg, self.grad)
+        cross = qg[:, None] * self.grad
         qh = (-q * self.hess - (cross + cross.T)) / self.value
-        return Jet2(q, qg, qh)
+        return _jet(q, qg, qh)
 
     def __pow__(self, other):
         if isinstance(other, Jet2):
@@ -97,8 +97,8 @@ class Jet2:
                     raise ValueError("power with variable exponent needs a positive base")
                 u = other * self.ln()
                 v = math.pow(self.value, other.value)
-                outer = np.outer(u.grad, u.grad)
-                return Jet2(v, v * u.grad, v * (u.hess + outer))
+                outer = u.grad[:, None] * u.grad
+                return _jet(v, v * u.grad, v * (u.hess + outer))
             other = other.value
         return self._pow_const(float(other))
 
@@ -111,7 +111,7 @@ class Jet2:
         if c == 0.0:
             return constant(1.0, self.dim)
         if c == 1.0:
-            return Jet2(self.value, self.grad, self.hess)
+            return _jet(self.value, self.grad, self.hess)
         f1 = c * math.pow(v, c - 1.0)
         f2 = c * (c - 1.0) * math.pow(v, c - 2.0)
         return self._chain(math.pow(v, c), f1, f2)
@@ -121,14 +121,14 @@ class Jet2:
             raise ValueError("power with variable exponent needs a positive base")
         u = self * math.log(base)
         v = math.pow(base, self.value)
-        outer = np.outer(u.grad, u.grad)
-        return Jet2(v, v * u.grad, v * (u.hess + outer))
+        outer = u.grad[:, None] * u.grad
+        return _jet(v, v * u.grad, v * (u.hess + outer))
 
     # -- elementary functions (chain rule with f' and f'') -------------------
 
     def _chain(self, f0: float, f1: float, f2: float):
-        outer = np.outer(self.grad, self.grad)
-        return Jet2(f0, f1 * self.grad, f1 * self.hess + f2 * outer)
+        outer = self.grad[:, None] * self.grad
+        return _jet(f0, f1 * self.grad, f1 * self.hess + f2 * outer)
 
     def sin(self):
         s, c = math.sin(self.value), math.cos(self.value)
@@ -168,12 +168,23 @@ class Jet2:
     __abs__ = abs
 
 
+def _jet(value: float, grad: np.ndarray, hess: np.ndarray) -> Jet2:
+    """A Jet2 from float64 arrays, as every operation forms them, without
+    the conversions of ``Jet2.__init__``."""
+    jet = object.__new__(Jet2)
+    jet.value = float(value)
+    jet.grad = grad
+    jet.hess = hess
+    return jet
+
+
 def constant(value: float, dim: int) -> Jet2:
     """A jet with the given value and vanishing derivatives."""
-    return Jet2(value, np.zeros(dim), np.zeros((dim, dim)))
+    return _jet(value, np.zeros(dim), np.zeros((dim, dim)))
 
 
 def seed(point: Sequence[float]) -> list[Jet2]:
     """Independent-variable jets for a point: unit gradients, zero Hessians."""
     d = len(point)
-    return [Jet2(point[i], np.eye(d)[i], np.zeros((d, d))) for i in range(d)]
+    eye = np.eye(d)
+    return [_jet(point[i], eye[i], np.zeros((d, d))) for i in range(d)]

@@ -413,7 +413,7 @@ def evaluate(e: Expr, point: Sequence, params: Mapping[str, float] | None = None
         impl = _FLOAT_FUNCS[fn] if isinstance(x, float) else getattr(x, fn)
         try:
             result = impl(v) if isinstance(x, float) else impl()
-        except (ValueError, OverflowError) as exc:
+        except (ValueError, OverflowError, ZeroDivisionError) as exc:
             raise EvalDomainError(str(exc), node) from None
         return _checked(node, result)
 

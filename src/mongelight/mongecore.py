@@ -163,43 +163,49 @@ def _base_of(p) -> tuple[float, ...]:
 
 
 @dataclass
-class _PointData:
+class _FrameData:
+    """What a point's screen fields need: g and the scalar jet, with no
+    Christoffel symbols or covariant Hessian."""
+
     g: np.ndarray
     ginv: np.ndarray
     dg: np.ndarray  # dg[i, j, k] = d_i g_jk
-    gamma: np.ndarray  # gamma[k, i, j]
     dF: np.ndarray
     d2F: np.ndarray  # plain coordinate partials d_i d_j F
-    hess: np.ndarray  # covariant Hessian
     xi_hat: np.ndarray
-    norm2: float
     gbar: np.ndarray  # ambient metric diag(-1, g)
     xi: np.ndarray  # (1, xi_hat), unscaled
     nxi: np.ndarray  # (-1/2, xi_hat/2), unscaled
     frame: np.ndarray  # rows e_i, shape (d, d+1)
+
+
+@dataclass
+class _PointData(_FrameData):
+    gamma: np.ndarray  # gamma[k, i, j]
+    hess: np.ndarray  # covariant Hessian
+    norm2: float
     induced: np.ndarray  # Gram matrix of the frame
 
 
-@lru_cache(maxsize=512)
-def _point_data(gen: MongeGenerator, base: tuple[float, ...]) -> _PointData:
+def _frame_data(gen: MongeGenerator, base: tuple[float, ...]) -> _FrameData:
+    """Everything _point_data builds before the Christoffel symbols.
+
+    Uncached, because the screen bracket's finite-difference neighbours
+    read only their screen fields from it.
+    """
     d = gen.dimension
     g, dg = semiriemann.metric_jets_at(gen.metric, base)
     ginv = invert_metric(g, f" at {list(base)}")
-    gamma = christoffel_from_partials(ginv, dg)
 
     jet = evaluate(gen.scalar_field, seed(list(base)), gen.params)
     if not isinstance(jet, Jet2):
         jet = constant(jet, d)
     dF = jet.grad
-    d2F = jet.hess
-    hess = d2F - np.einsum("kij,k->ij", gamma, dF)
-    # evaluate() checks only the value lane; any overflowed derivative lane
-    # (dg, dF or d2F) leaves hess non-finite, and an infinite dF would turn
-    # the frame's Gram matrix into NaN
-    if not np.isfinite(hess).all():
+    # evaluate() checks only the value lane; an infinite dF would turn the
+    # frame's Gram matrix into NaN
+    if not np.isfinite(dF).all():
         raise NonFiniteValueError(f"derivatives not finite at {list(base)}")
     xi_hat = ginv @ dF
-    norm2 = float(dF @ xi_hat)
 
     gbar = np.zeros((d + 1, d + 1))
     gbar[0, 0] = -1.0
@@ -207,10 +213,26 @@ def _point_data(gen: MongeGenerator, base: tuple[float, ...]) -> _PointData:
     xi = np.concatenate(([1.0], xi_hat))
     nxi = np.concatenate(([-0.5], 0.5 * xi_hat))
     frame = np.hstack([dF.reshape(d, 1), np.eye(d)])
-    induced = -np.outer(dF, dF) + g
+    return _FrameData(g, ginv, dg, dF, jet.hess, xi_hat, gbar, xi, nxi, frame)
 
-    return _PointData(g, ginv, dg, gamma, dF, d2F, hess, xi_hat, norm2,
-                      gbar, xi, nxi, frame, induced)
+
+@lru_cache(maxsize=512)
+def _point_data(gen: MongeGenerator, base: tuple[float, ...]) -> _PointData:
+    front = _frame_data(gen, base)
+    gamma = christoffel_from_partials(front.ginv, front.dg)
+    hess = front.d2F - np.einsum("kij,k->ij", gamma, front.dF)
+    # an overflowed dg or d2F lane leaves hess non-finite
+    if not np.isfinite(hess).all():
+        raise NonFiniteValueError(f"derivatives not finite at {list(base)}")
+    norm2 = float(front.dF @ front.xi_hat)
+    induced = -np.outer(front.dF, front.dF) + front.g
+    return _PointData(**vars(front), gamma=gamma, hess=hess, norm2=norm2, induced=induced)
+
+
+def _screen_fields(data: _FrameData) -> np.ndarray:
+    """Screen projections s_i = e_i - gbar(e_i, N) xi, as rows."""
+    coeffs = data.frame @ data.gbar @ data.nxi
+    return data.frame - np.outer(coeffs, data.xi)
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +377,7 @@ def screen_frame_at(gen: MongeGenerator, p, tolerance: float = 1e-8) -> OrthoFra
     d = gen.dimension
     if d < 2:
         raise ScreenRankError("screen needs chart dimension >= 2")
-    coeffs = data.frame @ data.gbar @ data.nxi
-    projected = data.frame - np.outer(coeffs, data.xi)
+    projected = _screen_fields(data)
     try:
         frame = orthonormalize(projected, data.gbar, count=d - 1)
     except NearNullPivotError as exc:
@@ -460,13 +481,6 @@ def weingarten_at(
 # Screen integrability
 
 
-def _screen_field_matrix(gen: MongeGenerator, base: tuple[float, ...]) -> np.ndarray:
-    """Coefficient functions of the screen projections s_i at a base point."""
-    data = _point_data(gen, base)
-    coeffs = data.frame @ data.gbar @ data.nxi
-    return data.frame - np.outer(coeffs, data.xi)
-
-
 def screen_integrability_defect_at(gen: MongeGenerator, p, step: float = BRACKET_STEP) -> float:
     """Worst Lie-bracket leakage of the screen fields out of the screen.
 
@@ -483,7 +497,7 @@ def screen_integrability_defect_at(gen: MongeGenerator, p, step: float = BRACKET
     if d == 2:
         return 0.0
     data = _point_data(gen, base)
-    s0 = _screen_field_matrix(gen, base)
+    s0 = _screen_fields(data)
     ds = np.empty((d, d, d + 1))  # ds[l, i, m] = d_l s_i^m
     for l in range(d):
         plus = list(base)
@@ -491,7 +505,8 @@ def screen_integrability_defect_at(gen: MongeGenerator, p, step: float = BRACKET
         plus[l] += step
         minus[l] -= step
         ds[l] = (
-            _screen_field_matrix(gen, tuple(plus)) - _screen_field_matrix(gen, tuple(minus))
+            _screen_fields(_frame_data(gen, tuple(plus)))
+            - _screen_fields(_frame_data(gen, tuple(minus)))
         ) / (2.0 * step)
     worst = 0.0
     for i in range(d):
@@ -637,9 +652,11 @@ def classify(
     if not points:
         raise EmptySampleError("no sample points supplied")
 
-    analyses = [
-        _analyze_point(gen, i, sp, tol, xi_scale) for i, sp in enumerate(points)
-    ]
+    # overflows here become NonFiniteValueError points, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        analyses = [
+            _analyze_point(gen, i, sp, tol, xi_scale) for i, sp in enumerate(points)
+        ]
     good = [a for a in analyses if a.error is None]
     failed_fraction = 1.0 - len(good) / len(analyses)
 

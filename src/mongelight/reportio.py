@@ -22,6 +22,7 @@ order and byte-identical output for identical inputs.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -128,6 +129,23 @@ def _expect(data: dict, key: str, kind, path: str):
     return value
 
 
+def _number(value, path: str) -> float:
+    """A finite JSON number as a float; bools and strings are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise GeneratorFileError(path, "expected a number")
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):  # json reads 1e400 as inf
+        raise GeneratorFileError(path, "expected a finite number")
+    return number
+
+
+def _reject_constant(token: str):
+    raise GeneratorFileError("<document>", f"non-finite number {token}")
+
+
 def _parse_expr(source, chart, path):
     if not isinstance(source, str):
         raise GeneratorFileError(path, "expected an expression string")
@@ -150,7 +168,9 @@ def _load_samples(data: Any, dimension: int) -> SampleSet:
                 raise GeneratorFileError(
                     f"samples.points[{k}]", f"expected {dimension} coordinates"
                 )
-            points.append(tuple(float(x) for x in p))
+            points.append(
+                tuple(_number(x, f"samples.points[{k}][{i}]") for i, x in enumerate(p))
+            )
         return SampleSet(points=tuple(points))
     ranges = _expect(data, "ranges", list, "samples.")
     counts = _expect(data, "counts", list, "samples.")
@@ -158,7 +178,10 @@ def _load_samples(data: Any, dimension: int) -> SampleSet:
         raise GeneratorFileError("samples", f"need {dimension} ranges and counts")
     try:
         spec = GridSpec(
-            tuple((float(lo), float(hi)) for lo, hi in ranges),
+            tuple(
+                (_number(lo, f"samples.ranges[{k}]"), _number(hi, f"samples.ranges[{k}]"))
+                for k, (lo, hi) in enumerate(ranges)
+            ),
             tuple(int(c) for c in counts),
         )
     except (TypeError, ValueError) as exc:
@@ -183,7 +206,7 @@ def load_generator(path) -> tuple[MongeGenerator, SampleSet]:
     """Parse a generator file; all expressions are resolved against the chart."""
     text = Path(path).read_text()
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise GeneratorFileError("<document>", f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
@@ -199,7 +222,8 @@ def load_generator(path) -> tuple[MongeGenerator, SampleSet]:
         raise GeneratorFileError("parameters", "expected an object")
     try:
         chart = CoordinateChart(
-            tuple(coordinates), {k: float(v) for k, v in parameters.items()}
+            tuple(coordinates),
+            {k: _number(v, f"parameters.{k}") for k, v in parameters.items()},
         )
     except (TypeError, ValueError) as exc:
         raise GeneratorFileError("coordinates", str(exc)) from exc

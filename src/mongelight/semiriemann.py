@@ -8,6 +8,7 @@ product.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -54,17 +55,36 @@ def local_scale(*tensors) -> float:
     return 1.0 + peak
 
 
-@dataclass
+@dataclass(frozen=True)
 class MetricField:
-    """A d x d matrix of component expressions over a chart."""
+    """A d x d matrix of component expressions over a chart.
+
+    Frozen, with tuple rows, because per-point results are cached by the
+    identity of the generator that holds the field.
+    """
 
     chart: CoordinateChart
-    components: list[list[Expr]]
+    components: tuple[tuple[Expr, ...], ...]
+    # each structurally distinct component once, with the (j, k) slots it fills
+    _distinct: tuple[tuple[Expr, tuple[tuple[int, int], ...]], ...] = dataclasses.field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         d = self.chart.dimension
-        if len(self.components) != d or any(len(row) != d for row in self.components):
+        components = tuple(tuple(row) for row in self.components)
+        if len(components) != d or any(len(row) != d for row in components):
             raise ValueError(f"metric must be {d}x{d} for this chart")
+        object.__setattr__(self, "components", components)
+        # render tells Num(-0.0) from Num(0.0), which == does not; == tells
+        # Num(-2.0)^2 from -(2.0^2), which render does not
+        slots: dict[tuple[str, Expr], list[tuple[int, int]]] = {}
+        for j in range(d):
+            for k in range(d):
+                expr = components[j][k]
+                slots.setdefault((render(expr), expr), []).append((j, k))
+        distinct = tuple((expr, tuple(where)) for (_, expr), where in slots.items())
+        object.__setattr__(self, "_distinct", distinct)
 
     @classmethod
     def from_strings(cls, chart: CoordinateChart, rows: Sequence[Sequence[str]]) -> "MetricField":
@@ -126,21 +146,22 @@ def metric_at(field: MetricField, point: Sequence[float]) -> tuple[np.ndarray, n
 
 
 def metric_jets_at(field: MetricField, point: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    """Metric values and first partials (dg[i, j, k] = d_i g_jk) in one jet pass."""
+    """Metric values and first partials (dg[i, j, k] = d_i g_jk) in one jet pass,
+    evaluating each distinct component once."""
     params = field.chart.parameters
     d = field.chart.dimension
     jets = autodiff.seed(point)
     g = np.empty((d, d))
     dg = np.empty((d, d, d))
-    for j in range(d):
-        for k in range(d):
-            value = evaluate(field.components[j][k], jets, params)
-            if isinstance(value, autodiff.Jet2):
-                g[j, k] = value.value
-                dg[:, j, k] = value.grad
-            else:  # constant entry
-                g[j, k] = value
-                dg[:, j, k] = 0.0
+    for expr, slots in field._distinct:
+        jet = evaluate(expr, jets, params)
+        if isinstance(jet, autodiff.Jet2):
+            value, grad = jet.value, jet.grad
+        else:  # constant entry
+            value, grad = jet, 0.0
+        for j, k in slots:
+            g[j, k] = value
+            dg[:, j, k] = grad
     return g, dg
 
 

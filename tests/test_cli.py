@@ -66,6 +66,32 @@ class TestClassifyCommand:
         path.write_text(json.dumps({"name": "x"}))
         assert cli.main(["classify", "--generator", str(path)]) == 66
 
+    @pytest.mark.parametrize(
+        "samples, parameters",
+        [
+            ('{"points": [[Infinity, 0.5]]}', "{}"),
+            ('{"points": [[NaN, 0.5]]}', "{}"),
+            ('{"points": [[1e400, 0.5]]}', "{}"),
+            ('{"points": [["abc", 0.5]]}', "{}"),
+            ('{"points": [[true, 0.5]]}', "{}"),
+            ('{"ranges": [[-1, 1], [0.5, true]], "counts": [2, 2]}', "{}"),
+            ('{"ranges": [[-1, 1], [0.5, Infinity]], "counts": [2, 2]}', "{}"),
+            ('{"points": [[0.0, 0.5]]}', '{"R": "2"}'),
+            ('{"points": [[0.0, 0.5]]}', '{"R": false}'),
+            ('{"points": [[0.0, 0.5]]}', '{"R": -Infinity}'),
+        ],
+    )
+    def test_non_numeric_or_non_finite_number(self, tmp_path, capsys, samples, parameters):
+        path = tmp_path / "bad.json"
+        path.write_text(
+            '{"name": "n", "dimension": 2, "coordinates": ["x", "y"], '
+            f'"parameters": {parameters}, "metric": [["1", "0"], ["0", "1"]], '
+            f'"scalar_field": "x", "samples": {samples}}}'
+        )
+        out = tmp_path / "report.json"
+        assert cli.main(["classify", "--generator", str(path), "--out", str(out)]) == 66
+        assert not out.exists()
+
     def test_partial_failures_exit_two(self, tmp_path, capsys):
         doc = {
             "name": "pinched",

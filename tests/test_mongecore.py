@@ -27,6 +27,9 @@ from mongelight.mongecore import (
     second_fundamental_form_at,
     umbilic_fit_at,
     weingarten_at,
+    _frame_data,
+    _point_data,
+    _screen_fields,
 )
 from mongelight.reportio import grid_sample
 from mongelight.semiriemann import MetricField, local_scale
@@ -492,6 +495,34 @@ class TestScreenIntegrability:
         gen = euclidean(("x", "y", "z"), "x")
         assert screen_integrability_defect_at(gen, (0.1, 0.2, 0.3)) < 1e-10
 
+    @pytest.mark.parametrize("name", ["hyperbolic3", "euclid_cone"])
+    def test_uncached_fields_match_point_data(self, name):
+        # finite-difference neighbours skip _point_data; at a base point their
+        # screen fields must equal, bit for bit, the projection built from it
+        entry = catalog.builtin(name)
+        for sp in default_points(entry, limit=5):
+            data = _point_data(entry.generator, sp.base)
+            projected = data.frame - np.outer(data.frame @ data.gbar @ data.nxi, data.xi)
+            uncached = _screen_fields(_frame_data(entry.generator, sp.base))
+            assert np.array_equal(uncached, projected)
+
+    def test_neighbour_outside_domain_is_point_error(self):
+        # at z = 5e-6 the bracket's neighbour z - 1e-5 leaves the domain of sqrt(z)
+        chart = CoordinateChart(("x", "y", "z"))
+        rows = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "sqrt(z)"]]
+        gen = MongeGenerator(
+            "root_z",
+            chart,
+            MetricField.from_strings(chart, rows),
+            parse("x", chart),
+            (parse_constraint("z > 0", chart),),
+        )
+        bases = ((0.0, 0.0, 5e-6), (0.0, 0.0, 1.0))
+        report = classify(gen, [gen.surface_point(b) for b in bases])
+        near, far = report.points
+        assert near.error == "sqrt of non-positive value -5e-06 in subexpression 'sqrt(z)'"
+        assert far.error is None and far.integrability_defect == 0.0
+
     def test_sphere_screen(self):
         # screen fields genuinely vary; tangent planes of spheres integrate
         gen = euclidean(
@@ -636,6 +667,13 @@ class TestClassify:
         report = classify(gen, [gen.surface_point((1e-100, 0.5))])
         assert report.points[0].error.startswith("derivatives not finite")
 
+    @pytest.mark.parametrize("scalar, x", [("sqrt(x)", 1e-320), ("sqrt(x)*1e200", 1e-250)])
+    def test_sqrt_underflow_recorded(self, scalar, x):
+        # the jet's second derivative -0.25 / (r * v) divides by an underflowed 0
+        gen = euclidean(("x", "y"), scalar)
+        report = classify(gen, [gen.surface_point((x, 0.5))])
+        assert report.points[0].error == "float division by zero in subexpression 'sqrt(x)'"
+
     def test_null_line_fit_not_applicable(self):
         # dF (x) dF - g vanishes on a null curve, so there is no umbilic fit
         chart = CoordinateChart(("x",))
@@ -686,3 +724,12 @@ class TestGeneratorImmutable:
         with pytest.raises(TypeError):
             gen.chart.parameters["R"] = 2.0
         assert gen.params["R"] == 1.0
+
+    def test_metric_components_frozen(self):
+        gen = HYP2.generator
+        assert lightlike_defect_at(gen, (0.0, 2.0)) == 0.0
+        with pytest.raises(TypeError):
+            gen.metric.components[1][1] = parse("4/y^2", gen.chart)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            gen.metric.components = ()
+        assert lightlike_defect_at(gen, (0.0, 2.0)) == 0.0

@@ -4,8 +4,8 @@ and indefinite orthonormalization, cross-checked against finite differences."""
 import numpy as np
 import pytest
 
-from mongelight import catalog
-from mongelight.exprlang import CoordinateChart, parse
+from mongelight import autodiff, catalog
+from mongelight.exprlang import BinOp, CoordinateChart, Coord, Neg, Num, evaluate, parse
 from mongelight.mongecore import (
     MongeGenerator,
     lightlike_defect_at,
@@ -20,6 +20,7 @@ from mongelight.semiriemann import (
     christoffel_at,
     local_scale,
     metric_at,
+    metric_jets_at,
     orthonormalize,
 )
 
@@ -82,6 +83,51 @@ class TestMetricAt:
         assert not field.is_structurally_symmetric()
         with pytest.raises(DegenerateMetricError):
             metric_at(field, [0.5, 1.0])
+
+
+class TestMetricJets:
+    """metric_jets_at evaluates each distinct component once; every slot
+    must still hold the bits of evaluating its own entry."""
+
+    @staticmethod
+    def entrywise(field, point):
+        d = field.chart.dimension
+        g = np.empty((d, d))
+        dg = np.empty((d, d, d))
+        for j in range(d):
+            for k in range(d):
+                jet = evaluate(field.components[j][k], autodiff.seed(point), field.chart.parameters)
+                if not isinstance(jet, autodiff.Jet2):
+                    jet = autodiff.constant(jet, d)
+                g[j, k] = jet.value
+                dg[:, j, k] = jet.grad
+        return g, dg
+
+    @staticmethod
+    def assert_same_bits(a, b):
+        assert a.tobytes() == b.tobytes()  # tells -0.0 from 0.0
+
+    def test_hyperbolic_space(self):
+        field = catalog.builtin("hyperbolic3").generator.metric
+        for point in ((0.0, 0.0, 2.0), (0.3, -0.7, 0.9)):
+            for got, want in zip(metric_jets_at(field, point), self.entrywise(field, point)):
+                self.assert_same_bits(got, want)
+
+    def test_signed_zeros_and_look_alike_renderings(self):
+        chart = CoordinateChart(("x", "y"))
+        y = Coord(1, "y")
+        # Num(-0.0) == Num(0.0), yet they are distinct bits; Num(-2.0)^2 and
+        # -(2.0^2) render alike, yet differ in value
+        comps = [
+            [BinOp("*", BinOp("^", Num(-2.0), Num(2.0)), y), Num(-0.0)],
+            [Num(0.0), BinOp("*", Neg(BinOp("^", Num(2.0), Num(2.0))), y)],
+        ]
+        field = MetricField(chart, comps)
+        g, dg = metric_jets_at(field, (0.5, 1.5))
+        for got, want in zip((g, dg), self.entrywise(field, (0.5, 1.5))):
+            self.assert_same_bits(got, want)
+        assert np.signbit(g[0, 1]) and not np.signbit(g[1, 0])
+        assert g[0, 0] == 6.0 and g[1, 1] == -6.0
 
 
 class TestChristoffel:
