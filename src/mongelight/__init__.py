@@ -28,8 +28,6 @@ from .semiriemann import (
     MetricField,
     NearNullPivotError,
     OrthoFrame,
-    christoffel_at,
-    metric_at,
     orthonormalize,
 )
 from .mongecore import (
@@ -82,8 +80,6 @@ __all__ = [
     "OrthoFrame",
     "DegenerateMetricError",
     "NearNullPivotError",
-    "metric_at",
-    "christoffel_at",
     "orthonormalize",
     "MongeGenerator",
     "SurfacePoint",

@@ -320,7 +320,8 @@ _ATOM_PREC = 5
 def _prec(e: Expr) -> int:
     if isinstance(e, BinOp):
         return _PREC[e.op]
-    if isinstance(e, Neg):
+    # a Num with its sign bit set (-0.0 too) renders with a leading minus
+    if isinstance(e, Neg) or (isinstance(e, Num) and math.copysign(1.0, e.value) < 0):
         return _UNARY_PREC
     return _ATOM_PREC
 

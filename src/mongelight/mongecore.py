@@ -10,7 +10,8 @@ At each admissible base point this module computes the tangent null
 normal xi = (1, grad F), the canonical transversal section
 N = -1/2 * (1, -grad F), the coordinate frame e_i = (dF_i) d0 + d_i with
 its induced Gram matrix and radical rank, the second fundamental form
-B = -Hess(F), the canonical screen frame, Gauss/Weingarten decompositions
+B = -Hess(F), the canonical screen frame (the lift (0, v) of the
+g-orthonormal frame of ker dF), Gauss/Weingarten decompositions
 of ambient derivatives, and the umbilic / minimal defect diagnostics used
 by classify().
 
@@ -68,7 +69,6 @@ __all__ = [
     "monge_frame_at",
     "second_fundamental_form_at",
     "umbilic_fit_at",
-    "kernel_frame_at",
     "minimal_defect_at",
     "screen_frame_at",
     "ambient_derivative_at",
@@ -284,10 +284,9 @@ def second_fundamental_form_at(
     its geometric meaning.
     """
     data = _point_data(gen, _base_of(p))
-    defect = data.norm2 - 1.0
-    if abs(defect) > tolerance * (1.0 + abs(data.norm2)):
+    if not _is_lightlike(data, tolerance):
         warnings.warn(
-            f"second fundamental form at non-lightlike point (defect {defect:.3e})",
+            f"second fundamental form at non-lightlike point (defect {data.norm2 - 1.0:.3e})",
             NotLightlikeWarning,
             stacklevel=2,
         )
@@ -325,72 +324,67 @@ def _umbilic_fit(data: _PointData) -> tuple[float | None, float | None, float]:
     return rho, residual, normalizer
 
 
-def kernel_frame_at(gen: MongeGenerator, p) -> OrthoFrame:
+def _is_lightlike(data: _PointData, tolerance: float) -> bool:
+    """The lightlike defect g(grad F, grad F) - 1 is below tolerance * (1 + |norm2|)."""
+    return abs(data.norm2 - 1.0) < tolerance * (1.0 + abs(data.norm2))
+
+
+def _kernel_frame(data: _PointData) -> OrthoFrame:
     """Orthonormal frame of ker dF under g (d-1 base vectors).
 
     The null space of the row vector dF is spanned by eliminating against
     its largest-magnitude entry, then orthonormalized; requires d >= 2.
     """
-    data = _point_data(gen, _base_of(p))
-    d = gen.dimension
+    d = data.dF.shape[0]
     if d < 2:
         raise ScreenRankError("kernel frame needs chart dimension >= 2")
     pivot = int(np.argmax(np.abs(data.dF)))
     if data.dF[pivot] == 0.0:
         raise ScreenRankError("dF vanishes; kernel of dF is not a hyperplane")
-    basis = []
-    for j in range(d):
-        if j == pivot:
-            continue
-        v = np.zeros(d)
-        v[j] = 1.0
-        v[pivot] = -data.dF[j] / data.dF[pivot]
-        basis.append(v)
+    others = [j for j in range(d) if j != pivot]
+    basis = np.eye(d)[others]
+    basis[:, pivot] = -data.dF[others] / data.dF[pivot]
     return orthonormalize(basis, data.g)
 
 
-def minimal_defect_at(gen: MongeGenerator, p, frame: OrthoFrame | None = None) -> float:
-    """Sign-weighted Hessian trace over an orthonormal frame of ker dF.
+def _minimal_defect(data: _PointData, vectors: np.ndarray, signs: Sequence[int]) -> float:
+    """Sign-weighted Hessian trace over g-orthonormal base vectors."""
+    return sum((sign * float(v @ data.hess @ v) for v, sign in zip(vectors, signs)), 0.0)
+
+
+def minimal_defect_at(gen: MongeGenerator, p) -> float:
+    """Sign-weighted Hessian trace over a g-orthonormal frame of ker dF.
 
     Zero within tolerance means the hypersurface is minimal at the point.
     The value is invariant (to rounding) under sign-orthogonal changes of
-    the frame; pass ``frame`` to evaluate against a specific one.
+    the frame.
     """
     data = _point_data(gen, _base_of(p))
-    if frame is None:
-        frame = kernel_frame_at(gen, p)
-    total = 0.0
-    for v, sign in zip(frame.vectors, frame.signs):
-        total += sign * float(v @ data.hess @ v)
-    return total
+    frame = _kernel_frame(data)
+    return _minimal_defect(data, frame.vectors, frame.signs)
 
 
 def screen_frame_at(gen: MongeGenerator, p, tolerance: float = 1e-8) -> OrthoFrame:
     """Canonical screen frame: d-1 ambient vectors W with
     gbar(W, xi) = 0, zero x0 component, and gbar(W_i, W_j) = sign_i delta_ij.
 
-    Projects the coordinate frame along the transversal direction,
-    s_i = e_i - gbar(e_i, N) xi, drops the dependent direction, and
-    orthonormalizes the rest under the ambient metric.
+    At a lightlike point the screen fields s_i = e_i - gbar(e_i, N) xi
+    = (0, delta_i - dF_i xi_hat) span exactly {(0, v) : dF(v) = 0}, and
+    gbar restricts there to g, so the frame is the lift (0, v) of the
+    g-orthonormal frame of ker dF.  Where the lightlike defect exceeds
+    tolerance the screen fields have rank d and no such frame exists.
     """
     data = _point_data(gen, _base_of(p))
-    d = gen.dimension
-    if d < 2:
+    if gen.dimension < 2:
         raise ScreenRankError("screen needs chart dimension >= 2")
-    projected = _screen_fields(data)
+    if not _is_lightlike(data, tolerance):
+        raise ScreenRankError("screen projection has rank d; expected d-1")
     try:
-        frame = orthonormalize(projected, data.gbar, count=d - 1)
+        frame = _kernel_frame(data)
     except NearNullPivotError as exc:
         raise ScreenRankError(f"screen projection rank deficient: {exc}") from exc
-    # dependence certificate: every projected vector must lie in the span
-    scale = local_scale(data.gbar, projected)
-    for s in projected:
-        r = s.copy()
-        for u, sign in zip(frame.vectors, frame.signs):
-            r = r - sign * float(r @ data.gbar @ u) * u
-        if abs(float(r @ data.gbar @ r)) > tolerance * scale:
-            raise ScreenRankError("screen projection has rank d; expected d-1")
-    return frame
+    lifted = np.hstack([np.zeros((len(frame.signs), 1)), frame.vectors])
+    return OrthoFrame(lifted, frame.signs)
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +475,7 @@ def weingarten_at(
 # Screen integrability
 
 
-def screen_integrability_defect_at(gen: MongeGenerator, p, step: float = BRACKET_STEP) -> float:
+def screen_integrability_defect_at(gen: MongeGenerator, p) -> float:
     """Worst Lie-bracket leakage of the screen fields out of the screen.
 
     Brackets [s_i, s_j] are formed from central finite differences of the
@@ -502,12 +496,12 @@ def screen_integrability_defect_at(gen: MongeGenerator, p, step: float = BRACKET
     for l in range(d):
         plus = list(base)
         minus = list(base)
-        plus[l] += step
-        minus[l] -= step
+        plus[l] += BRACKET_STEP
+        minus[l] -= BRACKET_STEP
         ds[l] = (
             _screen_fields(_frame_data(gen, tuple(plus)))
             - _screen_fields(_frame_data(gen, tuple(minus)))
-        ) / (2.0 * step)
+        ) / (2.0 * BRACKET_STEP)
     worst = 0.0
     for i in range(d):
         for j in range(i + 1, d):
@@ -588,7 +582,7 @@ def _analyze_point(
         frame, _, analysis.radical_rank = monge_frame_at(gen, sp, tol.base)
         analysis.lightlike_defect = data.norm2 - 1.0
         scale_light = 1.0 + abs(data.norm2)
-        analysis.is_lightlike = abs(analysis.lightlike_defect) < tol.base * scale_light
+        analysis.is_lightlike = _is_lightlike(data, tol.base)
 
         analysis.B = -xi_scale * data.hess
         rho, residual, scale_form = _umbilic_fit(data)
@@ -609,7 +603,9 @@ def _analyze_point(
                 analysis.certificates["screen_nxi"] = float(
                     np.max(np.abs(screen.vectors @ data.gbar @ nxi))
                 )
-                analysis.minimal_defect = minimal_defect_at(gen, sp)
+                analysis.minimal_defect = _minimal_defect(
+                    data, screen.vectors[:, 1:], screen.signs
+                )
                 analysis.integrability_defect = screen_integrability_defect_at(gen, sp)
             analysis.tau = np.array(
                 [weingarten_at(gen, sp, i, xi_scale, tol.base)[1] for i in range(d)]

@@ -124,7 +124,8 @@ def _expect(data: dict, key: str, kind, path: str):
     if key not in data:
         raise GeneratorFileError(f"{path}{key}", "missing")
     value = data[key]
-    if not isinstance(value, kind):
+    # json reads true/false as bools, which are ints to isinstance
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
         raise GeneratorFileError(f"{path}{key}", f"expected {kind.__name__}")
     return value
 
@@ -140,6 +141,14 @@ def _number(value, path: str) -> float:
     if not math.isfinite(number):  # json reads 1e400 as inf
         raise GeneratorFileError(path, "expected a finite number")
     return number
+
+
+def _count(value, path: str) -> int:
+    """A whole JSON number as an int; bools, fractions and strings are refused."""
+    number = _number(value, path)
+    if not number.is_integer():
+        raise GeneratorFileError(path, "expected a whole number")
+    return int(number)
 
 
 def _reject_constant(token: str):
@@ -182,7 +191,7 @@ def _load_samples(data: Any, dimension: int) -> SampleSet:
                 (_number(lo, f"samples.ranges[{k}]"), _number(hi, f"samples.ranges[{k}]"))
                 for k, (lo, hi) in enumerate(ranges)
             ),
-            tuple(int(c) for c in counts),
+            tuple(_count(c, f"samples.counts[{k}]") for k, c in enumerate(counts)),
         )
     except (TypeError, ValueError) as exc:
         raise GeneratorFileError("samples", str(exc)) from exc

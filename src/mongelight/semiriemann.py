@@ -25,10 +25,8 @@ __all__ = [
     "local_scale",
     "invert_metric",
     "evaluate_matrix",
-    "metric_at",
     "metric_jets_at",
     "christoffel_from_partials",
-    "christoffel_at",
     "orthonormalize",
 ]
 
@@ -139,12 +137,6 @@ def invert_metric(g: np.ndarray, where: str = "") -> np.ndarray:
     return ginv
 
 
-def metric_at(field: MetricField, point: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    """Metric matrix and verified inverse at a point."""
-    g = evaluate_matrix(field, point)
-    return g, invert_metric(g, f" at {list(point)}")
-
-
 def metric_jets_at(field: MetricField, point: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     """Metric values and first partials (dg[i, j, k] = d_i g_jk) in one jet pass,
     evaluating each distinct component once."""
@@ -175,18 +167,10 @@ def christoffel_from_partials(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
     return 0.5 * (gamma + np.transpose(gamma, (0, 2, 1)))
 
 
-def christoffel_at(field: MetricField, point: Sequence[float]) -> np.ndarray:
-    """Levi-Civita coefficients Gamma[k, i, j], exactly symmetric in (i, j)."""
-    g, dg = metric_jets_at(field, point)
-    ginv = invert_metric(g, f" at {list(point)}")
-    return christoffel_from_partials(ginv, dg)
-
-
 def orthonormalize(
     vectors: Sequence[Sequence[float]],
     g: np.ndarray,
     tolerance: float = DEGENERACY_THRESHOLD,
-    count: int | None = None,
 ) -> OrthoFrame:
     """Indefinite Gram-Schmidt with greedy pivoting.
 
@@ -194,15 +178,14 @@ def orthonormalize(
     the largest magnitude is normalized by sqrt(|g(v, v)|) and its sign
     recorded.  Raises NearNullPivotError when every candidate's
     self-product falls below tolerance * scale, which signals a degenerate
-    restriction of g to the span.  With ``count`` set, stops after that
-    many vectors were accepted (used to drop dependent directions).
+    restriction of g to the span.
     """
     g = np.asarray(g, dtype=float)
     remaining = [np.asarray(v, dtype=float) for v in vectors]
     scale = local_scale(g, *remaining)
     frame: list[np.ndarray] = []
     signs: list[int] = []
-    while remaining and (count is None or len(frame) < count):
+    while remaining:
         projected = []
         for v in remaining:
             w = v.copy()

@@ -79,6 +79,9 @@ class TestClassifyCommand:
             ('{"points": [[0.0, 0.5]]}', '{"R": "2"}'),
             ('{"points": [[0.0, 0.5]]}', '{"R": false}'),
             ('{"points": [[0.0, 0.5]]}', '{"R": -Infinity}'),
+            ('{"ranges": [[-1, 1], [0.5, 4]], "counts": [true, 2]}', "{}"),
+            ('{"ranges": [[-1, 1], [0.5, 4]], "counts": [2, 2.7]}', "{}"),
+            ('{"ranges": [[-1, 1], [0.5, 4]], "counts": ["2", 2]}', "{}"),
         ],
     )
     def test_non_numeric_or_non_finite_number(self, tmp_path, capsys, samples, parameters):
@@ -87,6 +90,17 @@ class TestClassifyCommand:
             '{"name": "n", "dimension": 2, "coordinates": ["x", "y"], '
             f'"parameters": {parameters}, "metric": [["1", "0"], ["0", "1"]], '
             f'"scalar_field": "x", "samples": {samples}}}'
+        )
+        out = tmp_path / "report.json"
+        assert cli.main(["classify", "--generator", str(path), "--out", str(out)]) == 66
+        assert not out.exists()
+
+    def test_boolean_dimension(self, tmp_path, capsys):
+        # true is not the dimension 1, though isinstance(True, int) holds
+        path = tmp_path / "bad.json"
+        path.write_text(
+            '{"name": "n", "dimension": true, "coordinates": ["x"], "parameters": {}, '
+            '"metric": [["1"]], "scalar_field": "x", "samples": {"points": [[0.5]]}}'
         )
         out = tmp_path / "report.json"
         assert cli.main(["classify", "--generator", str(path), "--out", str(out)]) == 66

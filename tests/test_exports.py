@@ -1,0 +1,20 @@
+"""Every name a module exports through ``__all__`` must resolve, so deleting a
+public function cannot leave a stale export behind."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import mongelight
+
+MODULES = ["mongelight"] + [
+    f"mongelight.{info.name}" for info in pkgutil.iter_modules(mongelight.__path__)
+]
+
+
+@pytest.mark.parametrize("module_name", MODULES)
+def test_all_names_resolve(module_name):
+    module = importlib.import_module(module_name)
+    missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    assert missing == []

@@ -126,6 +126,18 @@ class TestRenderRoundTrip:
             ast = parse(source, chart)
             assert parse(render(ast), chart) == ast
 
+    @pytest.mark.parametrize("base", [-2.0, -0.0])
+    def test_negative_num_power_base(self, base):
+        # the parser never builds a negative Num; a hand-built AST may hold one
+        ast = BinOp("^", Num(base), Num(2.0))
+        text = render(ast)
+        assert text == f"({base!r})^2.0"
+        again = evaluate(parse(text, XY), (0.0, 0.0))
+        assert np.float64(again).tobytes() == np.float64(evaluate(ast, (0.0, 0.0))).tobytes()
+
+    def test_negated_power_keeps_leading_minus(self):
+        assert render(Neg(BinOp("^", Num(2.0), Num(2.0)))) == "-2.0^2.0"
+
     def test_random_round_trip_1000(self):
         rng = np.random.default_rng(20260810)
         for _ in range(1000):

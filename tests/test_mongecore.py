@@ -17,7 +17,6 @@ from mongelight.mongecore import (
     ambient_metric_at,
     classify,
     gauss_decompose_at,
-    kernel_frame_at,
     lightlike_defect_at,
     minimal_defect_at,
     monge_frame_at,
@@ -32,7 +31,7 @@ from mongelight.mongecore import (
     _screen_fields,
 )
 from mongelight.reportio import grid_sample
-from mongelight.semiriemann import MetricField, local_scale
+from mongelight.semiriemann import MetricField, NearNullPivotError, OrthoFrame, local_scale
 
 from _oracles import (
     fd_christoffel,
@@ -66,6 +65,12 @@ def euclidean(names, scalar, domain=()):
         parse(scalar, chart),
         tuple(parse_constraint(c, chart) for c in domain),
     )
+
+
+def kernel_frame(gen, p):
+    """The g-orthonormal frame of ker dF: the base slots of the screen frame."""
+    screen = screen_frame_at(gen, p)
+    return OrthoFrame(screen.vectors[:, 1:], screen.signs)
 
 
 def default_points(entry, limit=None):
@@ -249,7 +254,7 @@ class TestKernelFrameAndMinimal:
     def test_hyperbolic_plane(self):
         gen = HYP2.generator
         sp = gen.surface_point((0.0, 2.0))
-        frame = kernel_frame_at(gen, sp)
+        frame = kernel_frame(gen, sp)
         assert np.allclose(np.abs(frame.vectors), [[2.0, 0.0]], atol=1e-14)
         assert frame.signs == (1,)
         assert minimal_defect_at(gen, sp) == pytest.approx(-1.0, abs=1e-12)
@@ -257,7 +262,7 @@ class TestKernelFrameAndMinimal:
     def test_exterior_chart(self):
         gen = SCHW.generator
         sp = gen.surface_point((0.0, 2.0))
-        frame = kernel_frame_at(gen, sp)
+        frame = kernel_frame(gen, sp)
         assert np.allclose(np.abs(frame.vectors), [[np.sqrt(2.0), 0.0]], atol=1e-14)
         assert frame.signs == (-1,)
         assert minimal_defect_at(gen, sp) == pytest.approx(0.17677669529663687, rel=1e-10)
@@ -277,7 +282,7 @@ class TestKernelFrameAndMinimal:
         )
         assert lightlike_defect_at(gen, (0.5,)) == 0.0
         with pytest.raises(ScreenRankError):
-            kernel_frame_at(gen, (0.5,))
+            kernel_frame(gen, (0.5,))
         with pytest.raises(ScreenRankError):
             screen_frame_at(gen, (0.5,))
 
@@ -288,7 +293,7 @@ class TestKernelFrameAndMinimal:
             entry = catalog.builtin(name)
             gen = entry.generator
             for base in sample_admissible(rng, gen, entry.default_samples.ranges, 10):
-                frame = kernel_frame_at(gen, base)
+                frame = kernel_frame(gen, base)
                 reference = minimal_defect_at(gen, base)
                 hess = -second_fundamental_form_at(gen, base)
                 for _ in range(5):
@@ -314,7 +319,7 @@ class TestKernelFrameAndMinimal:
         )
         base = (0.5, 2.0, 1.0)
         assert lightlike_defect_at(gen, base) == pytest.approx(0.0, abs=1e-12)
-        frame = kernel_frame_at(gen, base)
+        frame = kernel_frame(gen, base)
         assert sorted(frame.signs) == [-1, 1]
         hess = -second_fundamental_form_at(gen, base)
         reference = minimal_defect_at(gen, base)
@@ -364,6 +369,84 @@ class TestScreenFrame:
                     assert abs(float(w @ gbar @ nxi)) < 1e-10 * scale
                 gram = screen.vectors @ gbar @ screen.vectors.T
                 assert np.allclose(gram, np.diag(screen.signs), atol=1e-8 * scale)
+
+
+class TestLiftedScreen:
+    """The screen frame is the lift (0, v) of the g-orthonormal frame of ker dF."""
+
+    @staticmethod
+    def distance_generator(rows, radicand):
+        # F = sqrt(p^T g p) has g(grad F, grad F) = 1 wherever the radicand is > 0
+        chart = CoordinateChart(("x", "y", "z"))
+        return MongeGenerator(
+            "distance",
+            chart,
+            MetricField.from_strings(chart, rows),
+            parse(f"sqrt({radicand})", chart),
+            (parse_constraint(f"{radicand} > 0", chart),),
+        )
+
+    CASES = {
+        "non_orthogonal": (
+            [["2", "1", "0"], ["1", "2", "0"], ["0", "0", "1"]],
+            "2*x^2 + 2*x*y + 2*y^2 + z^2",
+            [(1, 1)],
+        ),
+        "indefinite": (
+            [["-1", "0.5", "0"], ["0.5", "1", "0"], ["0", "0", "1"]],
+            "-x^2 + x*y + y^2 + z^2",
+            [(-1, 1)],
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_frame_properties_and_span(self, case):
+        rows, radicand, allowed_signs = self.CASES[case]
+        gen = self.distance_generator(rows, radicand)
+        rng = np.random.default_rng(404)
+        for base in sample_admissible(rng, gen, ((-2.0, 2.0),) * 3, 20):
+            screen = screen_frame_at(gen, base)
+            assert tuple(sorted(screen.signs)) in allowed_signs
+            W = screen.vectors
+            assert W.shape == (2, 4)
+            assert not W[:, 0].any()  # zero x0 slot
+            data = _point_data(gen, base)
+            gbar = ambient_metric_at(gen, base)
+            xi, nxi = normal_and_transversal_at(gen, base)
+            scale = local_scale(gbar, W, xi)
+            assert np.max(np.abs(W @ gbar @ W.T - np.diag(screen.signs))) < 1e-10 * scale
+            assert np.max(np.abs(W @ gbar @ xi)) < 1e-10 * scale
+            assert np.max(np.abs(W @ gbar @ nxi)) < 1e-10 * scale
+            # every screen field s_i = e_i - gbar(e_i, N) xi lies in the span of W
+            for s in _screen_fields(data):
+                residual = s - sum(
+                    sign * float(s @ gbar @ w) * w for w, sign in zip(W, screen.signs)
+                )
+                assert np.max(np.abs(residual)) < 1e-10 * local_scale(gbar, s, W)
+
+    def test_off_locus_points_rejected(self):
+        entry = catalog.builtin("nonlightlike_control")
+        for sp in default_points(entry):
+            with pytest.raises(ScreenRankError, match="rank d; expected d-1"):
+                screen_frame_at(entry.generator, sp)
+
+    def test_null_kernel_basis_is_rank_deficient(self):
+        # g makes both eliminated kernel vectors (-1/2, 1, 0), (-1/2, 0, 1) of
+        # dF = (1, 1/2, 1/2) null, yet xi_hat = (1, 0, 0) has g(xi_hat, xi_hat) = 1
+        chart = CoordinateChart(("x", "y", "z"))
+        rows = [["1", "0.5", "0.5"], ["0.5", "0.25", "1.25"], ["0.5", "1.25", "0.25"]]
+        gen = MongeGenerator(
+            "null_kernel",
+            chart,
+            MetricField.from_strings(chart, rows),
+            parse("x + 0.5*y + 0.5*z", chart),
+        )
+        base = (0.1, 0.2, 0.3)
+        assert lightlike_defect_at(gen, base) == pytest.approx(0.0, abs=1e-15)
+        with pytest.raises(ScreenRankError, match="screen projection rank deficient"):
+            screen_frame_at(gen, base)
+        with pytest.raises(NearNullPivotError):
+            minimal_defect_at(gen, base)
 
 
 class TestGaussDecomposition:

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from mongelight import catalog
-from mongelight.mongecore import EmptySampleError, classify
+from mongelight.exprlang import BinOp, CoordinateChart, Num, parse
+from mongelight.mongecore import EmptySampleError, MongeGenerator, classify, lightlike_defect_at
 from mongelight.reportio import (
     GeneratorFileError,
     GridSpec,
@@ -18,6 +19,7 @@ from mongelight.reportio import (
     report_to_dict,
     save_generator,
 )
+from mongelight.semiriemann import MetricField
 
 
 def hyperbolic2_doc():
@@ -98,6 +100,19 @@ class TestLoadGenerator:
         gen, samples = load_generator(path)
         assert gen.name == "euclid_cone"
         assert samples.grid == entry.default_samples
+
+    def test_negative_num_power_base_survives_save(self, tmp_path):
+        # g = diag((-2)^2, 1) makes F = 2x lightlike; read as -(2^2) it would not be
+        chart = CoordinateChart(("x", "y"))
+        metric = MetricField(
+            chart, [[BinOp("^", Num(-2.0), Num(2.0)), Num(0.0)], [Num(0.0), Num(1.0)]]
+        )
+        gen = MongeGenerator("power_base", chart, metric, parse("2*x", chart))
+        path = tmp_path / "gen.json"
+        save_generator(gen, SampleSet(points=((0.5, 0.5),)), path)
+        loaded, _ = load_generator(path)
+        assert lightlike_defect_at(gen, (0.5, 0.5)) == 0.0
+        assert lightlike_defect_at(loaded, (0.5, 0.5)) == 0.0
 
     def test_string_asymmetric_but_pointwise_symmetric(self, tmp_path):
         doc = hyperbolic2_doc()

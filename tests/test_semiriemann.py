@@ -17,9 +17,9 @@ from mongelight.semiriemann import (
     DegenerateMetricError,
     MetricField,
     NearNullPivotError,
-    christoffel_at,
+    christoffel_from_partials,
+    invert_metric,
     local_scale,
-    metric_at,
     metric_jets_at,
     orthonormalize,
 )
@@ -46,35 +46,47 @@ POLAR = MetricField.from_strings(
 )
 
 
+# the metric, its verified inverse and the Christoffel symbols along the
+# path the per-point kernel runs
+def kernel_metric(field, point):
+    g, _ = metric_jets_at(field, point)
+    return g, invert_metric(g)
+
+
+def kernel_christoffel(field, point):
+    g, dg = metric_jets_at(field, point)
+    return christoffel_from_partials(invert_metric(g), dg)
+
+
 class TestMetricAt:
     def test_hyperbolic_plane(self):
-        g, ginv = metric_at(HYP2.metric, [0.0, 2.0])
+        g, ginv = kernel_metric(HYP2.metric, [0.0, 2.0])
         assert np.allclose(g, [[0.25, 0.0], [0.0, 0.25]], atol=0)
         assert np.allclose(ginv, [[4.0, 0.0], [0.0, 4.0]], atol=0)
 
     def test_exterior_chart(self):
-        g, _ = metric_at(SCHW.metric, [0.0, 2.0])
+        g, _ = kernel_metric(SCHW.metric, [0.0, 2.0])
         assert np.allclose(g, [[-0.5, 0.0], [0.0, 2.0]], atol=1e-15)
 
     def test_identity(self):
-        g, ginv = metric_at(IDENTITY3, [0.3, -0.7, 5.0])
+        g, ginv = kernel_metric(IDENTITY3, [0.3, -0.7, 5.0])
         assert np.array_equal(g, np.eye(3))
         assert np.array_equal(ginv, np.eye(3))
 
     def test_inverse_residual(self):
-        g, ginv = metric_at(SCHW.metric, [0.0, 1.001])
+        g, ginv = kernel_metric(SCHW.metric, [0.0, 1.001])
         assert np.max(np.abs(g @ ginv - np.eye(2))) < 1e-10
 
     def test_near_horizon_flagged_degenerate(self):
         with pytest.raises(DegenerateMetricError):
-            metric_at(SCHW.metric, [0.0, 1.0 + 1e-7])
+            kernel_metric(SCHW.metric, [0.0, 1.0 + 1e-7])
 
     def test_degenerate_rejected(self):
         field = MetricField.from_strings(
             CoordinateChart(("x", "y")), [["x", "0"], ["0", "1"]]
         )
         with pytest.raises(DegenerateMetricError):
-            metric_at(field, [0.0, 1.0])
+            kernel_metric(field, [0.0, 1.0])
 
     def test_asymmetric_rejected(self):
         field = MetricField.from_strings(
@@ -82,7 +94,7 @@ class TestMetricAt:
         )
         assert not field.is_structurally_symmetric()
         with pytest.raises(DegenerateMetricError):
-            metric_at(field, [0.5, 1.0])
+            kernel_metric(field, [0.5, 1.0])
 
 
 class TestMetricJets:
@@ -132,7 +144,7 @@ class TestMetricJets:
 
 class TestChristoffel:
     def test_hyperbolic_plane_closed_form(self):
-        gamma = christoffel_at(HYP2.metric, [0.0, 2.0])
+        gamma = kernel_christoffel(HYP2.metric, [0.0, 2.0])
         x, y = 0, 1
         assert gamma[y, x, x] == pytest.approx(0.5, abs=1e-14)
         assert gamma[x, x, y] == pytest.approx(-0.5, abs=1e-14)
@@ -145,16 +157,16 @@ class TestChristoffel:
 
     def test_hyperbolic_plane_fd_oracle(self):
         point = [0.4, 1.7]
-        gamma = christoffel_at(HYP2.metric, point)
+        gamma = kernel_christoffel(HYP2.metric, point)
         oracle = fd_christoffel(metric_evaluator(HYP2.metric, HYP2.chart), point)
         assert np.allclose(gamma, oracle, atol=1e-8)
 
     def test_identity_vanishes(self):
-        assert not christoffel_at(IDENTITY3, [1.0, 2.0, 3.0]).any()
+        assert not kernel_christoffel(IDENTITY3, [1.0, 2.0, 3.0]).any()
 
     def test_polar_closed_form_and_oracle(self):
         point = [2.0, 0.3]
-        gamma = christoffel_at(POLAR, point)
+        gamma = kernel_christoffel(POLAR, point)
         r, th = 0, 1
         assert gamma[r, th, th] == pytest.approx(-2.0, abs=1e-13)
         assert gamma[th, r, th] == pytest.approx(0.5, abs=1e-13)
@@ -162,7 +174,7 @@ class TestChristoffel:
         assert np.allclose(gamma, oracle, atol=1e-8)
 
     def test_exact_symmetry(self):
-        gamma = christoffel_at(SCHW.metric, [0.0, 3.3])
+        gamma = kernel_christoffel(SCHW.metric, [0.0, 3.3])
         assert np.array_equal(gamma, np.transpose(gamma, (0, 2, 1)))
 
 
@@ -198,7 +210,7 @@ class TestGradient:
             entry = catalog.builtin(entry_name)
             gen = entry.generator
             for base in sample_admissible(rng, gen, entry.default_samples.ranges, 25):
-                g, _ = metric_at(gen.metric, base)
+                g, _ = kernel_metric(gen.metric, base)
                 xi = normal_and_transversal_at(gen, base)[0][1:]
                 dF = monge_frame_at(gen, base)[0][:, 0]
                 assert abs(float(dF @ xi) - float(xi @ g @ xi)) <= 1e-10 * local_scale(g, xi)
@@ -240,8 +252,8 @@ class TestMetricCompatibility:
         gen = entry.generator
         eval_metric = metric_evaluator(gen.metric, gen.chart)
         for base in sample_admissible(rng, gen, entry.default_samples.ranges, 200):
-            g, _ = metric_at(gen.metric, base)
-            gamma = christoffel_at(gen.metric, base)
+            g, _ = kernel_metric(gen.metric, base)
+            gamma = kernel_christoffel(gen.metric, base)
             dg = fd_metric_partials(eval_metric, base)
             residual = (
                 dg
@@ -253,14 +265,14 @@ class TestMetricCompatibility:
 
 class TestOrthonormalize:
     def test_hyperbolic_span(self):
-        g, _ = metric_at(HYP2.metric, [0.0, 2.0])
+        g, _ = kernel_metric(HYP2.metric, [0.0, 2.0])
         frame = orthonormalize([[1.0, 0.0]], g)
         assert np.allclose(frame.vectors, [[2.0, 0.0]], atol=1e-14)
         assert frame.signs == (1,)
         assert float(frame.vectors[0] @ g @ frame.vectors[0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_timelike_span(self):
-        g, _ = metric_at(SCHW.metric, [0.0, 2.0])
+        g, _ = kernel_metric(SCHW.metric, [0.0, 2.0])
         frame = orthonormalize([[1.0, 0.0]], g)
         assert np.allclose(frame.vectors, [[np.sqrt(2.0), 0.0]], atol=1e-14)
         assert frame.signs == (-1,)
