@@ -71,11 +71,13 @@ def _fmt_matrix(m) -> str:
     return "[" + "; ".join(_fmt_vector(row) for row in np.asarray(m)) + "]"
 
 
-def _resolve_tolerance(value: float | None) -> float:
-    if value is not None:
-        return value
-    env = os.environ.get("TOLERANCE")
-    return float(env) if env else DEFAULT_TOLERANCE
+def _tolerance(text: str) -> float:
+    """A --tol or TOLERANCE value: a finite number > 0, as Tolerances requires."""
+    try:
+        return Tolerances(float(text)).base
+    except ValueError:
+        message = f"tolerance (--tol or TOLERANCE) must be a finite positive number, got {text!r}"
+        raise argparse.ArgumentTypeError(message) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -87,17 +89,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"mongelight {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    # argparse runs a string default, here TOLERANCE, through type= as well
+    tolerance = {"type": _tolerance, "default": os.environ.get("TOLERANCE") or DEFAULT_TOLERANCE}
 
     p_classify = sub.add_parser("classify", help="classify a generator file")
     p_classify.add_argument("--generator", required=True, help="generator JSON file")
-    p_classify.add_argument("--tol", type=float, default=None, help="relative tolerance")
+    p_classify.add_argument("--tol", **tolerance, help="relative tolerance")
     p_classify.add_argument("--out", default=None, help="report path (default: stdout)")
 
     p_verify = sub.add_parser("verify", help="regression-check a builtin")
     p_verify.add_argument(
         "--builtin", required=True, choices=[name for name, _ in catalog.list_builtins()]
     )
-    p_verify.add_argument("--tol", type=float, default=None)
+    p_verify.add_argument("--tol", **tolerance)
 
     p_eval = sub.add_parser("eval", help="dump induced objects at one point")
     source = p_eval.add_mutually_exclusive_group(required=True)
@@ -111,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=",".join(_SHOW_CHOICES),
         help=f"comma list from {{{','.join(_SHOW_CHOICES)}}}",
     )
-    p_eval.add_argument("--tol", type=float, default=None)
+    p_eval.add_argument("--tol", **tolerance)
 
     sub.add_parser("list-builtins", help="list catalog entries")
     return parser
@@ -124,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_classify(args) -> int:
     gen, samples = load_generator(args.generator)
     points = samples.materialize(gen)
-    report = classify(gen, points, Tolerances(_resolve_tolerance(args.tol)))
+    report = classify(gen, points, Tolerances(args.tol))
     text = render_report(report)
     if args.out:
         with open(args.out, "w") as handle:
@@ -176,7 +180,7 @@ def _expected_checks(entry, report: ClassificationReport, tol: float) -> list[tu
 def _cmd_verify(args) -> int:
     entry = catalog.builtin(args.builtin)
     points = SampleSet(grid=entry.default_samples).materialize(entry.generator)
-    report = classify(entry.generator, points, Tolerances(_resolve_tolerance(args.tol)))
+    report = classify(entry.generator, points, Tolerances(args.tol))
     tol = VERIFY_TOLERANCE
     failures = 0
     for name, ok, detail in _expected_checks(entry, report, tol):
@@ -212,7 +216,7 @@ def _cmd_eval(args) -> int:
     if not gen.admissible(base):
         print(f"point {list(base)} violates the domain constraints", file=sys.stderr)
         return EXIT_COMPUTATION
-    tol = _resolve_tolerance(args.tol)
+    tol = args.tol
     sp = gen.surface_point(base)
 
     print(f"generator: {gen.name}")
@@ -222,9 +226,10 @@ def _cmd_eval(args) -> int:
     print(f"lightlike_defect = {_fmt(defect)}")
     frame, induced, rank = monge_frame_at(gen, sp, tol)
     print(f"radical_rank = {rank}")
-    rho, residual = umbilic_fit_at(gen, sp)
-    print(f"umbilic_rho = {_fmt(rho)}")
-    print(f"umbilic_residual = {_fmt(residual)}")
+    # every 1 x 1 form is a multiple of dF (x) dF - g: the fit says nothing
+    rho, residual = map(_fmt, umbilic_fit_at(gen, sp)) if gen.dimension >= 2 else ("n/a",) * 2
+    print(f"umbilic_rho = {rho}")
+    print(f"umbilic_residual = {residual}")
     xi, nxi = normal_and_transversal_at(gen, sp)
     if "xi" in show:
         print(f"xi = {_fmt_vector(xi)}")

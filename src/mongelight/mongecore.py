@@ -22,9 +22,10 @@ classification verdict is unchanged.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -147,9 +148,16 @@ class SurfacePoint:
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Relative tolerance knob; gates compare defects against base * scale."""
+    """Relative tolerance knob; gates compare defects against base * scale.
+    base must be a finite number > 0 (not a bool)."""
 
     base: float = 1e-8
+
+    def __post_init__(self):
+        real = isinstance(self.base, (int, float)) and not isinstance(self.base, bool)
+        if not (real and math.isfinite(self.base) and self.base > 0):
+            raise ValueError(f"tolerance must be a finite number > 0, got {self.base!r}")
+        object.__setattr__(self, "base", float(self.base))
 
 
 def _base_of(p) -> tuple[float, ...]:
@@ -163,10 +171,7 @@ def _base_of(p) -> tuple[float, ...]:
 
 
 @dataclass
-class _FrameData:
-    """What a point's screen fields need: g and the scalar jet, with no
-    Christoffel symbols or covariant Hessian."""
-
+class _PointData:
     g: np.ndarray
     ginv: np.ndarray
     dg: np.ndarray  # dg[i, j, k] = d_i g_jk
@@ -177,62 +182,73 @@ class _FrameData:
     xi: np.ndarray  # (1, xi_hat), unscaled
     nxi: np.ndarray  # (-1/2, xi_hat/2), unscaled
     frame: np.ndarray  # rows e_i, shape (d, d+1)
-
-
-@dataclass
-class _PointData(_FrameData):
     gamma: np.ndarray  # gamma[k, i, j]
     hess: np.ndarray  # covariant Hessian
     norm2: float
     induced: np.ndarray  # Gram matrix of the frame
 
+    @cached_property
+    def kernel_frame(self) -> OrthoFrame:
+        """Orthonormal frame of ker dF under g (d-1 base vectors), built once
+        for minimal_defect_at and screen_frame_at: the null space of the row
+        vector dF, spanned by eliminating against its largest-magnitude
+        entry, then orthonormalized; requires d >= 2."""
+        d = self.dF.shape[0]
+        if d < 2:
+            raise ScreenRankError("kernel frame needs chart dimension >= 2")
+        pivot = int(np.argmax(np.abs(self.dF)))
+        if self.dF[pivot] == 0.0:
+            raise ScreenRankError("dF vanishes; kernel of dF is not a hyperplane")
+        others = [j for j in range(d) if j != pivot]
+        basis = np.eye(d)[others]
+        basis[:, pivot] = -self.dF[others] / self.dF[pivot]
+        return orthonormalize(basis, self.g)
 
-def _frame_data(gen: MongeGenerator, base: tuple[float, ...]) -> _FrameData:
-    """Everything _point_data builds before the Christoffel symbols.
 
-    Uncached, because the screen bracket's finite-difference neighbours
-    read only their screen fields from it.
-    """
-    d = gen.dimension
+def _jets(gen: MongeGenerator, base: tuple[float, ...]) -> tuple[np.ndarray, ...]:
+    """(g, ginv, dg, dF, d2F, xi_hat) at a point; uncached, because the
+    screen bracket's finite-difference neighbours read only dF and xi_hat."""
     g, dg = semiriemann.metric_jets_at(gen.metric, base)
-    ginv = invert_metric(g, f" at {list(base)}")
-
+    ginv = invert_metric(g, at=base)
     jet = evaluate(gen.scalar_field, seed(list(base)), gen.params)
     if not isinstance(jet, Jet2):
-        jet = constant(jet, d)
+        jet = constant(jet, gen.dimension)
     dF = jet.grad
     # evaluate() checks only the value lane; an infinite dF would turn the
     # frame's Gram matrix into NaN
     if not np.isfinite(dF).all():
         raise NonFiniteValueError(f"derivatives not finite at {list(base)}")
-    xi_hat = ginv @ dF
+    return g, ginv, dg, dF, jet.hess, ginv @ dF
 
+
+@lru_cache(maxsize=512)
+def _point_data(gen: MongeGenerator, base: tuple[float, ...]) -> _PointData:
+    g, ginv, dg, dF, d2F, xi_hat = _jets(gen, base)
+    gamma = christoffel_from_partials(ginv, dg)
+    hess = d2F - np.einsum("kij,k->ij", gamma, dF)
+    # an overflowed dg or d2F lane leaves hess non-finite
+    if not np.isfinite(hess).all():
+        raise NonFiniteValueError(f"derivatives not finite at {list(base)}")
+    d = gen.dimension
     gbar = np.zeros((d + 1, d + 1))
     gbar[0, 0] = -1.0
     gbar[1:, 1:] = g
     xi = np.concatenate(([1.0], xi_hat))
     nxi = np.concatenate(([-0.5], 0.5 * xi_hat))
     frame = np.hstack([dF.reshape(d, 1), np.eye(d)])
-    return _FrameData(g, ginv, dg, dF, jet.hess, xi_hat, gbar, xi, nxi, frame)
+    norm2, induced = float(dF @ xi_hat), -np.outer(dF, dF) + g
+    return _PointData(
+        g, ginv, dg, dF, d2F, xi_hat, gbar, xi, nxi, frame, gamma, hess, norm2, induced
+    )
 
 
-@lru_cache(maxsize=512)
-def _point_data(gen: MongeGenerator, base: tuple[float, ...]) -> _PointData:
-    front = _frame_data(gen, base)
-    gamma = christoffel_from_partials(front.ginv, front.dg)
-    hess = front.d2F - np.einsum("kij,k->ij", gamma, front.dF)
-    # an overflowed dg or d2F lane leaves hess non-finite
-    if not np.isfinite(hess).all():
-        raise NonFiniteValueError(f"derivatives not finite at {list(base)}")
-    norm2 = float(front.dF @ front.xi_hat)
-    induced = -np.outer(front.dF, front.dF) + front.g
-    return _PointData(**vars(front), gamma=gamma, hess=hess, norm2=norm2, induced=induced)
+def _screen_fields(dF: np.ndarray, xi_hat: np.ndarray) -> np.ndarray:
+    """Base parts of the screen fields s_i = e_i - gbar(e_i, N) xi, as rows.
 
-
-def _screen_fields(data: _FrameData) -> np.ndarray:
-    """Screen projections s_i = e_i - gbar(e_i, N) xi, as rows."""
-    coeffs = data.frame @ data.gbar @ data.nxi
-    return data.frame - np.outer(coeffs, data.xi)
+    gbar(e_i, N) = dF_i exactly, so s_i = (0, delta_i - dF_i xi_hat): the
+    x0 part vanishes identically and the base part is I - dF (x) xi_hat.
+    """
+    return np.eye(len(dF)) - np.outer(dF, xi_hat)
 
 
 # ---------------------------------------------------------------------------
@@ -329,27 +345,10 @@ def _is_lightlike(data: _PointData, tolerance: float) -> bool:
     return abs(data.norm2 - 1.0) < tolerance * (1.0 + abs(data.norm2))
 
 
-def _kernel_frame(data: _PointData) -> OrthoFrame:
-    """Orthonormal frame of ker dF under g (d-1 base vectors).
-
-    The null space of the row vector dF is spanned by eliminating against
-    its largest-magnitude entry, then orthonormalized; requires d >= 2.
-    """
-    d = data.dF.shape[0]
-    if d < 2:
-        raise ScreenRankError("kernel frame needs chart dimension >= 2")
-    pivot = int(np.argmax(np.abs(data.dF)))
-    if data.dF[pivot] == 0.0:
-        raise ScreenRankError("dF vanishes; kernel of dF is not a hyperplane")
-    others = [j for j in range(d) if j != pivot]
-    basis = np.eye(d)[others]
-    basis[:, pivot] = -data.dF[others] / data.dF[pivot]
-    return orthonormalize(basis, data.g)
-
-
-def _minimal_defect(data: _PointData, vectors: np.ndarray, signs: Sequence[int]) -> float:
-    """Sign-weighted Hessian trace over g-orthonormal base vectors."""
-    return sum((sign * float(v @ data.hess @ v) for v, sign in zip(vectors, signs)), 0.0)
+def _minimal_defect(data: _PointData) -> float:
+    """Sign-weighted Hessian trace over the g-orthonormal frame of ker dF."""
+    frame = data.kernel_frame
+    return sum((s * float(v @ data.hess @ v) for v, s in zip(frame.vectors, frame.signs)), 0.0)
 
 
 def minimal_defect_at(gen: MongeGenerator, p) -> float:
@@ -359,9 +358,7 @@ def minimal_defect_at(gen: MongeGenerator, p) -> float:
     The value is invariant (to rounding) under sign-orthogonal changes of
     the frame.
     """
-    data = _point_data(gen, _base_of(p))
-    frame = _kernel_frame(data)
-    return _minimal_defect(data, frame.vectors, frame.signs)
+    return _minimal_defect(_point_data(gen, _base_of(p)))
 
 
 def screen_frame_at(gen: MongeGenerator, p, tolerance: float = 1e-8) -> OrthoFrame:
@@ -380,7 +377,7 @@ def screen_frame_at(gen: MongeGenerator, p, tolerance: float = 1e-8) -> OrthoFra
     if not _is_lightlike(data, tolerance):
         raise ScreenRankError("screen projection has rank d; expected d-1")
     try:
-        frame = _kernel_frame(data)
+        frame = data.kernel_frame
     except NearNullPivotError as exc:
         raise ScreenRankError(f"screen projection rank deficient: {exc}") from exc
     lifted = np.hstack([np.zeros((len(frame.signs), 1)), frame.vectors])
@@ -452,7 +449,6 @@ def weingarten_at(
     its pairing with xi and A_N e_i = -(derivative - tau N).
     """
     data = _point_data(gen, _base_of(p))
-    d = gen.dimension
     # d_i xi_hat^k = d_i g^{kl} dF_l + g^{kl} d_i d_l F, with
     # d_i g^{-1} = -g^{-1} (d_i g) g^{-1}
     dxi_hat_i = -data.ginv @ data.dg[i] @ data.ginv @ data.dF + data.ginv @ data.d2F[i]
@@ -478,11 +474,11 @@ def weingarten_at(
 def screen_integrability_defect_at(gen: MongeGenerator, p) -> float:
     """Worst Lie-bracket leakage of the screen fields out of the screen.
 
-    Brackets [s_i, s_j] are formed from central finite differences of the
-    screen coefficient functions; the defect adds the magnitude of the
-    bracket's x0 component and of its pairing with N, both of which vanish
-    iff the bracket stays inside the screen.  Line fields (d = 2) are
-    integrable by convention and return 0.
+    The x0 part of the closed-form fields s_i = (0, delta_i - dF_i xi_hat),
+    and so of every bracket, vanishes identically; the leakage is the
+    pairing with N, |dF([s_i, s_j])| / 2.  d_l s_i are central differences
+    whose neighbours compute only dF and xi_hat (a metric error there names
+    the neighbour).  Line fields (d = 2) are integrable by convention: 0.
     """
     base = _base_of(p)
     d = gen.dimension
@@ -491,26 +487,17 @@ def screen_integrability_defect_at(gen: MongeGenerator, p) -> float:
     if d == 2:
         return 0.0
     data = _point_data(gen, base)
-    s0 = _screen_fields(data)
-    ds = np.empty((d, d, d + 1))  # ds[l, i, m] = d_l s_i^m
-    for l in range(d):
-        plus = list(base)
-        minus = list(base)
-        plus[l] += BRACKET_STEP
-        minus[l] -= BRACKET_STEP
-        ds[l] = (
-            _screen_fields(_frame_data(gen, tuple(plus)))
-            - _screen_fields(_frame_data(gen, tuple(minus)))
-        ) / (2.0 * BRACKET_STEP)
-    worst = 0.0
-    for i in range(d):
-        for j in range(i + 1, d):
-            bracket = np.zeros(d + 1)
-            for l in range(d):
-                bracket += s0[i, 1 + l] * ds[l, j] - s0[j, 1 + l] * ds[l, i]
-            leakage = abs(bracket[0]) + abs(float(bracket @ data.gbar @ data.nxi))
-            worst = max(worst, leakage)
-    return worst
+
+    def fields_at(l: int, step: float) -> np.ndarray:
+        *_, dF, _, xi_hat = _jets(gen, base[:l] + (base[l] + step,) + base[l + 1 :])
+        return _screen_fields(dF, xi_hat)
+
+    h = BRACKET_STEP
+    ds = np.array([fields_at(l, h) - fields_at(l, -h) for l in range(d)]) / (2.0 * h)
+    # ds[l, i, m] = d_l s_i^m and half[i, j] = s_i(s_j)
+    half = np.einsum("il,ljm->ijm", _screen_fields(data.dF, data.xi_hat), ds)
+    bracket = half - half.transpose(1, 0, 2)
+    return 0.5 * float(np.max(np.abs(bracket @ data.dF)))
 
 
 # ---------------------------------------------------------------------------
@@ -603,9 +590,7 @@ def _analyze_point(
                 analysis.certificates["screen_nxi"] = float(
                     np.max(np.abs(screen.vectors @ data.gbar @ nxi))
                 )
-                analysis.minimal_defect = _minimal_defect(
-                    data, screen.vectors[:, 1:], screen.signs
-                )
+                analysis.minimal_defect = _minimal_defect(data)
                 analysis.integrability_defect = screen_integrability_defect_at(gen, sp)
             analysis.tau = np.array(
                 [weingarten_at(gen, sp, i, xi_scale, tol.base)[1] for i in range(d)]
@@ -638,13 +623,15 @@ def classify(
     Verdicts: degenerate (all lightlike defects below tolerance),
     totally_geodesic (all second forms vanish), totally_umbilical (all
     umbilic residuals vanish; None on 1-dimensional charts), minimal (all
-    minimal defects vanish; None when no point carries one).  Points that fail to evaluate are recorded
-    with their error; above 10% failures every verdict is "indeterminate".
+    minimal defects vanish; None when no point carries one).  Points that
+    fail to evaluate are recorded with their error; above 10% failures
+    every verdict is "indeterminate".  A refused tolerance or a zero or
+    non-finite xi_scale raises ValueError; negative scales are valid.
     """
-    if tol is None:
-        tol = Tolerances()
-    elif isinstance(tol, (int, float)):
-        tol = Tolerances(float(tol))
+    if not isinstance(tol, Tolerances):
+        tol = Tolerances() if tol is None else Tolerances(tol)
+    if not (math.isfinite(xi_scale) and xi_scale != 0):
+        raise ValueError(f"xi_scale must be finite and nonzero, got {xi_scale!r}")
     if not points:
         raise EmptySampleError("no sample points supplied")
 

@@ -116,24 +116,31 @@ def evaluate_matrix(field: MetricField, point) -> np.ndarray:
     return g
 
 
-def invert_metric(g: np.ndarray, where: str = "") -> np.ndarray:
+def _degenerate(message: str, at: Sequence[float] | None) -> DegenerateMetricError:
+    return DegenerateMetricError(message if at is None else f"{message} at {list(at)}")
+
+
+def invert_metric(g: np.ndarray, at: Sequence[float] | None = None) -> np.ndarray:
     """Verified inverse of a symmetric metric matrix.
 
     Raises DegenerateMetricError when the matrix is asymmetric, when |det|
-    falls below the degeneracy threshold relative to the local scale, or
-    when the inverse residual ||g g^-1 - I||_inf exceeds tolerance.
+    falls below the degeneracy threshold relative to the scale 1 + max|g|,
+    or when the inverse residual ||g g^-1 - I||_inf exceeds tolerance; the
+    message ends " at [x, y, ...]" when the base point ``at`` is given.
     """
-    scale = local_scale(g)
-    if np.max(np.abs(g - g.T)) > SYMMETRY_TOLERANCE * scale:
-        raise DegenerateMetricError(f"metric not symmetric{where}")
+    scale = 1.0 + np.abs(g).max()
+    if np.abs(g - g.T).max() > SYMMETRY_TOLERANCE * scale:
+        raise _degenerate("metric not symmetric", at)
     d = g.shape[0]
     # in logs, because scale**d overflows for extreme metrics
     if np.linalg.slogdet(g)[1] < np.log(DEGENERACY_THRESHOLD) + d * np.log(scale):
-        raise DegenerateMetricError(f"metric degenerate{where}")
+        raise _degenerate("metric degenerate", at)
     ginv = np.linalg.inv(g)
-    residual = np.max(np.abs(g @ ginv - np.eye(d)))
+    product = g @ ginv
+    product.reshape(-1)[:: d + 1] -= 1.0  # g g^-1 - I, on a view of the diagonal
+    residual = np.abs(product).max()
     if residual >= INVERSE_RESIDUAL_TOLERANCE:
-        raise DegenerateMetricError(f"metric inverse residual {residual:.3e}{where}")
+        raise _degenerate(f"metric inverse residual {residual:.3e}", at)
     return ginv
 
 

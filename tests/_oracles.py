@@ -101,6 +101,45 @@ def fd_covariant_hessian(metric_eval, f, x, h=RICH_STEP):
     return fd_hessian_rich(f, x, h) - np.einsum("kij,k->ij", gamma, grad)
 
 
+def fd_screen_integrability_defect(metric_eval, f, x, h=RICH_STEP):
+    """Worst leakage |b0| + |gbar(b, N)| over the brackets b = [s_i, s_j] of
+    the projected screen fields s_i = e_i - gbar(e_i, N) xi.
+
+    dF comes from fd_gradient, xi_hat from np.linalg.solve, and d_l s_i from
+    a 4-point central stencil, so no jet or closed form enters; the fields
+    keep their x0 slot and the leakage both of its terms.
+    """
+    x = np.asarray(x, dtype=float)
+    d = len(x)
+
+    def fields(p):
+        g = np.asarray(metric_eval(p))
+        dF = fd_gradient(f, p)
+        xi_hat = np.linalg.solve(g, dF)
+        gbar = np.zeros((d + 1, d + 1))
+        gbar[0, 0] = -1.0
+        gbar[1:, 1:] = g
+        frame = np.hstack([dF[:, None], np.eye(d)])
+        xi = np.concatenate(([1.0], xi_hat))
+        nxi = np.concatenate(([-0.5], 0.5 * xi_hat))
+        return frame - np.outer(frame @ gbar @ nxi, xi), gbar, nxi
+
+    s0, gbar, nxi = fields(x)
+    ds = np.zeros((d, d, d + 1))  # ds[l, i] = d_l s_i
+    for l in range(d):
+        e = np.zeros(d)
+        e[l] = h
+        far = fields(x - 2 * e)[0] - fields(x + 2 * e)[0]
+        near = fields(x + e)[0] - fields(x - e)[0]
+        ds[l] = (far + 8.0 * near) / (12.0 * h)
+    worst = 0.0
+    for i in range(d):
+        for j in range(i + 1, d):
+            b = sum(s0[i, 1 + l] * ds[l, j] - s0[j, 1 + l] * ds[l, i] for l in range(d))
+            worst = max(worst, abs(b[0]) + abs(float(b @ gbar @ nxi)))
+    return worst
+
+
 def metric_evaluator(field, chart):
     """Plain-float metric matrix evaluator for a MetricField."""
 

@@ -142,6 +142,28 @@ class TestClassifyCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["tolerance"] == 1e-6
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1e-8", "abc"])
+    def test_senseless_tol_is_usage_error(self, hyperbolic2_file, capsys, value):
+        assert cli.main(["classify", "--generator", str(hyperbolic2_file), f"--tol={value}"]) == 64
+        captured = capsys.readouterr()
+        assert f"must be a finite positive number, got {value!r}" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1", "abc"])
+    @pytest.mark.parametrize("command", ["classify", "verify", "eval"])
+    def test_senseless_tolerance_env_is_usage_error(
+        self, hyperbolic2_file, capsys, monkeypatch, value, command
+    ):
+        monkeypatch.setenv("TOLERANCE", value)
+        argv = {
+            "classify": ["classify", "--generator", str(hyperbolic2_file)],
+            "verify": ["verify", "--builtin", "hyperbolic2"],
+            "eval": ["eval", "--builtin", "hyperbolic2", "--point", "0,2"],
+        }[command]
+        assert cli.main(argv) == 64
+        err = capsys.readouterr().err
+        assert f"(--tol or TOLERANCE) must be a finite positive number, got {value!r}" in err
+
 
 class TestVerifyCommand:
     @pytest.mark.parametrize("name", [name for name, _ in catalog.list_builtins()])
@@ -195,6 +217,28 @@ class TestEvalCommand:
         rc = cli.main(["eval", "--builtin", "schwarzschild_tr", "--point", "0,0.5"])
         assert rc == 1
         assert "domain" in capsys.readouterr().err
+
+    def test_line_chart_umbilic_fit_not_applicable(self, tmp_path, capsys):
+        # on a null curve dF (x) dF - g vanishes, so there is no fit to print
+        path = tmp_path / "line.json"
+        doc = {
+            "name": "line",
+            "dimension": 1,
+            "coordinates": ["x"],
+            "metric": [["1"]],
+            "scalar_field": "x",
+            "samples": {"points": [[0.5]]},
+        }
+        path.write_text(json.dumps(doc))
+        assert cli.main(["eval", "--generator", str(path), "--point", "0.5"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[3:7] == [
+            "lightlike_defect = 0",
+            "radical_rank = 1",
+            "umbilic_rho = n/a",
+            "umbilic_residual = n/a",
+        ]
+        assert "xi = (1, 1)" in lines
 
     def test_seventeen_digit_floats(self, capsys):
         cli.main(["eval", "--builtin", "schwarzschild_tr", "--point", "0,2"])

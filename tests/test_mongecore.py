@@ -26,7 +26,7 @@ from mongelight.mongecore import (
     second_fundamental_form_at,
     umbilic_fit_at,
     weingarten_at,
-    _frame_data,
+    _jets,
     _point_data,
     _screen_fields,
 )
@@ -37,8 +37,11 @@ from _oracles import (
     fd_christoffel,
     fd_gradient,
     fd_hessian_rich,
+    fd_screen_integrability_defect,
     metric_evaluator,
+    random_box_point,
     random_sign_orthogonal,
+    random_smooth_expr,
     sample_admissible,
     scalar_evaluator,
 )
@@ -417,8 +420,9 @@ class TestLiftedScreen:
             assert np.max(np.abs(W @ gbar @ W.T - np.diag(screen.signs))) < 1e-10 * scale
             assert np.max(np.abs(W @ gbar @ xi)) < 1e-10 * scale
             assert np.max(np.abs(W @ gbar @ nxi)) < 1e-10 * scale
-            # every screen field s_i = e_i - gbar(e_i, N) xi lies in the span of W
-            for s in _screen_fields(data):
+            # every screen field s_i = (0, delta_i - dF_i xi_hat) lies in the span of W
+            fields = _screen_fields(data.dF, data.xi_hat)
+            for s in np.hstack([np.zeros((len(fields), 1)), fields]):
                 residual = s - sum(
                     sign * float(s @ gbar @ w) * w for w, sign in zip(W, screen.signs)
                 )
@@ -578,16 +582,68 @@ class TestScreenIntegrability:
         gen = euclidean(("x", "y", "z"), "x")
         assert screen_integrability_defect_at(gen, (0.1, 0.2, 0.3)) < 1e-10
 
+    # a position-dependent, non-diagonal metric, positive definite on [0.6, 1.9]^3
+    GENERIC_ROWS = [
+        ["2 + sin(y)", "0.3*x", "0.1"],
+        ["0.3*x", "1 + z^2", "0.2*y"],
+        ["0.1", "0.2*y", "3"],
+    ]
+
     @pytest.mark.parametrize("name", ["hyperbolic3", "euclid_cone"])
-    def test_uncached_fields_match_point_data(self, name):
+    def test_neighbour_fields_match_point_data(self, name):
         # finite-difference neighbours skip _point_data; at a base point their
-        # screen fields must equal, bit for bit, the projection built from it
+        # screen fields must equal, bit for bit, those built from it
+        entry = catalog.builtin(name)
+        for sp in default_points(entry, limit=5):
+            data = _point_data(entry.generator, sp.base)
+            _, _, _, dF, _, xi_hat = _jets(entry.generator, sp.base)
+            assert np.array_equal(
+                _screen_fields(dF, xi_hat), _screen_fields(data.dF, data.xi_hat)
+            )
+
+    @pytest.mark.parametrize("name", ["hyperbolic3", "euclid_cone"])
+    def test_closed_form_fields_match_projection(self, name):
+        # s_i = e_i - gbar(e_i, N) xi = (0, delta_i - dF_i xi_hat), since
+        # gbar(e_i, N) = dF_i: the projection agrees to rounding, x0 slot too
         entry = catalog.builtin(name)
         for sp in default_points(entry, limit=5):
             data = _point_data(entry.generator, sp.base)
             projected = data.frame - np.outer(data.frame @ data.gbar @ data.nxi, data.xi)
-            uncached = _screen_fields(_frame_data(entry.generator, sp.base))
-            assert np.array_equal(uncached, projected)
+            bound = 4e-16 * local_scale(projected)
+            closed = _screen_fields(data.dF, data.xi_hat)
+            assert np.max(np.abs(closed - projected[:, 1:])) <= bound
+            assert np.max(np.abs(projected[:, 0])) <= bound
+
+    def test_matches_plain_float_oracle(self):
+        # nonzero defects: random scalar fields over a non-diagonal metric,
+        # against brackets of the projected fields built without jets
+        chart = CoordinateChart(("x", "y", "z"))
+        metric = MetricField.from_strings(chart, self.GENERIC_ROWS)
+        rng = np.random.default_rng(2024)
+        largest = 0.0
+        for k in range(24):
+            scalar = random_smooth_expr(rng, chart)
+            gen = MongeGenerator(f"random{k}", chart, metric, scalar)
+            base = random_box_point(rng, 3)
+            oracle = fd_screen_integrability_defect(
+                metric_evaluator(metric, chart), scalar_evaluator(scalar, chart), base
+            )
+            defect = screen_integrability_defect_at(gen, base)
+            assert abs(defect - oracle) <= 1e-6 * (1.0 + abs(oracle))
+            largest = max(largest, oracle)
+        assert largest > 1.0  # the comparison covers defects well away from 0
+
+    def test_neighbour_metric_error_names_the_neighbour(self):
+        # the +z neighbour of z = 1 - 1e-5 lands on z = 1, where g33 vanishes
+        chart = CoordinateChart(("x", "y", "z"))
+        rows = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1e4*(z - 1)^2"]]
+        gen = MongeGenerator(
+            "pinched_z", chart, MetricField.from_strings(chart, rows), parse("x", chart)
+        )
+        bases = ((0.0, 0.0, 1.0 - 1e-5), (0.0, 0.0, 2.0))
+        near, far = classify(gen, [gen.surface_point(b) for b in bases]).points
+        assert near.error == "metric degenerate at [0.0, 0.0, 1.0]"
+        assert far.error is None and far.integrability_defect == 0.0
 
     def test_neighbour_outside_domain_is_point_error(self):
         # at z = 5e-6 the bracket's neighbour z - 1e-5 leaves the domain of sqrt(z)
@@ -791,6 +847,24 @@ class TestClassify:
         entry = catalog.builtin("nonlightlike_control")
         report = classify(entry.generator, default_points(entry), Tolerances(10.0))
         assert report.verdicts["degenerate"].value is True
+
+    @pytest.mark.parametrize("base", [float("nan"), float("inf"), -float("inf"), 0.0, -1e-8, True])
+    def test_senseless_tolerance_refused(self, base):
+        # nan and inf reached the report; <= 0 failed every gate; True read as 1.0
+        with pytest.raises(ValueError, match="tolerance must be a finite number > 0"):
+            Tolerances(base)
+        with pytest.raises(ValueError, match="tolerance must be a finite number > 0"):
+            classify(HYP2.generator, default_points(HYP2, limit=2), base)
+
+    def test_integer_tolerance_accepted(self):
+        assert Tolerances(1).base == 1.0
+        report = classify(HYP2.generator, default_points(HYP2, limit=2), 1)
+        assert report.tolerances.base == 1.0
+
+    @pytest.mark.parametrize("scale", [0.0, -0.0, float("nan"), float("inf"), -float("inf")])
+    def test_senseless_xi_scale_refused(self, scale):
+        with pytest.raises(ValueError, match="xi_scale must be finite and nonzero"):
+            classify(HYP2.generator, default_points(HYP2, limit=2), xi_scale=scale)
 
 
 class TestGeneratorImmutable:

@@ -96,6 +96,39 @@ class TestMetricAt:
         with pytest.raises(DegenerateMetricError):
             kernel_metric(field, [0.5, 1.0])
 
+    @staticmethod
+    def ill_conditioned():
+        # eigenvalues (1, 1e-9, 1): |det| passes the degeneracy gate, but the
+        # condition number leaves a residual far above 1e-10
+        a, b = 0.5, 1.0
+        spin = np.array([[np.cos(a), -np.sin(a), 0.0], [np.sin(a), np.cos(a), 0.0], [0, 0, 1]])
+        tilt = np.array([[1, 0, 0], [0.0, np.cos(b), -np.sin(b)], [0.0, np.sin(b), np.cos(b)]])
+        q = spin @ tilt
+        g = q @ np.diag([1.0, 1e-9, 1.0]) @ q.T
+        return 0.5 * (g + g.T)
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("asymmetric", "metric not symmetric"),
+            ("degenerate", "metric degenerate"),
+            ("residual", "metric inverse residual "),
+        ],
+    )
+    def test_every_gate_names_the_point(self, case, message):
+        g = {
+            "asymmetric": np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+            "degenerate": np.diag([1.0, 1.0, 0.0]),
+            "residual": self.ill_conditioned(),
+        }[case]
+        with pytest.raises(DegenerateMetricError) as named:
+            invert_metric(g, at=(0.5, 2.0, -1.0))
+        assert str(named.value).startswith(message)
+        assert str(named.value).endswith(" at [0.5, 2.0, -1.0]")
+        with pytest.raises(DegenerateMetricError) as bare:
+            invert_metric(g)
+        assert str(bare.value) == str(named.value).removesuffix(" at [0.5, 2.0, -1.0]")
+
 
 class TestMetricJets:
     """metric_jets_at evaluates each distinct component once; every slot
