@@ -41,13 +41,14 @@ from .exprlang import (
 )
 from .autodiff import Jet2, constant, seed
 from .semiriemann import (
+    DEGENERACY_THRESHOLD,
     DegenerateMetricError,
     MetricField,
     NearNullPivotError,
     OrthoFrame,
+    _null_pivot,
     christoffel_from_partials,
     invert_metric,
-    local_scale,
     orthonormalize,
 )
 
@@ -72,7 +73,6 @@ __all__ = [
     "umbilic_fit_at",
     "minimal_defect_at",
     "screen_frame_at",
-    "ambient_derivative_at",
     "gauss_decompose_at",
     "weingarten_at",
     "screen_integrability_defect_at",
@@ -154,10 +154,25 @@ class Tolerances:
     base: float = 1e-8
 
     def __post_init__(self):
-        real = isinstance(self.base, (int, float)) and not isinstance(self.base, bool)
-        if not (real and math.isfinite(self.base) and self.base > 0):
-            raise ValueError(f"tolerance must be a finite number > 0, got {self.base!r}")
-        object.__setattr__(self, "base", float(self.base))
+        object.__setattr__(self, "base", _check_tolerance(self.base))
+
+
+def _check_tolerance(tolerance) -> float:
+    """The tolerance as a float: a finite number > 0 that is not a bool."""
+    real = isinstance(tolerance, (int, float)) and not isinstance(tolerance, bool)
+    if not (real and math.isfinite(tolerance) and tolerance > 0):
+        raise ValueError(f"tolerance must be a finite number > 0, got {tolerance!r}")
+    return float(tolerance)
+
+
+def _check_xi_scale(xi_scale) -> float:
+    """The xi scale: a finite nonzero number that is not a bool; negative
+    scales are valid."""
+    real = isinstance(xi_scale, (int, float, np.integer, np.floating))
+    real = real and not isinstance(xi_scale, bool)
+    if not (real and math.isfinite(xi_scale) and xi_scale != 0):
+        raise ValueError(f"xi_scale must be finite and nonzero, got {xi_scale!r}")
+    return xi_scale
 
 
 def _base_of(p) -> tuple[float, ...]:
@@ -167,47 +182,128 @@ def _base_of(p) -> tuple[float, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Shared per-point computation
+# Stacked geometry
+#
+# Jets are evaluated point by point; everything after them runs once over
+# the points stacked along a leading axis.  Every contraction is a matmul
+# of per-point slices or an elementwise operation, so a point's numbers do
+# not depend on which other points share its stack.  A stage that can fail
+# returns {row: exception}; the public functions run the same stages on a
+# stack of one point and raise the exception of row 0.
 
 
-@dataclass
 class _PointData:
-    g: np.ndarray
-    ginv: np.ndarray
-    dg: np.ndarray  # dg[i, j, k] = d_i g_jk
-    dF: np.ndarray
-    d2F: np.ndarray  # plain coordinate partials d_i d_j F
-    xi_hat: np.ndarray
-    gbar: np.ndarray  # ambient metric diag(-1, g)
-    xi: np.ndarray  # (1, xi_hat), unscaled
-    nxi: np.ndarray  # (-1/2, xi_hat/2), unscaled
-    frame: np.ndarray  # rows e_i, shape (d, d+1)
-    gamma: np.ndarray  # gamma[k, i, j]
-    hess: np.ndarray  # covariant Hessian
-    norm2: float
-    induced: np.ndarray  # Gram matrix of the frame
+    """The geometry of points stacked along a leading axis (row k is bases[k]).
+
+    dg[k, i, j, l] = d_i g_jl, d2F holds plain coordinate partials d_i d_j F,
+    gamma[k, l, i, j] the Christoffel symbols and hess the covariant
+    Hessian; the rest is derived on first use.
+    """
+
+    def __init__(self, bases: Sequence[tuple[float, ...]], jets: Sequence[tuple]):
+        self.bases = list(bases)
+        stack = (lambda group: group[0][None]) if len(jets) == 1 else np.array
+        self.g, self.ginv, self.dg, self.dF, self.d2F, self.xi_hat = map(stack, zip(*jets))
+        n, d = self.dF.shape
+        self.gamma = christoffel_from_partials(self.ginv, self.dg)
+        contracted = self.dF[:, None, :] @ self.gamma.reshape(n, d, d * d)
+        self.hess = self.d2F - contracted.reshape(n, d, d)
+
+    def take(self, rows: np.ndarray) -> "_PointData":
+        """The given rows of every array computed so far."""
+        part = object.__new__(_PointData)
+        for name, value in vars(self).items():
+            if isinstance(value, np.ndarray):
+                setattr(part, name, value[rows])
+        part.bases = [self.bases[k] for k in rows]
+        return part
 
     @cached_property
-    def kernel_frame(self) -> OrthoFrame:
-        """Orthonormal frame of ker dF under g (d-1 base vectors), built once
-        for minimal_defect_at and screen_frame_at: the null space of the row
-        vector dF, spanned by eliminating against its largest-magnitude
+    def gbar(self) -> np.ndarray:
+        """Ambient metric diag(-1, g)."""
+        n, d = self.dF.shape
+        gbar = np.zeros((n, d + 1, d + 1))
+        gbar[:, 0, 0] = -1.0
+        gbar[:, 1:, 1:] = self.g
+        return gbar
+
+    @cached_property
+    def xi(self) -> np.ndarray:
+        """(1, xi_hat), unscaled."""
+        return _lift(self.xi_hat, 1.0)
+
+    @cached_property
+    def nxi(self) -> np.ndarray:
+        """(-1/2, xi_hat/2), unscaled."""
+        nxi = 0.5 * self.xi
+        nxi[:, 0] = -0.5
+        return nxi
+
+    @cached_property
+    def frame(self) -> np.ndarray:
+        """Rows e_i = (dF_i, delta_i), shape (n, d, d+1)."""
+        n, d = self.dF.shape
+        frame = np.zeros((n, d, d + 1))
+        frame[:, :, 0] = self.dF
+        frame.reshape(n, -1)[:, 1 :: d + 2] = 1.0  # the identity in the base slots
+        return frame
+
+    @cached_property
+    def norm2(self) -> np.ndarray:
+        """g(grad F, grad F) = dF . xi_hat."""
+        return (self.dF[:, None, :] @ self.xi_hat[:, :, None])[:, 0, 0]
+
+    @cached_property
+    def induced(self) -> np.ndarray:
+        """Gram matrix of the frame."""
+        return self.g - self.dF[:, :, None] * self.dF[:, None, :]
+
+    @cached_property
+    def kernel_frame(self) -> tuple[OrthoFrame, dict[int, Exception]]:
+        """Orthonormal frames of ker dF under g (d-1 base vectors per point)
+        and the errors of the points that have none: the null space of the
+        row vector dF, spanned by eliminating against its largest-magnitude
         entry, then orthonormalized; requires d >= 2."""
-        d = self.dF.shape[0]
+        n, d = self.dF.shape
         if d < 2:
-            raise ScreenRankError("kernel frame needs chart dimension >= 2")
-        pivot = int(np.argmax(np.abs(self.dF)))
-        if self.dF[pivot] == 0.0:
-            raise ScreenRankError("dF vanishes; kernel of dF is not a hyperplane")
-        others = [j for j in range(d) if j != pivot]
-        basis = np.eye(d)[others]
-        basis[:, pivot] = -self.dF[others] / self.dF[pivot]
-        return orthonormalize(basis, self.g)
+            error = ScreenRankError("kernel frame needs chart dimension >= 2")
+            return OrthoFrame(np.zeros((n, 0, d)), np.zeros((n, 0), dtype=int)), dict.fromkeys(
+                range(n), error
+            )
+        rows = np.arange(n)
+        pivot = np.abs(self.dF).argmax(axis=1)
+        lead = self.dF[rows, pivot]
+        vanishing = lead == 0.0
+        if vanishing.any():
+            lead = np.where(vanishing, 1.0, lead)
+        # e_j with its pivot entry replaced by -dF_j / dF_pivot, for j != pivot
+        others, units = _elimination(d)
+        basis = units[pivot]
+        at = rows[:, None], np.arange(d - 1), pivot[:, None]
+        basis[at] = (-self.dF / lead[:, None])[rows[:, None], others[pivot]]
+        frame = orthonormalize(basis, self.g)
+        failures: dict[int, Exception] = {}
+        if frame.signs.all() and not vanishing.any():
+            return frame, failures
+        for k in (vanishing | (frame.signs[:, 0] == 0)).nonzero()[0]:
+            failures[int(k)] = (
+                ScreenRankError("dF vanishes; kernel of dF is not a hyperplane")
+                if vanishing[k]
+                else _null_pivot(DEGENERACY_THRESHOLD)
+            )
+        return frame, failures
+
+
+@lru_cache(maxsize=None)
+def _elimination(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """For each pivot p of a d-vector: the indices j != p, and the rows e_j."""
+    others = np.array([[j for j in range(d) if j != p] for p in range(d)]).reshape(d, d - 1)
+    return others, np.eye(d)[others]
 
 
 def _jets(gen: MongeGenerator, base: tuple[float, ...]) -> tuple[np.ndarray, ...]:
-    """(g, ginv, dg, dF, d2F, xi_hat) at a point; uncached, because the
-    screen bracket's finite-difference neighbours read only dF and xi_hat."""
+    """(g, ginv, dg, dF, d2F, xi_hat) at one point, uncached: classify
+    stacks them, and the screen bracket's neighbours read only dF and xi_hat."""
     g, dg = semiriemann.metric_jets_at(gen.metric, base)
     ginv = invert_metric(g, at=base)
     jet = evaluate(gen.scalar_field, seed(list(base)), gen.params)
@@ -221,34 +317,149 @@ def _jets(gen: MongeGenerator, base: tuple[float, ...]) -> tuple[np.ndarray, ...
     return g, ginv, dg, dF, jet.hess, ginv @ dF
 
 
+def _raise(failures: dict[int, Exception]):
+    """Raise the error of row 0, the one point of a public function's stack."""
+    if 0 in failures:
+        raise failures[0]
+
+
+def _hessian_failures(data: _PointData) -> dict[int, Exception]:
+    # an overflowed dg or d2F lane leaves hess non-finite
+    finite = np.isfinite(data.hess)
+    if finite.all():
+        return {}
+    bad = np.flatnonzero(~finite.all(axis=(1, 2)))
+    return {
+        int(k): NonFiniteValueError(f"derivatives not finite at {list(data.bases[k])}")
+        for k in bad
+    }
+
+
 @lru_cache(maxsize=512)
 def _point_data(gen: MongeGenerator, base: tuple[float, ...]) -> _PointData:
-    g, ginv, dg, dF, d2F, xi_hat = _jets(gen, base)
-    gamma = christoffel_from_partials(ginv, dg)
-    hess = d2F - np.einsum("kij,k->ij", gamma, dF)
-    # an overflowed dg or d2F lane leaves hess non-finite
-    if not np.isfinite(hess).all():
-        raise NonFiniteValueError(f"derivatives not finite at {list(base)}")
-    d = gen.dimension
-    gbar = np.zeros((d + 1, d + 1))
-    gbar[0, 0] = -1.0
-    gbar[1:, 1:] = g
-    xi = np.concatenate(([1.0], xi_hat))
-    nxi = np.concatenate(([-0.5], 0.5 * xi_hat))
-    frame = np.hstack([dF.reshape(d, 1), np.eye(d)])
-    norm2, induced = float(dF @ xi_hat), -np.outer(dF, dF) + g
-    return _PointData(
-        g, ginv, dg, dF, d2F, xi_hat, gbar, xi, nxi, frame, gamma, hess, norm2, induced
-    )
+    """The stacked geometry of the one point ``base``."""
+    data = _PointData([base], [_jets(gen, base)])
+    _raise(_hessian_failures(data))
+    return data
+
+
+def _pair(u: np.ndarray, gbar: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """gbar(u, v) per point."""
+    return (u[:, None, :] @ gbar @ v[:, :, None])[:, 0, 0]
 
 
 def _screen_fields(dF: np.ndarray, xi_hat: np.ndarray) -> np.ndarray:
-    """Base parts of the screen fields s_i = e_i - gbar(e_i, N) xi, as rows.
+    """Base parts of the screen fields s_i = e_i - gbar(e_i, N) xi, as rows
+    (over any leading axes of dF and xi_hat).
 
     gbar(e_i, N) = dF_i exactly, so s_i = (0, delta_i - dF_i xi_hat): the
     x0 part vanishes identically and the base part is I - dF (x) xi_hat.
     """
-    return np.eye(len(dF)) - np.outer(dF, xi_hat)
+    return np.eye(dF.shape[-1]) - dF[..., :, None] * xi_hat[..., None, :]
+
+
+def _lift(vectors: np.ndarray, x0: float = 0.0) -> np.ndarray:
+    """Base vectors v as ambient vectors (x0, v)."""
+    lifted = np.empty(vectors.shape[:-1] + (vectors.shape[-1] + 1,))
+    lifted[..., 0] = x0
+    lifted[..., 1:] = vectors
+    return lifted
+
+
+def _radical_rank(data: _PointData, tolerance: float) -> np.ndarray:
+    """Singular values of the induced Gram matrix below tolerance * scale."""
+    induced = data.induced
+    magnitude = np.abs(induced).max(axis=(1, 2))
+    finite = np.isfinite(magnitude)
+    if finite.all():
+        singular = np.linalg.svd(induced, compute_uv=False)
+    else:  # an overflowed matrix has rank 0
+        singular = np.full(induced.shape[:2], np.nan)
+        singular[finite] = np.linalg.svd(induced[finite], compute_uv=False)
+    scale = 1.0 + magnitude
+    return (singular < tolerance * scale[:, None]).sum(axis=1)
+
+
+def _is_lightlike(norm2, tolerance: float):
+    """The lightlike defect g(grad F, grad F) - 1 is below tolerance * (1 + |norm2|),
+    for one norm2 or an array of them."""
+    return abs(norm2 - 1.0) < tolerance * (1.0 + abs(norm2))
+
+
+def _umbilic_fit(data: _PointData) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(rho, residual, normalizer, posed) of umbilic_fit_at; the normalizer
+    1 + ||Hess||_inf + ||T||_inf also scales classify()'s second-form gates.
+
+    The fit is not posed (rho and residual NaN) where T = dF (x) dF - g
+    vanishes, as it does at every lightlike point of a 1-dimensional chart.
+    """
+    n, d = data.dF.shape
+    outer = data.dF[:, :, None] * data.dF[:, None, :]
+    target = outer - data.g
+    peak = np.abs(target).max(axis=(1, 2))
+    normalizer = 1.0 + np.abs(data.hess).max(axis=(1, 2)) + peak
+    scale = 1.0 + np.maximum(np.abs(data.g).max(axis=(1, 2)), np.abs(outer).max(axis=(1, 2)))
+    posed = ~(peak < 1e-12 * scale)
+    everywhere = posed.all()
+    if not everywhere:
+        target, hess, scale = target[posed], data.hess[posed], normalizer[posed]
+    else:
+        hess, scale = data.hess, normalizer
+    m = len(target)
+    rho = (hess * target).reshape(m, d * d).sum(axis=1) / (target * target).reshape(
+        m, d * d
+    ).sum(axis=1)
+    residual = np.abs(hess - rho[:, None, None] * target).max(axis=(1, 2)) / scale
+    if not everywhere:
+        rho, residual = _scatter(rho, posed), _scatter(residual, posed)
+    return rho, residual, normalizer, posed
+
+
+def _scatter(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """values at the True rows of a mask, NaN elsewhere."""
+    out = np.full(len(rows), np.nan)
+    out[rows] = values
+    return out
+
+
+def _minimal_defect(frame: OrthoFrame, hess: np.ndarray) -> np.ndarray:
+    """Sign-weighted Hessian trace over g-orthonormal frames of ker dF."""
+    v = frame.vectors
+    terms = frame.signs * (v[:, :, None, :] @ hess[:, None] @ v[..., None])[..., 0, 0]
+    total = 0.0
+    for k in range(terms.shape[1]):
+        total = total + terms[:, k]
+    return total
+
+
+def _screen_failures(data: _PointData) -> dict[int, Exception]:
+    """Errors of the screen frame at lightlike points: the kernel frame's,
+    with a null pivot reported as a rank-deficient screen."""
+    failures = {}
+    for k, exc in data.kernel_frame[1].items():
+        if isinstance(exc, NearNullPivotError):
+            wrapped = ScreenRankError(f"screen projection rank deficient: {exc}")
+            wrapped.__cause__, exc = exc, wrapped
+        failures[k] = exc
+    return failures
+
+
+def _tangency_failures(
+    kind: str, certificate: np.ndarray, scale: np.ndarray, tolerance: float
+) -> dict[int, Exception]:
+    """Each point's first certificate, in row-major order, above tolerance * scale."""
+    failing = certificate > tolerance * scale
+    if not failing.any():
+        return {}
+    flat = certificate.reshape(len(certificate), -1)
+    failing = failing.reshape(flat.shape)
+    return {
+        int(k): TangencyError(
+            f"{kind} tangent part pairs with xi "
+            f"({flat[k, np.argmax(failing[k])]:.3e} > {tolerance:g} * scale)"
+        )
+        for k in np.flatnonzero(failing.any(axis=1))
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +468,7 @@ def _screen_fields(dF: np.ndarray, xi_hat: np.ndarray) -> np.ndarray:
 
 def ambient_metric_at(gen: MongeGenerator, point) -> np.ndarray:
     """Ambient metric diag(-1, g) at a base point."""
-    return _point_data(gen, _base_of(point)).gbar.copy()
+    return _point_data(gen, _base_of(point)).gbar[0].copy()
 
 
 def normal_and_transversal_at(
@@ -268,13 +479,14 @@ def normal_and_transversal_at(
     On the degenerate locus these satisfy gbar(xi, xi) = 0,
     gbar(xi, N) = 1, gbar(N, N) = 0 up to the lightlike defect.
     """
+    xi_scale = _check_xi_scale(xi_scale)
     data = _point_data(gen, _base_of(p))
-    return xi_scale * data.xi, data.nxi / xi_scale
+    return xi_scale * data.xi[0], data.nxi[0] / xi_scale
 
 
 def lightlike_defect_at(gen: MongeGenerator, point) -> float:
     """g(grad F, grad F) - 1; zero exactly where the hypersurface is lightlike."""
-    return _point_data(gen, _base_of(point)).norm2 - 1.0
+    return float(_point_data(gen, _base_of(point)).norm2[0] - 1.0)
 
 
 def monge_frame_at(
@@ -285,10 +497,10 @@ def monge_frame_at(
     The radical rank counts singular values of the Gram matrix below
     tolerance * scale; it is 1 exactly on the degenerate locus.
     """
+    tolerance = _check_tolerance(tolerance)
     data = _point_data(gen, _base_of(p))
-    singular = np.linalg.svd(data.induced, compute_uv=False)
-    rank_deficiency = int(np.sum(singular < tolerance * local_scale(data.induced)))
-    return data.frame.copy(), data.induced.copy(), rank_deficiency
+    rank = int(_radical_rank(data, tolerance)[0])
+    return data.frame[0].copy(), data.induced[0].copy(), rank
 
 
 def second_fundamental_form_at(
@@ -299,14 +511,15 @@ def second_fundamental_form_at(
     Warns when the point is not lightlike within tolerance, where B loses
     its geometric meaning.
     """
+    xi_scale, tolerance = _check_xi_scale(xi_scale), _check_tolerance(tolerance)
     data = _point_data(gen, _base_of(p))
-    if not _is_lightlike(data, tolerance):
+    if not _is_lightlike(data.norm2[0], tolerance):
         warnings.warn(
-            f"second fundamental form at non-lightlike point (defect {data.norm2 - 1.0:.3e})",
+            f"second fundamental form at non-lightlike point (defect {data.norm2[0] - 1.0:.3e})",
             NotLightlikeWarning,
             stacklevel=2,
         )
-    return -xi_scale * data.hess
+    return -xi_scale * data.hess[0]
 
 
 def umbilic_fit_at(gen: MongeGenerator, p) -> tuple[float, float]:
@@ -316,39 +529,10 @@ def umbilic_fit_at(gen: MongeGenerator, p) -> tuple[float, float]:
     by 1 + ||Hess||_inf + ||T||_inf.  The point is umbilic when the
     residual is below tolerance, geodesic when ||Hess||_inf itself is.
     """
-    rho, residual, _ = _umbilic_fit(_point_data(gen, _base_of(p)))
-    if rho is None:
+    rho, residual, _, posed = _umbilic_fit(_point_data(gen, _base_of(p)))
+    if not posed[0]:
         raise IllPosedFitError("dF (x) dF - g vanishes; cannot fit rho")
-    return rho, residual
-
-
-def _umbilic_fit(data: _PointData) -> tuple[float | None, float | None, float]:
-    """(rho, residual, normalizer) of umbilic_fit_at; the normalizer
-    1 + ||Hess||_inf + ||T||_inf also scales classify()'s second-form gates.
-
-    rho and residual are None where T = dF (x) dF - g vanishes, as it does
-    at every lightlike point of a 1-dimensional chart.
-    """
-    outer = np.outer(data.dF, data.dF)
-    target = outer - data.g
-    peak = float(np.max(np.abs(target)))
-    normalizer = 1.0 + float(np.max(np.abs(data.hess))) + peak
-    if peak < 1e-12 * local_scale(data.g, outer):
-        return None, None, normalizer
-    rho = float(np.sum(data.hess * target)) / float(np.sum(target * target))
-    residual = float(np.max(np.abs(data.hess - rho * target))) / normalizer
-    return rho, residual, normalizer
-
-
-def _is_lightlike(data: _PointData, tolerance: float) -> bool:
-    """The lightlike defect g(grad F, grad F) - 1 is below tolerance * (1 + |norm2|)."""
-    return abs(data.norm2 - 1.0) < tolerance * (1.0 + abs(data.norm2))
-
-
-def _minimal_defect(data: _PointData) -> float:
-    """Sign-weighted Hessian trace over the g-orthonormal frame of ker dF."""
-    frame = data.kernel_frame
-    return sum((s * float(v @ data.hess @ v) for v, s in zip(frame.vectors, frame.signs)), 0.0)
+    return float(rho[0]), float(residual[0])
 
 
 def minimal_defect_at(gen: MongeGenerator, p) -> float:
@@ -358,7 +542,10 @@ def minimal_defect_at(gen: MongeGenerator, p) -> float:
     The value is invariant (to rounding) under sign-orthogonal changes of
     the frame.
     """
-    return _minimal_defect(_point_data(gen, _base_of(p)))
+    data = _point_data(gen, _base_of(p))
+    frame, failures = data.kernel_frame
+    _raise(failures)
+    return float(_minimal_defect(frame, data.hess)[0])
 
 
 def screen_frame_at(gen: MongeGenerator, p, tolerance: float = 1e-8) -> OrthoFrame:
@@ -371,17 +558,15 @@ def screen_frame_at(gen: MongeGenerator, p, tolerance: float = 1e-8) -> OrthoFra
     g-orthonormal frame of ker dF.  Where the lightlike defect exceeds
     tolerance the screen fields have rank d and no such frame exists.
     """
+    tolerance = _check_tolerance(tolerance)
     data = _point_data(gen, _base_of(p))
     if gen.dimension < 2:
         raise ScreenRankError("screen needs chart dimension >= 2")
-    if not _is_lightlike(data, tolerance):
+    if not _is_lightlike(data.norm2[0], tolerance):
         raise ScreenRankError("screen projection has rank d; expected d-1")
-    try:
-        frame = data.kernel_frame
-    except NearNullPivotError as exc:
-        raise ScreenRankError(f"screen projection rank deficient: {exc}") from exc
-    lifted = np.hstack([np.zeros((len(frame.signs), 1)), frame.vectors])
-    return OrthoFrame(lifted, frame.signs)
+    _raise(_screen_failures(data))
+    frame, _ = data.kernel_frame
+    return OrthoFrame(_lift(frame.vectors[0]), tuple(frame.signs[0].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -389,39 +574,24 @@ def screen_frame_at(gen: MongeGenerator, p, tolerance: float = 1e-8) -> OrthoFra
 
 
 def _gauss_split(
-    data: _PointData, xi_scale: float, tolerance: float
+    data: _PointData, xi_scale: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(ambient, tangent, B, |gbar(tangent, xi)|), each indexed [i, j] by the
-    derivative of e_j along e_i.
+    """(tangent, B, |gbar(tangent, xi)|, scale) per point, indexed [k, i, j]
+    by the derivative of e_j along e_i.
 
-    Raises TangencyError at the first pair, in row-major order, whose
-    certificate exceeds tolerance * local_scale(ambient[i, j], xi, gbar).
+    The ambient derivative carries the plain second partial of F in its x0
+    slot and the base connection coefficients in the base slots (the x0
+    direction is flat and parallel in the product metric); its tangency
+    gate is certificate > tolerance * scale, with scale
+    local_scale(ambient[k, i, j], xi, gbar).
     """
-    ambient = np.concatenate((data.d2F[:, :, None], data.gamma.transpose(1, 2, 0)), axis=2)
+    ambient = np.concatenate((data.d2F[..., None], data.gamma.transpose(0, 2, 3, 1)), axis=3)
     B = -xi_scale * data.hess
-    tangent = ambient - B[:, :, None] * (data.nxi / xi_scale)
+    tangent = ambient - B[..., None] * (data.nxi / xi_scale)[:, None, None, :]
     xi = xi_scale * data.xi
-    certificate = np.abs(tangent @ data.gbar @ xi)
-    peak = max(float(np.max(np.abs(xi))), float(np.max(np.abs(data.gbar))))
-    scale = 1.0 + np.maximum(np.max(np.abs(ambient), axis=2), peak)
-    failing = np.flatnonzero(certificate > tolerance * scale)
-    if failing.size:
-        raise TangencyError(
-            f"Gauss tangent part pairs with xi "
-            f"({certificate.flat[failing[0]]:.3e} > {tolerance:g} * scale)"
-        )
-    return ambient, tangent, B, certificate
-
-
-def ambient_derivative_at(gen: MongeGenerator, p, i: int, j: int) -> np.ndarray:
-    """Ambient covariant derivative of e_j along e_i, before any splitting.
-
-    The x0 slot carries the plain second partial of F; the base slots carry
-    the base connection coefficients (the x0 direction is flat and
-    parallel in the product metric).
-    """
-    # an infinite tolerance skips the tangency gate, which belongs to the split
-    return _gauss_split(_point_data(gen, _base_of(p)), 1.0, np.inf)[0][i, j]
+    certificate = np.abs(tangent @ data.gbar[:, None] @ xi[:, None, :, None])[..., 0]
+    scale = 1.0 + np.maximum(np.abs(ambient).max(axis=3), _peak(data, xi)[:, None, None])
+    return tangent, B, certificate, scale
 
 
 def gauss_decompose_at(
@@ -435,8 +605,48 @@ def gauss_decompose_at(
     with the defining projection gbar(ambient derivative, xi) and fail off
     the degenerate locus.
     """
-    _, tangent, B, _ = _gauss_split(_point_data(gen, _base_of(p)), xi_scale, tolerance)
-    return tangent[i, j], B[i, j]
+    xi_scale, tolerance = _check_xi_scale(xi_scale), _check_tolerance(tolerance)
+    tangent, B, certificate, scale = _gauss_split(_point_data(gen, _base_of(p)), xi_scale)
+    _raise(_tangency_failures("Gauss", certificate, scale, tolerance))
+    return tangent[0, i, j], B[0, i, j]
+
+
+def _weingarten(
+    data: _PointData, xi_scale: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(A_N e_i, tau(e_i), |gbar(A_N e_i, xi)|, scale) per point, for every i.
+
+    The ambient derivative of N along e_i reduces to half the base
+    covariant derivative of grad F (the x0 direction is parallel); tau is
+    its pairing with xi and A_N e_i = -(derivative - tau N).  The
+    tangency gate is certificate > tolerance * local_scale(dN, xi, gbar).
+    """
+    ginv = data.ginv[:, None]
+    # d_i xi_hat^k = d_i g^{kl} dF_l + g^{kl} d_i d_l F, with
+    # d_i g^{-1} = -g^{-1} (d_i g) g^{-1}
+    dxi_hat = ginv @ data.d2F[..., None] - ginv @ data.dg @ ginv @ data.dF[:, None, :, None]
+    nabla_xi_hat = dxi_hat + data.gamma.transpose(0, 2, 1, 3) @ data.xi_hat[:, None, :, None]
+    dN = _lift(0.5 * nabla_xi_hat[..., 0]) / xi_scale
+    xi, nxi = xi_scale * data.xi, data.nxi / xi_scale
+    gbar, xi_column = data.gbar[:, None], xi[:, None, :, None]
+    tau = (dN[:, :, None, :] @ gbar @ xi_column)[..., 0, 0]
+    a_vec = -(dN - tau[..., None] * nxi[:, None, :])
+    certificate = np.abs((a_vec[:, :, None, :] @ gbar @ xi_column)[..., 0, 0])
+    scale = 1.0 + np.maximum(np.abs(dN).max(axis=2), _peak(data, xi)[:, None])
+    return a_vec, tau, certificate, scale
+
+
+def _peak(data: _PointData, xi: np.ndarray) -> np.ndarray:
+    """max(max |xi|, max |gbar|) per point."""
+    n, d = data.dF.shape
+    return np.abs(np.concatenate((xi, data.gbar.reshape(n, (d + 1) ** 2)), axis=1)).max(axis=1)
+
+
+@lru_cache(maxsize=8)
+def _point_weingarten(data: _PointData, xi_scale: float) -> tuple[np.ndarray, ...]:
+    """_weingarten of a one-point stack, kept for the d calls of
+    weingarten_at that each read one i."""
+    return _weingarten(data, xi_scale)
 
 
 def weingarten_at(
@@ -448,27 +658,40 @@ def weingarten_at(
     covariant derivative of grad F (the x0 direction is parallel); tau is
     its pairing with xi and A_N e_i = -(derivative - tau N).
     """
-    data = _point_data(gen, _base_of(p))
-    # d_i xi_hat^k = d_i g^{kl} dF_l + g^{kl} d_i d_l F, with
-    # d_i g^{-1} = -g^{-1} (d_i g) g^{-1}
-    dxi_hat_i = -data.ginv @ data.dg[i] @ data.ginv @ data.dF + data.ginv @ data.d2F[i]
-    nabla_xi_hat = dxi_hat_i + data.gamma[:, i, :] @ data.xi_hat
-    dN = np.concatenate(([0.0], 0.5 * nabla_xi_hat)) / xi_scale
-    xi = xi_scale * data.xi
-    nxi = data.nxi / xi_scale
-    tau = float(dN @ data.gbar @ xi)
-    a_vec = -(dN - tau * nxi)
-    cert = abs(float(a_vec @ data.gbar @ xi))
-    scale = local_scale(dN, xi, data.gbar)
-    if cert > tolerance * scale:
-        raise TangencyError(
-            f"Weingarten tangent part pairs with xi ({cert:.3e} > {tolerance:g} * scale)"
-        )
-    return a_vec, tau
+    xi_scale, tolerance = _check_xi_scale(xi_scale), _check_tolerance(tolerance)
+    a_vec, tau, certificate, scale = _point_weingarten(_point_data(gen, _base_of(p)), xi_scale)
+    _raise(_tangency_failures("Weingarten", certificate[:, [i]], scale[:, [i]], tolerance))
+    return a_vec[0, i], float(tau[0, i])
 
 
 # ---------------------------------------------------------------------------
 # Screen integrability
+
+
+def _neighbour_jets(gen: MongeGenerator, base: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """dF and xi_hat, each (d, 2, d), at the central-difference neighbours
+    base +- BRACKET_STEP e_l: l ascending, +h before -h, so the first
+    neighbour that fails raises."""
+    d = len(base)
+    dF, xi_hat = np.empty((d, 2, d)), np.empty((d, 2, d))
+    for l in range(d):
+        for side, step in enumerate((BRACKET_STEP, -BRACKET_STEP)):
+            shifted = base[:l] + (base[l] + step,) + base[l + 1 :]
+            *_, dF[l, side], _, xi_hat[l, side] = _jets(gen, shifted)
+    return dF, xi_hat
+
+
+def _bracket_defect(data: _PointData, dF: np.ndarray, xi_hat: np.ndarray) -> np.ndarray:
+    """Worst screen leakage |dF([s_i, s_j])| / 2 per point, from the
+    neighbour dF and xi_hat of _neighbour_jets stacked along a leading axis."""
+    fields = _screen_fields(dF, xi_hat)  # fields[k, l, side, i, m]
+    n, d = data.dF.shape
+    # ds[k, l, i, m] = d_l s_i^m and half[k, i, j, m] = s_i(s_j)^m
+    ds = (fields[:, :, 0] - fields[:, :, 1]) / (2.0 * BRACKET_STEP)
+    half = _screen_fields(data.dF, data.xi_hat) @ ds.reshape(n, d, d * d)
+    half = half.reshape(n, d, d, d)
+    bracket = half - half.transpose(0, 2, 1, 3)
+    return 0.5 * np.abs(bracket @ data.dF[:, None, :, None]).max(axis=(1, 2, 3))
 
 
 def screen_integrability_defect_at(gen: MongeGenerator, p) -> float:
@@ -487,17 +710,8 @@ def screen_integrability_defect_at(gen: MongeGenerator, p) -> float:
     if d == 2:
         return 0.0
     data = _point_data(gen, base)
-
-    def fields_at(l: int, step: float) -> np.ndarray:
-        *_, dF, _, xi_hat = _jets(gen, base[:l] + (base[l] + step,) + base[l + 1 :])
-        return _screen_fields(dF, xi_hat)
-
-    h = BRACKET_STEP
-    ds = np.array([fields_at(l, h) - fields_at(l, -h) for l in range(d)]) / (2.0 * h)
-    # ds[l, i, m] = d_l s_i^m and half[i, j] = s_i(s_j)
-    half = np.einsum("il,ljm->ijm", _screen_fields(data.dF, data.xi_hat), ds)
-    bracket = half - half.transpose(1, 0, 2)
-    return 0.5 * float(np.max(np.abs(bracket @ data.dF)))
+    dF, xi_hat = _neighbour_jets(gen, base)
+    return float(_bracket_defect(data, dF[None], xi_hat[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -554,62 +768,134 @@ _POINT_ERRORS = (
 )
 
 
-def _analyze_point(
-    gen: MongeGenerator, index: int, sp: SurfacePoint, tol: Tolerances, xi_scale: float
-) -> PointAnalysis:
-    analysis = PointAnalysis(index=index, point=sp)
-    base = sp.base
-    if not gen.admissible(base):
-        analysis.error = "outside domain"
-        return analysis
-    try:
-        data = _point_data(gen, base)
-        d = gen.dimension
+def _analyze(
+    gen: MongeGenerator, points: Sequence[SurfacePoint], tol: float, xi_scale: float
+) -> list[PointAnalysis]:
+    """One record per sample point.  Jets run point by point; every later
+    stage runs once over the stacked points that reached it.  A point
+    records the first gate it fails, in the order: domain, jets, Hessian
+    finiteness, screen frame, bracket neighbours, Weingarten, Gauss, and
+    finiteness of the reported numbers."""
+    records = [PointAnalysis(index=i, point=sp) for i, sp in enumerate(points)]
+    kept, jets = [], []
+    for record in records:
+        if not gen.admissible(record.point.base):
+            record.error = "outside domain"
+            continue
+        try:
+            jets.append(_jets(gen, record.point.base))
+        except _POINT_ERRORS as exc:
+            record.error = str(exc)
+            continue
+        kept.append(record)
+    if not kept:
+        return records
+    data = _PointData([r.point.base for r in kept], jets)
+    failed = _hessian_failures(data)
+    for k, exc in failed.items():
+        kept[k].error = str(exc)
+    if failed:
+        rows = [k for k in range(len(kept)) if k not in failed]
+        kept, data = [kept[k] for k in rows], data.take(rows)
+    if not kept:
+        return records
 
-        frame, _, analysis.radical_rank = monge_frame_at(gen, sp, tol.base)
-        analysis.lightlike_defect = data.norm2 - 1.0
-        scale_light = 1.0 + abs(data.norm2)
-        analysis.is_lightlike = _is_lightlike(data, tol.base)
+    n, d = data.dF.shape
+    alive = np.ones(n, dtype=bool)
 
-        analysis.B = -xi_scale * data.hess
-        rho, residual, scale_form = _umbilic_fit(data)
-        if d >= 2:  # every 1 x 1 form is a multiple of T: the fit says nothing
-            analysis.umbilic_rho, analysis.umbilic_residual = rho, residual
-        analysis.scales = {"lightlike": scale_light, "second_form": scale_form}
+    def drop(failures: dict[int, Exception], rows: np.ndarray):
+        """Record each failure of a stage that ran on the given rows."""
+        for k, exc in failures.items():
+            kept[rows[k]].error = str(exc)
+            alive[rows[k]] = False
 
-        xi = xi_scale * data.xi
-        analysis.certificates["normality"] = float(np.max(np.abs(frame @ data.gbar @ xi)))
-        analysis.certificates["xi_null"] = float(xi @ data.gbar @ xi)
+    rank = _radical_rank(data, tol)
+    light = _is_lightlike(data.norm2, tol)
+    B = -xi_scale * data.hess
+    rho, residual, normalizer, posed = _umbilic_fit(data)
+    fit = posed & (d >= 2)  # every 1 x 1 form is a multiple of T: the fit says nothing
+    xi = xi_scale * data.xi
+    normality = np.abs(data.frame @ data.gbar @ xi[:, :, None]).max(axis=(1, 2))
+    xi_null = _pair(xi, data.gbar, xi)
 
-        if analysis.is_lightlike:
-            nxi = data.nxi / xi_scale
-            analysis.certificates["xi_nxi"] = float(xi @ data.gbar @ nxi)
-            analysis.certificates["nxi_nxi"] = float(nxi @ data.gbar @ nxi)
-            if d >= 2:
-                screen = screen_frame_at(gen, sp, tol.base)
-                analysis.certificates["screen_nxi"] = float(
-                    np.max(np.abs(screen.vectors @ data.gbar @ nxi))
-                )
-                analysis.minimal_defect = _minimal_defect(data)
-                analysis.integrability_defect = screen_integrability_defect_at(gen, sp)
-            analysis.tau = np.array(
-                [weingarten_at(gen, sp, i, xi_scale, tol.base)[1] for i in range(d)]
-            )
-            *_, certificate = _gauss_split(data, xi_scale, tol.base)
-            analysis.certificates["gauss_tangency"] = float(np.max(certificate))
-        _require_finite(analysis)
-    except _POINT_ERRORS as exc:
-        # partial results of a failed point may be non-finite; keep none
-        analysis = PointAnalysis(index=index, point=sp, error=str(exc))
-    return analysis
+    xi_nxi, nxi_nxi, screen_nxi, minimal, bracket, gauss = np.full((6, n), np.nan)
+    tau = np.full((n, d), np.nan)
+    rows = np.flatnonzero(light)
+    part = data.take(rows)
+    nxi = part.nxi / xi_scale
+    xi_nxi[rows] = _pair(xi[rows], part.gbar, nxi)
+    nxi_nxi[rows] = _pair(nxi, part.gbar, nxi)
+    if d >= 2:
+        drop(_screen_failures(part), rows)
+        frame, _ = part.kernel_frame
+        screen = _lift(frame.vectors) @ part.gbar @ nxi[:, :, None]
+        screen_nxi[rows] = np.abs(screen).max(axis=(1, 2))
+        minimal[rows] = _minimal_defect(frame, part.hess)
+    if d == 2:
+        bracket[rows] = 0.0  # line fields are integrable by convention
+    elif d >= 3:
+        rows = np.flatnonzero(light & alive)
+        neighbours = np.empty((2, len(rows), d, 2, d))
+        for k, base in enumerate(data.bases[r] for r in rows):
+            try:
+                neighbours[:, k] = _neighbour_jets(gen, base)
+            except _POINT_ERRORS as exc:
+                drop({k: exc}, rows)
+        reached = alive[rows]
+        rows = rows[reached]
+        bracket[rows] = _bracket_defect(data.take(rows), *neighbours[:, reached])
 
+    rows = np.flatnonzero(light & alive)
+    _, tau[rows], certificate, scale = _weingarten(data.take(rows), xi_scale)
+    drop(_tangency_failures("Weingarten", certificate, scale, tol), rows)
+    rows = np.flatnonzero(light & alive)
+    _, _, certificate, scale = _gauss_split(data.take(rows), xi_scale)
+    drop(_tangency_failures("Gauss", certificate, scale, tol), rows)
+    gauss[rows] = certificate.max(axis=(1, 2))
 
-def _require_finite(analysis: PointAnalysis):
-    """Raise NonFiniteValueError if a number bound for the report is not finite."""
-    numbers = {**vars(analysis), **analysis.scales, **analysis.certificates}
-    for name, value in numbers.items():
-        if isinstance(value, (float, np.ndarray)) and not np.isfinite(value).all():
-            raise NonFiniteValueError(f"{name} is not finite")
+    # every number bound for the report, in record order, with the rows
+    # that carry it and the record field (or dict of the field) it fills;
+    # the first that is not finite names the point's error
+    everywhere = np.ones(n, dtype=bool)
+    screened = light & (d >= 2)
+    reported = (
+        ("B", B, everywhere, None),
+        ("lightlike_defect", data.norm2 - 1.0, everywhere, None),
+        ("umbilic_rho", rho, fit, None),
+        ("umbilic_residual", residual, fit, None),
+        ("minimal_defect", minimal, screened, None),
+        ("integrability_defect", bracket, screened, None),
+        ("tau", tau, light, None),
+        ("lightlike", 1.0 + np.abs(data.norm2), everywhere, "scales"),
+        ("second_form", normalizer, everywhere, "scales"),
+        ("normality", normality, everywhere, "certificates"),
+        ("xi_null", xi_null, everywhere, "certificates"),
+        ("xi_nxi", xi_nxi, light, "certificates"),
+        ("nxi_nxi", nxi_nxi, light, "certificates"),
+        ("screen_nxi", screen_nxi, screened, "certificates"),
+        ("gauss_tangency", gauss, light, "certificates"),
+    )
+    for name, values, present, _ in reported:
+        finite = np.isfinite(values.reshape(n, -1)).all(axis=1)
+        bad = np.flatnonzero(present & alive & ~finite)
+        drop(dict.fromkeys(range(len(bad)), NonFiniteValueError(f"{name} is not finite")), bad)
+
+    columns = [
+        (name, values.tolist() if values.ndim == 1 else values, present.tolist(), group)
+        for name, values, present, group in reported
+    ]
+    ranks, lights = rank.tolist(), light.tolist()
+    for k in np.flatnonzero(alive).tolist():
+        record = kept[k]
+        record.radical_rank, record.is_lightlike = ranks[k], lights[k]
+        for name, values, present, group in columns:
+            if not present[k]:
+                continue
+            if group is None:
+                setattr(record, name, values[k])
+            else:
+                getattr(record, group)[name] = values[k]
+    return records
 
 
 def classify(
@@ -625,21 +911,23 @@ def classify(
     umbilic residuals vanish; None on 1-dimensional charts), minimal (all
     minimal defects vanish; None when no point carries one).  Points that
     fail to evaluate are recorded with their error; above 10% failures
-    every verdict is "indeterminate".  A refused tolerance or a zero or
-    non-finite xi_scale raises ValueError; negative scales are valid.
+    every verdict is "indeterminate".  A refused tolerance or a zero,
+    non-finite or bool xi_scale raises ValueError; negative scales are valid.
+
+    The jets are evaluated point by point; every later stage runs once over
+    the points stacked along a leading axis, and a point that fails a gate
+    drops out of the later stages with its first error.  A point's record
+    does not depend on the other points of the sample.
     """
     if not isinstance(tol, Tolerances):
         tol = Tolerances() if tol is None else Tolerances(tol)
-    if not (math.isfinite(xi_scale) and xi_scale != 0):
-        raise ValueError(f"xi_scale must be finite and nonzero, got {xi_scale!r}")
+    xi_scale = _check_xi_scale(xi_scale)
     if not points:
         raise EmptySampleError("no sample points supplied")
 
     # overflows here become NonFiniteValueError points, so numpy need not warn
     with np.errstate(over="ignore", invalid="ignore"):
-        analyses = [
-            _analyze_point(gen, i, sp, tol, xi_scale) for i, sp in enumerate(points)
-        ]
+        analyses = _analyze(gen, points, tol.base, xi_scale)
     good = [a for a in analyses if a.error is None]
     failed_fraction = 1.0 - len(good) / len(analyses)
 

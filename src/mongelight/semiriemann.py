@@ -43,6 +43,11 @@ class NearNullPivotError(Exception):
     """Every remaining Gram-Schmidt candidate is g-null within tolerance."""
 
 
+def _null_pivot(tolerance: float) -> NearNullPivotError:
+    """The error of a Gram-Schmidt step whose every candidate is null."""
+    return NearNullPivotError(f"all remaining self-products below {tolerance:g} * scale")
+
+
 def local_scale(*tensors) -> float:
     """1 + the largest absolute entry of the given tensors."""
     peak = 0.0
@@ -165,13 +170,22 @@ def metric_jets_at(field: MetricField, point: Sequence[float]) -> tuple[np.ndarr
 
 
 def christoffel_from_partials(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
-    """Assemble Gamma[k, i, j] from the inverse metric and dg[i, j, k] = d_i g_jk."""
+    """Assemble Gamma[k, i, j] from the inverse metric and dg[i, j, k] = d_i g_jk.
+
+    With a leading point axis (ginv (n, d, d), dg (n, d, d, d)) the result
+    is (n, d, d, d), each row computed on its own.
+    """
+    stacked = ginv.ndim == 3
+    if not stacked:
+        ginv, dg = ginv[None], dg[None]
+    n, d = ginv.shape[:2]
     # Gamma^k_ij = 1/2 g^{kl} (d_i g_lj + d_j g_li - d_l g_ij)
     bracket = (
-        np.transpose(dg, (1, 0, 2)) + np.transpose(dg, (2, 0, 1)) - dg
-    )  # bracket[l, i, j]
-    gamma = 0.5 * np.einsum("kl,lij->kij", ginv, bracket)
-    return 0.5 * (gamma + np.transpose(gamma, (0, 2, 1)))
+        np.transpose(dg, (0, 2, 1, 3)) + np.transpose(dg, (0, 3, 1, 2)) - dg
+    )  # bracket[n, l, i, j]
+    gamma = 0.5 * (ginv @ bracket.reshape(n, d, d * d)).reshape(n, d, d, d)
+    gamma = 0.5 * (gamma + np.transpose(gamma, (0, 1, 3, 2)))
+    return gamma if stacked else gamma[0]
 
 
 def orthonormalize(
@@ -186,27 +200,53 @@ def orthonormalize(
     recorded.  Raises NearNullPivotError when every candidate's
     self-product falls below tolerance * scale, which signals a degenerate
     restriction of g to the span.
+
+    With a leading point axis (vectors (n, m, d), g (n, d, d)) every point
+    is orthonormalized on its own and nothing is raised: the frame holds
+    (n, m, d) vectors and an (n, m) integer array of signs, and the rows
+    of a point whose pivot was null are all 0 (its null-pivot mask is
+    ``signs[:, 0] == 0``).
     """
     g = np.asarray(g, dtype=float)
-    remaining = [np.asarray(v, dtype=float) for v in vectors]
-    scale = local_scale(g, *remaining)
-    frame: list[np.ndarray] = []
-    signs: list[int] = []
-    while remaining:
-        projected = []
-        for v in remaining:
-            w = v.copy()
-            for u, sign in zip(frame, signs):
-                w = w - sign * float(w @ g @ u) * u
-            projected.append((w, float(w @ g @ w)))
-        best = max(range(len(projected)), key=lambda k: abs(projected[k][1]))
-        w, q = projected[best]
-        if abs(q) < tolerance * scale:
-            raise NearNullPivotError(
-                f"all remaining self-products below {tolerance:g} * scale"
-            )
-        norm = np.sqrt(abs(q))
-        frame.append(w / norm)
-        signs.append(1 if q > 0.0 else -1)
-        del remaining[best]
-    return OrthoFrame(np.array(frame), tuple(signs))
+    stacked = g.ndim == 3
+    remaining = np.array(vectors, dtype=float)
+    if not stacked:
+        remaining, g = remaining.reshape(1, -1, g.shape[0]), g[None]
+    n, m, d = remaining.shape
+    entries = np.concatenate((g.reshape(n, d * d), remaining.reshape(n, m * d)), axis=1)
+    floor = tolerance * (1.0 + np.abs(entries).max(axis=1))
+    g, rows = g[:, None], np.arange(n)
+    frame = np.empty((n, m, d))
+    signs = np.empty((n, m))
+    smallest = np.full(n, np.inf) if m == 0 else None  # the smallest pivot magnitude
+    taken = 0  # the sum of the candidates taken so far, per point
+    for step in range(m):
+        # remaining holds every candidate projected off the frame so far;
+        # a taken candidate is zeroed, so it wins only where all are null
+        if step + 1 < m:
+            wg = remaining[:, :, None, :] @ g
+            q = (wg @ remaining[..., None])[:, :, 0, 0]
+            best = np.abs(q).argmax(axis=1)
+            q, w = q[rows, best], remaining[rows, best]
+            taken = taken + best if step else best
+        else:  # the one candidate left
+            w = remaining[rows, m * (m - 1) // 2 - taken]
+            q = (w[:, None, :] @ g[:, 0] @ w[:, :, None])[:, 0, 0]
+        magnitude = np.abs(q)
+        smallest = magnitude if step == 0 else np.minimum(smallest, magnitude)
+        # a null pivot is normalized by the floor, and its point masked below
+        u = np.divide(w, np.sqrt(np.maximum(magnitude, floor))[:, None], out=frame[:, step])
+        sign = np.copysign(1.0, q, out=signs[:, step])  # +-1; a q of 0 is null
+        if step + 1 < m:
+            coefficient = (wg @ u[:, None, :, None])[:, :, 0, 0] * sign[:, None]
+            remaining -= coefficient[:, :, None] * u[:, None, :]
+            remaining[rows, best] = 0.0
+    null = smallest < floor
+    signs = signs.astype(int)
+    if null.any():
+        frame[null], signs[null] = 0.0, 0
+    if stacked:
+        return OrthoFrame(frame, signs)
+    if null[0]:
+        raise _null_pivot(tolerance)
+    return OrthoFrame(frame[0], tuple(signs[0].tolist()))

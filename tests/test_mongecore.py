@@ -421,7 +421,7 @@ class TestLiftedScreen:
             assert np.max(np.abs(W @ gbar @ xi)) < 1e-10 * scale
             assert np.max(np.abs(W @ gbar @ nxi)) < 1e-10 * scale
             # every screen field s_i = (0, delta_i - dF_i xi_hat) lies in the span of W
-            fields = _screen_fields(data.dF, data.xi_hat)
+            fields = _screen_fields(data.dF[0], data.xi_hat[0])
             for s in np.hstack([np.zeros((len(fields), 1)), fields]):
                 residual = s - sum(
                     sign * float(s @ gbar @ w) * w for w, sign in zip(W, screen.signs)
@@ -598,7 +598,7 @@ class TestScreenIntegrability:
             data = _point_data(entry.generator, sp.base)
             _, _, _, dF, _, xi_hat = _jets(entry.generator, sp.base)
             assert np.array_equal(
-                _screen_fields(dF, xi_hat), _screen_fields(data.dF, data.xi_hat)
+                _screen_fields(dF, xi_hat), _screen_fields(data.dF[0], data.xi_hat[0])
             )
 
     @pytest.mark.parametrize("name", ["hyperbolic3", "euclid_cone"])
@@ -608,9 +608,10 @@ class TestScreenIntegrability:
         entry = catalog.builtin(name)
         for sp in default_points(entry, limit=5):
             data = _point_data(entry.generator, sp.base)
-            projected = data.frame - np.outer(data.frame @ data.gbar @ data.nxi, data.xi)
+            frame, gbar, nxi, xi = data.frame[0], data.gbar[0], data.nxi[0], data.xi[0]
+            projected = frame - np.outer(frame @ gbar @ nxi, xi)
             bound = 4e-16 * local_scale(projected)
-            closed = _screen_fields(data.dF, data.xi_hat)
+            closed = _screen_fields(data.dF[0], data.xi_hat[0])
             assert np.max(np.abs(closed - projected[:, 1:])) <= bound
             assert np.max(np.abs(projected[:, 0])) <= bound
 
@@ -865,6 +866,57 @@ class TestClassify:
     def test_senseless_xi_scale_refused(self, scale):
         with pytest.raises(ValueError, match="xi_scale must be finite and nonzero"):
             classify(HYP2.generator, default_points(HYP2, limit=2), xi_scale=scale)
+
+
+class TestArgumentChecks:
+    """The public functions refuse a senseless tolerance or xi_scale by the
+    rule of Tolerances and classify.  At the lightlike point (0, 0, 2) of
+    hyperbolic3 a nan tolerance once gave radical rank 0 and a rank-d screen
+    error, a negative one a TangencyError, and xi_scale = 0 NaN output."""
+
+    GEN = catalog.builtin("hyperbolic3").generator
+    POINT = (0.0, 0.0, 2.0)
+    BY_TOLERANCE = {
+        "monge_frame_at": lambda gen, p, t: monge_frame_at(gen, p, t),
+        "second_fundamental_form_at": lambda gen, p, t: second_fundamental_form_at(
+            gen, p, tolerance=t
+        ),
+        "screen_frame_at": lambda gen, p, t: screen_frame_at(gen, p, t),
+        "weingarten_at": lambda gen, p, t: weingarten_at(gen, p, 0, tolerance=t),
+        "gauss_decompose_at": lambda gen, p, t: gauss_decompose_at(gen, p, 0, 0, tolerance=t),
+    }
+    BY_XI_SCALE = {
+        "normal_and_transversal_at": lambda gen, p, c: normal_and_transversal_at(gen, p, c),
+        "second_fundamental_form_at": lambda gen, p, c: second_fundamental_form_at(gen, p, c),
+        "weingarten_at": lambda gen, p, c: weingarten_at(gen, p, 0, xi_scale=c),
+        "gauss_decompose_at": lambda gen, p, c: gauss_decompose_at(gen, p, 0, 0, xi_scale=c),
+    }
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1e-8, True])
+    @pytest.mark.parametrize("name", sorted(BY_TOLERANCE))
+    def test_senseless_tolerance_refused(self, name, value):
+        with pytest.raises(ValueError, match="tolerance must be a finite number > 0"):
+            self.BY_TOLERANCE[name](self.GEN, self.POINT, value)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, True])
+    @pytest.mark.parametrize("name", sorted(BY_XI_SCALE))
+    def test_senseless_xi_scale_refused(self, name, value):
+        with pytest.raises(ValueError, match="xi_scale must be finite and nonzero"):
+            self.BY_XI_SCALE[name](self.GEN, self.POINT, value)
+
+    @pytest.mark.parametrize("name", sorted(BY_XI_SCALE))
+    def test_small_negative_xi_scale_accepted(self, name):
+        result = self.BY_XI_SCALE[name](self.GEN, self.POINT, -1e-8)
+        arrays = result if isinstance(result, tuple) else (result,)
+        assert all(np.isfinite(a).all() for a in arrays)
+
+    def test_classify_refuses_bool_xi_scale(self):
+        with pytest.raises(ValueError, match="xi_scale must be finite and nonzero"):
+            classify(HYP2.generator, default_points(HYP2, limit=2), xi_scale=True)
+
+    def test_sensible_values_still_answer(self):
+        assert monge_frame_at(self.GEN, self.POINT, 1e-8)[2] == 1
+        assert len(screen_frame_at(self.GEN, self.POINT, 1).signs) == 2
 
 
 class TestGeneratorImmutable:

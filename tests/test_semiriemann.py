@@ -210,6 +210,16 @@ class TestChristoffel:
         gamma = kernel_christoffel(SCHW.metric, [0.0, 3.3])
         assert np.array_equal(gamma, np.transpose(gamma, (0, 2, 1)))
 
+    def test_leading_axis_rows_match_single_points(self):
+        points = [(0.0, 1.5), (0.0, 3.3), (0.0, 7.0)]
+        jets = [metric_jets_at(SCHW.metric, p) for p in points]
+        ginv = np.array([invert_metric(g) for g, _ in jets])
+        dg = np.array([dg for _, dg in jets])
+        stacked = christoffel_from_partials(ginv, dg)
+        assert stacked.shape == (3, 2, 2, 2)
+        for k in range(3):
+            assert np.array_equal(stacked[k], christoffel_from_partials(ginv[k], dg[k]))
+
 
 class TestGradient:
     # the raised gradient, dF and g(grad F, grad F) as the per-point kernel
@@ -341,3 +351,20 @@ class TestOrthonormalize:
         g = np.diag([1.0, -1.0])
         with pytest.raises(NearNullPivotError):
             orthonormalize([[1.0, 1.0]], g)  # a null vector
+
+    def test_leading_axis_rows_match_single_points(self):
+        # each point is orthonormalized on its own; a null pivot zeroes its
+        # point's rows instead of raising
+        rng = np.random.default_rng(77)
+        g = np.array([np.diag([-1.0, 1.0, 1.0]), np.eye(3), np.diag([1.0, -1.0, 1.0]), np.eye(3)])
+        vectors = rng.normal(size=(4, 2, 3))
+        vectors[2] = [[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]]  # spans a g-null line
+        frame = orthonormalize(vectors, g)
+        assert frame.vectors.shape == (4, 2, 3) and frame.signs.shape == (4, 2)
+        assert not frame.signs[2].any() and not frame.vectors[2].any()
+        with pytest.raises(NearNullPivotError):
+            orthonormalize(vectors[2], g[2])
+        for k in (0, 1, 3):
+            single = orthonormalize(vectors[k], g[k])
+            assert np.array_equal(frame.vectors[k], single.vectors)
+            assert tuple(frame.signs[k].tolist()) == single.signs
