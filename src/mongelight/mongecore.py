@@ -157,22 +157,25 @@ class Tolerances:
         object.__setattr__(self, "base", _check_tolerance(self.base))
 
 
+def _finite_real(value) -> bool:
+    """A finite int or float, NumPy's included, that is not a bool."""
+    real = isinstance(value, (int, float, np.integer, np.floating))
+    return real and not isinstance(value, bool) and math.isfinite(value)
+
+
 def _check_tolerance(tolerance) -> float:
     """The tolerance as a float: a finite number > 0 that is not a bool."""
-    real = isinstance(tolerance, (int, float)) and not isinstance(tolerance, bool)
-    if not (real and math.isfinite(tolerance) and tolerance > 0):
+    if not (_finite_real(tolerance) and tolerance > 0):
         raise ValueError(f"tolerance must be a finite number > 0, got {tolerance!r}")
     return float(tolerance)
 
 
 def _check_xi_scale(xi_scale) -> float:
-    """The xi scale: a finite nonzero number that is not a bool; negative
-    scales are valid."""
-    real = isinstance(xi_scale, (int, float, np.integer, np.floating))
-    real = real and not isinstance(xi_scale, bool)
-    if not (real and math.isfinite(xi_scale) and xi_scale != 0):
+    """The xi scale as a float: a finite nonzero number that is not a bool;
+    negative scales are valid."""
+    if not (_finite_real(xi_scale) and xi_scale != 0):
         raise ValueError(f"xi_scale must be finite and nonzero, got {xi_scale!r}")
-    return xi_scale
+    return float(xi_scale)
 
 
 def _base_of(p) -> tuple[float, ...]:
@@ -202,8 +205,11 @@ class _PointData:
 
     def __init__(self, bases: Sequence[tuple[float, ...]], jets: Sequence[tuple]):
         self.bases = list(bases)
+        # a view for the one-point stacks of the *_at functions
         stack = (lambda group: group[0][None]) if len(jets) == 1 else np.array
         self.g, self.ginv, self.dg, self.dF, self.d2F, self.xi_hat = map(stack, zip(*jets))
+        # the all-i _weingarten result per xi_scale, kept for weingarten_at
+        self.weingarten: dict[float, tuple[np.ndarray, ...]] = {}
         n, d = self.dF.shape
         self.gamma = christoffel_from_partials(self.ginv, self.dg)
         contracted = self.dF[:, None, :] @ self.gamma.reshape(n, d, d * d)
@@ -215,7 +221,7 @@ class _PointData:
         for name, value in vars(self).items():
             if isinstance(value, np.ndarray):
                 setattr(part, name, value[rows])
-        part.bases = [self.bases[k] for k in rows]
+        part.bases, part.weingarten = [self.bases[k] for k in rows], {}
         return part
 
     @cached_property
@@ -274,17 +280,13 @@ class _PointData:
         pivot = np.abs(self.dF).argmax(axis=1)
         lead = self.dF[rows, pivot]
         vanishing = lead == 0.0
-        if vanishing.any():
-            lead = np.where(vanishing, 1.0, lead)
+        lead = np.where(vanishing, 1.0, lead)
         # e_j with its pivot entry replaced by -dF_j / dF_pivot, for j != pivot
         others, units = _elimination(d)
         basis = units[pivot]
-        at = rows[:, None], np.arange(d - 1), pivot[:, None]
-        basis[at] = (-self.dF / lead[:, None])[rows[:, None], others[pivot]]
+        basis[rows, :, pivot] = (-self.dF / lead[:, None])[rows[:, None], others[pivot]]
         frame = orthonormalize(basis, self.g)
         failures: dict[int, Exception] = {}
-        if frame.signs.all() and not vanishing.any():
-            return frame, failures
         for k in (vanishing | (frame.signs[:, 0] == 0)).nonzero()[0]:
             failures[int(k)] = (
                 ScreenRankError("dF vanishes; kernel of dF is not a hyperplane")
@@ -326,7 +328,7 @@ def _raise(failures: dict[int, Exception]):
 def _hessian_failures(data: _PointData) -> dict[int, Exception]:
     # an overflowed dg or d2F lane leaves hess non-finite
     finite = np.isfinite(data.hess)
-    if finite.all():
+    if finite.all():  # the usual case, without the masks
         return {}
     bad = np.flatnonzero(~finite.all(axis=(1, 2)))
     return {
@@ -371,7 +373,7 @@ def _radical_rank(data: _PointData, tolerance: float) -> np.ndarray:
     induced = data.induced
     magnitude = np.abs(induced).max(axis=(1, 2))
     finite = np.isfinite(magnitude)
-    if finite.all():
+    if finite.all():  # the usual case, without the masks
         singular = np.linalg.svd(induced, compute_uv=False)
     else:  # an overflowed matrix has rank 0
         singular = np.full(induced.shape[:2], np.nan)
@@ -400,11 +402,10 @@ def _umbilic_fit(data: _PointData) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     normalizer = 1.0 + np.abs(data.hess).max(axis=(1, 2)) + peak
     scale = 1.0 + np.maximum(np.abs(data.g).max(axis=(1, 2)), np.abs(outer).max(axis=(1, 2)))
     posed = ~(peak < 1e-12 * scale)
-    everywhere = posed.all()
+    everywhere = posed.all()  # the usual case, without the masks
+    hess, scale = data.hess, normalizer
     if not everywhere:
-        target, hess, scale = target[posed], data.hess[posed], normalizer[posed]
-    else:
-        hess, scale = data.hess, normalizer
+        target, hess, scale = target[posed], hess[posed], scale[posed]
     m = len(target)
     rho = (hess * target).reshape(m, d * d).sum(axis=1) / (target * target).reshape(
         m, d * d
@@ -449,16 +450,14 @@ def _tangency_failures(
 ) -> dict[int, Exception]:
     """Each point's first certificate, in row-major order, above tolerance * scale."""
     failing = certificate > tolerance * scale
-    if not failing.any():
+    if not failing.any():  # the usual case, without the masks
         return {}
-    flat = certificate.reshape(len(certificate), -1)
-    failing = failing.reshape(flat.shape)
     return {
         int(k): TangencyError(
             f"{kind} tangent part pairs with xi "
-            f"({flat[k, np.argmax(failing[k])]:.3e} > {tolerance:g} * scale)"
+            f"({certificate[k][failing[k]][0]:.3e} > {tolerance:g} * scale)"
         )
-        for k in np.flatnonzero(failing.any(axis=1))
+        for k in np.flatnonzero(failing.any(axis=tuple(range(1, failing.ndim))))
     }
 
 
@@ -642,13 +641,6 @@ def _peak(data: _PointData, xi: np.ndarray) -> np.ndarray:
     return np.abs(np.concatenate((xi, data.gbar.reshape(n, (d + 1) ** 2)), axis=1)).max(axis=1)
 
 
-@lru_cache(maxsize=8)
-def _point_weingarten(data: _PointData, xi_scale: float) -> tuple[np.ndarray, ...]:
-    """_weingarten of a one-point stack, kept for the d calls of
-    weingarten_at that each read one i."""
-    return _weingarten(data, xi_scale)
-
-
 def weingarten_at(
     gen: MongeGenerator, p, i: int, xi_scale: float = 1.0, tolerance: float = 1e-8
 ) -> tuple[np.ndarray, float]:
@@ -659,8 +651,12 @@ def weingarten_at(
     its pairing with xi and A_N e_i = -(derivative - tau N).
     """
     xi_scale, tolerance = _check_xi_scale(xi_scale), _check_tolerance(tolerance)
-    a_vec, tau, certificate, scale = _point_weingarten(_point_data(gen, _base_of(p)), xi_scale)
-    _raise(_tangency_failures("Weingarten", certificate[:, [i]], scale[:, [i]], tolerance))
+    data = _point_data(gen, _base_of(p))
+    if xi_scale not in data.weingarten:  # computed once for the d calls at a point
+        data.weingarten[xi_scale] = _weingarten(data, xi_scale)
+    a_vec, tau, certificate, scale = data.weingarten[xi_scale]
+    column = slice(i, i + 1)
+    _raise(_tangency_failures("Weingarten", certificate[:, column], scale[:, column], tolerance))
     return a_vec[0, i], float(tau[0, i])
 
 

@@ -217,34 +217,26 @@ def orthonormalize(
     floor = tolerance * (1.0 + np.abs(entries).max(axis=1))
     g, rows = g[:, None], np.arange(n)
     frame = np.empty((n, m, d))
-    signs = np.empty((n, m))
-    smallest = np.full(n, np.inf) if m == 0 else None  # the smallest pivot magnitude
-    taken = 0  # the sum of the candidates taken so far, per point
+    signs, magnitudes = np.empty((n, m)), np.empty((n, m))  # of each step's pivot
     for step in range(m):
-        # remaining holds every candidate projected off the frame so far;
-        # a taken candidate is zeroed, so it wins only where all are null
-        if step + 1 < m:
-            wg = remaining[:, :, None, :] @ g
-            q = (wg @ remaining[..., None])[:, :, 0, 0]
-            best = np.abs(q).argmax(axis=1)
-            q, w = q[rows, best], remaining[rows, best]
-            taken = taken + best if step else best
-        else:  # the one candidate left
-            w = remaining[rows, m * (m - 1) // 2 - taken]
-            q = (w[:, None, :] @ g[:, 0] @ w[:, :, None])[:, 0, 0]
-        magnitude = np.abs(q)
-        smallest = magnitude if step == 0 else np.minimum(smallest, magnitude)
-        # a null pivot is normalized by the floor, and its point masked below
+        # remaining holds every candidate projected off the frame so far; a
+        # taken candidate is zeroed, so its self-product 0 wins only at a
+        # point whose every candidate left is null, which is masked below
+        wg = remaining[:, :, None, :] @ g
+        q = (wg @ remaining[..., None])[:, :, 0, 0]
+        best = np.abs(q).argmax(axis=1)
+        q, w = q[rows, best], remaining[rows, best]
+        magnitude = np.abs(q, out=magnitudes[:, step])
+        # a null pivot is normalized by the floor
         u = np.divide(w, np.sqrt(np.maximum(magnitude, floor))[:, None], out=frame[:, step])
         sign = np.copysign(1.0, q, out=signs[:, step])  # +-1; a q of 0 is null
         if step + 1 < m:
             coefficient = (wg @ u[:, None, :, None])[:, :, 0, 0] * sign[:, None]
             remaining -= coefficient[:, :, None] * u[:, None, :]
             remaining[rows, best] = 0.0
-    null = smallest < floor
+    null = (magnitudes < floor[:, None]).any(axis=1)
     signs = signs.astype(int)
-    if null.any():
-        frame[null], signs[null] = 0.0, 0
+    frame[null], signs[null] = 0.0, 0
     if stacked:
         return OrthoFrame(frame, signs)
     if null[0]:

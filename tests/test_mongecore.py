@@ -1,6 +1,7 @@
 """Induced-object and classification tests for the graph-hypersurface core."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -452,6 +453,30 @@ class TestLiftedScreen:
         with pytest.raises(NearNullPivotError):
             minimal_defect_at(gen, base)
 
+
+    def test_null_pair_in_kernel_is_rank_deficient(self):
+        # dF = (1, 0, 0, 0) eliminates to the kernel basis e_y, e_z, e_w; g is 1
+        # on e_y and pairs e_z with e_w, so after e_y both candidates left are
+        # exactly null
+        chart = CoordinateChart(("x", "y", "z", "w"))
+        rows = [
+            ["1", "0", "0", "0"],
+            ["0", "1", "0", "0"],
+            ["0", "0", "0", "1"],
+            ["0", "0", "1", "0"],
+        ]
+        gen = MongeGenerator(
+            "null_pair", chart, MetricField.from_strings(chart, rows), parse("x", chart)
+        )
+        points = [gen.surface_point((0.1 * k, 0.2, 0.3, 0.4)) for k in range(3)]
+        message = (
+            "screen projection rank deficient: all remaining self-products below 1e-10 * scale"
+        )
+        assert [a.error for a in classify(gen, points).points] == [message] * 3
+        with pytest.raises(ScreenRankError, match=re.escape(message)):
+            screen_frame_at(gen, points[0])
+        with pytest.raises(NearNullPivotError):
+            minimal_defect_at(gen, points[0])
 
 class TestGaussDecomposition:
     def test_hyperbolic_plane_frozen(self):
@@ -909,6 +934,15 @@ class TestArgumentChecks:
         result = self.BY_XI_SCALE[name](self.GEN, self.POINT, -1e-8)
         arrays = result if isinstance(result, tuple) else (result,)
         assert all(np.isfinite(a).all() for a in arrays)
+
+    def test_numpy_numbers_accepted_alike_as_floats(self):
+        # one rule for both arguments: NumPy scalars pass, and come out as float
+        assert Tolerances(np.float32(1e-8)).base == float(np.float32(1e-8))
+        assert monge_frame_at(self.GEN, self.POINT, np.float32(1e-8))[2] == 1
+        report = classify(HYP2.generator, default_points(HYP2, limit=2), xi_scale=np.int64(2))
+        assert type(report.xi_scale) is float and report.xi_scale == 2.0
+        with pytest.raises(ValueError, match="tolerance must be a finite number > 0"):
+            Tolerances(np.float64("nan"))
 
     def test_classify_refuses_bool_xi_scale(self):
         with pytest.raises(ValueError, match="xi_scale must be finite and nonzero"):

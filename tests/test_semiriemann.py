@@ -352,6 +352,18 @@ class TestOrthonormalize:
         with pytest.raises(NearNullPivotError):
             orthonormalize([[1.0, 1.0]], g)  # a null vector
 
+    def test_taken_candidate_is_not_picked_again(self):
+        # after e_x both candidates left are exactly null: the step must report
+        # a null pivot, not pick the taken e_x again
+        vectors = [[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]]
+        g = np.diag([1.0, 1.0, -1.0])
+        with pytest.raises(NearNullPivotError):
+            orthonormalize(vectors, g)
+        frame = orthonormalize(np.array([vectors, np.eye(3)]), np.array([g, g]))
+        assert not frame.signs[0].any() and not frame.vectors[0].any()
+        assert frame.signs[1].tolist() == [1, 1, -1]
+        assert np.array_equal(frame.vectors[1], np.eye(3))
+
     def test_leading_axis_rows_match_single_points(self):
         # each point is orthonormalized on its own; a null pivot zeroes its
         # point's rows instead of raising
