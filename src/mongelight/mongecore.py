@@ -652,9 +652,10 @@ def weingarten_at(
     """
     xi_scale, tolerance = _check_xi_scale(xi_scale), _check_tolerance(tolerance)
     data = _point_data(gen, _base_of(p))
-    if xi_scale not in data.weingarten:  # computed once for the d calls at a point
-        data.weingarten[xi_scale] = _weingarten(data, xi_scale)
-    a_vec, tau, certificate, scale = data.weingarten[xi_scale]
+    kept = data.weingarten.get(xi_scale)
+    if kept is None:  # computed once for the d calls at a point
+        kept = data.weingarten[xi_scale] = _weingarten(data, xi_scale)
+    a_vec, tau, certificate, scale = kept
     column = slice(i, i + 1)
     _raise(_tangency_failures("Weingarten", certificate[:, column], scale[:, column], tolerance))
     return a_vec[0, i], float(tau[0, i])

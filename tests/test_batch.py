@@ -88,6 +88,13 @@ def make_cases():
     rows = [["1", "0.5", "0.5"], ["0.5", "0.25", "1.25"], ["0.5", "1.25", "0.25"]]
     gen = generator("null_kernel", "xyz", rows, "x + 0.5*y + 0.5*z")
     cases["null_kernel"] = gen, drawn(gen, [(0.1, 0.2, 0.3)]), None
+    # at z = 0 the kernel vectors e_z, e_w left after the first pick are
+    # both exactly null; the greedy step must not take the first one again
+    rows = [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "z^2", "1"]]
+    rows.append(["0", "0", "1", "0"])
+    gen = generator("null_pair", "xyzw", rows, "sqrt(x^2 + y^2)")
+    bases = [(0.1, 0.2, 0.5, 0.4), (0.1, 0.2, 0.0, 0.4), (-0.3, 0.1, 2.0, -0.2)]
+    cases["null_pair"] = gen, drawn(gen, bases), None
     # a loose tolerance lets the Weingarten and Gauss gates fail
     gen = generator("bowl", "xy", IDENTITY2, "x^2 + y^2")
     bases = [(0.9, 0.2), (0.8, -0.6), (-0.95, 0.3), (0.7, 0.7), (0.4, 0.3), (1.0, 0.0)]
@@ -117,6 +124,9 @@ PINNED = {
     "exp": {0: "lightlike_defect is not finite", 1: "lightlike_defect is not finite"},
     "null_kernel": {
         0: "screen projection rank deficient: all remaining self-products below 1e-10 * scale"
+    },
+    "null_pair": {
+        1: "screen projection rank deficient: all remaining self-products below 1e-10 * scale"
     },
     "bowl": {
         1: "Weingarten tangent part pairs with xi (2.400e+00 > 0.9 * scale)",
