@@ -403,9 +403,10 @@ def _umbilic_fit(data: _PointData) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     scale = 1.0 + np.maximum(np.abs(data.g).max(axis=(1, 2)), np.abs(outer).max(axis=(1, 2)))
     posed = ~(peak < 1e-12 * scale)
     everywhere = posed.all()  # the usual case, without the masks
-    hess, scale = data.hess, normalizer
     if not everywhere:
-        target, hess, scale = target[posed], hess[posed], scale[posed]
+        target, hess, scale = target[posed], data.hess[posed], normalizer[posed]
+    else:
+        hess, scale = data.hess, normalizer
     m = len(target)
     rho = (hess * target).reshape(m, d * d).sum(axis=1) / (target * target).reshape(
         m, d * d
@@ -452,12 +453,14 @@ def _tangency_failures(
     failing = certificate > tolerance * scale
     if not failing.any():  # the usual case, without the masks
         return {}
+    flat = certificate.reshape(len(certificate), -1)
+    failing = failing.reshape(flat.shape)
     return {
         int(k): TangencyError(
             f"{kind} tangent part pairs with xi "
-            f"({certificate[k][failing[k]][0]:.3e} > {tolerance:g} * scale)"
+            f"({flat[k, np.argmax(failing[k])]:.3e} > {tolerance:g} * scale)"
         )
-        for k in np.flatnonzero(failing.any(axis=tuple(range(1, failing.ndim))))
+        for k in np.flatnonzero(failing.any(axis=1))
     }
 
 
