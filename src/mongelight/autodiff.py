@@ -1,12 +1,24 @@
-"""Second-order forward-mode scalars.
+"""Forward-mode Taylor scalars of first and second order.
 
 A Jet2 carries a value, a gradient, and a Hessian with respect to all chart
-coordinates through truncated second-order Taylor arithmetic, so first
-metric derivatives and second derivatives of a scalar field come out of a
-single evaluation pass.  The value lane reproduces plain float arithmetic
-exactly, and the Hessian stays exactly symmetric under every operation
-(each rule only ever adds symmetric outer-product pairs to symmetric
-inputs).
+coordinates through truncated second-order Taylor arithmetic, so second
+derivatives of a scalar field come out of a single evaluation pass.  The
+value lane reproduces plain float arithmetic exactly, and the Hessian stays
+exactly symmetric under every operation (each rule only ever adds symmetric
+outer-product pairs to symmetric inputs).
+
+A Jet1 carries only the value and the gradient.  It runs the same
+floating-point operations, in the same order, as Jet2's value and gradient
+lanes, and computes the same chain-rule coefficients f' and f'' (the
+elementary functions are shared), so it agrees with Jet2 bit for bit there
+and raises on exactly the same inputs; it skips only the Hessian arrays.
+The library runs Jet1 where no second derivative is read: the metric,
+whose Christoffel symbols need only dg, and F at the finite-difference
+neighbours of the d >= 3 screen bracket, which read only dF.  F at the
+analysed point stays second order.  An expression with a
+coordinate-dependent exponent always runs on Jet2, because Jet2 picks its
+exp(e ln b) rule from the exponent's Hessian lane as well as its gradient
+(``gradient_order`` tells, once per expression).
 
 Domain errors mirror the math module: ValueError for ln/sqrt/abs/power
 violations, ZeroDivisionError for division by a zero value lane.
@@ -19,22 +31,83 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["Jet2", "seed", "constant"]
+from .exprlang import BinOp, Call, Coord, Expr, Neg
+
+__all__ = ["Jet1", "Jet2", "seed", "constant", "gradient_order"]
 
 
-class Jet2:
+class _Taylor:
+    """The elementary functions, shared by both orders: each computes the
+    scalar coefficients f, f', f'' and hands them to the order's _chain."""
+
+    __slots__ = ()
+
+    def _pow_const(self, c: float):
+        v = self.value
+        if v < 0.0 and not c.is_integer():
+            raise ValueError(f"fractional power {c!r} of negative base {v!r}")
+        if v == 0.0 and c < 2.0 and c not in (0.0, 1.0):
+            raise ValueError(f"power {c!r} is not twice differentiable at 0")
+        if c == 0.0:
+            return constant(1.0, self.dim, self.order)
+        if c == 1.0:
+            return self
+        f1 = c * math.pow(v, c - 1.0)
+        f2 = c * (c - 1.0) * math.pow(v, c - 2.0)
+        return self._chain(math.pow(v, c), f1, f2)
+
+    def sin(self):
+        s, c = math.sin(self.value), math.cos(self.value)
+        return self._chain(s, c, -s)
+
+    def cos(self):
+        s, c = math.sin(self.value), math.cos(self.value)
+        return self._chain(c, -s, -c)
+
+    def tan(self):
+        t = math.tan(self.value)
+        d = 1.0 + t * t
+        return self._chain(t, d, 2.0 * t * d)
+
+    def exp(self):
+        v = math.exp(self.value)
+        return self._chain(v, v, v)
+
+    def ln(self):
+        v = self.value
+        if v <= 0.0:
+            raise ValueError(f"ln of non-positive value {v!r}")
+        return self._chain(math.log(v), 1.0 / v, -1.0 / (v * v))
+
+    def sqrt(self):
+        v = self.value
+        if v <= 0.0:
+            raise ValueError(f"sqrt of non-positive value {v!r}")
+        r = math.sqrt(v)
+        return self._chain(r, 0.5 / r, -0.25 / (r * v))
+
+    def abs(self):
+        if self.value == 0.0:
+            raise ValueError("abs is not differentiable at 0")
+        return self if self.value > 0.0 else -self
+
+    __abs__ = abs
+
+    @property
+    def dim(self) -> int:
+        return self.grad.shape[0]
+
+
+class Jet2(_Taylor):
     """Truncated second-order Taylor scalar: value + gradient + Hessian."""
 
     __slots__ = ("value", "grad", "hess")
+    order = 2
 
     def __init__(self, value: float, grad, hess):
         self.value = float(value)
         self.grad = np.asarray(grad, dtype=float)
         self.hess = np.asarray(hess, dtype=float)
-
-    @property
-    def dim(self) -> int:
-        return self.grad.shape[0]
 
     def __repr__(self):
         return f"Jet2({self.value!r}, grad={self.grad.tolist()}, hess={self.hess.tolist()})"
@@ -102,20 +175,6 @@ class Jet2:
             other = other.value
         return self._pow_const(float(other))
 
-    def _pow_const(self, c: float):
-        v = self.value
-        if v < 0.0 and not c.is_integer():
-            raise ValueError(f"fractional power {c!r} of negative base {v!r}")
-        if v == 0.0 and c < 2.0 and c not in (0.0, 1.0):
-            raise ValueError(f"power {c!r} is not twice differentiable at 0")
-        if c == 0.0:
-            return constant(1.0, self.dim)
-        if c == 1.0:
-            return _jet(self.value, self.grad, self.hess)
-        f1 = c * math.pow(v, c - 1.0)
-        f2 = c * (c - 1.0) * math.pow(v, c - 2.0)
-        return self._chain(math.pow(v, c), f1, f2)
-
     def __rpow__(self, base):
         if base <= 0.0:
             raise ValueError("power with variable exponent needs a positive base")
@@ -124,48 +183,69 @@ class Jet2:
         outer = u.grad[:, None] * u.grad
         return _jet(v, v * u.grad, v * (u.hess + outer))
 
-    # -- elementary functions (chain rule with f' and f'') -------------------
-
     def _chain(self, f0: float, f1: float, f2: float):
         outer = self.grad[:, None] * self.grad
         return _jet(f0, f1 * self.grad, f1 * self.hess + f2 * outer)
 
-    def sin(self):
-        s, c = math.sin(self.value), math.cos(self.value)
-        return self._chain(s, c, -s)
 
-    def cos(self):
-        s, c = math.sin(self.value), math.cos(self.value)
-        return self._chain(c, -s, -c)
+class Jet1(_Taylor):
+    """Truncated first-order Taylor scalar: value + gradient.
 
-    def tan(self):
-        t = math.tan(self.value)
-        d = 1.0 + t * t
-        return self._chain(t, d, 2.0 * t * d)
+    Every rule is Jet2's without the Hessian lane.  A coordinate-dependent
+    exponent is refused (TypeError): run such an expression on Jet2.
+    """
 
-    def exp(self):
-        v = math.exp(self.value)
-        return self._chain(v, v, v)
+    __slots__ = ("value", "grad")
+    order = 1
 
-    def ln(self):
-        v = self.value
-        if v <= 0.0:
-            raise ValueError(f"ln of non-positive value {v!r}")
-        return self._chain(math.log(v), 1.0 / v, -1.0 / (v * v))
+    def __init__(self, value: float, grad):
+        self.value = float(value)
+        self.grad = np.asarray(grad, dtype=float)
 
-    def sqrt(self):
-        v = self.value
-        if v <= 0.0:
-            raise ValueError(f"sqrt of non-positive value {v!r}")
-        r = math.sqrt(v)
-        return self._chain(r, 0.5 / r, -0.25 / (r * v))
+    def __repr__(self):
+        return f"Jet1({self.value!r}, grad={self.grad.tolist()})"
 
-    def abs(self):
-        if self.value == 0.0:
-            raise ValueError("abs is not differentiable at 0")
-        return self if self.value > 0.0 else -self
+    def __add__(self, other):
+        if isinstance(other, Jet1):
+            return _jet1(self.value + other.value, self.grad + other.grad)
+        return _jet1(self.value + other, self.grad)
 
-    __abs__ = abs
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if isinstance(other, Jet1):
+            return _jet1(self.value - other.value, self.grad - other.grad)
+        return _jet1(self.value - other, self.grad)
+
+    def __rsub__(self, other):
+        return _jet1(other - self.value, -self.grad)
+
+    def __neg__(self):
+        return _jet1(-self.value, -self.grad)
+
+    def __mul__(self, other):
+        if isinstance(other, Jet1):
+            grad = self.value * other.grad + other.value * self.grad
+            return _jet1(self.value * other.value, grad)
+        return _jet1(self.value * other, self.grad * other)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if not isinstance(other, Jet1):
+            return _jet1(self.value / other, self.grad / other)
+        q = self.value / other.value  # raises ZeroDivisionError like floats
+        return _jet1(q, (self.grad - q * other.grad) / other.value)
+
+    def __rtruediv__(self, other):
+        q = other / self.value
+        return _jet1(q, (-q * self.grad) / self.value)
+
+    def __pow__(self, other):
+        return self._pow_const(float(other))  # float() of a jet raises TypeError
+
+    def _chain(self, f0: float, f1: float, f2: float):
+        return _jet1(f0, f1 * self.grad)
 
 
 def _jet(value: float, grad: np.ndarray, hess: np.ndarray) -> Jet2:
@@ -178,13 +258,47 @@ def _jet(value: float, grad: np.ndarray, hess: np.ndarray) -> Jet2:
     return jet
 
 
-def constant(value: float, dim: int) -> Jet2:
-    """A jet with the given value and vanishing derivatives."""
+def _jet1(value: float, grad: np.ndarray) -> Jet1:
+    """A Jet1 from a float64 array, without the conversions of ``Jet1.__init__``."""
+    jet = object.__new__(Jet1)
+    jet.value = float(value)
+    jet.grad = grad
+    return jet
+
+
+def constant(value: float, dim: int, order: int = 2) -> Jet1 | Jet2:
+    """A jet of the given order with the given value and vanishing derivatives."""
+    if order == 1:
+        return _jet1(value, np.zeros(dim))
     return _jet(value, np.zeros(dim), np.zeros((dim, dim)))
 
 
-def seed(point: Sequence[float]) -> list[Jet2]:
-    """Independent-variable jets for a point: unit gradients, zero Hessians."""
+def seed(point: Sequence[float], order: int = 2) -> list[Jet1] | list[Jet2]:
+    """Independent-variable jets of the given order for a point: unit
+    gradients (and zero Hessians)."""
     d = len(point)
     eye = np.eye(d)
+    if order == 1:
+        return [_jet1(point[i], eye[i]) for i in range(d)]
     return [_jet(point[i], eye[i], np.zeros((d, d))) for i in range(d)]
+
+
+def gradient_order(e: Expr) -> int:
+    """The lowest jet order whose value and gradient lanes match Jet2's on
+    ``e`` at every point: 2 if some ``^`` has a coordinate in its exponent,
+    else 1."""
+
+    def variable(node, exponent: bool) -> bool:
+        if isinstance(node, Coord):
+            return exponent
+        if isinstance(node, Neg):
+            return variable(node.operand, exponent)
+        if isinstance(node, Call):
+            return variable(node.arg, exponent)
+        if isinstance(node, BinOp):
+            # evaluate runs every operator but + - * / as a power
+            inner = exponent or node.op not in ("+", "-", "*", "/")
+            return variable(node.left, exponent) or variable(node.right, inner)
+        return False
+
+    return 2 if variable(e, False) else 1

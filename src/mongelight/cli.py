@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import __version__, catalog
-from .exprlang import EvalDomainError, evaluate, parse
+from .exprlang import EvalDomainError, compile_expr, parse
 from .mongecore import (
     ClassificationReport,
     Tolerances,
@@ -156,7 +156,7 @@ def _expected_checks(entry, report: ClassificationReport, tol: float) -> list[tu
     def closed_form(label, expr_src, getter):
         if expr_src is None:
             return
-        expr = None
+        closed = None
         worst = 0.0
         for analysis in report.points:
             if analysis.error is not None:
@@ -164,9 +164,10 @@ def _expected_checks(entry, report: ClassificationReport, tol: float) -> list[tu
             value = getter(analysis)
             if value is None:
                 continue
-            if expr is None:
-                expr = parse(expr_src, entry.generator.chart)
-            want = evaluate(expr, analysis.point.base, entry.generator.params)
+            if closed is None:  # parsed and compiled once per run
+                gen = entry.generator
+                closed = compile_expr(parse(expr_src, gen.chart), gen.params)
+            want = closed(analysis.point.base)
             worst = max(worst, abs(value - want) / (1.0 + abs(want)))
         ok = worst <= tol
         checks.append((label, ok, f"{expr_src} within {tol:g} (worst {worst:.3g})"))

@@ -2,8 +2,10 @@
 
 Metric components, scalar fields, and domain constraints are written as
 strings in a small real-valued DSL and parsed against a coordinate chart.
-The evaluator is generic over the scalar type, so the same AST runs on
-plain floats and on second-order jets (see autodiff.Jet2).
+``compile_expr`` turns an AST into a tree of closures once; the result is
+generic over the scalar type, so the same compiled expression runs on
+plain floats and on first- or second-order jets (see autodiff).
+``evaluate`` compiles and runs in one call.
 
 Grammar (no implicit multiplication; ^ binds tighter than unary minus):
 
@@ -20,10 +22,11 @@ the constants pi and e.  Functions: sin, cos, tan, exp, ln, sqrt, abs.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
 __all__ = [
     "CoordinateChart",
@@ -43,6 +46,7 @@ __all__ = [
     "parse_constraint",
     "render",
     "evaluate",
+    "compile_expr",
     "check_domain",
 ]
 
@@ -156,14 +160,24 @@ class DomainConstraint:
     rhs: Expr
 
     def holds(self, point: Sequence[float], params: Mapping[str, float]) -> bool:
-        try:
-            a = evaluate(self.lhs, point, params)
-            b = evaluate(self.rhs, point, params)
-        except EvalDomainError:
-            return False
-        if not (math.isfinite(a) and math.isfinite(b)):
-            return False
-        return a > b if self.relation == ">" else a >= b
+        return self.compile(params)(point)
+
+    def compile(self, params: Mapping[str, float]) -> Callable[[Sequence[float]], bool]:
+        """``holds`` with both sides compiled once (see compile_expr)."""
+        lhs, rhs = compile_expr(self.lhs, params), compile_expr(self.rhs, params)
+        relation = self.relation
+
+        def holds(point: Sequence[float]) -> bool:
+            try:
+                a = lhs(point)
+                b = rhs(point)
+            except EvalDomainError:
+                return False
+            if not (math.isfinite(a) and math.isfinite(b)):
+                return False
+            return a > b if relation == ">" else a >= b
+
+        return holds
 
 
 # ---------------------------------------------------------------------------
@@ -369,86 +383,126 @@ def _lane(x) -> float:
     return getattr(x, "value", x)
 
 
+# what Python's float and jet arithmetic raise, reported as EvalDomainError
+_ARITHMETIC_ERRORS = (ValueError, OverflowError, ZeroDivisionError)
+
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
+def compile_expr(
+    e: Expr, params: Mapping[str, float] | None = None
+) -> Callable[[Sequence], object]:
+    """Compile ``e`` once into a tree of closures; ``compile_expr(e, params)(point)``
+    is ``evaluate(e, point, params)``, for float and jet points alike.
+
+    Each node is dispatched on its type once, here, not at every call.
+    Parameters are resolved now; an unresolved one raises only when the
+    result is called.
+    """
+    run = _compile(e, {} if params is None else params)
+
+    def compiled(point: Sequence):
+        result = run(point)
+        return float(result) if isinstance(result, int) else result
+
+    return compiled
+
+
+def _compile(node: Expr, params: Mapping[str, float]) -> Callable[[Sequence], object]:
+    if isinstance(node, Num):
+        value = node.value
+        return lambda point: value
+    if isinstance(node, Coord):
+        index = node.index
+        return lambda point: point[index]
+    if isinstance(node, Param):
+        try:
+            value = params[node.name]
+        except KeyError:
+
+            def unresolved(point):
+                raise EvalDomainError(f"unresolved parameter {node.name!r}", node)
+
+            return unresolved
+        return lambda point: value
+    if isinstance(node, Neg):
+        operand = _compile(node.operand, params)
+        return lambda point: -operand(point)
+    if isinstance(node, Call):
+        return _compile_call(node, _compile(node.arg, params))
+    if isinstance(node, BinOp):
+        return _compile_binop(node, _compile(node.left, params), _compile(node.right, params))
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def _compile_call(node: Call, arg: Callable) -> Callable:
+    fn = node.func
+    positive = fn in ("ln", "sqrt")  # ln and sqrt need a positive argument
+    smooth = fn == "abs"  # abs of a jet needs a nonzero argument
+
+    def call(point):
+        x = arg(point)
+        v = _lane(x)
+        if positive and v <= 0.0:
+            raise EvalDomainError(f"{fn} of non-positive value {v!r}", node)
+        if smooth and v == 0.0 and not isinstance(x, float):
+            raise EvalDomainError("abs is not differentiable at 0", node)
+        try:
+            result = _FLOAT_FUNCS[fn](v) if isinstance(x, float) else getattr(x, fn)()
+        except _ARITHMETIC_ERRORS as exc:
+            raise EvalDomainError(str(exc), node) from None
+        if not math.isfinite(_lane(result)):
+            raise EvalDomainError("non-finite result", node)
+        return result
+
+    return call
+
+
+def _compile_binop(node: BinOp, left: Callable, right: Callable) -> Callable:
+    if node.op in _OPERATORS:
+        apply = _OPERATORS[node.op]
+    elif node.op == "/":
+
+        def apply(a, b):
+            if _lane(b) == 0.0:
+                raise EvalDomainError("division by zero", node)
+            return a / b
+
+    else:  # "^", as which every other operator runs
+
+        def apply(a, b):
+            base, expo = _lane(a), _lane(b)
+            if base < 0.0 and not float(expo).is_integer():
+                raise EvalDomainError(f"fractional power {expo!r} of negative base {base!r}", node)
+            if base == 0.0 and expo < 0.0:
+                raise EvalDomainError("zero raised to a negative power", node)
+            if isinstance(a, float) and isinstance(b, float):
+                return math.pow(a, b)
+            return a**b
+
+    def binop(point):
+        a, b = left(point), right(point)
+        try:
+            result = apply(a, b)
+            if not math.isfinite(_lane(result)):
+                raise EvalDomainError("non-finite result", node)
+        except _ARITHMETIC_ERRORS as exc:
+            raise EvalDomainError(str(exc), node) from None
+        return result
+
+    return binop
+
+
 def evaluate(e: Expr, point: Sequence, params: Mapping[str, float] | None = None):
     """Evaluate ``e`` at ``point``, whose entries may be floats or jets.
 
     Domain violations (division by zero, ln/sqrt of non-positive values,
     fractional powers of negative bases, overflow to non-finite) raise
-    EvalDomainError rather than producing non-finite values.
+    EvalDomainError rather than producing non-finite values.  Compiles
+    ``e`` on every call; hold a ``compile_expr`` result to evaluate one
+    expression at many points.
     """
-    if params is None:
-        params = {}
-
-    def ev(node):
-        if isinstance(node, Num):
-            return node.value
-        if isinstance(node, Coord):
-            return point[node.index]
-        if isinstance(node, Param):
-            try:
-                return params[node.name]
-            except KeyError:
-                raise EvalDomainError(f"unresolved parameter {node.name!r}", node) from None
-        if isinstance(node, Neg):
-            return -ev(node.operand)
-        if isinstance(node, Call):
-            return _call(node, ev(node.arg))
-        if isinstance(node, BinOp):
-            return _binop(node, ev(node.left), ev(node.right))
-        raise TypeError(f"not an expression node: {node!r}")
-
-    def _checked(node, result):
-        if not math.isfinite(_lane(result)):
-            raise EvalDomainError("non-finite result", node)
-        return result
-
-    def _call(node, x):
-        v = _lane(x)
-        fn = node.func
-        if fn == "ln" and v <= 0.0:
-            raise EvalDomainError(f"ln of non-positive value {v!r}", node)
-        if fn == "sqrt" and v <= 0.0:
-            raise EvalDomainError(f"sqrt of non-positive value {v!r}", node)
-        if fn == "abs" and v == 0.0 and not isinstance(x, float):
-            raise EvalDomainError("abs is not differentiable at 0", node)
-        impl = _FLOAT_FUNCS[fn] if isinstance(x, float) else getattr(x, fn)
-        try:
-            result = impl(v) if isinstance(x, float) else impl()
-        except (ValueError, OverflowError, ZeroDivisionError) as exc:
-            raise EvalDomainError(str(exc), node) from None
-        return _checked(node, result)
-
-    def _binop(node, a, b):
-        op = node.op
-        try:
-            if op == "+":
-                return _checked(node, a + b)
-            if op == "-":
-                return _checked(node, a - b)
-            if op == "*":
-                return _checked(node, a * b)
-            if op == "/":
-                if _lane(b) == 0.0:
-                    raise EvalDomainError("division by zero", node)
-                return _checked(node, a / b)
-            # op == "^"
-            base, expo = _lane(a), _lane(b)
-            if base < 0.0 and not float(expo).is_integer():
-                raise EvalDomainError(
-                    f"fractional power {expo!r} of negative base {base!r}", node
-                )
-            if base == 0.0 and expo < 0.0:
-                raise EvalDomainError("zero raised to a negative power", node)
-            if isinstance(a, float) and isinstance(b, float):
-                return _checked(node, math.pow(a, b))
-            return _checked(node, a**b)
-        except (ValueError, OverflowError, ZeroDivisionError) as exc:
-            raise EvalDomainError(str(exc), node) from None
-
-    result = ev(e)
-    if isinstance(result, int):
-        result = float(result)
-    return result
+    return compile_expr(e, params)(point)
 
 
 def check_domain(

@@ -26,7 +26,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -36,10 +36,9 @@ from .exprlang import (
     DomainConstraint,
     EvalDomainError,
     Expr,
-    check_domain,
-    evaluate,
+    compile_expr,
 )
-from .autodiff import Jet2, constant, seed
+from .autodiff import constant, gradient_order, seed
 from .semiriemann import (
     DEGENERACY_THRESHOLD,
     DegenerateMetricError,
@@ -113,6 +112,7 @@ class MongeGenerator:
     Flagged degenerate exactly where g(grad F, grad F) = 1; the induced
     metric on the graph hypersurface is lightlike at those points.
     Frozen, because per-point results are cached by generator identity.
+    F and the domain constraints are compiled once, here.
     """
 
     name: str
@@ -120,6 +120,16 @@ class MongeGenerator:
     metric: MetricField
     scalar_field: Expr
     constraints: tuple[DomainConstraint, ...] = ()
+    # F compiled, with the jet order its gradient needs, and each constraint
+    _scalar: Callable = field(init=False, repr=False)
+    _scalar_order: int = field(init=False, repr=False)
+    _domain: tuple[Callable, ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        params = self.chart.parameters
+        object.__setattr__(self, "_scalar", compile_expr(self.scalar_field, params))
+        object.__setattr__(self, "_scalar_order", gradient_order(self.scalar_field))
+        object.__setattr__(self, "_domain", tuple(c.compile(params) for c in self.constraints))
 
     @property
     def dimension(self) -> int:
@@ -130,12 +140,11 @@ class MongeGenerator:
         return self.chart.parameters
 
     def admissible(self, base: Sequence[float]) -> bool:
-        return check_domain(self.constraints, base, self.params)
+        return all(holds(base) for holds in self._domain)
 
     def surface_point(self, base: Sequence[float]) -> "SurfacePoint":
         base = tuple(float(x) for x in base)
-        x0 = evaluate(self.scalar_field, base, self.params)
-        return SurfacePoint(base, x0)
+        return SurfacePoint(base, self._scalar(base))
 
 
 @dataclass(frozen=True)
@@ -303,20 +312,30 @@ def _elimination(d: int) -> tuple[np.ndarray, np.ndarray]:
     return others, np.eye(d)[others]
 
 
-def _jets(gen: MongeGenerator, base: tuple[float, ...]) -> tuple[np.ndarray, ...]:
+def _jets(gen: MongeGenerator, base: tuple[float, ...], order: int = 2) -> tuple[np.ndarray, ...]:
     """(g, ginv, dg, dF, d2F, xi_hat) at one point, uncached: classify
-    stacks them, and the screen bracket's neighbours read only dF and xi_hat."""
+    stacks them, and the screen bracket's neighbours read only dF and
+    xi_hat.  With order 1, F runs on first-order jets (unless its gradient
+    needs second-order ones) and d2F is None."""
     g, dg = semiriemann.metric_jets_at(gen.metric, base)
     ginv = invert_metric(g, at=base)
-    jet = evaluate(gen.scalar_field, seed(list(base)), gen.params)
-    if not isinstance(jet, Jet2):
-        jet = constant(jet, gen.dimension)
+    jet = gen._scalar(seed(base, max(order, gen._scalar_order)))
+    if isinstance(jet, float):
+        jet = constant(jet, gen.dimension, order)
     dF = jet.grad
-    # evaluate() checks only the value lane; an infinite dF would turn the
+    # evaluation checks only the value lane; an infinite dF would turn the
     # frame's Gram matrix into NaN
     if not np.isfinite(dF).all():
         raise NonFiniteValueError(f"derivatives not finite at {list(base)}")
-    return g, ginv, dg, dF, jet.hess, ginv @ dF
+    return g, ginv, dg, dF, jet.hess if order == 2 else None, ginv @ dF
+
+
+# The errstate classify and the public functions run under, as a decorator:
+# an overflow or invalid operation gives inf or NaN without a RuntimeWarning.
+# classify records such a point as a NonFiniteValueError; the public
+# functions return the numbers as they are.  (The decorator's wrapper is one
+# more frame for a warning's stacklevel.)
+_quiet = np.errstate(over="ignore", invalid="ignore")
 
 
 def _raise(failures: dict[int, Exception]):
@@ -338,6 +357,7 @@ def _hessian_failures(data: _PointData) -> dict[int, Exception]:
 
 
 @lru_cache(maxsize=512)
+@_quiet
 def _point_data(gen: MongeGenerator, base: tuple[float, ...]) -> _PointData:
     """The stacked geometry of the one point ``base``."""
     data = _PointData([base], [_jets(gen, base)])
@@ -468,11 +488,13 @@ def _tangency_failures(
 # Induced objects
 
 
+@_quiet
 def ambient_metric_at(gen: MongeGenerator, point) -> np.ndarray:
     """Ambient metric diag(-1, g) at a base point."""
     return _point_data(gen, _base_of(point)).gbar[0].copy()
 
 
+@_quiet
 def normal_and_transversal_at(
     gen: MongeGenerator, p, xi_scale: float = 1.0
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -486,11 +508,13 @@ def normal_and_transversal_at(
     return xi_scale * data.xi[0], data.nxi[0] / xi_scale
 
 
+@_quiet
 def lightlike_defect_at(gen: MongeGenerator, point) -> float:
     """g(grad F, grad F) - 1; zero exactly where the hypersurface is lightlike."""
     return float(_point_data(gen, _base_of(point)).norm2[0] - 1.0)
 
 
+@_quiet
 def monge_frame_at(
     gen: MongeGenerator, p, tolerance: float = 1e-8
 ) -> tuple[np.ndarray, np.ndarray, int]:
@@ -505,6 +529,7 @@ def monge_frame_at(
     return data.frame[0].copy(), data.induced[0].copy(), rank
 
 
+@_quiet
 def second_fundamental_form_at(
     gen: MongeGenerator, p, xi_scale: float = 1.0, tolerance: float = 1e-8
 ) -> np.ndarray:
@@ -519,11 +544,12 @@ def second_fundamental_form_at(
         warnings.warn(
             f"second fundamental form at non-lightlike point (defect {data.norm2[0] - 1.0:.3e})",
             NotLightlikeWarning,
-            stacklevel=2,
+            stacklevel=3,  # past _quiet's wrapper to the caller
         )
     return -xi_scale * data.hess[0]
 
 
+@_quiet
 def umbilic_fit_at(gen: MongeGenerator, p) -> tuple[float, float]:
     """Least-squares fit Hess(F) = rho * (dF (x) dF - g).
 
@@ -537,6 +563,7 @@ def umbilic_fit_at(gen: MongeGenerator, p) -> tuple[float, float]:
     return float(rho[0]), float(residual[0])
 
 
+@_quiet
 def minimal_defect_at(gen: MongeGenerator, p) -> float:
     """Sign-weighted Hessian trace over a g-orthonormal frame of ker dF.
 
@@ -550,6 +577,7 @@ def minimal_defect_at(gen: MongeGenerator, p) -> float:
     return float(_minimal_defect(frame, data.hess)[0])
 
 
+@_quiet
 def screen_frame_at(gen: MongeGenerator, p, tolerance: float = 1e-8) -> OrthoFrame:
     """Canonical screen frame: d-1 ambient vectors W with
     gbar(W, xi) = 0, zero x0 component, and gbar(W_i, W_j) = sign_i delta_ij.
@@ -596,6 +624,7 @@ def _gauss_split(
     return tangent, B, certificate, scale
 
 
+@_quiet
 def gauss_decompose_at(
     gen: MongeGenerator, p, i: int, j: int, xi_scale: float = 1.0, tolerance: float = 1e-8
 ) -> tuple[np.ndarray, float]:
@@ -644,6 +673,7 @@ def _peak(data: _PointData, xi: np.ndarray) -> np.ndarray:
     return np.abs(np.concatenate((xi, data.gbar.reshape(n, (d + 1) ** 2)), axis=1)).max(axis=1)
 
 
+@_quiet
 def weingarten_at(
     gen: MongeGenerator, p, i: int, xi_scale: float = 1.0, tolerance: float = 1e-8
 ) -> tuple[np.ndarray, float]:
@@ -677,7 +707,7 @@ def _neighbour_jets(gen: MongeGenerator, base: tuple[float, ...]) -> tuple[np.nd
     for l in range(d):
         for side, step in enumerate((BRACKET_STEP, -BRACKET_STEP)):
             shifted = base[:l] + (base[l] + step,) + base[l + 1 :]
-            *_, dF[l, side], _, xi_hat[l, side] = _jets(gen, shifted)
+            *_, dF[l, side], _, xi_hat[l, side] = _jets(gen, shifted, order=1)
     return dF, xi_hat
 
 
@@ -694,6 +724,7 @@ def _bracket_defect(data: _PointData, dF: np.ndarray, xi_hat: np.ndarray) -> np.
     return 0.5 * np.abs(bracket @ data.dF[:, None, :, None]).max(axis=(1, 2, 3))
 
 
+@_quiet
 def screen_integrability_defect_at(gen: MongeGenerator, p) -> float:
     """Worst Lie-bracket leakage of the screen fields out of the screen.
 
@@ -768,6 +799,7 @@ _POINT_ERRORS = (
 )
 
 
+@_quiet
 def _analyze(
     gen: MongeGenerator, points: Sequence[SurfacePoint], tol: float, xi_scale: float
 ) -> list[PointAnalysis]:
@@ -925,9 +957,7 @@ def classify(
     if not points:
         raise EmptySampleError("no sample points supplied")
 
-    # overflows here become NonFiniteValueError points, so numpy need not warn
-    with np.errstate(over="ignore", invalid="ignore"):
-        analyses = _analyze(gen, points, tol.base, xi_scale)
+    analyses = _analyze(gen, points, tol.base, xi_scale)
     good = [a for a in analyses if a.error is None]
     failed_fraction = 1.0 - len(good) / len(analyses)
 

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import autodiff
-from .exprlang import CoordinateChart, Expr, evaluate, parse, render
+from .exprlang import CoordinateChart, Expr, compile_expr, parse, render
 
 __all__ = [
     "MetricField",
@@ -63,13 +63,15 @@ class MetricField:
     """A d x d matrix of component expressions over a chart.
 
     Frozen, with tuple rows, because per-point results are cached by the
-    identity of the generator that holds the field.
+    identity of the generator that holds the field.  Each structurally
+    distinct component is compiled once, here.
     """
 
     chart: CoordinateChart
     components: tuple[tuple[Expr, ...], ...]
-    # each structurally distinct component once, with the (j, k) slots it fills
-    _distinct: tuple[tuple[Expr, tuple[tuple[int, int], ...]], ...] = dataclasses.field(
+    # each structurally distinct component once: compiled, with the jet
+    # order its gradient needs and the (j, k) slots it fills
+    _distinct: tuple[tuple[Callable, int, tuple[tuple[int, int], ...]], ...] = dataclasses.field(
         init=False, repr=False, compare=False
     )
 
@@ -86,7 +88,11 @@ class MetricField:
             for k in range(d):
                 expr = components[j][k]
                 slots.setdefault((render(expr), expr), []).append((j, k))
-        distinct = tuple((expr, tuple(where)) for (_, expr), where in slots.items())
+        params = self.chart.parameters
+        distinct = tuple(
+            (compile_expr(expr, params), autodiff.gradient_order(expr), tuple(where))
+            for (_, expr), where in slots.items()
+        )
         object.__setattr__(self, "_distinct", distinct)
 
     @classmethod
@@ -112,12 +118,14 @@ class OrthoFrame:
 
 def evaluate_matrix(field: MetricField, point) -> np.ndarray:
     """Raw metric matrix at a point, with no symmetry or invertibility gates."""
-    params = field.chart.parameters
     d = field.chart.dimension
     g = np.empty((d, d))
-    for i in range(d):
-        for j in range(d):
-            g[i, j] = evaluate(field.components[i][j], point, params)
+    # the distinct components come in row-major order of first use, so the
+    # first to fail is the row-major first failing entry
+    for component, _, slots in field._distinct:
+        value = component(point)
+        for j, k in slots:
+            g[j, k] = value
     return g
 
 
@@ -151,18 +159,21 @@ def invert_metric(g: np.ndarray, at: Sequence[float] | None = None) -> np.ndarra
 
 def metric_jets_at(field: MetricField, point: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     """Metric values and first partials (dg[i, j, k] = d_i g_jk) in one jet pass,
-    evaluating each distinct component once."""
-    params = field.chart.parameters
+    evaluating each distinct component once, on first-order jets unless its
+    gradient needs second-order ones (see autodiff.gradient_order)."""
     d = field.chart.dimension
-    jets = autodiff.seed(point)
+    seeds: dict[int, list] = {}
     g = np.empty((d, d))
     dg = np.empty((d, d, d))
-    for expr, slots in field._distinct:
-        jet = evaluate(expr, jets, params)
-        if isinstance(jet, autodiff.Jet2):
-            value, grad = jet.value, jet.grad
-        else:  # constant entry
+    for component, order, slots in field._distinct:
+        jets = seeds.get(order)
+        if jets is None:
+            jets = seeds[order] = autodiff.seed(point, order)
+        jet = component(jets)
+        if isinstance(jet, float):  # constant entry
             value, grad = jet, 0.0
+        else:
+            value, grad = jet.value, jet.grad
         for j, k in slots:
             g[j, k] = value
             dg[:, j, k] = grad

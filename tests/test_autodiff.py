@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from mongelight.autodiff import Jet2, constant, seed
-from mongelight.exprlang import CoordinateChart, evaluate, parse
+from mongelight.autodiff import Jet1, Jet2, constant, gradient_order, seed
+from mongelight.exprlang import CoordinateChart, EvalDomainError, compile_expr, evaluate, parse
 
 from _oracles import (
     fd_gradient,
     fd_hessian,
+    random_ast,
     random_box_point,
     random_smooth_expr,
     scalar_evaluator,
@@ -146,3 +147,108 @@ class TestInvariants:
             jet = evaluate(expr, seed(point), chart.parameters)
             plain = evaluate(expr, point, chart.parameters)
             assert getattr(jet, "value", jet) == plain
+
+
+def outcome(compiled, point, order):
+    """Value and gradient bits of a compiled expression on jets of the given
+    order, or the type and message of what it raised.  Runs under the
+    errstate the library runs its jets in: at an edge value Jet2's Hessian
+    lane can overflow where no value or gradient does."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            jet = compiled(seed(point, order))
+    except Exception as exc:  # compared across orders, whatever it is
+        return "raised", type(exc).__name__, str(exc)
+    if isinstance(jet, float):
+        return "constant", jet.hex(), None
+    return "jet", jet.value.hex(), jet.grad.tobytes()
+
+
+# coordinates at which f'' of sqrt (-0.25 / (r * v)) or ln (-1 / (v * v))
+# underflows to a zero denominator, and other edges of the float range
+EDGE_VALUES = (1e-320, 1e-170, -1e-170, 5e-324, 0.0, -0.0, 1e-160, 1e154, 1e200, -3.0, 0.5, 2.0)
+
+
+class TestJet1:
+    """Jet1 must give Jet2's value and gradient bits, and raise where Jet2 does."""
+
+    def test_rules_match_jet2_lanes(self):
+        x1, y1 = seed([0.7, -1.3], 1)
+        x2, y2 = seed([0.7, -1.3])
+        pairs = [
+            (x1 * y1 / (1.0 + x1), x2 * y2 / (1.0 + x2)),
+            (2.0 / y1 - x1 + 3.0, 2.0 / y2 - x2 + 3.0),
+            ((x1**3.0).sin() - y1.cos().exp(), (x2**3.0).sin() - y2.cos().exp()),
+            ((x1 * x1).sqrt().ln() * y1.tan(), (x2 * x2).sqrt().ln() * y2.tan()),
+            (abs(y1) ** 0.5, abs(y2) ** 0.5),
+            (2.0 - x1**0.0, 2.0 - x2**0.0),
+        ]
+        for one, two in pairs:
+            assert isinstance(one, Jet1)
+            assert one.value.hex() == two.value.hex()
+            assert one.grad.tobytes() == two.grad.tobytes()
+
+    @pytest.mark.parametrize("value", [1e-320, 1e-170])
+    def test_second_coefficient_underflow_raises_alike(self, value):
+        for order in (1, 2):
+            (x,) = seed([value], order)
+            with pytest.raises(ZeroDivisionError):
+                x.sqrt() if value == 1e-320 else x.ln()
+
+    def test_variable_exponent_refused(self):
+        x, y = seed([2.0, 3.0], 1)
+        with pytest.raises(TypeError):
+            x**y
+
+    def test_gradient_order(self):
+        chart = CoordinateChart(("x", "y"), {"R": 2.0})
+        for text, order in (
+            ("x^2 + R^3", 1),
+            ("sqrt(x)*exp(-y)/(1 + x^R)", 1),
+            ("2^x", 2),
+            ("x^(y - y)", 2),
+            ("ln(1 + x^(2*sin(y)))", 2),
+            ("-(x^3)^-(R^y)", 2),
+        ):
+            assert gradient_order(parse(text, chart)) == order, text
+
+    def test_constant_and_seed_orders(self):
+        assert isinstance(constant(1.5, 3, 1), Jet1)
+        assert not constant(1.5, 3, 1).grad.any()
+        (x,) = seed([4.0], 1)
+        assert x.grad.tolist() == [1.0] and not hasattr(x, "hess")
+
+    @pytest.mark.parametrize("source", ["smooth", "ast"])
+    def test_compiled_expressions_agree_with_jet2(self, source):
+        rng = np.random.default_rng(911 if source == "smooth" else 912)
+        chart = CoordinateChart(("u", "v"), {"R": 1.5})
+        compared = raised = 0
+        for _ in range(300):
+            if source == "smooth":
+                expr = random_smooth_expr(rng, chart)
+            else:
+                expr = random_ast(rng, chart, depth=3)
+            if gradient_order(expr) == 2:
+                continue
+            compiled = compile_expr(expr, chart.parameters)
+            for point in (
+                random_box_point(rng, 2),
+                [float(v) for v in rng.choice(EDGE_VALUES, size=2)],
+                [float(rng.choice(EDGE_VALUES)), float(rng.uniform(-2.0, 2.0))],
+            ):
+                first, second = outcome(compiled, point, 1), outcome(compiled, point, 2)
+                assert first == second, (expr, point)
+                compared += 1
+                raised += second[0] == "raised"
+        assert compared >= 500 and raised >= 20, (compared, raised)
+
+    def test_underflowing_coefficients_raise_the_same_message(self):
+        chart = CoordinateChart(("x", "y"))
+        for text, point in (("sqrt(x)", [1e-320, 1.0]), ("ln(y)*x", [2.0, 1e-170])):
+            compiled = compile_expr(parse(text, chart))
+            messages = set()
+            for order in (1, 2):
+                with pytest.raises(EvalDomainError) as caught:
+                    compiled(seed(point, order))
+                messages.add(str(caught.value))
+            assert messages == {f"float division by zero in subexpression {text.split('*')[0]!r}"}

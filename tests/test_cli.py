@@ -6,6 +6,7 @@ import math
 import pytest
 
 from mongelight import catalog, cli
+from mongelight.exprlang import render
 from mongelight.reportio import SampleSet, save_generator
 
 
@@ -178,6 +179,19 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "totally_umbilical: PASS" in out
         assert "umbilic_rho: PASS (1 within" in out
+
+    def test_closed_forms_compiled_once_per_run(self, capsys, monkeypatch):
+        compiled = []
+        real = cli.compile_expr
+
+        def counting(expr, params=None):
+            compiled.append(render(expr))
+            return real(expr, params)
+
+        monkeypatch.setattr(cli, "compile_expr", counting)
+        assert cli.main(["verify", "--builtin", "hyperbolic2"]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+        assert compiled == ["0.0", "1.0", "-1.0"]  # lightlike defect, rho, minimal defect
 
 
 class TestEvalCommand:

@@ -17,6 +17,7 @@ from mongelight.exprlang import (
     Num,
     Param,
     check_domain,
+    compile_expr,
     evaluate,
     parse,
     parse_constraint,
@@ -208,6 +209,72 @@ class TestEvaluate:
             plain = evaluate(expr, point, chart.parameters)
             jet = evaluate(expr, seed(point), chart.parameters)
             assert getattr(jet, "value", jet) == plain
+
+
+class TestCompile:
+    def test_messages_and_nodes(self):
+        chart = TR
+        cases = (
+            ("1/(r - 2)", [0.0, 2.0], "division by zero", "1.0/(r-2.0)"),
+            ("t + ln(r - 2)", [0.0, 1.0], "ln of non-positive value -1.0", "ln(r-2.0)"),
+            ("sqrt(t)", [-0.0, 1.0], "sqrt of non-positive value -0.0", "sqrt(t)"),
+            ("(t-1)^0.5", [0.0, 1.0], "fractional power 0.5 of negative base -1.0", "(t-1.0)^0.5"),
+            ("t^(-1)", [0.0, 1.0], "zero raised to a negative power", "t^(-1.0)"),
+            ("exp(r)", [0.0, 1e3], "math range error", "exp(r)"),
+            ("r*r", [0.0, 1e200], "non-finite result", "r*r"),
+            ("r^t", [400.0, 10.0], "math range error", "r^t"),
+        )
+        for text, point, message, node in cases:
+            expr = parse(text, chart)
+            compiled = compile_expr(expr, chart.parameters)
+            for run in (lambda: compiled(point), lambda: evaluate(expr, point, chart.parameters)):
+                with pytest.raises(EvalDomainError) as caught:
+                    run()
+                assert str(caught.value) == f"{message} in subexpression {node!r}"
+                assert render(caught.value.node) == node
+
+    def test_abs_of_a_zero_jet(self):
+        expr = parse("abs(x)*y", XY)
+        assert compile_expr(expr)([0.0, 2.0]) == 0.0
+        with pytest.raises(EvalDomainError, match="abs is not differentiable at 0"):
+            compile_expr(expr)(seed([0.0, 2.0]))
+
+    def test_unresolved_parameter_raises_only_when_called(self):
+        compiled = compile_expr(parse("t + R*r", TR), {})
+        assert compile_expr(parse("t + R*r", TR), TR.parameters)([1.0, 2.0]) == 3.0
+        with pytest.raises(EvalDomainError) as caught:
+            compiled([1.0, 2.0])
+        assert str(caught.value) == "unresolved parameter 'R' in subexpression 'R'"
+
+    def test_integer_results_become_floats(self):
+        assert type(compile_expr(Num(2))(())) is float
+        assert type(compile_expr(BinOp("*", Coord(0, "n"), Num(3)))([4])) is float
+
+    def test_not_a_node(self):
+        with pytest.raises(TypeError, match="not an expression node"):
+            compile_expr(BinOp("+", Num(1.0), "x"))
+
+    def test_one_compile_serves_many_points(self):
+        rng = np.random.default_rng(5)
+        chart = CoordinateChart(("u", "v"))
+        for _ in range(50):
+            expr = random_smooth_expr(rng, chart)
+            compiled = compile_expr(expr)
+            for _ in range(5):
+                point = random_box_point(rng, 2)
+                assert compiled(point) == evaluate(expr, point)
+
+    def test_constraint_compiles_once(self):
+        for source, point, params, want in (
+            ("r > R", [0.0, 2.0], TR.parameters, True),
+            ("r >= R", [0.0, 1.0], TR.parameters, True),
+            ("r > R", [0.0, 1.0], TR.parameters, False),
+            ("ln(r) > 0", [0.0, -1.0], TR.parameters, False),
+            ("r > R", [0.0, 2.0], {}, False),
+        ):
+            c = parse_constraint(source, TR)
+            assert c.compile(params)(point) is want
+            assert c.holds(point, params) is want
 
 
 class TestDomain:

@@ -1,12 +1,14 @@
 """Induced-object and classification tests for the graph-hypersurface core."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 
 from mongelight import catalog
-from mongelight.exprlang import CoordinateChart, parse, parse_constraint
+from mongelight.autodiff import Jet1, Jet2
+from mongelight.exprlang import BinOp, Coord, CoordinateChart, Num, parse, parse_constraint
 from mongelight.mongecore import (
     EmptySampleError,
     MongeGenerator,
@@ -30,7 +32,7 @@ from mongelight.mongecore import (
     _point_data,
     _screen_fields,
 )
-from mongelight.reportio import grid_sample
+from mongelight.reportio import GridSpec, grid_sample, render_report
 from mongelight.semiriemann import MetricField, NearNullPivotError, OrthoFrame, local_scale
 
 from _oracles import (
@@ -967,3 +969,92 @@ class TestGeneratorImmutable:
         with pytest.raises(dataclasses.FrozenInstanceError):
             gen.metric.components = ()
         assert lightlike_defect_at(gen, (0.0, 2.0)) == 0.0
+
+
+class TestCompiledExpressions:
+    """F, the constraints and the metric are compiled once, when a generator
+    is built; nothing compiled is shared between generators."""
+
+    @staticmethod
+    def signed_zero(zero):
+        chart = CoordinateChart(("x", "y"))
+        field = BinOp("*", Num(zero), BinOp("^", Coord(1, "y"), Num(2.0)))
+        return MongeGenerator(
+            "signed", chart, MetricField.from_strings(chart, [["1", "0"], ["0", "1"]]), field
+        )
+
+    @staticmethod
+    def report(gen):
+        points = grid_sample(gen, GridSpec(((-1.0, 1.0), (-1.0, 1.0)), (2, 3)))
+        return render_report(classify(gen, points))
+
+    def test_equal_asts_with_different_bits_keep_their_own_results(self):
+        # Num(0.0) == Num(-0.0) and both hash alike, but x0 and B differ in sign
+        assert self.signed_zero(0.0).scalar_field == self.signed_zero(-0.0).scalar_field
+        # keyed by sign, since 0.0 and -0.0 are one dict key
+        zeros = {"+": 0.0, "-": -0.0}
+        fresh = {sign: self.report(self.signed_zero(zero)) for sign, zero in zeros.items()}
+        assert '"x0": -0.0' in fresh["-"] and '"x0": -0.0' not in fresh["+"]
+        for order in ("+-", "-+"):
+            for sign in order:
+                assert self.report(self.signed_zero(zeros[sign])) == fresh[sign]
+
+    def test_replace_recompiles(self):
+        gen = HYP2.generator
+        other = dataclasses.replace(gen, scalar_field=parse("2*ln(y)", gen.chart))
+        assert other.surface_point((0.0, 2.0)).x0 == 2.0 * gen.surface_point((0.0, 2.0)).x0
+        assert lightlike_defect_at(other, (0.0, 2.0)) == 3.0
+        narrowed = dataclasses.replace(gen, constraints=(parse_constraint("y > 3", gen.chart),))
+        assert gen.admissible((0.0, 2.0)) and not narrowed.admissible((0.0, 2.0))
+
+    def test_jet_orders(self):
+        base = (0.0, 0.0, 2.0)
+        gen = catalog.builtin("hyperbolic3").generator
+        assert [order for _, order, _ in gen.metric._distinct] == [1, 1]
+        g, ginv, dg, dF, d2F, xi_hat = _jets(gen, base)
+        assert d2F.shape == (3, 3)
+        neighbour = _jets(gen, base, order=1)
+        assert neighbour[4] is None
+        for got, want in zip(neighbour[:4] + neighbour[5:], (g, ginv, dg, dF, xi_hat)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_second_order_fallback_pinned(self):
+        # a coordinate-dependent exponent in F and in the metric keeps
+        # second-order jets at the bracket neighbours of the lightlike
+        # points x = 0; the sha256 is that of the report before Jet1 existed
+        chart = CoordinateChart(("x", "y", "z"))
+        metric = MetricField.from_strings(
+            chart, [["e^(2*y)", "0", "0"], ["0", "1", "0"], ["0", "0", "z^z"]]
+        )
+        gen = MongeGenerator(
+            "varexp", chart, metric, parse("x*e^y", chart), (parse_constraint("z > 0", chart),)
+        )
+        assert gen._scalar_order == 2
+        assert [order for _, order, _ in metric._distinct] == [2, 1, 1, 2]
+        points = grid_sample(gen, GridSpec(((-1.0, 1.0), (-0.5, 0.5), (0.5, 1.5)), (3, 3, 3)))
+        report = classify(gen, points)
+        bracketed = [a for a in report.points if a.integrability_defect is not None]
+        assert len(bracketed) == 9 and all(a.point.base[0] == 0.0 for a in bracketed)
+        digest = hashlib.sha256(render_report(report).encode()).hexdigest()
+        assert digest == "476a51f0466269ec89523f811faed21273d37e9bfd292ecb20bb333d7ad52f30"
+
+
+class TestQuietOverflow:
+    """The public functions run under classify's errstate: an intermediate
+    overflow gives classify's numbers, not a RuntimeWarning (which the
+    tier-1 run turns into an error)."""
+
+    GEN = euclidean(("x", "y"), "sqrt(x)*1e100")
+    POINT = (0.25, 0.5)
+
+    def test_public_functions_return_the_classify_record(self):
+        (record,) = classify(self.GEN, [self.GEN.surface_point(self.POINT)]).points
+        assert record.error is None
+        rho, residual = umbilic_fit_at(self.GEN, self.POINT)
+        assert (rho, residual) == (record.umbilic_rho, record.umbilic_residual)
+        assert np.signbit(rho) and residual == 2e-100
+        assert lightlike_defect_at(self.GEN, self.POINT) == record.lightlike_defect
+        assert monge_frame_at(self.GEN, self.POINT)[2] == record.radical_rank
+        with pytest.warns(NotLightlikeWarning):
+            B = second_fundamental_form_at(self.GEN, self.POINT)
+        assert B.tobytes() == record.B.tobytes()

@@ -24,7 +24,14 @@ from mongelight.semiriemann import (
     orthonormalize,
 )
 
-from _oracles import fd_christoffel, fd_metric_partials, metric_evaluator, sample_admissible
+from _oracles import (
+    fd_christoffel,
+    fd_metric_partials,
+    metric_evaluator,
+    random_box_point,
+    random_smooth_expr,
+    sample_admissible,
+)
 
 HYP2 = catalog.builtin("hyperbolic2").generator
 SCHW = catalog.builtin("schwarzschild_tr").generator
@@ -173,6 +180,28 @@ class TestMetricJets:
             self.assert_same_bits(got, want)
         assert np.signbit(g[0, 1]) and not np.signbit(g[1, 0])
         assert g[0, 0] == 6.0 and g[1, 1] == -6.0
+
+    def test_random_fields_match_the_second_order_reference(self):
+        # metric_jets_at runs first-order jets, or second-order ones for an
+        # entry with a coordinate-dependent exponent; entrywise runs Jet2
+        rng = np.random.default_rng(31)
+        chart = CoordinateChart(("u", "v", "w"))
+        variable = [parse(text, chart) for text in ("u^v", "2^(w - u)", "(1 + v^2)^(0.5*w)")]
+        orders = set()
+        for case in range(60):
+            rows = [[None] * 3 for _ in range(3)]
+            for j in range(3):
+                for k in range(j, 3):
+                    rows[j][k] = rows[k][j] = random_smooth_expr(rng, chart, depth=2)
+            if case % 3 == 0:
+                rows[1][1] = variable[case % len(variable)]
+            field = MetricField(chart, rows)
+            orders.update(order for _, order, _ in field._distinct)
+            for _ in range(4):
+                point = random_box_point(rng, 3)
+                for got, want in zip(metric_jets_at(field, point), self.entrywise(field, point)):
+                    self.assert_same_bits(got, want)
+        assert orders == {1, 2}
 
 
 class TestChristoffel:
