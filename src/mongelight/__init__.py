@@ -16,7 +16,6 @@ from .exprlang import (
     EvalDomainError,
     ExprError,
     ExprSyntaxError,
-    check_domain,
     evaluate,
     parse,
     parse_constraint,
@@ -73,7 +72,6 @@ __all__ = [
     "parse_constraint",
     "render",
     "evaluate",
-    "check_domain",
     "Jet2",
     "seed",
     "MetricField",

@@ -10,15 +10,18 @@ outer-product pairs to symmetric inputs).
 A Jet1 carries only the value and the gradient.  It runs the same
 floating-point operations, in the same order, as Jet2's value and gradient
 lanes, and computes the same chain-rule coefficients f' and f'' (the
-elementary functions are shared), so it agrees with Jet2 bit for bit there
-and raises on exactly the same inputs; it skips only the Hessian arrays.
-The library runs Jet1 where no second derivative is read: the metric,
-whose Christoffel symbols need only dg, and F at the finite-difference
-neighbours of the d >= 3 screen bracket, which read only dF.  F at the
-analysed point stays second order.  An expression with a
-coordinate-dependent exponent always runs on Jet2, because Jet2 picks its
-exp(e ln b) rule from the exponent's Hessian lane as well as its gradient
-(``gradient_order`` tells, once per expression).
+elementary functions and the power rules are shared), so it agrees with
+Jet2 bit for bit there and raises on exactly the same inputs; it skips
+only the Hessian arrays.  The library runs Jet1 where no second derivative
+is read: the metric, whose Christoffel symbols need only dg, and F at the
+finite-difference neighbours of the d >= 3 screen bracket, which read only
+dF.  F at the analysed point stays second order.
+
+The power rule is chosen by the exponent's type, never by its lanes: a
+plain-number exponent takes the constant-power rule, and a jet exponent
+(which a compiled expression passes exactly when the exponent mentions a
+coordinate) always takes the exp(e ln b) rule, which needs a positive base
+even where the exponent's derivatives happen to vanish.
 
 Domain errors mirror the math module: ValueError for ln/sqrt/abs/power
 violations, ZeroDivisionError for division by a zero value lane.
@@ -31,14 +34,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .exprlang import BinOp, Call, Coord, Expr, Neg
-
-__all__ = ["Jet1", "Jet2", "seed", "constant", "gradient_order"]
+__all__ = ["Jet1", "Jet2", "seed", "constant"]
 
 
 class _Taylor:
-    """The elementary functions, shared by both orders: each computes the
-    scalar coefficients f, f', f'' and hands them to the order's _chain."""
+    """The elementary functions and powers, shared by both orders: each
+    computes the scalar coefficients f, f', f'' and hands them to the
+    order's _chain, or an exponent u and exp(u)'s value to the order's _exp."""
 
     __slots__ = ()
 
@@ -55,6 +57,20 @@ class _Taylor:
         f1 = c * math.pow(v, c - 1.0)
         f2 = c * (c - 1.0) * math.pow(v, c - 2.0)
         return self._chain(math.pow(v, c), f1, f2)
+
+    def __pow__(self, other):
+        if not isinstance(other, _Taylor):
+            return self._pow_const(float(other))
+        # variable exponent: derivatives of exp(e*ln(b)), value lane kept
+        # as the direct power so it matches float evaluation
+        if self.value <= 0.0:
+            raise ValueError("power with variable exponent needs a positive base")
+        return self._exp(other * self.ln(), math.pow(self.value, other.value))
+
+    def __rpow__(self, base):
+        if base <= 0.0:
+            raise ValueError("power with variable exponent needs a positive base")
+        return self._exp(self * math.log(base), math.pow(base, self.value))
 
     def sin(self):
         s, c = math.sin(self.value), math.cos(self.value)
@@ -161,38 +177,20 @@ class Jet2(_Taylor):
         qh = (-q * self.hess - (cross + cross.T)) / self.value
         return _jet(q, qg, qh)
 
-    def __pow__(self, other):
-        if isinstance(other, Jet2):
-            if np.any(other.grad) or np.any(other.hess):
-                # variable exponent: derivatives of exp(e*ln(b)), value lane
-                # kept as the direct power so it matches float evaluation
-                if self.value <= 0.0:
-                    raise ValueError("power with variable exponent needs a positive base")
-                u = other * self.ln()
-                v = math.pow(self.value, other.value)
-                outer = u.grad[:, None] * u.grad
-                return _jet(v, v * u.grad, v * (u.hess + outer))
-            other = other.value
-        return self._pow_const(float(other))
-
-    def __rpow__(self, base):
-        if base <= 0.0:
-            raise ValueError("power with variable exponent needs a positive base")
-        u = self * math.log(base)
-        v = math.pow(base, self.value)
-        outer = u.grad[:, None] * u.grad
-        return _jet(v, v * u.grad, v * (u.hess + outer))
-
     def _chain(self, f0: float, f1: float, f2: float):
         outer = self.grad[:, None] * self.grad
         return _jet(f0, f1 * self.grad, f1 * self.hess + f2 * outer)
+
+    def _exp(self, u: "Jet2", v: float):
+        """exp(u) with value lane v."""
+        outer = u.grad[:, None] * u.grad
+        return _jet(v, v * u.grad, v * (u.hess + outer))
 
 
 class Jet1(_Taylor):
     """Truncated first-order Taylor scalar: value + gradient.
 
-    Every rule is Jet2's without the Hessian lane.  A coordinate-dependent
-    exponent is refused (TypeError): run such an expression on Jet2.
+    Every rule is Jet2's without the Hessian lane.
     """
 
     __slots__ = ("value", "grad")
@@ -241,11 +239,12 @@ class Jet1(_Taylor):
         q = other / self.value
         return _jet1(q, (-q * self.grad) / self.value)
 
-    def __pow__(self, other):
-        return self._pow_const(float(other))  # float() of a jet raises TypeError
-
     def _chain(self, f0: float, f1: float, f2: float):
         return _jet1(f0, f1 * self.grad)
+
+    def _exp(self, u: "Jet1", v: float):
+        """exp(u) with value lane v."""
+        return _jet1(v, v * u.grad)
 
 
 def _jet(value: float, grad: np.ndarray, hess: np.ndarray) -> Jet2:
@@ -281,24 +280,3 @@ def seed(point: Sequence[float], order: int = 2) -> list[Jet1] | list[Jet2]:
     if order == 1:
         return [_jet1(point[i], eye[i]) for i in range(d)]
     return [_jet(point[i], eye[i], np.zeros((d, d))) for i in range(d)]
-
-
-def gradient_order(e: Expr) -> int:
-    """The lowest jet order whose value and gradient lanes match Jet2's on
-    ``e`` at every point: 2 if some ``^`` has a coordinate in its exponent,
-    else 1."""
-
-    def variable(node, exponent: bool) -> bool:
-        if isinstance(node, Coord):
-            return exponent
-        if isinstance(node, Neg):
-            return variable(node.operand, exponent)
-        if isinstance(node, Call):
-            return variable(node.arg, exponent)
-        if isinstance(node, BinOp):
-            # evaluate runs every operator but + - * / as a power
-            inner = exponent or node.op not in ("+", "-", "*", "/")
-            return variable(node.left, exponent) or variable(node.right, inner)
-        return False
-
-    return 2 if variable(e, False) else 1

@@ -57,7 +57,7 @@ def _hyperbolic2():
         "ln(y)",
         domain=("y > 0",),
     )
-    return CatalogEntry(
+    return (
         gen,
         GridSpec(((-1.0, 1.0), (0.5, 4.0)), (5, 5)),
         ExpectedVerdicts(
@@ -68,7 +68,6 @@ def _hyperbolic2():
             umbilic_rho="1",
             minimal_defect="-1",
         ),
-        "hyperbolic upper half-plane, F = ln(y); lightlike and umbilic",
     )
 
 
@@ -80,7 +79,7 @@ def _hyperbolic3():
         "ln(z)",
         domain=("z > 0",),
     )
-    return CatalogEntry(
+    return (
         gen,
         GridSpec(((-1.0, 1.0), (-1.0, 1.0), (0.5, 4.0)), (3, 3, 3)),
         ExpectedVerdicts(
@@ -91,7 +90,6 @@ def _hyperbolic3():
             umbilic_rho="1",
             minimal_defect="-2",
         ),
-        "hyperbolic upper half-space, F = ln(z); integrable 2-dimensional screen",
     )
 
 
@@ -104,7 +102,7 @@ def _schwarzschild_tr():
         domain=("r > R",),
         parameters={"R": 1.0},
     )
-    return CatalogEntry(
+    return (
         gen,
         GridSpec(((0.0, 0.0), (1.5, 10.0)), (1, 20)),
         ExpectedVerdicts(
@@ -115,7 +113,6 @@ def _schwarzschild_tr():
             umbilic_rho="-R/(2*r^(3/2)*sqrt(r - R))",
             minimal_defect="R/(2*r^(3/2)*sqrt(r - R))",
         ),
-        "Lorentzian (t, r) exterior chart with parameter R; lightlike and umbilic",
     )
 
 
@@ -126,7 +123,7 @@ def _euclid_hyperplane():
         [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
         "x",
     )
-    return CatalogEntry(
+    return (
         gen,
         GridSpec(((-1.0, 1.0), (-1.0, 1.0), (-1.0, 1.0)), (3, 3, 3)),
         ExpectedVerdicts(
@@ -137,7 +134,6 @@ def _euclid_hyperplane():
             umbilic_rho="0",
             minimal_defect="0",
         ),
-        "Euclidean base with linear F; totally geodesic null hyperplane",
     )
 
 
@@ -149,7 +145,7 @@ def _euclid_cone():
         "sqrt(x^2 + y^2)",
         domain=("x^2 + y^2 > 0",),
     )
-    return CatalogEntry(
+    return (
         gen,
         GridSpec(((-2.5, 2.5), (-2.5, 2.5)), (5, 5)),
         ExpectedVerdicts(
@@ -160,7 +156,6 @@ def _euclid_cone():
             umbilic_rho="-1/sqrt(x^2 + y^2)",
             minimal_defect="1/sqrt(x^2 + y^2)",
         ),
-        "Euclidean distance function F = sqrt(x^2 + y^2); the light cone",
     )
 
 
@@ -171,7 +166,7 @@ def _nonlightlike_control():
         [["1", "0"], ["0", "1"]],
         "2*x",
     )
-    return CatalogEntry(
+    return (
         gen,
         GridSpec(((-1.0, 1.0), (-1.0, 1.0)), (3, 3)),
         ExpectedVerdicts(
@@ -182,30 +177,48 @@ def _nonlightlike_control():
             lightlike_defect="3",
             umbilic_rho="0",
         ),
-        "non-lightlike control: |grad F|^2 = 4, constant lightlike defect 3",
     )
 
 
+# name -> (builder of (generator, default samples, expected verdicts), description)
 _BUILDERS = {
-    "hyperbolic2": _hyperbolic2,
-    "hyperbolic3": _hyperbolic3,
-    "schwarzschild_tr": _schwarzschild_tr,
-    "euclid_hyperplane": _euclid_hyperplane,
-    "euclid_cone": _euclid_cone,
-    "nonlightlike_control": _nonlightlike_control,
+    "hyperbolic2": (
+        _hyperbolic2,
+        "hyperbolic upper half-plane, F = ln(y); lightlike and umbilic",
+    ),
+    "hyperbolic3": (
+        _hyperbolic3,
+        "hyperbolic upper half-space, F = ln(z); integrable 2-dimensional screen",
+    ),
+    "schwarzschild_tr": (
+        _schwarzschild_tr,
+        "Lorentzian (t, r) exterior chart with parameter R; lightlike and umbilic",
+    ),
+    "euclid_hyperplane": (
+        _euclid_hyperplane,
+        "Euclidean base with linear F; totally geodesic null hyperplane",
+    ),
+    "euclid_cone": (
+        _euclid_cone,
+        "Euclidean distance function F = sqrt(x^2 + y^2); the light cone",
+    ),
+    "nonlightlike_control": (
+        _nonlightlike_control,
+        "non-lightlike control: |grad F|^2 = 4, constant lightlike defect 3",
+    ),
 }
 
 
 def builtin(name: str) -> CatalogEntry:
     """A freshly constructed catalog entry by name."""
     try:
-        builder = _BUILDERS[name]
+        builder, description = _BUILDERS[name]
     except KeyError:
         valid = ", ".join(_BUILDERS)
         raise ValueError(f"unknown builtin {name!r}; valid names: {valid}") from None
-    return builder()
+    return CatalogEntry(*builder(), description)
 
 
 def list_builtins() -> list[tuple[str, str]]:
-    """(name, description) pairs in stable catalog order."""
-    return [(name, builder().description) for name, builder in _BUILDERS.items()]
+    """(name, description) pairs in stable catalog order; builds no generator."""
+    return [(name, description) for name, (_, description) in _BUILDERS.items()]

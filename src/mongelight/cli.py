@@ -91,6 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     # argparse runs a string default, here TOLERANCE, through type= as well
     tolerance = {"type": _tolerance, "default": os.environ.get("TOLERANCE") or DEFAULT_TOLERANCE}
+    builtins = [name for name, _ in catalog.list_builtins()]
 
     p_classify = sub.add_parser("classify", help="classify a generator file")
     p_classify.add_argument("--generator", required=True, help="generator JSON file")
@@ -98,17 +99,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_classify.add_argument("--out", default=None, help="report path (default: stdout)")
 
     p_verify = sub.add_parser("verify", help="regression-check a builtin")
-    p_verify.add_argument(
-        "--builtin", required=True, choices=[name for name, _ in catalog.list_builtins()]
-    )
+    p_verify.add_argument("--builtin", required=True, choices=builtins)
     p_verify.add_argument("--tol", **tolerance)
 
     p_eval = sub.add_parser("eval", help="dump induced objects at one point")
     source = p_eval.add_mutually_exclusive_group(required=True)
     source.add_argument("--generator", help="generator JSON file")
-    source.add_argument(
-        "--builtin", choices=[name for name, _ in catalog.list_builtins()]
-    )
+    source.add_argument("--builtin", choices=builtins)
     p_eval.add_argument("--point", required=True, help="comma-separated base coordinates")
     p_eval.add_argument(
         "--show",

@@ -47,7 +47,6 @@ __all__ = [
     "render",
     "evaluate",
     "compile_expr",
-    "check_domain",
 ]
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -159,11 +158,10 @@ class DomainConstraint:
     relation: str  # ">" or ">="
     rhs: Expr
 
-    def holds(self, point: Sequence[float], params: Mapping[str, float]) -> bool:
-        return self.compile(params)(point)
-
     def compile(self, params: Mapping[str, float]) -> Callable[[Sequence[float]], bool]:
-        """``holds`` with both sides compiled once (see compile_expr)."""
+        """A test of the constraint at a point, with both sides compiled once
+        (see compile_expr): True iff both evaluate finite and the relation
+        holds."""
         lhs, rhs = compile_expr(self.lhs, params), compile_expr(self.rhs, params)
         relation = self.relation
 
@@ -397,7 +395,10 @@ def compile_expr(
 
     Each node is dispatched on its type once, here, not at every call.
     Parameters are resolved now; an unresolved one raises only when the
-    result is called.
+    result is called.  On jet points a subexpression that mentions no
+    coordinate still yields a plain number, so a power's exponent is a jet
+    exactly when it mentions a coordinate (autodiff picks the power rule
+    from that).
     """
     run = _compile(e, {} if params is None else params)
 
@@ -503,13 +504,3 @@ def evaluate(e: Expr, point: Sequence, params: Mapping[str, float] | None = None
     expression at many points.
     """
     return compile_expr(e, params)(point)
-
-
-def check_domain(
-    constraints: Sequence[DomainConstraint],
-    point: Sequence[float],
-    params: Mapping[str, float] | None = None,
-) -> bool:
-    """True iff every constraint holds with finite evaluations at ``point``."""
-    params = params or {}
-    return all(c.holds(point, params) for c in constraints)

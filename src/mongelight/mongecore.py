@@ -38,7 +38,7 @@ from .exprlang import (
     Expr,
     compile_expr,
 )
-from .autodiff import constant, gradient_order, seed
+from .autodiff import constant, seed
 from .semiriemann import (
     DEGENERACY_THRESHOLD,
     DegenerateMetricError,
@@ -120,15 +120,13 @@ class MongeGenerator:
     metric: MetricField
     scalar_field: Expr
     constraints: tuple[DomainConstraint, ...] = ()
-    # F compiled, with the jet order its gradient needs, and each constraint
+    # F and each constraint, compiled
     _scalar: Callable = field(init=False, repr=False)
-    _scalar_order: int = field(init=False, repr=False)
     _domain: tuple[Callable, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         params = self.chart.parameters
         object.__setattr__(self, "_scalar", compile_expr(self.scalar_field, params))
-        object.__setattr__(self, "_scalar_order", gradient_order(self.scalar_field))
         object.__setattr__(self, "_domain", tuple(c.compile(params) for c in self.constraints))
 
     @property
@@ -149,10 +147,12 @@ class MongeGenerator:
 
 @dataclass(frozen=True)
 class SurfacePoint:
-    """A hypersurface point (x0, base) with x0 = F(base) by construction."""
+    """A hypersurface point (x0, base) with x0 = F(base) by construction, or
+    None where F cannot be evaluated (the samplers keep such a point, and
+    classify records its error)."""
 
     base: tuple[float, ...]
-    x0: float
+    x0: float | None
 
 
 @dataclass(frozen=True)
@@ -315,11 +315,10 @@ def _elimination(d: int) -> tuple[np.ndarray, np.ndarray]:
 def _jets(gen: MongeGenerator, base: tuple[float, ...], order: int = 2) -> tuple[np.ndarray, ...]:
     """(g, ginv, dg, dF, d2F, xi_hat) at one point, uncached: classify
     stacks them, and the screen bracket's neighbours read only dF and
-    xi_hat.  With order 1, F runs on first-order jets (unless its gradient
-    needs second-order ones) and d2F is None."""
+    xi_hat.  With order 1, F runs on first-order jets and d2F is None."""
     g, dg = semiriemann.metric_jets_at(gen.metric, base)
     ginv = invert_metric(g, at=base)
-    jet = gen._scalar(seed(base, max(order, gen._scalar_order)))
+    jet = gen._scalar(seed(base, order))
     if isinstance(jet, float):
         jet = constant(jet, gen.dimension, order)
     dF = jet.grad
@@ -805,7 +804,8 @@ def _analyze(
 ) -> list[PointAnalysis]:
     """One record per sample point.  Jets run point by point; every later
     stage runs once over the stacked points that reached it.  A point
-    records the first gate it fails, in the order: domain, jets, Hessian
+    records the first gate it fails, in the order: domain, F (for a point
+    whose x0 is None), jets, Hessian
     finiteness, screen frame, bracket neighbours, Weingarten, Gauss, and
     finiteness of the reported numbers."""
     records = [PointAnalysis(index=i, point=sp) for i, sp in enumerate(points)]
@@ -815,6 +815,8 @@ def _analyze(
             record.error = "outside domain"
             continue
         try:
+            if record.point.x0 is None:
+                gen.surface_point(record.point.base)  # raises why F has no value
             jets.append(_jets(gen, record.point.base))
         except _POINT_ERRORS as exc:
             record.error = str(exc)

@@ -32,6 +32,7 @@ import numpy as np
 from . import __version__
 from .exprlang import (
     CoordinateChart,
+    EvalDomainError,
     ExprError,
     parse,
     parse_constraint,
@@ -93,7 +94,16 @@ class SampleSet:
     def materialize(self, gen: MongeGenerator) -> list[SurfacePoint]:
         if self.grid is not None:
             return grid_sample(gen, self.grid)
-        return [gen.surface_point(p) for p in self.points or ()]
+        return [_sample_point(gen, p) for p in self.points or ()]
+
+
+def _sample_point(gen: MongeGenerator, base) -> SurfacePoint:
+    """The surface point over ``base``, with x0 None where F cannot be
+    evaluated there: classify records that point's error."""
+    try:
+        return gen.surface_point(base)
+    except EvalDomainError:
+        return SurfacePoint(tuple(float(x) for x in base), None)
 
 
 def grid_sample(gen: MongeGenerator, spec: GridSpec) -> list[SurfacePoint]:
@@ -110,7 +120,7 @@ def grid_sample(gen: MongeGenerator, spec: GridSpec) -> list[SurfacePoint]:
     for combo in np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, gen.dimension):
         base = tuple(float(x) for x in combo)
         if gen.admissible(base):
-            points.append(gen.surface_point(base))
+            points.append(_sample_point(gen, base))
     if not points:
         raise EmptySampleError("no grid point satisfies the domain constraints")
     return points
@@ -303,24 +313,6 @@ def save_generator(gen: MongeGenerator, samples: SampleSet, path):
 # Reports
 
 
-def _jsonify(value):
-    if value is None or isinstance(value, (bool, int, str)):
-        return value
-    if isinstance(value, float):
-        return float(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return _jsonify(value.tolist())
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonify(v) for k, v in value.items()}
-    raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
 def report_to_dict(report: ClassificationReport) -> dict:
     """Fixed-key-order dict form of a classification report."""
     points = []
@@ -333,21 +325,21 @@ def report_to_dict(report: ClassificationReport) -> dict:
             "lightlike_defect": a.lightlike_defect,
             "is_lightlike": a.is_lightlike,
             "radical_rank": a.radical_rank,
-            "B": a.B,
+            "B": None if a.B is None else a.B.tolist(),
             "umbilic_rho": a.umbilic_rho,
             "umbilic_residual": a.umbilic_residual,
             "minimal_defect": a.minimal_defect,
             "integrability_defect": a.integrability_defect,
-            "tau": a.tau,
+            "tau": None if a.tau is None else a.tau.tolist(),
             "scales": a.scales,
             "certificates": a.certificates,
         }
-        points.append(_jsonify(record))
+        points.append(record)
     verdicts = {
         name: {
             "value": v.value,
             "witness_index": v.witness_index,
-            "witness_value": _jsonify(v.witness_value),
+            "witness_value": v.witness_value,
         }
         for name, v in report.verdicts.items()
     }

@@ -69,9 +69,9 @@ class MetricField:
 
     chart: CoordinateChart
     components: tuple[tuple[Expr, ...], ...]
-    # each structurally distinct component once: compiled, with the jet
-    # order its gradient needs and the (j, k) slots it fills
-    _distinct: tuple[tuple[Callable, int, tuple[tuple[int, int], ...]], ...] = dataclasses.field(
+    # each structurally distinct component once: compiled, with the (j, k)
+    # slots it fills
+    _distinct: tuple[tuple[Callable, tuple[tuple[int, int], ...]], ...] = dataclasses.field(
         init=False, repr=False, compare=False
     )
 
@@ -90,8 +90,7 @@ class MetricField:
                 slots.setdefault((render(expr), expr), []).append((j, k))
         params = self.chart.parameters
         distinct = tuple(
-            (compile_expr(expr, params), autodiff.gradient_order(expr), tuple(where))
-            for (_, expr), where in slots.items()
+            (compile_expr(expr, params), tuple(where)) for (_, expr), where in slots.items()
         )
         object.__setattr__(self, "_distinct", distinct)
 
@@ -122,7 +121,7 @@ def evaluate_matrix(field: MetricField, point) -> np.ndarray:
     g = np.empty((d, d))
     # the distinct components come in row-major order of first use, so the
     # first to fail is the row-major first failing entry
-    for component, _, slots in field._distinct:
+    for component, slots in field._distinct:
         value = component(point)
         for j, k in slots:
             g[j, k] = value
@@ -158,17 +157,14 @@ def invert_metric(g: np.ndarray, at: Sequence[float] | None = None) -> np.ndarra
 
 
 def metric_jets_at(field: MetricField, point: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    """Metric values and first partials (dg[i, j, k] = d_i g_jk) in one jet pass,
-    evaluating each distinct component once, on first-order jets unless its
-    gradient needs second-order ones (see autodiff.gradient_order)."""
+    """Metric values and first partials (dg[i, j, k] = d_i g_jk) in one pass
+    of first-order jets, which give Jet2's value and gradient bits on every
+    expression; each distinct component is evaluated once."""
     d = field.chart.dimension
-    seeds: dict[int, list] = {}
+    jets = autodiff.seed(point, 1)
     g = np.empty((d, d))
     dg = np.empty((d, d, d))
-    for component, order, slots in field._distinct:
-        jets = seeds.get(order)
-        if jets is None:
-            jets = seeds[order] = autodiff.seed(point, order)
+    for component, slots in field._distinct:
         jet = component(jets)
         if isinstance(jet, float):  # constant entry
             value, grad = jet, 0.0

@@ -2,9 +2,9 @@
 
 import pytest
 
-from mongelight import catalog
+from mongelight import catalog, cli
 from mongelight.exprlang import evaluate, parse
-from mongelight.mongecore import classify
+from mongelight.mongecore import MongeGenerator, classify
 from mongelight.reportio import (
     SampleSet,
     generator_to_dict,
@@ -39,6 +39,22 @@ class TestListing:
 
     def test_descriptions_nonempty(self):
         assert all(desc for _, desc in catalog.list_builtins())
+
+    def test_listing_and_parser_build_no_generator(self, monkeypatch):
+        built = []
+        post_init = MongeGenerator.__post_init__
+
+        def counted(gen):
+            built.append(gen.name)
+            post_init(gen)
+
+        monkeypatch.setattr(MongeGenerator, "__post_init__", counted)
+        cli.build_parser()
+        listed = catalog.list_builtins()
+        assert built == []
+        for name, description in listed:
+            assert catalog.builtin(name).description == description
+        assert built == ALL_NAMES  # the probe sees each build
 
 
 class TestExpectedValues:

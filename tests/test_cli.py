@@ -124,6 +124,31 @@ class TestClassifyCommand:
         report = json.loads(capsys.readouterr().out)
         assert report["verdicts"]["degenerate"]["value"] == "indeterminate"
 
+    def test_point_where_F_fails_is_recorded(self, tmp_path, capsys):
+        # F = ln(y) cannot be evaluated at (0, -1): the run records the point
+        # instead of aborting, and one failed point in three exits 2
+        doc = {
+            "name": "hyperbolic2",
+            "dimension": 2,
+            "coordinates": ["x", "y"],
+            "parameters": {},
+            "metric": [["1/y^2", "0"], ["0", "1/y^2"]],
+            "scalar_field": "ln(y)",
+            "domain": ["y > 0"],
+            "samples": {"points": [[0, 2], [0, -1], [0.5, 1]]},
+        }
+        path = tmp_path / "points.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "report.json"
+        assert cli.main(["classify", "--generator", str(path), "--out", str(out)]) == 2
+
+        def reject(token):
+            raise ValueError(f"non-finite number {token}")
+
+        report = json.loads(out.read_text(), parse_constant=reject)
+        assert [p["error"] for p in report["points"]] == [None, "outside domain", None]
+        assert report["points"][1]["point"] == [0.0, -1.0] and report["points"][1]["x0"] is None
+
     def test_deterministic_output(self, hyperbolic2_file, capsys):
         cli.main(["classify", "--generator", str(hyperbolic2_file)])
         first = capsys.readouterr().out

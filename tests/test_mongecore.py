@@ -7,8 +7,17 @@ import numpy as np
 import pytest
 
 from mongelight import catalog
-from mongelight.autodiff import Jet1, Jet2
-from mongelight.exprlang import BinOp, Coord, CoordinateChart, Num, parse, parse_constraint
+from mongelight.autodiff import seed
+from mongelight.exprlang import (
+    BinOp,
+    Coord,
+    CoordinateChart,
+    EvalDomainError,
+    Num,
+    compile_expr,
+    parse,
+    parse_constraint,
+)
 from mongelight.mongecore import (
     EmptySampleError,
     MongeGenerator,
@@ -38,6 +47,7 @@ from mongelight.semiriemann import MetricField, NearNullPivotError, OrthoFrame, 
 from _oracles import (
     fd_christoffel,
     fd_gradient,
+    fd_hessian,
     fd_hessian_rich,
     fd_screen_integrability_defect,
     metric_evaluator,
@@ -1010,7 +1020,6 @@ class TestCompiledExpressions:
     def test_jet_orders(self):
         base = (0.0, 0.0, 2.0)
         gen = catalog.builtin("hyperbolic3").generator
-        assert [order for _, order, _ in gen.metric._distinct] == [1, 1]
         g, ginv, dg, dF, d2F, xi_hat = _jets(gen, base)
         assert d2F.shape == (3, 3)
         neighbour = _jets(gen, base, order=1)
@@ -1019,9 +1028,10 @@ class TestCompiledExpressions:
             assert got.tobytes() == want.tobytes()
 
     def test_second_order_fallback_pinned(self):
-        # a coordinate-dependent exponent in F and in the metric keeps
-        # second-order jets at the bracket neighbours of the lightlike
-        # points x = 0; the sha256 is that of the report before Jet1 existed
+        # a coordinate-dependent exponent in F and in the metric, through
+        # the metric jets and the bracket neighbours of the lightlike points
+        # x = 0, all first order; the sha256 is that of the report before
+        # Jet1 existed
         chart = CoordinateChart(("x", "y", "z"))
         metric = MetricField.from_strings(
             chart, [["e^(2*y)", "0", "0"], ["0", "1", "0"], ["0", "0", "z^z"]]
@@ -1029,14 +1039,33 @@ class TestCompiledExpressions:
         gen = MongeGenerator(
             "varexp", chart, metric, parse("x*e^y", chart), (parse_constraint("z > 0", chart),)
         )
-        assert gen._scalar_order == 2
-        assert [order for _, order, _ in metric._distinct] == [2, 1, 1, 2]
         points = grid_sample(gen, GridSpec(((-1.0, 1.0), (-0.5, 0.5), (0.5, 1.5)), (3, 3, 3)))
         report = classify(gen, points)
         bracketed = [a for a in report.points if a.integrability_defect is not None]
         assert len(bracketed) == 9 and all(a.point.base[0] == 0.0 for a in bracketed)
         digest = hashlib.sha256(render_report(report).encode()).hexdigest()
         assert digest == "476a51f0466269ec89523f811faed21273d37e9bfd292ecb20bb333d7ad52f30"
+
+    def test_stationary_variable_exponent_needs_a_positive_base(self):
+        # y^3 mentions a coordinate, so x^(y^3) takes the exp(y^3 ln x) rule
+        # on jets of either order, also at y = 0 where the exponent's lanes
+        # vanish; plain floats still give (-2)^0 = 1
+        gen = euclidean(("x", "y"), "x^(y^3)")
+        compiled = compile_expr(gen.scalar_field)
+        message = "power with variable exponent needs a positive base"
+        for order in (1, 2):
+            with pytest.raises(EvalDomainError, match=message):
+                compiled(seed([-2.0, 0.0], order))
+        (record,) = classify(gen, [gen.surface_point((-2.0, 0.0))]).points
+        assert record.point.x0 == 1.0
+        assert record.error.startswith(message) and record.B is None
+        f = scalar_evaluator(gen.scalar_field, gen.chart)
+        for point in ([2.0, 0.0], [1.5, 0.7]):
+            jet = compiled(seed(point))
+            assert jet.value == f(point)
+            grad, hess = fd_gradient(f, point), fd_hessian(f, point)
+            assert np.all(np.abs(jet.grad - grad) <= 1e-6 * (1.0 + np.abs(jet.grad)))
+            assert np.all(np.abs(jet.hess - hess) <= 1e-4 * (1.0 + np.abs(jet.hess)))
 
 
 class TestQuietOverflow:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mongelight import catalog
-from mongelight.exprlang import BinOp, CoordinateChart, Num, parse
+from mongelight.exprlang import BinOp, CoordinateChart, EvalDomainError, Num, parse
 from mongelight.mongecore import EmptySampleError, MongeGenerator, classify, lightlike_defect_at
 from mongelight.reportio import (
     GeneratorFileError,
@@ -71,6 +71,23 @@ class TestGridSample:
         entry = catalog.builtin("hyperbolic2")
         for p in grid_sample(entry.generator, entry.default_samples):
             assert p.x0 == np.log(p.base[1])
+
+    def test_admissible_point_where_F_fails_keeps_x0_none(self):
+        chart = CoordinateChart(("x", "y"))
+        metric = MetricField.from_strings(chart, [["1", "0"], ["0", "1"]])
+        gen = MongeGenerator("log", chart, metric, parse("ln(x)", chart))
+        points = grid_sample(gen, GridSpec(((-1.0, 1.0), (0.5, 0.5)), (3, 1)))
+        assert [p.x0 for p in points] == [None, None, 0.0]
+        assert SampleSet(points=((-1.0, 0.5),)).materialize(gen) == points[:1]
+        with pytest.raises(EvalDomainError):
+            gen.surface_point((-1.0, 0.5))
+        doc = report_to_dict(classify(gen, points))
+        assert [p["error"] for p in doc["points"]] == [
+            "ln of non-positive value -1.0 in subexpression 'ln(x)'",
+            "ln of non-positive value 0.0 in subexpression 'ln(x)'",
+            None,
+        ]
+        assert [p["x0"] for p in doc["points"]] == [None, None, 0.0]
 
     def test_axis_count_mismatch(self):
         entry = catalog.builtin("hyperbolic2")
