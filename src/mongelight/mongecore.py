@@ -38,10 +38,9 @@ from .exprlang import (
     Expr,
     compile_expr,
 )
-from .autodiff import constant, seed
+from .autodiff import seed
 from .semiriemann import (
     DEGENERACY_THRESHOLD,
-    DegenerateMetricError,
     MetricField,
     NearNullPivotError,
     OrthoFrame,
@@ -196,12 +195,13 @@ def _base_of(p) -> tuple[float, ...]:
 # ---------------------------------------------------------------------------
 # Stacked geometry
 #
-# Jets are evaluated point by point; everything after them runs once over
-# the points stacked along a leading axis.  Every contraction is a matmul
-# of per-point slices or an elementwise operation, so a point's numbers do
-# not depend on which other points share its stack.  A stage that can fail
-# returns {row: exception}; the public functions run the same stages on a
-# stack of one point and raise the exception of row 0.
+# Jets are evaluated point by point; the metric inverse and everything
+# after the jets run once over the points stacked along a leading axis.
+# Every contraction is a matmul of per-point slices or an elementwise
+# operation, so a point's numbers do not depend on which other points share
+# its stack.  A stage that can fail returns {row: exception}; the public
+# functions run the same stages on a stack of one point and raise the
+# exception of row 0.
 
 
 class _PointData:
@@ -212,11 +212,9 @@ class _PointData:
     Hessian; the rest is derived on first use.
     """
 
-    def __init__(self, bases: Sequence[tuple[float, ...]], jets: Sequence[tuple]):
+    def __init__(self, bases: Sequence[tuple[float, ...]], jets: tuple[np.ndarray, ...]):
         self.bases = list(bases)
-        # a view for the one-point stacks of the *_at functions
-        stack = (lambda group: group[0][None]) if len(jets) == 1 else np.array
-        self.g, self.ginv, self.dg, self.dF, self.d2F, self.xi_hat = map(stack, zip(*jets))
+        self.g, self.ginv, self.dg, self.dF, self.d2F, self.xi_hat = jets
         # the all-i _weingarten result per xi_scale, kept for weingarten_at
         self.weingarten: dict[float, tuple[np.ndarray, ...]] = {}
         n, d = self.dF.shape
@@ -312,21 +310,44 @@ def _elimination(d: int) -> tuple[np.ndarray, np.ndarray]:
     return others, np.eye(d)[others]
 
 
-def _jets(gen: MongeGenerator, base: tuple[float, ...], order: int = 2) -> tuple[np.ndarray, ...]:
-    """(g, ginv, dg, dF, d2F, xi_hat) at one point, uncached: classify
-    stacks them, and the screen bracket's neighbours read only dF and
-    xi_hat.  With order 1, F runs on first-order jets and d2F is None."""
-    g, dg = semiriemann.metric_jets_at(gen.metric, base)
-    ginv = invert_metric(g, at=base)
-    jet = gen._scalar(seed(base, order))
-    if isinstance(jet, float):
-        jet = constant(jet, gen.dimension, order)
-    dF = jet.grad
+def _jets(
+    gen: MongeGenerator, bases: Sequence[tuple[float, ...]], order: int = 2
+) -> tuple[tuple[np.ndarray, ...], dict[int, Exception]]:
+    """(g, ginv, dg, dF, d2F, xi_hat) at the points ``bases``, stacked along
+    a leading axis, and {row: error} of the rows that fail, whose numbers
+    mean nothing.  A row records the first stage it fails, in the order:
+    the metric's jets, the inverse's gates (one call for every row), F's
+    jets, a finite dF.  With order 1, F runs on first-order jets and d2F is
+    None; the screen bracket's neighbours read only dF and xi_hat."""
+    n, d = len(bases), gen.dimension
+    g, dg, dF = np.zeros((n, d, d)), np.zeros((n, d, d, d)), np.zeros((n, d))
+    d2F = np.zeros((n, d, d)) if order == 2 else None
+    failures: dict[int, Exception] = {}
+    for k, base in enumerate(bases):
+        try:
+            g[k], dg[k] = semiriemann.metric_jets_at(gen.metric, base)
+        except EvalDomainError as exc:
+            failures[k] = exc
+    ginv, singular = invert_metric(g, bases)
+    failures = singular | failures  # a metric jet error comes first
+    for k, base in enumerate(bases):
+        if k in failures:
+            continue
+        try:
+            jet = gen._scalar(seed(base, order))
+        except EvalDomainError as exc:
+            failures[k] = exc
+            continue
+        if isinstance(jet, float):  # a constant F: its derivatives stay 0
+            continue
+        dF[k] = jet.grad
+        if order == 2:
+            d2F[k] = jet.hess
     # evaluation checks only the value lane; an infinite dF would turn the
-    # frame's Gram matrix into NaN
-    if not np.isfinite(dF).all():
-        raise NonFiniteValueError(f"derivatives not finite at {list(base)}")
-    return g, ginv, dg, dF, jet.hess if order == 2 else None, ginv @ dF
+    # frame's Gram matrix into NaN (a failed row's dF is 0)
+    for k in np.flatnonzero(~np.isfinite(dF).all(axis=1)).tolist():
+        failures[k] = NonFiniteValueError(f"derivatives not finite at {list(bases[k])}")
+    return (g, ginv, dg, dF, d2F, (ginv @ dF[:, :, None])[:, :, 0]), failures
 
 
 # The errstate classify and the public functions run under, as a decorator:
@@ -359,8 +380,9 @@ def _hessian_failures(data: _PointData) -> dict[int, Exception]:
 @_quiet
 def _point_data(gen: MongeGenerator, base: tuple[float, ...]) -> _PointData:
     """The stacked geometry of the one point ``base``."""
-    data = _PointData([base], [_jets(gen, base)])
-    _raise(_hessian_failures(data))
+    jets, failures = _jets(gen, [base])
+    data = _PointData([base], jets)
+    _raise(_hessian_failures(data) | failures)
     return data
 
 
@@ -697,17 +719,25 @@ def weingarten_at(
 # Screen integrability
 
 
-def _neighbour_jets(gen: MongeGenerator, base: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """dF and xi_hat, each (d, 2, d), at the central-difference neighbours
-    base +- BRACKET_STEP e_l: l ascending, +h before -h, so the first
-    neighbour that fails raises."""
-    d = len(base)
-    dF, xi_hat = np.empty((d, 2, d)), np.empty((d, 2, d))
-    for l in range(d):
-        for side, step in enumerate((BRACKET_STEP, -BRACKET_STEP)):
-            shifted = base[:l] + (base[l] + step,) + base[l + 1 :]
-            *_, dF[l, side], _, xi_hat[l, side] = _jets(gen, shifted, order=1)
-    return dF, xi_hat
+def _neighbour_jets(
+    gen: MongeGenerator, bases: Sequence[tuple[float, ...]]
+) -> tuple[np.ndarray, np.ndarray, dict[int, Exception]]:
+    """dF and xi_hat, each (n, d, 2, d), at the central-difference neighbours
+    base +- BRACKET_STEP e_l of the n points ``bases``, run as one stack, and
+    {point: error} of the points with a failing neighbour: the error of the
+    first, in the order l ascending, +h before -h."""
+    n, d = len(bases), gen.dimension
+    shifted = [
+        base[:l] + (base[l] + step,) + base[l + 1 :]
+        for base in bases
+        for l in range(d)
+        for step in (BRACKET_STEP, -BRACKET_STEP)
+    ]
+    (*_, dF, _, xi_hat), failed = _jets(gen, shifted, order=1)
+    first: dict[int, Exception] = {}
+    for k in sorted(failed):
+        first.setdefault(k // (2 * d), failed[k])
+    return dF.reshape(n, d, 2, d), xi_hat.reshape(n, d, 2, d), first
 
 
 def _bracket_defect(data: _PointData, dF: np.ndarray, xi_hat: np.ndarray) -> np.ndarray:
@@ -740,8 +770,9 @@ def screen_integrability_defect_at(gen: MongeGenerator, p) -> float:
     if d == 2:
         return 0.0
     data = _point_data(gen, base)
-    dF, xi_hat = _neighbour_jets(gen, base)
-    return float(_bracket_defect(data, dF[None], xi_hat[None])[0])
+    dF, xi_hat, failures = _neighbour_jets(gen, [base])
+    _raise(failures)
+    return float(_bracket_defect(data, dF, xi_hat)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -788,28 +819,19 @@ class ClassificationReport:
     note: str = "verdicts hold on the sampled set only; umbilical is a per-point fit"
 
 
-_POINT_ERRORS = (
-    EvalDomainError,
-    DegenerateMetricError,
-    NearNullPivotError,
-    ScreenRankError,
-    TangencyError,
-    NonFiniteValueError,
-)
-
-
 @_quiet
 def _analyze(
     gen: MongeGenerator, points: Sequence[SurfacePoint], tol: float, xi_scale: float
 ) -> list[PointAnalysis]:
-    """One record per sample point.  Jets run point by point; every later
-    stage runs once over the stacked points that reached it.  A point
-    records the first gate it fails, in the order: domain, F (for a point
-    whose x0 is None), jets, Hessian
-    finiteness, screen frame, bracket neighbours, Weingarten, Gauss, and
-    finiteness of the reported numbers."""
+    """One record per sample point.  Jets run point by point; the metric
+    inverse and every later stage run once over the stacked points that
+    reached them, and the d >= 3 bracket neighbours of every point form one
+    more stack.  A point records the first gate it fails, in the order:
+    domain, F (for a point whose x0 is None), metric jets, metric inverse,
+    F jets, finite dF, Hessian finiteness, screen frame, bracket neighbours,
+    Weingarten, Gauss, and finiteness of the reported numbers."""
     records = [PointAnalysis(index=i, point=sp) for i, sp in enumerate(points)]
-    kept, jets = [], []
+    kept = []
     for record in records:
         if not gen.admissible(record.point.base):
             record.error = "outside domain"
@@ -817,15 +839,16 @@ def _analyze(
         try:
             if record.point.x0 is None:
                 gen.surface_point(record.point.base)  # raises why F has no value
-            jets.append(_jets(gen, record.point.base))
-        except _POINT_ERRORS as exc:
+        except EvalDomainError as exc:
             record.error = str(exc)
             continue
         kept.append(record)
     if not kept:
         return records
-    data = _PointData([r.point.base for r in kept], jets)
-    failed = _hessian_failures(data)
+    bases = [r.point.base for r in kept]
+    jets, failed = _jets(gen, bases)
+    data = _PointData(bases, jets)
+    failed = _hessian_failures(data) | failed  # a jet error comes first
     for k, exc in failed.items():
         kept[k].error = str(exc)
     if failed:
@@ -869,15 +892,11 @@ def _analyze(
         bracket[rows] = 0.0  # line fields are integrable by convention
     elif d >= 3:
         rows = np.flatnonzero(light & alive)
-        neighbours = np.empty((2, len(rows), d, 2, d))
-        for k, base in enumerate(data.bases[r] for r in rows):
-            try:
-                neighbours[:, k] = _neighbour_jets(gen, base)
-            except _POINT_ERRORS as exc:
-                drop({k: exc}, rows)
+        dF, xi_hat, failures = _neighbour_jets(gen, [data.bases[r] for r in rows])
+        drop(failures, rows)
         reached = alive[rows]
         rows = rows[reached]
-        bracket[rows] = _bracket_defect(data.take(rows), *neighbours[:, reached])
+        bracket[rows] = _bracket_defect(data.take(rows), dF[reached], xi_hat[reached])
 
     rows = np.flatnonzero(light & alive)
     _, tau[rows], certificate, scale = _weingarten(data.take(rows), xi_scale)
@@ -948,9 +967,10 @@ def classify(
     every verdict is "indeterminate".  A refused tolerance or a zero,
     non-finite or bool xi_scale raises ValueError; negative scales are valid.
 
-    The jets are evaluated point by point; every later stage runs once over
-    the points stacked along a leading axis, and a point that fails a gate
-    drops out of the later stages with its first error.  A point's record
+    The jets are evaluated point by point; the metric inverse and every
+    later stage run once over the points stacked along a leading axis (the
+    d >= 3 bracket neighbours form one more stack), and a point that fails
+    a gate drops out of the later stages with its first error.  A point's record
     does not depend on the other points of the sample.
     """
     if not isinstance(tol, Tolerances):

@@ -44,7 +44,7 @@ from .mongecore import (
     MongeGenerator,
     SurfacePoint,
 )
-from .semiriemann import MetricField, evaluate_matrix, local_scale
+from .semiriemann import MetricField
 
 __all__ = [
     "GridSpec",
@@ -58,9 +58,6 @@ __all__ = [
     "render_report",
     "write_report",
 ]
-
-POINTWISE_SYMMETRY_TOLERANCE = 1e-12
-
 
 class GeneratorFileError(Exception):
     """Schema or expression problem in a generator file; names the field."""
@@ -208,19 +205,6 @@ def _load_samples(data: Any, dimension: int) -> SampleSet:
     return SampleSet(grid=spec)
 
 
-def _check_metric_symmetry(gen: MongeGenerator, samples: SampleSet):
-    if gen.metric.is_structurally_symmetric():
-        return
-    # fall back to a pointwise check at the sample points
-    points = samples.materialize(gen)
-    for sp in points:
-        g = evaluate_matrix(gen.metric, sp.base)
-        if np.max(np.abs(g - g.T)) > POINTWISE_SYMMETRY_TOLERANCE * local_scale(g):
-            raise GeneratorFileError(
-                "metric", f"asymmetric at sample point {list(sp.base)}"
-            )
-
-
 def load_generator(path) -> tuple[MongeGenerator, SampleSet]:
     """Parse a generator file; all expressions are resolved against the chart."""
     text = Path(path).read_text()
@@ -277,7 +261,6 @@ def load_generator(path) -> tuple[MongeGenerator, SampleSet]:
 
     samples = _load_samples(_expect(data, "samples", dict, ""), dimension)
     gen = MongeGenerator(name, chart, metric, scalar_field, tuple(constraints))
-    _check_metric_symmetry(gen, samples)
     return gen, samples
 
 

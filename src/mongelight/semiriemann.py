@@ -1,9 +1,11 @@
-"""Pointwise tensor kernels on a semi-Riemannian base manifold.
+"""Tensor kernels on a semi-Riemannian base manifold.
 
-Everything here is a pure function of (field, point): metric values and
-inverse, Levi-Civita connection coefficients from jet derivatives of the
-metric, and Gram-Schmidt orthonormalization under an indefinite inner
-product.
+Everything here is a pure function of its inputs: the metric and its first
+partials at a point, from jets; the verified inverses of a stack of metric
+matrices, with the symmetry, degeneracy and inverse-residual gates checked
+per row in one call (the one place these gates live); Levi-Civita
+connection coefficients from jet derivatives of the metric; and
+Gram-Schmidt orthonormalization under an indefinite inner product.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ __all__ = [
     "NearNullPivotError",
     "local_scale",
     "invert_metric",
-    "evaluate_matrix",
     "metric_jets_at",
     "christoffel_from_partials",
     "orthonormalize",
@@ -99,13 +100,6 @@ class MetricField:
         parsed = [[parse(entry, chart) for entry in row] for row in rows]
         return cls(chart, parsed)
 
-    def is_structurally_symmetric(self) -> bool:
-        comps = self.components
-        d = self.chart.dimension
-        return all(
-            render(comps[i][j]) == render(comps[j][i]) for i in range(d) for j in range(i + 1, d)
-        )
-
 
 @dataclass
 class OrthoFrame:
@@ -115,45 +109,42 @@ class OrthoFrame:
     signs: tuple[int, ...]
 
 
-def evaluate_matrix(field: MetricField, point) -> np.ndarray:
-    """Raw metric matrix at a point, with no symmetry or invertibility gates."""
-    d = field.chart.dimension
-    g = np.empty((d, d))
-    # the distinct components come in row-major order of first use, so the
-    # first to fail is the row-major first failing entry
-    for component, slots in field._distinct:
-        value = component(point)
-        for j, k in slots:
-            g[j, k] = value
-    return g
+def invert_metric(
+    g: np.ndarray, bases: Sequence[Sequence[float]]
+) -> tuple[np.ndarray, dict[int, DegenerateMetricError]]:
+    """Verified inverses of the metric matrices g (n, d, d) at the points
+    ``bases``, and {row: DegenerateMetricError} of the rows that have none.
 
-
-def _degenerate(message: str, at: Sequence[float] | None) -> DegenerateMetricError:
-    return DegenerateMetricError(message if at is None else f"{message} at {list(at)}")
-
-
-def invert_metric(g: np.ndarray, at: Sequence[float] | None = None) -> np.ndarray:
-    """Verified inverse of a symmetric metric matrix.
-
-    Raises DegenerateMetricError when the matrix is asymmetric, when |det|
+    A row fails at the first of three gates: it is asymmetric, its |det|
     falls below the degeneracy threshold relative to the scale 1 + max|g|,
-    or when the inverse residual ||g g^-1 - I||_inf exceeds tolerance; the
-    message ends " at [x, y, ...]" when the base point ``at`` is given.
+    or its inverse residual ||g g^-1 - I||_inf exceeds tolerance.  The
+    message ends " at [x, y, ...]" with the row's base point, and the row's
+    inverse is NaN.  Each row is computed on its own; a row holding NaN
+    passes every gate, since a comparison with NaN is false.
     """
-    scale = 1.0 + np.abs(g).max()
-    if np.abs(g - g.T).max() > SYMMETRY_TOLERANCE * scale:
-        raise _degenerate("metric not symmetric", at)
-    d = g.shape[0]
+    n, d = g.shape[:2]
+    scale = 1.0 + np.abs(g).max(axis=(1, 2))
+    asymmetric = np.abs(g - g.transpose(0, 2, 1)).max(axis=(1, 2)) > SYMMETRY_TOLERANCE * scale
     # in logs, because scale**d overflows for extreme metrics
-    if np.linalg.slogdet(g)[1] < np.log(DEGENERACY_THRESHOLD) + d * np.log(scale):
-        raise _degenerate("metric degenerate", at)
+    degenerate = np.linalg.slogdet(g)[1] < np.log(DEGENERACY_THRESHOLD) + d * np.log(scale)
+    refused = asymmetric | degenerate
+    if refused.any():  # a refused row is inverted as the identity, so it cannot raise
+        g = np.where(refused[:, None, None], np.eye(d), g)
     ginv = np.linalg.inv(g)
     product = g @ ginv
-    product.reshape(-1)[:: d + 1] -= 1.0  # g g^-1 - I, on a view of the diagonal
-    residual = np.abs(product).max()
-    if residual >= INVERSE_RESIDUAL_TOLERANCE:
-        raise _degenerate(f"metric inverse residual {residual:.3e}", at)
-    return ginv
+    product.reshape(n, d * d)[:, :: d + 1] -= 1.0  # g g^-1 - I, on a view of the diagonals
+    residual = np.abs(product).max(axis=(1, 2))
+    failures = {}
+    for k in np.flatnonzero(refused | (residual >= INVERSE_RESIDUAL_TOLERANCE)).tolist():
+        if asymmetric[k]:
+            message = "metric not symmetric"
+        elif degenerate[k]:
+            message = "metric degenerate"
+        else:
+            message = f"metric inverse residual {residual[k]:.3e}"
+        failures[k] = DegenerateMetricError(f"{message} at {list(bases[k])}")
+        ginv[k] = np.nan
+    return ginv, failures
 
 
 def metric_jets_at(field: MetricField, point: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
@@ -177,14 +168,10 @@ def metric_jets_at(field: MetricField, point: Sequence[float]) -> tuple[np.ndarr
 
 
 def christoffel_from_partials(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
-    """Assemble Gamma[k, i, j] from the inverse metric and dg[i, j, k] = d_i g_jk.
-
-    With a leading point axis (ginv (n, d, d), dg (n, d, d, d)) the result
-    is (n, d, d, d), each row computed on its own.
+    """Assemble Gamma[k, i, j] from the inverse metric and dg[i, j, k] = d_i g_jk
+    of points stacked along a leading axis: ginv (n, d, d) and dg
+    (n, d, d, d) give (n, d, d, d), each row computed on its own.
     """
-    stacked = ginv.ndim == 3
-    if not stacked:
-        ginv, dg = ginv[None], dg[None]
     n, d = ginv.shape[:2]
     # Gamma^k_ij = 1/2 g^{kl} (d_i g_lj + d_j g_li - d_l g_ij)
     bracket = (
@@ -192,7 +179,7 @@ def christoffel_from_partials(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
     )  # bracket[n, l, i, j]
     gamma = 0.5 * (ginv @ bracket.reshape(n, d, d * d)).reshape(n, d, d, d)
     gamma = 0.5 * (gamma + np.transpose(gamma, (0, 1, 3, 2)))
-    return gamma if stacked else gamma[0]
+    return gamma
 
 
 def orthonormalize(

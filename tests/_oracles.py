@@ -17,7 +17,7 @@ from mongelight.exprlang import (
     Neg,
     Num,
     Param,
-    evaluate,
+    compile_expr,
 )
 
 FD_STEP = 1e-5
@@ -141,26 +141,23 @@ def fd_screen_integrability_defect(metric_eval, f, x, h=RICH_STEP):
 
 
 def metric_evaluator(field, chart):
-    """Plain-float metric matrix evaluator for a MetricField."""
+    """Plain-float metric matrix evaluator for a MetricField; each component
+    is compiled once."""
+    rows = [[compile_expr(e, chart.parameters) for e in row] for row in field.components]
 
     def at(point):
-        d = chart.dimension
-        return np.array(
-            [
-                [
-                    evaluate(field.components[i][j], list(point), chart.parameters)
-                    for j in range(d)
-                ]
-                for i in range(d)
-            ]
-        )
+        point = list(point)
+        return np.array([[entry(point) for entry in row] for row in rows])
 
     return at
 
 
 def scalar_evaluator(expr, chart):
+    """Plain-float evaluator of an expression, compiled once."""
+    compiled = compile_expr(expr, chart.parameters)
+
     def at(point):
-        return evaluate(expr, list(point), chart.parameters)
+        return compiled(list(point))
 
     return at
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from mongelight import catalog
-from mongelight.exprlang import CoordinateChart, parse, parse_constraint
+from mongelight.exprlang import CoordinateChart, EvalDomainError, parse, parse_constraint
 from mongelight.mongecore import (
     MongeGenerator,
     SurfacePoint,
@@ -22,7 +22,7 @@ from mongelight.mongecore import (
     weingarten_at,
 )
 from mongelight.reportio import grid_sample
-from mongelight.semiriemann import MetricField
+from mongelight.semiriemann import DegenerateMetricError, MetricField
 
 IDENTITY2 = [["1", "0"], ["0", "1"]]
 
@@ -71,6 +71,17 @@ def make_cases():
     # a neighbour leaves the domain of sqrt(z)
     gen = generator("root", "xyz", diag3("sqrt(z)"), "x", ("z > 0",))
     cases["root"] = gen, drawn(gen, [(0.0, 0.0, 5e-6), (0.0, 0.0, 1.0)]), None
+    # the metric is degenerate where F's jets also fail: the inverse's gate
+    # comes first
+    gen = generator("metric_first", "xy", [["x", "0"], ["0", "1"]], "sqrt(x)")
+    cases["metric_first"] = gen, drawn(gen, [(1e-320, 0.5), (1.0, 0.5)]), None
+    # the +x neighbour of x = 0 fails in F, a later +y neighbour at y = 0
+    # in the inverse's gate: the first neighbour is reported; at x = -0.5
+    # only the +y neighbour fails
+    rows = [["1", "0", "0"], ["0", "1e4*(y - 1e-5)^2", "0"], ["0", "0", "1"]]
+    gen = generator("first_neighbour", "xyz", rows, "z + 0*sqrt(5e-6 - x)")
+    bases = [(0.0, 0.0, 0.0), (-1.0, 1.0, 0.0), (-0.5, 0.0, 0.0)]
+    cases["first_neighbour"] = gen, drawn(gen, bases), None
     # the jet's second derivative of sqrt divides by an underflowed 0
     gen = generator("sqrt", "xy", IDENTITY2, "sqrt(x)")
     cases["sqrt"] = gen, drawn(gen, [(1e-320, 0.5), (1.0, 0.5)]), None
@@ -117,6 +128,11 @@ PINNED = {
     "twin": {0: "metric degenerate at [0.0, 0.0, 1.0000200000000001]"},
     "cross": {0: "metric degenerate at [1.0, 0.0, 0.99999]"},
     "root": {0: "sqrt of non-positive value -5e-06 in subexpression 'sqrt(z)'"},
+    "metric_first": {0: "metric degenerate at [1e-320, 0.5]"},
+    "first_neighbour": {
+        0: "sqrt of non-positive value -5e-06 in subexpression 'sqrt(5e-06-x)'",
+        2: "metric degenerate at [-0.5, 1e-05, 0.0]",
+    },
     "sqrt": {0: "float division by zero in subexpression 'sqrt(x)'"},
     "sqrt200": {0: "float division by zero in subexpression 'sqrt(x)'"},
     "slope": {0: "derivatives not finite at [1e-100, 0.5]"},
@@ -173,6 +189,18 @@ def test_record_independent_of_batch(name):
     permuted = classify(gen, [points[k] for k in order], tol).points
     for k, analysis in zip(order, permuted):
         assert record_bits(analysis) == whole[k]
+
+
+def test_public_functions_raise_the_first_error():
+    # a stack of one keeps the first-error order of classify's records
+    gen, points, _ = CASES["metric_first"]
+    with pytest.raises(DegenerateMetricError, match=r"^metric degenerate at \[1e-320, 0.5\]$"):
+        lightlike_defect_at(gen, points[0])
+    gen, points, _ = CASES["first_neighbour"]
+    with pytest.raises(EvalDomainError, match=r"^sqrt of non-positive value -5e-06 "):
+        screen_integrability_defect_at(gen, points[0])
+    with pytest.raises(DegenerateMetricError, match=r"^metric degenerate at \[-0.5, 1e-05, 0.0\]$"):
+        screen_integrability_defect_at(gen, points[2])
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -149,6 +149,32 @@ class TestClassifyCommand:
         assert [p["error"] for p in report["points"]] == [None, "outside domain", None]
         assert report["points"][1]["point"] == [0.0, -1.0] and report["points"][1]["x0"] is None
 
+    def test_metric_that_fails_outside_the_domain(self, tmp_path, capsys):
+        # the metric is asymmetric as written and cannot be evaluated at
+        # (0, -1), outside the domain: loading evaluates no metric, and the
+        # run records that point instead of aborting
+        doc = {
+            "name": "lnmix",
+            "dimension": 2,
+            "coordinates": ["x", "y"],
+            "parameters": {},
+            "metric": [["1", "ln(y)*0"], ["0*ln(y)", "1"]],
+            "scalar_field": "ln(y)",
+            "domain": ["y > 0"],
+            "samples": {"points": [[0, 2], [0, -1], [0.5, 1]]},
+        }
+        path = tmp_path / "points.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "report.json"
+        assert cli.main(["classify", "--generator", str(path), "--out", str(out)]) == 2
+
+        def reject(token):
+            raise ValueError(f"non-finite number {token}")
+
+        report = json.loads(out.read_text(), parse_constant=reject)
+        assert [p["error"] for p in report["points"]] == [None, "outside domain", None]
+        assert all(p["B"] is not None for p in report["points"][::2])
+
     def test_deterministic_output(self, hyperbolic2_file, capsys):
         cli.main(["classify", "--generator", str(hyperbolic2_file)])
         first = capsys.readouterr().out

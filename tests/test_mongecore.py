@@ -624,9 +624,9 @@ class TestScreenIntegrability:
         entry = catalog.builtin(name)
         for sp in default_points(entry, limit=5):
             data = _point_data(entry.generator, sp.base)
-            _, _, _, dF, _, xi_hat = _jets(entry.generator, sp.base)
+            (*_, dF, _, xi_hat), _ = _jets(entry.generator, [sp.base], order=1)
             assert np.array_equal(
-                _screen_fields(dF, xi_hat), _screen_fields(data.dF[0], data.xi_hat[0])
+                _screen_fields(dF[0], xi_hat[0]), _screen_fields(data.dF[0], data.xi_hat[0])
             )
 
     @pytest.mark.parametrize("name", ["hyperbolic3", "euclid_cone"])
@@ -1020,9 +1020,9 @@ class TestCompiledExpressions:
     def test_jet_orders(self):
         base = (0.0, 0.0, 2.0)
         gen = catalog.builtin("hyperbolic3").generator
-        g, ginv, dg, dF, d2F, xi_hat = _jets(gen, base)
-        assert d2F.shape == (3, 3)
-        neighbour = _jets(gen, base, order=1)
+        (g, ginv, dg, dF, d2F, xi_hat), _ = _jets(gen, [base])
+        assert d2F.shape == (1, 3, 3)
+        neighbour, _ = _jets(gen, [base], order=1)
         assert neighbour[4] is None
         for got, want in zip(neighbour[:4] + neighbour[5:], (g, ginv, dg, dF, xi_hat)):
             assert got.tobytes() == want.tobytes()

@@ -1,11 +1,12 @@
 """Generator-file loading, grid sampling, and report serialization."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from mongelight import catalog
+from mongelight import catalog, cli
 from mongelight.exprlang import BinOp, CoordinateChart, EvalDomainError, Num, parse
 from mongelight.mongecore import EmptySampleError, MongeGenerator, classify, lightlike_defect_at
 from mongelight.reportio import (
@@ -137,11 +138,22 @@ class TestLoadGenerator:
         gen, _ = load_generator(write(tmp_path, doc))
         assert gen.name == "hyperbolic2"
 
-    def test_symmetry_violation(self, tmp_path):
+    def test_symmetry_violation(self, tmp_path, capsys):
+        # an asymmetric metric loads: classify records each point where it
+        # is asymmetric, and the CLI writes that report and exits 2
         doc = hyperbolic2_doc()
         doc["metric"] = [["1/y^2", "x"], ["2*x", "1/y^2"]]
-        with pytest.raises(GeneratorFileError, match="metric"):
-            load_generator(write(tmp_path, doc))
+        path = write(tmp_path, doc)
+        gen, samples = load_generator(path)
+        report = classify(gen, samples.materialize(gen))
+        for a in report.points:
+            if a.point.base[0] == 0.0:
+                assert a.error is None
+            else:
+                assert a.error == f"metric not symmetric at {list(a.point.base)}"
+        out = tmp_path / "report.json"
+        assert cli.main(["classify", "--generator", str(path), "--out", str(out)]) == 2
+        assert out.read_text() == render_report(report)
 
     def test_unknown_coordinate_named(self, tmp_path):
         doc = hyperbolic2_doc()
@@ -199,6 +211,23 @@ class TestReports:
             first = render_report(self.make_report(name))
             second = render_report(self.make_report(name))
             assert first == second
+
+    # sha256 of each builtin's default-grid report, recorded before the
+    # metric inverse was stacked; a change that claims byte-identical
+    # reports is checked here
+    PINNED = {
+        "hyperbolic2": "7b0915a14b737add34499482ecebfa4400d2d5ec48fce5b81a1f8f8532068cbb",
+        "hyperbolic3": "a738571ea5821ffd3f862f8a57c50a5363ee7039322c4ad90408b94201fcb6b9",
+        "schwarzschild_tr": "47ca1d3992839c3b79a3db513c0b1a49b638a2b8f9e0fb37c9833edbff0bf7dc",
+        "euclid_hyperplane": "e754b643b4e9c5aaf02e06317440118ddb337e05b564ea50a53f133edb125422",
+        "euclid_cone": "3010a2c4e6da2c313681e36cc7b2d6a84bd88bec0b08e3a04edd37854be307f5",
+        "nonlightlike_control": "71b1a0efeb64bb074b2d26a8c327d6d1e105da9ad1d6a97a6a9b26c6c26208ba",
+    }
+
+    @pytest.mark.parametrize("name", [name for name, _ in catalog.list_builtins()])
+    def test_builtin_report_bytes_pinned(self, name):
+        digest = hashlib.sha256(render_report(self.make_report(name)).encode()).hexdigest()
+        assert digest == self.PINNED[name]
 
     def test_json_parses_and_has_schema(self):
         doc = json.loads(render_report(self.make_report()))

@@ -54,15 +54,19 @@ POLAR = MetricField.from_strings(
 
 
 # the metric, its verified inverse and the Christoffel symbols along the
-# path the per-point kernel runs
+# path the kernel runs, on a stack of one point; a failed gate raises
 def kernel_metric(field, point):
     g, _ = metric_jets_at(field, point)
-    return g, invert_metric(g)
+    ginv, failures = invert_metric(g[None], [point])
+    if failures:
+        raise failures[0]
+    return g, ginv[0]
 
 
 def kernel_christoffel(field, point):
-    g, dg = metric_jets_at(field, point)
-    return christoffel_from_partials(invert_metric(g), dg)
+    _, dg = metric_jets_at(field, point)
+    _, ginv = kernel_metric(field, point)
+    return christoffel_from_partials(ginv[None], dg[None])[0]
 
 
 class TestMetricAt:
@@ -99,8 +103,7 @@ class TestMetricAt:
         field = MetricField.from_strings(
             CoordinateChart(("x", "y")), [["1", "x"], ["2*x", "1"]]
         )
-        assert not field.is_structurally_symmetric()
-        with pytest.raises(DegenerateMetricError):
+        with pytest.raises(DegenerateMetricError, match=r"^metric not symmetric at \[0.5, 1.0\]$"):
             kernel_metric(field, [0.5, 1.0])
 
     @staticmethod
@@ -114,27 +117,53 @@ class TestMetricAt:
         g = q @ np.diag([1.0, 1e-9, 1.0]) @ q.T
         return 0.5 * (g + g.T)
 
-    @pytest.mark.parametrize(
-        "case, message",
-        [
-            ("asymmetric", "metric not symmetric"),
-            ("degenerate", "metric degenerate"),
-            ("residual", "metric inverse residual "),
-        ],
-    )
-    def test_every_gate_names_the_point(self, case, message):
-        g = {
-            "asymmetric": np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
-            "degenerate": np.diag([1.0, 1.0, 0.0]),
-            "residual": self.ill_conditioned(),
-        }[case]
-        with pytest.raises(DegenerateMetricError) as named:
-            invert_metric(g, at=(0.5, 2.0, -1.0))
-        assert str(named.value).startswith(message)
-        assert str(named.value).endswith(" at [0.5, 2.0, -1.0]")
-        with pytest.raises(DegenerateMetricError) as bare:
-            invert_metric(g)
-        assert str(bare.value) == str(named.value).removesuffix(" at [0.5, 2.0, -1.0]")
+    def test_every_gate_names_the_point(self):
+        # one stack mixing every gate's failure with rows that pass: each
+        # failing row gets its gate's message, ending in its own base, and a
+        # NaN inverse; every other row's inverse is np.linalg.inv's, bit for
+        # bit.  A row holding NaN or inf passes every gate, since a
+        # comparison with NaN is false.  Each row alone, a stack of one that
+        # takes the path without masks when it passes, gives the same.
+        rng = np.random.default_rng(3)
+
+        def good():
+            a = rng.normal(size=(3, 3))
+            return a + a.T + np.diag([4.0, -4.0, 4.0])  # symmetric, indefinite
+
+        residual = self.ill_conditioned()
+        g = np.array(
+            [
+                good(),
+                [[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                np.diag([1.0, 1.0, 0.0]),
+                good(),
+                np.diag([np.nan, 1.0, 1.0]),
+                residual,
+                np.diag([np.inf, 1.0, 1.0]),
+                good(),
+            ]
+        )
+        bases = [(0.5, 2.0, float(-k)) for k in range(len(g))]
+        remainder = np.abs(residual @ np.linalg.inv(residual) - np.eye(3)).max()
+        expected = {
+            1: "metric not symmetric",
+            2: "metric degenerate",
+            5: f"metric inverse residual {remainder:.3e}",
+        }
+        with np.errstate(invalid="ignore", over="ignore"):
+            ginv, failures = invert_metric(g, bases)
+            assert {k: str(exc) for k, exc in failures.items()} == {
+                k: f"{message} at {list(bases[k])}" for k, message in expected.items()
+            }
+            for k in range(len(g)):
+                alone, failure = invert_metric(g[k : k + 1], bases[k : k + 1])
+                if k in expected:
+                    assert np.isnan(ginv[k]).all() and np.isnan(alone).all()
+                    assert str(failure[0]) == str(failures[k])
+                else:
+                    assert not failure
+                    assert np.array_equal(ginv[k], np.linalg.inv(g[k]), equal_nan=True)
+                    assert np.array_equal(alone[0], ginv[k], equal_nan=True)
 
 
 class TestMetricJets:
@@ -242,13 +271,16 @@ class TestChristoffel:
 
     def test_leading_axis_rows_match_single_points(self):
         points = [(0.0, 1.5), (0.0, 3.3), (0.0, 7.0)]
-        jets = [metric_jets_at(SCHW.metric, p) for p in points]
-        ginv = np.array([invert_metric(g) for g, _ in jets])
-        dg = np.array([dg for _, dg in jets])
+        g, dg = map(np.array, zip(*(metric_jets_at(SCHW.metric, p) for p in points)))
+        ginv, failures = invert_metric(g, points)
+        assert not failures
         stacked = christoffel_from_partials(ginv, dg)
         assert stacked.shape == (3, 2, 2, 2)
         for k in range(3):
-            assert np.array_equal(stacked[k], christoffel_from_partials(ginv[k], dg[k]))
+            alone, _ = invert_metric(g[k : k + 1], points[k : k + 1])
+            assert np.array_equal(alone[0], ginv[k])
+            one = christoffel_from_partials(alone, dg[k : k + 1])
+            assert one.shape == (1, 2, 2, 2) and np.array_equal(one[0], stacked[k])
 
 
 class TestGradient:
