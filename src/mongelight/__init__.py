@@ -58,7 +58,6 @@ from .reportio import (
     load_generator,
     render_report,
     save_generator,
-    write_report,
 )
 
 __all__ = [
@@ -107,5 +106,4 @@ __all__ = [
     "load_generator",
     "save_generator",
     "render_report",
-    "write_report",
 ]

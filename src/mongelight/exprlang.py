@@ -263,7 +263,10 @@ class _Parser:
         kind, value, pos = self.peek()
         if kind == "num":
             self.advance()
-            return Num(float(value))
+            number = float(value)
+            if not math.isfinite(number):  # a literal such as 1e400 reads as inf
+                self.fail("number out of range", pos)
+            return Num(number)
         if value == "(":
             self.advance()
             node = self.parse_expr()

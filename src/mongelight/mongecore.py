@@ -199,21 +199,26 @@ def _base_of(p) -> tuple[float, ...]:
 # after the jets run once over the points stacked along a leading axis.
 # Every contraction is a matmul of per-point slices or an elementwise
 # operation, so a point's numbers do not depend on which other points share
-# its stack.  A stage that can fail returns {row: exception}; the public
+# its stack.  A stage that can fail returns {row: exception}.  A failed row
+# stays in the stack under errstate _quiet: its numbers mean nothing, and
+# classify's ``alive`` mask keeps them out of the records.  The public
 # functions run the same stages on a stack of one point and raise the
 # exception of row 0.
 
 
 class _PointData:
-    """The geometry of points stacked along a leading axis (row k is bases[k]).
+    """The geometry of points stacked along a leading axis (row k is bases[k]),
+    with {row: first error} of the rows that fail, whose numbers mean
+    nothing: a jet error (see _jets), else a non-finite covariant Hessian.
 
     dg[k, i, j, l] = d_i g_jl, d2F holds plain coordinate partials d_i d_j F,
     gamma[k, l, i, j] the Christoffel symbols and hess the covariant
     Hessian; the rest is derived on first use.
     """
 
-    def __init__(self, bases: Sequence[tuple[float, ...]], jets: tuple[np.ndarray, ...]):
+    def __init__(self, gen: MongeGenerator, bases: Sequence[tuple[float, ...]]):
         self.bases = list(bases)
+        jets, self.failures = _jets(gen, self.bases)
         self.g, self.ginv, self.dg, self.dF, self.d2F, self.xi_hat = jets
         # the all-i _weingarten result per xi_scale, kept for weingarten_at
         self.weingarten: dict[float, tuple[np.ndarray, ...]] = {}
@@ -221,15 +226,14 @@ class _PointData:
         self.gamma = christoffel_from_partials(self.ginv, self.dg)
         contracted = self.dF[:, None, :] @ self.gamma.reshape(n, d, d * d)
         self.hess = self.d2F - contracted.reshape(n, d, d)
-
-    def take(self, rows: np.ndarray) -> "_PointData":
-        """The given rows of every array computed so far."""
-        part = object.__new__(_PointData)
-        for name, value in vars(self).items():
-            if isinstance(value, np.ndarray):
-                setattr(part, name, value[rows])
-        part.bases, part.weingarten = [self.bases[k] for k in rows], {}
-        return part
+        # an overflowed dg or d2F lane leaves hess non-finite
+        finite = np.isfinite(self.hess)
+        if finite.all():  # the usual case, without the masks
+            return
+        for k in np.flatnonzero(~finite.all(axis=(1, 2))).tolist():
+            self.failures.setdefault(  # a jet error comes first
+                k, NonFiniteValueError(f"derivatives not finite at {list(self.bases[k])}")
+            )
 
     @cached_property
     def gbar(self) -> np.ndarray:
@@ -278,11 +282,6 @@ class _PointData:
         row vector dF, spanned by eliminating against its largest-magnitude
         entry, then orthonormalized; requires d >= 2."""
         n, d = self.dF.shape
-        if d < 2:
-            error = ScreenRankError("kernel frame needs chart dimension >= 2")
-            return OrthoFrame(np.zeros((n, 0, d)), np.zeros((n, 0), dtype=int)), dict.fromkeys(
-                range(n), error
-            )
         rows = np.arange(n)
         pivot = np.abs(self.dF).argmax(axis=1)
         lead = self.dF[rows, pivot]
@@ -364,25 +363,12 @@ def _raise(failures: dict[int, Exception]):
         raise failures[0]
 
 
-def _hessian_failures(data: _PointData) -> dict[int, Exception]:
-    # an overflowed dg or d2F lane leaves hess non-finite
-    finite = np.isfinite(data.hess)
-    if finite.all():  # the usual case, without the masks
-        return {}
-    bad = np.flatnonzero(~finite.all(axis=(1, 2)))
-    return {
-        int(k): NonFiniteValueError(f"derivatives not finite at {list(data.bases[k])}")
-        for k in bad
-    }
-
-
 @lru_cache(maxsize=512)
 @_quiet
 def _point_data(gen: MongeGenerator, base: tuple[float, ...]) -> _PointData:
     """The stacked geometry of the one point ``base``."""
-    jets, failures = _jets(gen, [base])
-    data = _PointData([base], jets)
-    _raise(_hessian_failures(data) | failures)
+    data = _PointData(gen, [base])
+    _raise(data.failures)
     return data
 
 
@@ -593,6 +579,8 @@ def minimal_defect_at(gen: MongeGenerator, p) -> float:
     the frame.
     """
     data = _point_data(gen, _base_of(p))
+    if gen.dimension < 2:
+        raise ScreenRankError("kernel frame needs chart dimension >= 2")
     frame, failures = data.kernel_frame
     _raise(failures)
     return float(_minimal_defect(frame, data.hess)[0])
@@ -740,17 +728,20 @@ def _neighbour_jets(
     return dF.reshape(n, d, 2, d), xi_hat.reshape(n, d, 2, d), first
 
 
-def _bracket_defect(data: _PointData, dF: np.ndarray, xi_hat: np.ndarray) -> np.ndarray:
-    """Worst screen leakage |dF([s_i, s_j])| / 2 per point, from the
-    neighbour dF and xi_hat of _neighbour_jets stacked along a leading axis."""
+def _bracket_defect(
+    centre_dF: np.ndarray, centre_xi_hat: np.ndarray, dF: np.ndarray, xi_hat: np.ndarray
+) -> np.ndarray:
+    """Worst screen leakage |dF([s_i, s_j])| / 2 per point, from the points'
+    own dF and xi_hat and their neighbours' of _neighbour_jets, stacked
+    along a leading axis."""
     fields = _screen_fields(dF, xi_hat)  # fields[k, l, side, i, m]
-    n, d = data.dF.shape
+    n, d = centre_dF.shape
     # ds[k, l, i, m] = d_l s_i^m and half[k, i, j, m] = s_i(s_j)^m
     ds = (fields[:, :, 0] - fields[:, :, 1]) / (2.0 * BRACKET_STEP)
-    half = _screen_fields(data.dF, data.xi_hat) @ ds.reshape(n, d, d * d)
+    half = _screen_fields(centre_dF, centre_xi_hat) @ ds.reshape(n, d, d * d)
     half = half.reshape(n, d, d, d)
     bracket = half - half.transpose(0, 2, 1, 3)
-    return 0.5 * np.abs(bracket @ data.dF[:, None, :, None]).max(axis=(1, 2, 3))
+    return 0.5 * np.abs(bracket @ centre_dF[:, None, :, None]).max(axis=(1, 2, 3))
 
 
 @_quiet
@@ -764,15 +755,15 @@ def screen_integrability_defect_at(gen: MongeGenerator, p) -> float:
     the neighbour).  Line fields (d = 2) are integrable by convention: 0.
     """
     base = _base_of(p)
+    data = _point_data(gen, base)
     d = gen.dimension
     if d < 2:
         raise ScreenRankError("screen needs chart dimension >= 2")
     if d == 2:
         return 0.0
-    data = _point_data(gen, base)
     dF, xi_hat, failures = _neighbour_jets(gen, [base])
     _raise(failures)
-    return float(_bracket_defect(data, dF, xi_hat)[0])
+    return float(_bracket_defect(data.dF, data.xi_hat, dF, xi_hat)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -824,9 +815,13 @@ def _analyze(
     gen: MongeGenerator, points: Sequence[SurfacePoint], tol: float, xi_scale: float
 ) -> list[PointAnalysis]:
     """One record per sample point.  Jets run point by point; the metric
-    inverse and every later stage run once over the stacked points that
-    reached them, and the d >= 3 bracket neighbours of every point form one
-    more stack.  A point records the first gate it fails, in the order:
+    inverse and every later stage run once over one stack of every point
+    that passed the domain and F, and one boolean ``alive`` mask says which
+    rows still count.  A stage's failure is recorded only at a row that is
+    alive and that the stage gates (the lightlike rows, for the screen,
+    Weingarten and Gauss).  The d >= 3 bracket neighbours of the live
+    lightlike points form one more stack.  A point records the first gate
+    it fails, in the order:
     domain, F (for a point whose x0 is None), metric jets, metric inverse,
     F jets, finite dF, Hessian finiteness, screen frame, bracket neighbours,
     Weingarten, Gauss, and finiteness of the reported numbers."""
@@ -845,71 +840,54 @@ def _analyze(
         kept.append(record)
     if not kept:
         return records
-    bases = [r.point.base for r in kept]
-    jets, failed = _jets(gen, bases)
-    data = _PointData(bases, jets)
-    failed = _hessian_failures(data) | failed  # a jet error comes first
-    for k, exc in failed.items():
-        kept[k].error = str(exc)
-    if failed:
-        rows = [k for k in range(len(kept)) if k not in failed]
-        kept, data = [kept[k] for k in rows], data.take(rows)
-    if not kept:
-        return records
-
+    data = _PointData(gen, [r.point.base for r in kept])
     n, d = data.dF.shape
-    alive = np.ones(n, dtype=bool)
+    everywhere = np.ones(n, dtype=bool)
+    alive = everywhere.copy()
 
-    def drop(failures: dict[int, Exception], rows: np.ndarray):
-        """Record each failure of a stage that ran on the given rows."""
+    def drop(failures: dict[int, Exception], among: np.ndarray):
+        """Record each failure at a row that is among the given rows and alive."""
         for k, exc in failures.items():
-            kept[rows[k]].error = str(exc)
-            alive[rows[k]] = False
+            if among[k] and alive[k]:
+                kept[k].error = str(exc)
+                alive[k] = False
 
+    drop(data.failures, everywhere)
     rank = _radical_rank(data, tol)
     light = _is_lightlike(data.norm2, tol)
     B = -xi_scale * data.hess
     rho, residual, normalizer, posed = _umbilic_fit(data)
     fit = posed & (d >= 2)  # every 1 x 1 form is a multiple of T: the fit says nothing
-    xi = xi_scale * data.xi
+    xi, nxi = xi_scale * data.xi, data.nxi / xi_scale
     normality = np.abs(data.frame @ data.gbar @ xi[:, :, None]).max(axis=(1, 2))
     xi_null = _pair(xi, data.gbar, xi)
+    xi_nxi = _pair(xi, data.gbar, nxi)
+    nxi_nxi = _pair(nxi, data.gbar, nxi)
 
-    xi_nxi, nxi_nxi, screen_nxi, minimal, bracket, gauss = np.full((6, n), np.nan)
-    tau = np.full((n, d), np.nan)
-    rows = np.flatnonzero(light)
-    part = data.take(rows)
-    nxi = part.nxi / xi_scale
-    xi_nxi[rows] = _pair(xi[rows], part.gbar, nxi)
-    nxi_nxi[rows] = _pair(nxi, part.gbar, nxi)
+    screen_nxi, minimal, bracket = np.full((3, n), np.nan)
     if d >= 2:
-        drop(_screen_failures(part), rows)
-        frame, _ = part.kernel_frame
-        screen = _lift(frame.vectors) @ part.gbar @ nxi[:, :, None]
-        screen_nxi[rows] = np.abs(screen).max(axis=(1, 2))
-        minimal[rows] = _minimal_defect(frame, part.hess)
+        drop(_screen_failures(data), light)
+        frame, _ = data.kernel_frame
+        screen = _lift(frame.vectors) @ data.gbar @ nxi[:, :, None]
+        screen_nxi = np.abs(screen).max(axis=(1, 2))
+        minimal = _minimal_defect(frame, data.hess)
     if d == 2:
-        bracket[rows] = 0.0  # line fields are integrable by convention
+        bracket[:] = 0.0  # line fields are integrable by convention
     elif d >= 3:
         rows = np.flatnonzero(light & alive)
         dF, xi_hat, failures = _neighbour_jets(gen, [data.bases[r] for r in rows])
-        drop(failures, rows)
-        reached = alive[rows]
-        rows = rows[reached]
-        bracket[rows] = _bracket_defect(data.take(rows), dF[reached], xi_hat[reached])
+        drop({rows[k]: exc for k, exc in failures.items()}, light)
+        bracket[rows] = _bracket_defect(data.dF[rows], data.xi_hat[rows], dF, xi_hat)
 
-    rows = np.flatnonzero(light & alive)
-    _, tau[rows], certificate, scale = _weingarten(data.take(rows), xi_scale)
-    drop(_tangency_failures("Weingarten", certificate, scale, tol), rows)
-    rows = np.flatnonzero(light & alive)
-    _, _, certificate, scale = _gauss_split(data.take(rows), xi_scale)
-    drop(_tangency_failures("Gauss", certificate, scale, tol), rows)
-    gauss[rows] = certificate.max(axis=(1, 2))
+    _, tau, certificate, scale = _weingarten(data, xi_scale)
+    drop(_tangency_failures("Weingarten", certificate, scale, tol), light)
+    _, _, certificate, scale = _gauss_split(data, xi_scale)
+    drop(_tangency_failures("Gauss", certificate, scale, tol), light)
+    gauss = certificate.max(axis=(1, 2))
 
     # every number bound for the report, in record order, with the rows
     # that carry it and the record field (or dict of the field) it fills;
     # the first that is not finite names the point's error
-    everywhere = np.ones(n, dtype=bool)
     screened = light & (d >= 2)
     reported = (
         ("B", B, everywhere, None),
@@ -929,9 +907,8 @@ def _analyze(
         ("gauss_tangency", gauss, light, "certificates"),
     )
     for name, values, present, _ in reported:
-        finite = np.isfinite(values.reshape(n, -1)).all(axis=1)
-        bad = np.flatnonzero(present & alive & ~finite)
-        drop(dict.fromkeys(range(len(bad)), NonFiniteValueError(f"{name} is not finite")), bad)
+        bad = np.flatnonzero(~np.isfinite(values.reshape(n, -1)).all(axis=1)).tolist()
+        drop(dict.fromkeys(bad, NonFiniteValueError(f"{name} is not finite")), present)
 
     columns = [
         (name, values.tolist() if values.ndim == 1 else values, present.tolist(), group)
@@ -968,10 +945,12 @@ def classify(
     non-finite or bool xi_scale raises ValueError; negative scales are valid.
 
     The jets are evaluated point by point; the metric inverse and every
-    later stage run once over the points stacked along a leading axis (the
-    d >= 3 bracket neighbours form one more stack), and a point that fails
-    a gate drops out of the later stages with its first error.  A point's record
-    does not depend on the other points of the sample.
+    later stage run once over one stack of all the points, with one
+    ``alive`` mask for the points that have not failed yet (the d >= 3
+    bracket neighbours of the live lightlike points form one more stack).
+    A point that fails a gate keeps its first error, and its later numbers
+    reach no record.  A point's record does not depend on the other points
+    of the sample.
     """
     if not isinstance(tol, Tolerances):
         tol = Tolerances() if tol is None else Tolerances(tol)

@@ -25,7 +25,6 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
 
 import numpy as np
 
@@ -56,7 +55,6 @@ __all__ = [
     "generator_to_dict",
     "report_to_dict",
     "render_report",
-    "write_report",
 ]
 
 class GeneratorFileError(Exception):
@@ -171,9 +169,7 @@ def _parse_expr(source, chart, path):
         raise GeneratorFileError(path, str(exc)) from exc
 
 
-def _load_samples(data: Any, dimension: int) -> SampleSet:
-    if not isinstance(data, dict):
-        raise GeneratorFileError("samples", "expected an object")
+def _load_samples(data: dict, dimension: int) -> SampleSet:
     if "points" in data:
         raw = data["points"]
         if not isinstance(raw, list) or not raw:
@@ -342,7 +338,3 @@ def render_report(report: ClassificationReport) -> str:
     """Deterministic strict JSON text: fixed key order, stable float
     formatting, and no NaN or Infinity."""
     return json.dumps(report_to_dict(report), indent=2, allow_nan=False) + "\n"
-
-
-def write_report(report: ClassificationReport, path):
-    Path(path).write_text(render_report(report))

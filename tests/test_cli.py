@@ -96,6 +96,46 @@ class TestClassifyCommand:
         assert cli.main(["classify", "--generator", str(path), "--out", str(out)]) == 66
         assert not out.exists()
 
+    VALID = {
+        "name": "n",
+        "dimension": 2,
+        "coordinates": ["x", "y"],
+        "parameters": {},
+        "metric": [["1", "0"], ["0", "1"]],
+        "scalar_field": "y",
+        "domain": ["y > 0"],
+        "samples": {"points": [[0, 1], [1, 2]]},
+    }
+
+    @pytest.mark.parametrize(
+        "changes, field",
+        [
+            ({"metric": [["1", 0], ["0", "1"]]}, "metric[0][1]"),
+            ({"metric": [["1e400", "0"], ["0", "1"]]}, "metric[0][0]"),
+            ({"samples": {"points": []}}, "samples.points"),
+            ({"samples": {"points": [[0, 1], [1]]}}, "samples.points[1]"),
+            ({"samples": {"points": [[0, 10**400]]}}, "samples.points[0][1]"),
+            ({"samples": {"ranges": [[-1, 1]], "counts": [2, 2]}}, "samples"),
+            ({"samples": {"ranges": [[-1, 1], [1, 2]], "counts": [2]}}, "samples"),
+            ({"samples": {"ranges": [[-1, 1], [1, 2]], "counts": [0, 2]}}, "samples"),
+            (None, "<document>"),
+            ({"parameters": []}, "parameters"),
+            ({"coordinates": ["x", "1y"]}, "coordinates"),
+            ({"domain": "y > 0"}, "domain"),
+            ({"domain": [1]}, "domain[0]"),
+            ({"domain": ["y"]}, "domain[0]"),
+        ],
+    )
+    def test_malformed_generator_names_the_field(self, tmp_path, capsys, changes, field):
+        # None stands for a document that is a list, not an object
+        doc = [self.VALID] if changes is None else {**self.VALID, **changes}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "report.json"
+        assert cli.main(["classify", "--generator", str(path), "--out", str(out)]) == 66
+        assert capsys.readouterr().err.startswith(f"mongelight: file error: {field}: ")
+        assert not out.exists()
+
     def test_boolean_dimension(self, tmp_path, capsys):
         # true is not the dimension 1, though isinstance(True, int) holds
         path = tmp_path / "bad.json"

@@ -88,6 +88,16 @@ class TestParse:
     def test_scientific_notation(self):
         assert parse("1.5e-3", XY) == Num(1.5e-3)
 
+    def test_literal_out_of_range(self):
+        # 1e400 reads as inf, which render could not write back
+        with pytest.raises(ExprSyntaxError, match="^number out of range") as info:
+            parse("1e400", XY)
+        assert info.value.position == 0
+        with pytest.raises(ExprSyntaxError) as info:
+            parse("x*1" + "0" * 400, XY)
+        assert info.value.position == 2
+        assert parse("1e308", XY) == Num(1e308)
+
     def test_empty_source(self):
         with pytest.raises(ExprSyntaxError):
             parse("", XY)

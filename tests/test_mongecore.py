@@ -20,6 +20,7 @@ from mongelight.exprlang import (
 )
 from mongelight.mongecore import (
     EmptySampleError,
+    IllPosedFitError,
     MongeGenerator,
     NotLightlikeWarning,
     ScreenRankError,
@@ -300,6 +301,13 @@ class TestKernelFrameAndMinimal:
             kernel_frame(gen, (0.5,))
         with pytest.raises(ScreenRankError):
             screen_frame_at(gen, (0.5,))
+        # dF (x) dF - g vanishes on a null line
+        with pytest.raises(IllPosedFitError, match=r"^dF \(x\) dF - g vanishes; cannot fit rho$"):
+            umbilic_fit_at(gen, (0.5,))
+        with pytest.raises(ScreenRankError, match="^kernel frame needs chart dimension >= 2$"):
+            minimal_defect_at(gen, (0.5,))
+        with pytest.raises(ScreenRankError, match="^screen needs chart dimension >= 2$"):
+            screen_integrability_defect_at(gen, (0.5,))
 
     def test_frame_independence_rotations(self):
         # random sign-orthogonal mixes leave the defect unchanged
@@ -599,6 +607,11 @@ class TestWeingarten:
 class TestScreenIntegrability:
     def test_two_dimensional_convention(self):
         assert screen_integrability_defect_at(HYP2.generator, (0.0, 2.0)) == 0.0
+
+    def test_two_dimensional_convention_checks_the_point(self):
+        # the convention holds only where the point's geometry exists
+        with pytest.raises(EvalDomainError, match="^division by zero in subexpression '1.0/y"):
+            screen_integrability_defect_at(HYP2.generator, (0.0, 0.0))
 
     def test_hyperbolic_three_space(self):
         entry = catalog.builtin("hyperbolic3")
