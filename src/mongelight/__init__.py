@@ -21,7 +21,6 @@ from .exprlang import (
     parse_constraint,
     render,
 )
-from .autodiff import Jet2, seed
 from .semiriemann import (
     DegenerateMetricError,
     MetricField,
@@ -71,8 +70,6 @@ __all__ = [
     "parse_constraint",
     "render",
     "evaluate",
-    "Jet2",
-    "seed",
     "MetricField",
     "OrthoFrame",
     "DegenerateMetricError",

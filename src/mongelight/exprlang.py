@@ -5,7 +5,10 @@ strings in a small real-valued DSL and parsed against a coordinate chart.
 ``compile_expr`` turns an AST into a tree of closures once; the result is
 generic over the scalar type, so the same compiled expression runs on
 plain floats and on first- or second-order jets (see autodiff).
-``evaluate`` compiles and runs in one call.
+``evaluate`` compiles and runs in one call.  ``compile_stacked`` compiles
+the array lane: one call evaluates the second-order jets of a whole stack
+of points (autodiff.JetStack), with every domain check a mask over the
+points.
 
 Grammar (no implicit multiplication; ^ binds tighter than unary minus):
 
@@ -28,6 +31,10 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence, Union
 
+import numpy as np
+
+from .autodiff import JetStack, seed_stack
+
 __all__ = [
     "CoordinateChart",
     "DomainConstraint",
@@ -47,6 +54,7 @@ __all__ = [
     "render",
     "evaluate",
     "compile_expr",
+    "compile_stacked",
 ]
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -507,3 +515,211 @@ def evaluate(e: Expr, point: Sequence, params: Mapping[str, float] | None = None
     expression at many points.
     """
     return compile_expr(e, params)(point)
+
+
+# ---------------------------------------------------------------------------
+# Stacked evaluation
+
+
+def compile_stacked(
+    e: Expr, params: Mapping[str, float] | None = None
+) -> Callable[[np.ndarray], tuple[JetStack, dict[int, EvalDomainError]]]:
+    """Compile ``e`` once for stacks of points: ``compile_stacked(e, params)(points)``
+    evaluates ``e`` on the second-order jets of the n points, rows of the
+    (n, d) array ``points``, in one pass of JetStack arithmetic.
+
+    It returns a JetStack whose row k (value[k], grad[:, k], hess[:, :, k])
+    equals ``evaluate(e, seed(points[k]), params)`` bit for bit (a constant
+    expression gives zero derivatives), and {row: EvalDomainError} of the
+    rows where that call raises, with the same message.  Each check of
+    compile_expr is a mask over the rows, and a row records the first node
+    it fails in the scalar evaluation order (left operand, right operand,
+    then the node).  A failed row's numbers mean nothing; no row's numbers
+    or error depend on another row.  A subexpression that mentions no
+    coordinate runs once on plain numbers, by compile_expr's closures;
+    where it fails, every row that has not failed before records its error.
+    A subexpression that occurs more than once is evaluated once per call:
+    its later occurrences would compute the same numbers and fail at the
+    same rows, which have their error already.
+    """
+    params = {} if params is None else params
+    repeated = _repeated(e)
+    run = _compile_stacked(e, params, repeated) or _shared(e, params)
+    memo = [None] * len(repeated)
+
+    def compiled(points) -> tuple[JetStack, dict[int, EvalDomainError]]:
+        points = np.asarray(points, dtype=float)
+        n, d = points.shape
+        failures: dict[int, EvalDomainError] = {}
+        with np.errstate(all="ignore"):  # a failed row's lanes may overflow or turn NaN
+            try:
+                result = run(seed_stack(points) + memo, failures)
+            except EvalDomainError as exc:  # a check that fails at every row
+                for k in range(n):
+                    failures.setdefault(k, exc)
+                result = math.nan
+        if not isinstance(result, JetStack):  # a constant, or every row failed
+            result = JetStack(np.full(n, float(result)), np.zeros((d, n)), np.zeros((d, d, n)))
+        return result, failures
+
+    return compiled
+
+
+def _repeated(e: Expr) -> dict[tuple[str, Expr], int]:
+    """{(render(node), node): slot} of the compound subexpressions that occur
+    more than once in e (render tells Num(-0.0) from Num(0.0), which ==
+    does not; == tells Num(-2.0)^2 from -(2.0^2), which render does not)."""
+    seen: set = set()
+    repeated: dict = {}
+
+    def visit(node):
+        if isinstance(node, (Num, Param, Coord)):
+            return
+        key = (render(node), node)
+        if key in seen:  # its own subexpressions run only inside it
+            repeated.setdefault(key, len(repeated))
+            return
+        seen.add(key)
+        if isinstance(node, Neg):
+            visit(node.operand)
+        elif isinstance(node, Call):
+            visit(node.arg)
+        else:
+            visit(node.left)
+            visit(node.right)
+
+    visit(e)
+    return repeated
+
+
+def _compile_stacked(node: Expr, params: Mapping[str, float], repeated: dict) -> Callable | None:
+    """The stacked closure ``(point, failures) -> JetStack`` of a node that
+    mentions a coordinate, where point holds one JetStack per coordinate,
+    then one memo slot per repeated subexpression (see _repeated), and each
+    row's first error goes into failures; None for a node that mentions no
+    coordinate."""
+    run = _compile_node(node, params, repeated)
+    index = repeated.get((render(node), node))
+    if run is None or index is None:
+        return run
+    slot = -1 - index  # the memo slots end point
+
+    def memo(point, failures):
+        result = point[slot]
+        if result is None:
+            result = point[slot] = run(point, failures)
+        return result
+
+    return memo
+
+
+def _compile_node(node: Expr, params: Mapping[str, float], repeated: dict) -> Callable | None:
+    """_compile_stacked's closure of the node, before any memo."""
+    if isinstance(node, (Num, Param)):
+        return None
+    if isinstance(node, Coord):
+        index = node.index
+        return lambda point, failures: point[index]
+    if isinstance(node, Neg):
+        operand = _compile_stacked(node.operand, params, repeated)
+        if operand is None:
+            return None
+        return lambda point, failures: -operand(point, failures)
+    if isinstance(node, Call):
+        arg = _compile_stacked(node.arg, params, repeated)
+        return None if arg is None else _stacked_call(node, arg)
+    if isinstance(node, BinOp):
+        left = _compile_stacked(node.left, params, repeated)
+        right = _compile_stacked(node.right, params, repeated)
+        if left is None and right is None:
+            return None
+        left = left or _shared(node.left, params)
+        right = right or _shared(node.right, params)
+        return _stacked_binop(node, left, right)
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def _shared(node: Expr, params: Mapping[str, float]) -> Callable:
+    """A subexpression that mentions no coordinate as a stacked closure: the
+    one plain number of compile_expr's closure, shared by every row."""
+    run = _compile(node, params)
+    return lambda point, failures: run(point)
+
+
+def _refuse(failures: dict, rows: np.ndarray, node: Expr, message) -> None:
+    """Record EvalDomainError(message, node) at each row of the mask that has
+    no error yet; message is a string, or a function of the row."""
+    if not np.count_nonzero(rows):  # the usual case, without the loop
+        return
+    shared = None if callable(message) else EvalDomainError(message, node)
+    for k in np.flatnonzero(rows).tolist():
+        if k not in failures:
+            failures[k] = EvalDomainError(message(k), node) if shared is None else shared
+
+
+def _checked(failures: dict, result: JetStack, node: Expr) -> JetStack:
+    """result, after recording at the rows without an error the faults of
+    its rule, then its non-finite value lanes."""
+    if result.faults:
+        for k, exc in result.faults.items():
+            failures.setdefault(k, EvalDomainError(str(exc), node))
+    value = result.value
+    if not math.isfinite(value.dot(value)):  # finite squares, or one overflowed
+        _refuse(failures, ~np.isfinite(value), node, "non-finite result")
+    return result
+
+
+def _at(lane, k: int):
+    """Row k of a value lane, as a Python number (a plain number is every row's)."""
+    return lane[k].item() if isinstance(lane, np.ndarray) else lane
+
+
+def _stacked_call(node: Call, arg: Callable) -> Callable:
+    # JetStack's ln, sqrt and abs record compile_expr's domain errors, with
+    # its messages, as their faults
+    fn = node.func
+
+    def call(point, failures):
+        return _checked(failures, getattr(arg(point, failures), fn)(), node)
+
+    return call
+
+
+def _stacked_binop(node: BinOp, left: Callable, right: Callable) -> Callable:
+    if node.op in _OPERATORS:
+        operate = _OPERATORS[node.op]
+
+        def apply(a, b, failures):
+            return operate(a, b)
+
+    elif node.op == "/":
+
+        def apply(a, b, failures):
+            if isinstance(b, JetStack):
+                _refuse(failures, b.value == 0.0, node, "division by zero")
+            elif b == 0.0:
+                raise EvalDomainError("division by zero", node)  # at every row
+            return a / b
+
+    else:  # "^", as which every other operator runs
+
+        def apply(a, b, failures):
+            base, expo = _lane(a), _lane(b)
+            negative = np.less(base, 0.0)
+            if np.count_nonzero(negative):
+                _refuse(
+                    failures,
+                    negative & (np.floor(expo) != expo),
+                    node,
+                    lambda k: f"fractional power {_at(expo, k)!r} of negative base {_at(base, k)!r}",
+                )
+            zero = np.equal(base, 0.0)
+            if np.count_nonzero(zero):
+                _refuse(failures, zero & np.less(expo, 0.0), node, "zero raised to a negative power")
+            return a**b
+
+    def binop(point, failures):
+        a, b = left(point, failures), right(point, failures)
+        return _checked(failures, apply(a, b, failures), node)
+
+    return binop

@@ -37,8 +37,8 @@ from .exprlang import (
     EvalDomainError,
     Expr,
     compile_expr,
+    compile_stacked,
 )
-from .autodiff import seed
 from .semiriemann import (
     DEGENERACY_THRESHOLD,
     MetricField,
@@ -111,7 +111,8 @@ class MongeGenerator:
     Flagged degenerate exactly where g(grad F, grad F) = 1; the induced
     metric on the graph hypersurface is lightlike at those points.
     Frozen, because per-point results are cached by generator identity.
-    F and the domain constraints are compiled once, here.
+    F (for plain floats and for stacks of jets) and the domain constraints
+    are compiled once, here.
     """
 
     name: str
@@ -119,13 +120,15 @@ class MongeGenerator:
     metric: MetricField
     scalar_field: Expr
     constraints: tuple[DomainConstraint, ...] = ()
-    # F and each constraint, compiled
+    # F, its stacked jets and each constraint, compiled
     _scalar: Callable = field(init=False, repr=False)
+    _stacked: Callable = field(init=False, repr=False)
     _domain: tuple[Callable, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         params = self.chart.parameters
         object.__setattr__(self, "_scalar", compile_expr(self.scalar_field, params))
+        object.__setattr__(self, "_stacked", compile_stacked(self.scalar_field, params))
         object.__setattr__(self, "_domain", tuple(c.compile(params) for c in self.constraints))
 
     @property
@@ -195,15 +198,15 @@ def _base_of(p) -> tuple[float, ...]:
 # ---------------------------------------------------------------------------
 # Stacked geometry
 #
-# Jets are evaluated point by point; the metric inverse and everything
-# after the jets run once over the points stacked along a leading axis.
-# Every contraction is a matmul of per-point slices or an elementwise
-# operation, so a point's numbers do not depend on which other points share
-# its stack.  A stage that can fail returns {row: exception}.  A failed row
-# stays in the stack under errstate _quiet: its numbers mean nothing, and
-# classify's ``alive`` mask keeps them out of the records.  The public
-# functions run the same stages on a stack of one point and raise the
-# exception of row 0.
+# The metric's jets are evaluated point by point; the metric inverse, F's
+# jets (one compile_stacked call) and everything after them run once over
+# the points stacked along a leading axis.  Every contraction is a matmul of
+# per-point slices or an elementwise operation, so a point's numbers do not
+# depend on which other points share its stack.  A stage that can fail
+# returns {row: exception}.  A failed row stays in the stack under errstate
+# _quiet: its numbers mean nothing, and classify's ``alive`` mask keeps them
+# out of the records.  The public functions run the same stages on a stack
+# of one point and raise the exception of row 0.
 
 
 class _PointData:
@@ -310,17 +313,17 @@ def _elimination(d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _jets(
-    gen: MongeGenerator, bases: Sequence[tuple[float, ...]], order: int = 2
+    gen: MongeGenerator, bases: Sequence[tuple[float, ...]]
 ) -> tuple[tuple[np.ndarray, ...], dict[int, Exception]]:
     """(g, ginv, dg, dF, d2F, xi_hat) at the points ``bases``, stacked along
     a leading axis, and {row: error} of the rows that fail, whose numbers
-    mean nothing.  A row records the first stage it fails, in the order:
-    the metric's jets, the inverse's gates (one call for every row), F's
-    jets, a finite dF.  With order 1, F runs on first-order jets and d2F is
-    None; the screen bracket's neighbours read only dF and xi_hat."""
+    mean nothing.  The metric's jets run point by point, then the inverse's
+    gates and F's second-order jets (one compile_stacked call) run once over
+    every row.  A row records the first stage it fails, in the order: the
+    metric's jets, the inverse's gates, F's jets, a finite dF; dF and d2F
+    are 0 at a row that fails before the last."""
     n, d = len(bases), gen.dimension
-    g, dg, dF = np.zeros((n, d, d)), np.zeros((n, d, d, d)), np.zeros((n, d))
-    d2F = np.zeros((n, d, d)) if order == 2 else None
+    g, dg = np.zeros((n, d, d)), np.zeros((n, d, d, d))
     failures: dict[int, Exception] = {}
     for k, base in enumerate(bases):
         try:
@@ -329,23 +332,19 @@ def _jets(
             failures[k] = exc
     ginv, singular = invert_metric(g, bases)
     failures = singular | failures  # a metric jet error comes first
-    for k, base in enumerate(bases):
-        if k in failures:
-            continue
-        try:
-            jet = gen._scalar(seed(base, order))
-        except EvalDomainError as exc:
-            failures[k] = exc
-            continue
-        if isinstance(jet, float):  # a constant F: its derivatives stay 0
-            continue
-        dF[k] = jet.grad
-        if order == 2:
-            d2F[k] = jet.hess
+    F, errors = gen._stacked(np.array(bases, dtype=float).reshape(n, d))
+    dF, d2F = F.grad.T.copy(), F.hess.transpose(2, 0, 1).copy()  # rows first
+    if errors or failures:
+        for k, exc in errors.items():
+            failures.setdefault(k, exc)
+        failed = list(failures)
+        dF[failed], d2F[failed] = 0.0, 0.0
     # evaluation checks only the value lane; an infinite dF would turn the
-    # frame's Gram matrix into NaN (a failed row's dF is 0)
-    for k in np.flatnonzero(~np.isfinite(dF).all(axis=1)).tolist():
-        failures[k] = NonFiniteValueError(f"derivatives not finite at {list(bases[k])}")
+    # frame's Gram matrix into NaN
+    finite = np.isfinite(dF)
+    if not finite.all():  # the usual case skips the masks
+        for k in np.flatnonzero(~finite.all(axis=1)).tolist():
+            failures[k] = NonFiniteValueError(f"derivatives not finite at {list(bases[k])}")
     return (g, ginv, dg, dF, d2F, (ginv @ dF[:, :, None])[:, :, 0]), failures
 
 
@@ -711,9 +710,10 @@ def _neighbour_jets(
     gen: MongeGenerator, bases: Sequence[tuple[float, ...]]
 ) -> tuple[np.ndarray, np.ndarray, dict[int, Exception]]:
     """dF and xi_hat, each (n, d, 2, d), at the central-difference neighbours
-    base +- BRACKET_STEP e_l of the n points ``bases``, run as one stack, and
-    {point: error} of the points with a failing neighbour: the error of the
-    first, in the order l ascending, +h before -h."""
+    base +- BRACKET_STEP e_l of the n points ``bases``, run as one stack (F
+    at second order, like the points themselves), and {point: error} of the
+    points with a failing neighbour: the error of the first, in the order l
+    ascending, +h before -h."""
     n, d = len(bases), gen.dimension
     shifted = [
         base[:l] + (base[l] + step,) + base[l + 1 :]
@@ -721,7 +721,7 @@ def _neighbour_jets(
         for l in range(d)
         for step in (BRACKET_STEP, -BRACKET_STEP)
     ]
-    (*_, dF, _, xi_hat), failed = _jets(gen, shifted, order=1)
+    (*_, dF, _, xi_hat), failed = _jets(gen, shifted)
     first: dict[int, Exception] = {}
     for k in sorted(failed):
         first.setdefault(k // (2 * d), failed[k])
@@ -814,17 +814,17 @@ class ClassificationReport:
 def _analyze(
     gen: MongeGenerator, points: Sequence[SurfacePoint], tol: float, xi_scale: float
 ) -> list[PointAnalysis]:
-    """One record per sample point.  Jets run point by point; the metric
-    inverse and every later stage run once over one stack of every point
-    that passed the domain and F, and one boolean ``alive`` mask says which
-    rows still count.  A stage's failure is recorded only at a row that is
-    alive and that the stage gates (the lightlike rows, for the screen,
-    Weingarten and Gauss).  The d >= 3 bracket neighbours of the live
-    lightlike points form one more stack.  A point records the first gate
-    it fails, in the order:
-    domain, F (for a point whose x0 is None), metric jets, metric inverse,
-    F jets, finite dF, Hessian finiteness, screen frame, bracket neighbours,
-    Weingarten, Gauss, and finiteness of the reported numbers."""
+    """One record per sample point.  The metric's jets run point by point;
+    the metric inverse, F's jets and every later stage run once over one
+    stack of every point that passed the domain and F, and one boolean
+    ``alive`` mask says which rows still count.  A stage's failure is
+    recorded only at a row that is alive and that the stage gates (the
+    lightlike rows, for the screen, Weingarten and Gauss).  The d >= 3
+    bracket neighbours of the live lightlike points form one more stack,
+    with one more call of F.  A point records the first gate it fails, in
+    the order: domain, F (for a point whose x0 is None), metric jets, metric
+    inverse, F jets, finite dF, Hessian finiteness, screen frame, bracket
+    neighbours, Weingarten, Gauss, and finiteness of the reported numbers."""
     records = [PointAnalysis(index=i, point=sp) for i, sp in enumerate(points)]
     kept = []
     for record in records:
@@ -944,10 +944,11 @@ def classify(
     every verdict is "indeterminate".  A refused tolerance or a zero,
     non-finite or bool xi_scale raises ValueError; negative scales are valid.
 
-    The jets are evaluated point by point; the metric inverse and every
-    later stage run once over one stack of all the points, with one
-    ``alive`` mask for the points that have not failed yet (the d >= 3
-    bracket neighbours of the live lightlike points form one more stack).
+    The metric's jets are evaluated point by point; the metric inverse, F's
+    second-order jets and every later stage run once over one stack of all
+    the points, with one ``alive`` mask for the points that have not failed
+    yet (the d >= 3 bracket neighbours of the live lightlike points form one
+    more stack, with one more call of F).
     A point that fails a gate keeps its first error, and its later numbers
     reach no record.  A point's record does not depend on the other points
     of the sample.

@@ -57,6 +57,11 @@ __all__ = [
     "render_report",
 ]
 
+# the most points a generator file's sample grid may hold; the loader refuses
+# a larger grid before any of it is built
+MAX_GRID_POINTS = 1_000_000
+
+
 class GeneratorFileError(Exception):
     """Schema or expression problem in a generator file; names the field."""
 
@@ -198,7 +203,26 @@ def _load_samples(data: dict, dimension: int) -> SampleSet:
         )
     except (TypeError, ValueError) as exc:
         raise GeneratorFileError("samples", str(exc)) from exc
+    if math.prod(spec.counts) > MAX_GRID_POINTS:
+        raise GeneratorFileError("samples.counts", f"grid has more than {MAX_GRID_POINTS} points")
     return SampleSet(grid=spec)
+
+
+def _load_chart(coordinates: list, parameters: dict) -> CoordinateChart:
+    """The chart, with an error in a coordinate named ``coordinates`` and an
+    error in a parameter's name or value named by its key."""
+    try:
+        names = CoordinateChart(tuple(coordinates)).names
+    except (TypeError, ValueError) as exc:
+        raise GeneratorFileError("coordinates", str(exc)) from exc
+    values = {}
+    for key, value in parameters.items():
+        values[key] = _number(value, f"parameters.{key}")
+        try:  # a bad identifier, or one a coordinate already holds
+            CoordinateChart(names, {key: values[key]})
+        except ValueError as exc:
+            raise GeneratorFileError(f"parameters.{key}", str(exc)) from exc
+    return CoordinateChart(names, values)
 
 
 def load_generator(path) -> tuple[MongeGenerator, SampleSet]:
@@ -219,13 +243,7 @@ def load_generator(path) -> tuple[MongeGenerator, SampleSet]:
     parameters = data.get("parameters", {})
     if not isinstance(parameters, dict):
         raise GeneratorFileError("parameters", "expected an object")
-    try:
-        chart = CoordinateChart(
-            tuple(coordinates),
-            {k: _number(v, f"parameters.{k}") for k, v in parameters.items()},
-        )
-    except (TypeError, ValueError) as exc:
-        raise GeneratorFileError("coordinates", str(exc)) from exc
+    chart = _load_chart(coordinates, parameters)
 
     metric_rows = _expect(data, "metric", list, "")
     if len(metric_rows) != dimension or any(

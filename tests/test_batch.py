@@ -186,6 +186,26 @@ def test_report_bytes_pinned(name):
     assert digest == REPORT_SHA256[name]
 
 
+# benchmark-shaped batches of seeded points from the default boxes, each
+# evaluated as one stack; sha256 of the reports recorded before F's jets ran
+# on stacks
+SEEDED_SHA256 = {
+    "hyperbolic3": (64, "9efa69b50bf3cbb9eb57ad820b110c44f8defd6f89888d1be6d2a069ed7131f4"),
+    "schwarzschild_tr": (100, "0a6b3524786d1448c98fe2d09ea6c54cbefd0845a5721d15b86a51b39460ae1a"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED_SHA256))
+def test_seeded_batch_bytes_pinned(name):
+    count, want = SEEDED_SHA256[name]
+    entry = catalog.builtin(name)
+    lo, hi = np.array(entry.default_samples.ranges, dtype=float).T
+    draws = lo + (hi - lo) * np.random.default_rng(count).random((count, len(lo)))
+    points = [entry.generator.surface_point(b) for b in draws.tolist()]
+    digest = hashlib.sha256(render_report(classify(entry.generator, points)).encode()).hexdigest()
+    assert digest == want
+
+
 def bits(value):
     """A form of a record field that compares equal only bit for bit."""
     if isinstance(value, float):

@@ -637,7 +637,7 @@ class TestScreenIntegrability:
         entry = catalog.builtin(name)
         for sp in default_points(entry, limit=5):
             data = _point_data(entry.generator, sp.base)
-            (*_, dF, _, xi_hat), _ = _jets(entry.generator, [sp.base], order=1)
+            (*_, dF, _, xi_hat), _ = _jets(entry.generator, [sp.base])
             assert np.array_equal(
                 _screen_fields(dF[0], xi_hat[0]), _screen_fields(data.dF[0], data.xi_hat[0])
             )
@@ -1030,21 +1030,22 @@ class TestCompiledExpressions:
         narrowed = dataclasses.replace(gen, constraints=(parse_constraint("y > 3", gen.chart),))
         assert gen.admissible((0.0, 2.0)) and not narrowed.admissible((0.0, 2.0))
 
-    def test_jet_orders(self):
-        base = (0.0, 0.0, 2.0)
-        gen = catalog.builtin("hyperbolic3").generator
-        (g, ginv, dg, dF, d2F, xi_hat), _ = _jets(gen, [base])
-        assert d2F.shape == (1, 3, 3)
-        neighbour, _ = _jets(gen, [base], order=1)
-        assert neighbour[4] is None
-        for got, want in zip(neighbour[:4] + neighbour[5:], (g, ginv, dg, dF, xi_hat)):
-            assert got.tobytes() == want.tobytes()
+    def test_stacked_jets_match_each_point(self):
+        # F's jets run once over the stack; each row equals a stack of one
+        entry = catalog.builtin("schwarzschild_tr")
+        bases = [sp.base for sp in default_points(entry, limit=6)]
+        stacked, failures = _jets(entry.generator, bases)
+        assert failures == {} and stacked[4].shape == (6, 2, 2)
+        for k, base in enumerate(bases):
+            alone, _ = _jets(entry.generator, [base])
+            for got, want in zip(stacked, alone):
+                assert got[k].tobytes() == want[0].tobytes()
 
     def test_second_order_fallback_pinned(self):
         # a coordinate-dependent exponent in F and in the metric, through
-        # the metric jets and the bracket neighbours of the lightlike points
-        # x = 0, all first order; the sha256 is that of the report before
-        # Jet1 existed
+        # the metric's first-order jets and F's stacked jets at the bracket
+        # neighbours of the lightlike points x = 0; the sha256 is that of
+        # the report before Jet1 and JetStack existed
         chart = CoordinateChart(("x", "y", "z"))
         metric = MetricField.from_strings(
             chart, [["e^(2*y)", "0", "0"], ["0", "1", "0"], ["0", "0", "z^z"]]

@@ -2,11 +2,12 @@
 
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from mongelight import catalog, cli
+from mongelight import catalog, cli, reportio
 from mongelight.exprlang import BinOp, CoordinateChart, EvalDomainError, Num, parse
 from mongelight.mongecore import EmptySampleError, MongeGenerator, classify, lightlike_defect_at
 from mongelight.reportio import (
@@ -197,6 +198,60 @@ class TestLoadGenerator:
         doc = hyperbolic2_doc()
         doc["coordinates"] = ["x", "y", "z"]
         with pytest.raises(GeneratorFileError, match="coordinates"):
+            load_generator(write(tmp_path, doc))
+
+    @pytest.mark.parametrize("counts", [[1e300, 1], [100000, 100000], [1001, 1000]])
+    def test_oversized_grid_refused_before_it_is_built(self, tmp_path, capsys, monkeypatch, counts):
+        def refuse(*args):
+            raise AssertionError("the grid was built")
+
+        monkeypatch.setattr(reportio, "grid_sample", refuse)
+        doc = hyperbolic2_doc()
+        doc["samples"]["counts"] = counts
+        path = write(tmp_path, doc)
+        tracemalloc.start()
+        try:
+            with pytest.raises(GeneratorFileError) as caught:
+                load_generator(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert caught.value.field_path == "samples.counts"
+        assert str(caught.value) == "samples.counts: grid has more than 1000000 points"
+        out = tmp_path / "report.json"
+        assert cli.main(["classify", "--generator", str(path), "--out", str(out)]) == 66
+        assert "file error: samples.counts: grid has more than" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_largest_grid_accepted(self, tmp_path):
+        doc = hyperbolic2_doc()
+        doc["samples"]["counts"] = [1000, 1000]
+        _, samples = load_generator(write(tmp_path, doc))
+        assert samples.grid.counts == (1000, 1000)
+
+    @pytest.mark.parametrize(
+        "parameters, message",
+        [
+            ({"1a": 1}, "parameters.1a: bad identifier '1a'"),
+            ({"R": 1, "x": 1}, "parameters.x: duplicate identifier 'x'"),
+            ({"R": "1"}, "parameters.R: expected a number"),
+        ],
+    )
+    def test_parameter_errors_name_the_parameter(self, tmp_path, capsys, parameters, message):
+        doc = hyperbolic2_doc()
+        doc["parameters"] = parameters
+        path = write(tmp_path, doc)
+        with pytest.raises(GeneratorFileError) as caught:
+            load_generator(path)
+        assert str(caught.value) == message
+        assert cli.main(["classify", "--generator", str(path)]) == 66
+        assert capsys.readouterr().err.startswith(f"mongelight: file error: {message}")
+
+    def test_coordinate_errors_name_the_coordinates(self, tmp_path):
+        doc = hyperbolic2_doc()
+        doc["coordinates"] = ["x", "x"]
+        with pytest.raises(GeneratorFileError, match=r"^coordinates: duplicate identifier 'x'$"):
             load_generator(write(tmp_path, doc))
 
 
