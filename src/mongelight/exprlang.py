@@ -664,7 +664,7 @@ def _checked(failures: dict, result: JetStack, node: Expr) -> JetStack:
         for k, exc in result.faults.items():
             failures.setdefault(k, EvalDomainError(str(exc), node))
     value = result.value
-    if not math.isfinite(value.dot(value)):  # finite squares, or one overflowed
+    if not math.isfinite(value.dot(value)):  # a finite sum of squares: every row finite
         _refuse(failures, ~np.isfinite(value), node, "non-finite result")
     return result
 
