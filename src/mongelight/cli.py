@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -196,6 +197,8 @@ def _cmd_eval(args) -> int:
         gen = catalog.builtin(args.builtin).generator
     try:
         base = tuple(float(x) for x in args.point.split(","))
+        if not all(map(math.isfinite, base)):  # float() also reads nan and inf
+            raise ValueError(args.point)
     except ValueError:
         print(f"mongelight eval: error: bad --point {args.point!r}", file=sys.stderr)
         return EXIT_USAGE

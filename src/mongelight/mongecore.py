@@ -977,9 +977,11 @@ def classify(
         }
     else:
         light = [(a.index, a.lightlike_defect / a.scales["lightlike"]) for a in good]
+        # at most 10% failed, so good is not empty
+        B_max = np.abs(np.stack([a.B for a in good])).max(axis=(1, 2)).tolist()
         geo = [
-            (a.index, float(np.max(np.abs(a.B))) / (abs(xi_scale) * a.scales["second_form"]))
-            for a in good
+            (a.index, b / (abs(xi_scale) * a.scales["second_form"]))
+            for a, b in zip(good, B_max)
         ]
         umb = [(a.index, a.umbilic_residual) for a in good if a.umbilic_residual is not None]
         mini = [

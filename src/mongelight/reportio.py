@@ -16,7 +16,8 @@ Generator files are JSON documents with human-writable expression strings:
 ``samples`` holds either per-coordinate ranges with counts (inclusive
 endpoints; a count of 1 takes the lower endpoint) or an explicit
 ``"points"`` list.  Reports are emitted as deterministic JSON: fixed key
-order and byte-identical output for identical inputs.
+order and byte-identical output for identical inputs, written by this
+module's own indent-2 writer (the bytes of ``json.dumps(..., indent=2)``).
 """
 
 from __future__ import annotations
@@ -354,5 +355,92 @@ def report_to_dict(report: ClassificationReport) -> dict:
 
 def render_report(report: ClassificationReport) -> str:
     """Deterministic strict JSON text: fixed key order, stable float
-    formatting, and no NaN or Infinity."""
-    return json.dumps(report_to_dict(report), indent=2, allow_nan=False) + "\n"
+    formatting, and no NaN or Infinity (a non-finite number raises
+    ValueError).  The bytes equal
+    ``json.dumps(report_to_dict(report), indent=2, allow_nan=False) + "\\n"``."""
+    return _dumps(report_to_dict(report)) + "\n"
+
+
+_escape = json.encoder.encode_basestring_ascii
+_float_repr = float.__repr__
+_int_repr = int.__repr__
+
+
+def _out_of_range(value) -> ValueError:
+    return ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+
+
+def _dumps(o, nl: str = "\n") -> str:
+    """``json.dumps(o, indent=2, allow_nan=False)``, byte for byte, of a
+    JSON tree: dicts with str keys, lists, tuples, str, int, float, bool and
+    None; ``nl`` is the line break and indent that ``o`` is written after.
+    json writes with an indent through its pure-Python encoder, one chunk at
+    a time; this writes each container in one frame, its floats in place
+    (``float.__repr__`` gives a text with an ``n`` only for nan and inf),
+    and each list of floats in one join.  A non-finite float raises
+    ValueError and any other object TypeError, as json does.  A key that is
+    not a str raises TypeError too, where json would convert it; a circular
+    tree is not detected."""
+    t = type(o)
+    if t is list or t is tuple:
+        if not o:
+            return "[]"
+        inner = nl + "  "
+        if type(o[0]) is float:
+            try:
+                text = f",{inner}".join(map(_float_repr, o))
+            except TypeError:  # an item is not a float: write them one by one
+                pass
+            else:
+                if "n" in text:
+                    raise _out_of_range(next(v for v in o if not math.isfinite(v)))
+                return f"[{inner}{text}{nl}]"
+        parts = []
+        for v in o:
+            if type(v) is float:
+                text = _float_repr(v)
+                if "n" in text:
+                    raise _out_of_range(v)
+            else:
+                text = _dumps(v, inner)
+            parts.append(text)
+        return f"[{inner}{f',{inner}'.join(parts)}{nl}]"
+    if t is dict:
+        if not o:
+            return "{}"
+        inner = nl + "  "
+        parts = []
+        for k, v in o.items():
+            if type(v) is float:
+                text = _float_repr(v)
+                if "n" in text:
+                    raise _out_of_range(v)
+            else:
+                text = _dumps(v, inner)
+            parts.append(f"{_escape(k)}: {text}")
+        return f"{{{inner}{f',{inner}'.join(parts)}{nl}}}"
+    if t is str:
+        return _escape(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if t is int:
+        return _int_repr(o)
+    # subclasses (np.float64, IntEnum, ...), checked in json's order
+    if isinstance(o, str):
+        return _escape(o)
+    if isinstance(o, int):
+        return _int_repr(o)
+    if isinstance(o, float):
+        text = _float_repr(o)
+        if "n" in text:
+            raise _out_of_range(o)
+        return text
+    if isinstance(o, (list, tuple)):
+        return _dumps(list(o), nl)
+    if isinstance(o, dict):
+        return _dumps(dict(o.items()), nl)
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")

@@ -195,15 +195,20 @@ SEEDED_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(SEEDED_SHA256))
-def test_seeded_batch_bytes_pinned(name):
-    count, want = SEEDED_SHA256[name]
+def seeded_case(name):
+    """The builtin's generator and its SEEDED_SHA256 batch of points."""
+    count, _ = SEEDED_SHA256[name]
     entry = catalog.builtin(name)
     lo, hi = np.array(entry.default_samples.ranges, dtype=float).T
     draws = lo + (hi - lo) * np.random.default_rng(count).random((count, len(lo)))
-    points = [entry.generator.surface_point(b) for b in draws.tolist()]
-    digest = hashlib.sha256(render_report(classify(entry.generator, points)).encode()).hexdigest()
-    assert digest == want
+    return entry.generator, [entry.generator.surface_point(b) for b in draws.tolist()]
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED_SHA256))
+def test_seeded_batch_bytes_pinned(name):
+    gen, points = seeded_case(name)
+    digest = hashlib.sha256(render_report(classify(gen, points)).encode()).hexdigest()
+    assert digest == SEEDED_SHA256[name][1]
 
 
 def bits(value):

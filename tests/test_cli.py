@@ -307,6 +307,14 @@ class TestEvalCommand:
     def test_bad_point_string(self, capsys):
         assert cli.main(["eval", "--builtin", "hyperbolic2", "--point", "a,b"]) == 64
 
+    @pytest.mark.parametrize("point", ["nan,1", "inf,1", "1,-inf"])
+    def test_non_finite_point(self, point, capsys):
+        # float() reads nan and inf; the point is refused before any analysis
+        assert cli.main(["eval", "--builtin", "hyperbolic2", f"--point={point}"]) == 64
+        captured = capsys.readouterr()
+        assert captured.err == f"mongelight eval: error: bad --point {point!r}\n"
+        assert captured.out == ""
+
     def test_wrong_point_arity(self, capsys):
         assert cli.main(["eval", "--builtin", "hyperbolic2", "--point", "1,2,3"]) == 64
 

@@ -1,15 +1,31 @@
 """Generator-file loading, grid sampling, and report serialization."""
 
+import collections
+import enum
 import hashlib
 import json
+import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mongelight import catalog, cli, reportio
 from mongelight.exprlang import BinOp, CoordinateChart, EvalDomainError, Num, parse
-from mongelight.mongecore import EmptySampleError, MongeGenerator, classify, lightlike_defect_at
+from mongelight.mongecore import (
+    ClassificationReport,
+    EmptySampleError,
+    MongeGenerator,
+    PointAnalysis,
+    SurfacePoint,
+    Tolerances,
+    Verdict,
+    classify,
+    lightlike_defect_at,
+)
 from mongelight.reportio import (
     GeneratorFileError,
     GridSpec,
@@ -22,6 +38,7 @@ from mongelight.reportio import (
     save_generator,
 )
 from mongelight.semiriemann import MetricField
+from test_batch import CASES, SEEDED_SHA256, seeded_case
 
 
 def hyperbolic2_doc():
@@ -376,3 +393,164 @@ class TestReports:
 
         doc = json.loads(text, parse_constant=reject)
         assert all(p["error"] is not None for p in doc["points"])
+
+
+# json.dumps is the writer's oracle: at indent 2 it runs json's pure-Python
+# encoder, whose bytes render_report must keep
+def oracle(tree):
+    return json.dumps(tree, indent=2, allow_nan=False)
+
+
+class Label(str):
+    pass
+
+
+Pair = collections.namedtuple("Pair", "x y")
+
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e16, 1e-7, 123456789.0, 1.7976931348623157e308, 0.1]
+FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+# every code point, lone surrogates included, with the characters json
+# escapes drawn often
+STRINGS = st.text(
+    st.one_of(
+        st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\u00e9", "\u2028", "\U0001f600"]),
+        st.characters(codec=None, exclude_categories=()),
+    ),
+    max_size=8,
+)
+
+
+def leaves(floats):
+    return st.one_of(
+        floats,
+        floats.map(np.float64),
+        st.integers(min_value=-(2**70), max_value=2**70),
+        st.booleans(),
+        st.none(),
+        STRINGS,
+    )
+
+
+def trees(floats):
+    def containers(children):
+        return st.one_of(
+            st.lists(children, max_size=4),
+            st.lists(children, max_size=4).map(tuple),
+            st.dictionaries(STRINGS, children, max_size=4),
+            # flat float lists and dicts, the shapes most report leaves sit in
+            st.lists(st.one_of(floats, floats.map(np.float64)), min_size=1, max_size=4),
+            st.dictionaries(STRINGS, floats, min_size=1, max_size=4),
+        )
+
+    return st.recursive(leaves(floats), containers, max_leaves=24)
+
+
+class TestWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(trees(FLOATS))
+    def test_matches_json_dumps(self, tree):
+        assert reportio._dumps(tree) == oracle(tree)
+
+    @settings(max_examples=200, deadline=None)
+    @given(trees(st.one_of(FLOATS, NON_FINITE)))
+    def test_refuses_what_json_refuses(self, tree):
+        try:
+            want = oracle(tree)
+        except ValueError as exc:  # the first non-finite number, in the same words
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                reportio._dumps(tree)
+        else:
+            assert reportio._dumps(tree) == want
+
+    @pytest.mark.parametrize(
+        "tree",
+        [
+            [],
+            {},
+            (),
+            [[], {}, ()],
+            {"": {"": []}},
+            [1.5, 2],  # the float fast path falls back to writing items one by one
+            [1.5, True, None, "x"],
+            [np.float64(0.1), 1e-7],
+            1e16,
+            np.float64(-0.0),
+            True,
+            None,
+            "\U0001f600",
+            2**80,
+            # subclasses are written as their base type, as json writes them
+            [enum.IntEnum("Rank", "ONE TWO").TWO, Label("a\tb")],
+            collections.OrderedDict(b=[np.float64(1.5)], a=Pair(0.5, -0.0)),
+        ],
+    )
+    def test_edge_trees(self, tree):
+        assert reportio._dumps(tree) == oracle(tree)
+
+    @pytest.mark.parametrize(
+        "tree",
+        [{1, 2}, [np.int64(1)], {"a": np.bool_(True)}, [object()], b"x", {1: 2.0}, {None: 1}],
+    )
+    def test_refuses_other_objects(self, tree):
+        # json converts int and None keys; the writer takes str keys only
+        with pytest.raises(TypeError):
+            reportio._dumps(tree)
+
+    @pytest.mark.parametrize("name", sorted(CASES) + [f"seeded {name}" for name in SEEDED_SHA256])
+    def test_pinned_batch_reports(self, name):
+        if name.startswith("seeded "):
+            gen, points = seeded_case(name.split()[1])
+            tol = None
+        else:
+            gen, points, tol = CASES[name]
+        report = classify(gen, points, tol)
+        tree = report_to_dict(report)
+        assert reportio._dumps(tree) + "\n" == render_report(report) == oracle(tree) + "\n"
+
+
+def hand_report(rho=0.5, witness=0.0):
+    analysis = PointAnalysis(
+        index=0,
+        point=SurfacePoint((0.5, 1.0), 0.0),
+        radical_rank=1,
+        B=np.eye(2),
+        lightlike_defect=0.0,
+        umbilic_rho=rho,
+        umbilic_residual=0.0,
+        is_lightlike=True,
+    )
+    return ClassificationReport(
+        generator_name="by hand",
+        tolerances=Tolerances(),
+        xi_scale=1.0,
+        points=[analysis],
+        verdicts={"degenerate": Verdict(True, 0, witness)},
+        failed_fraction=0.0,
+    )
+
+
+class TestNonFiniteRefused:
+    def test_hand_built_reports(self):
+        assert json.loads(render_report(hand_report()))["points"][0]["umbilic_rho"] == 0.5
+        with pytest.raises(ValueError, match="not JSON compliant: nan"):
+            render_report(hand_report(rho=math.nan))
+        with pytest.raises(ValueError, match="not JSON compliant: inf"):
+            render_report(hand_report(witness=math.inf))
+
+    def test_non_finite_sample_point(self):
+        # classify analyses the point without an error; only rendering refuses it
+        gen = catalog.builtin("hyperbolic2").generator
+        report = classify(gen, [SurfacePoint((math.nan, 1.0), 0.0)])
+        assert report.points[0].error is None
+        with pytest.raises(ValueError, match="not JSON compliant: nan"):
+            render_report(report)
+
+    def test_cli_writes_no_report(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "gen.json"
+        path.write_text(json.dumps(hyperbolic2_doc()))
+        out = tmp_path / "report.json"
+        monkeypatch.setattr(cli, "classify", lambda *args: hand_report(rho=math.nan))
+        assert cli.main(["classify", "--generator", str(path), "--out", str(out)]) == 1
+        assert "ValueError" in capsys.readouterr().err
+        assert not out.exists()
