@@ -24,7 +24,6 @@ from .exprlang import (
 from .semiriemann import (
     DegenerateMetricError,
     MetricField,
-    NearNullPivotError,
     OrthoFrame,
     orthonormalize,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "MetricField",
     "OrthoFrame",
     "DegenerateMetricError",
-    "NearNullPivotError",
     "orthonormalize",
     "MongeGenerator",
     "SurfacePoint",

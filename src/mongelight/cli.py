@@ -220,40 +220,45 @@ def _cmd_eval(args) -> int:
     tol = args.tol
     sp = gen.surface_point(base)
 
-    print(f"generator: {gen.name}")
-    print(f"point: {_fmt_vector(base)}")
-    print(f"x0 = {_fmt(sp.x0)}")
+    # every value is computed before anything is printed, so a function that
+    # raises at this point leaves no partial output
+    lines: list[str] = []
+    out = lines.append
+    out(f"generator: {gen.name}")
+    out(f"point: {_fmt_vector(base)}")
+    out(f"x0 = {_fmt(sp.x0)}")
     defect = lightlike_defect_at(gen, sp)
-    print(f"lightlike_defect = {_fmt(defect)}")
+    out(f"lightlike_defect = {_fmt(defect)}")
     frame, induced, rank = monge_frame_at(gen, sp, tol)
-    print(f"radical_rank = {rank}")
+    out(f"radical_rank = {rank}")
     # every 1 x 1 form is a multiple of dF (x) dF - g: the fit says nothing
     rho, residual = map(_fmt, umbilic_fit_at(gen, sp)) if gen.dimension >= 2 else ("n/a",) * 2
-    print(f"umbilic_rho = {rho}")
-    print(f"umbilic_residual = {residual}")
+    out(f"umbilic_rho = {rho}")
+    out(f"umbilic_residual = {residual}")
     xi, nxi = normal_and_transversal_at(gen, sp)
     if "xi" in show:
-        print(f"xi = {_fmt_vector(xi)}")
+        out(f"xi = {_fmt_vector(xi)}")
     if "nxi" in show:
-        print(f"N_xi = {_fmt_vector(nxi)}")
+        out(f"N_xi = {_fmt_vector(nxi)}")
     if "frame" in show:
         for i, row in enumerate(frame):
-            print(f"e_{i + 1} = {_fmt_vector(row)}")
-        print(f"induced_g = {_fmt_matrix(induced)}")
+            out(f"e_{i + 1} = {_fmt_vector(row)}")
+        out(f"induced_g = {_fmt_matrix(induced)}")
     if "B" in show:
         B = second_fundamental_form_at(gen, sp, tolerance=tol)
-        print(f"B = {_fmt_matrix(B)}")
+        out(f"B = {_fmt_matrix(B)}")
     lightlike = abs(defect) < tol * (1.0 + abs(defect + 1.0))
     if lightlike and gen.dimension >= 2:
-        print(f"minimal_defect = {_fmt(minimal_defect_at(gen, sp))}")
+        out(f"minimal_defect = {_fmt(minimal_defect_at(gen, sp))}")
         if "screen" in show:
             screen = screen_frame_at(gen, sp, tol)
             for i, (row, sign) in enumerate(zip(screen.vectors, screen.signs)):
-                print(f"W_{i + 1} = {_fmt_vector(row)}  sign {sign:+d}")
+                out(f"W_{i + 1} = {_fmt_vector(row)}  sign {sign:+d}")
         if "weingarten" in show:
             for i in range(gen.dimension):
                 a_vec, tau_i = weingarten_at(gen, sp, i, tolerance=tol)
-                print(f"A_N e_{i + 1} = {_fmt_vector(a_vec)}  tau = {_fmt(tau_i)}")
+                out(f"A_N e_{i + 1} = {_fmt_vector(a_vec)}  tau = {_fmt(tau_i)}")
+    print("\n".join(lines))
     return EXIT_OK
 
 

@@ -42,9 +42,7 @@ from .exprlang import (
 from .semiriemann import (
     DEGENERACY_THRESHOLD,
     MetricField,
-    NearNullPivotError,
     OrthoFrame,
-    _null_pivot,
     christoffel_from_partials,
     invert_metric,
     orthonormalize,
@@ -283,7 +281,11 @@ class _PointData:
         """Orthonormal frames of ker dF under g (d-1 base vectors per point)
         and the errors of the points that have none: the null space of the
         row vector dF, spanned by eliminating against its largest-magnitude
-        entry, then orthonormalized; requires d >= 2."""
+        entry, then orthonormalized; requires d >= 2.
+
+        At a lightlike point ker dF is the g-orthogonal complement of xi_hat,
+        and g(xi_hat, xi_hat) = 1, so g is non-degenerate on ker dF wherever
+        it is non-degenerate itself, whatever the elimination basis."""
         n, d = self.dF.shape
         rows = np.arange(n)
         pivot = np.abs(self.dF).argmax(axis=1)
@@ -297,10 +299,11 @@ class _PointData:
         frame = orthonormalize(basis, self.g)
         failures: dict[int, Exception] = {}
         for k in (vanishing | (frame.signs[:, 0] == 0)).nonzero()[0]:
-            failures[int(k)] = (
-                ScreenRankError("dF vanishes; kernel of dF is not a hyperplane")
+            failures[int(k)] = ScreenRankError(
+                "dF vanishes; kernel of dF is not a hyperplane"
                 if vanishing[k]
-                else _null_pivot(DEGENERACY_THRESHOLD)
+                else "screen projection rank deficient: g on ker dF has an eigenvalue "
+                f"below {DEGENERACY_THRESHOLD:g} * scale"
             )
         return frame, failures
 
@@ -362,7 +365,10 @@ def _raise(failures: dict[int, Exception]):
         raise failures[0]
 
 
-@lru_cache(maxsize=512)
+# One entry: every caller (mongelight eval, a loop of public queries) asks
+# all its questions at one point before it moves to the next, so an older
+# point is never asked again.
+@lru_cache(maxsize=1)
 @_quiet
 def _point_data(gen: MongeGenerator, base: tuple[float, ...]) -> _PointData:
     """The stacked geometry of the one point ``base``."""
@@ -458,18 +464,6 @@ def _minimal_defect(frame: OrthoFrame, hess: np.ndarray) -> np.ndarray:
     for k in range(terms.shape[1]):
         total = total + terms[:, k]
     return total
-
-
-def _screen_failures(data: _PointData) -> dict[int, Exception]:
-    """Errors of the screen frame at lightlike points: the kernel frame's,
-    with a null pivot reported as a rank-deficient screen."""
-    failures = {}
-    for k, exc in data.kernel_frame[1].items():
-        if isinstance(exc, NearNullPivotError):
-            wrapped = ScreenRankError(f"screen projection rank deficient: {exc}")
-            wrapped.__cause__, exc = exc, wrapped
-        failures[k] = exc
-    return failures
 
 
 def _tangency_failures(
@@ -602,8 +596,8 @@ def screen_frame_at(gen: MongeGenerator, p, tolerance: float = 1e-8) -> OrthoFra
         raise ScreenRankError("screen needs chart dimension >= 2")
     if not _is_lightlike(data.norm2[0], tolerance):
         raise ScreenRankError("screen projection has rank d; expected d-1")
-    _raise(_screen_failures(data))
-    frame, _ = data.kernel_frame
+    frame, failures = data.kernel_frame
+    _raise(failures)
     return OrthoFrame(_lift(frame.vectors[0]), tuple(frame.signs[0].tolist()))
 
 
@@ -822,18 +816,23 @@ def _analyze(
     lightlike rows, for the screen, Weingarten and Gauss).  The d >= 3
     bracket neighbours of the live lightlike points form one more stack,
     with one more call of F.  A point records the first gate it fails, in
-    the order: domain, F (for a point whose x0 is None), metric jets, metric
-    inverse, F jets, finite dF, Hessian finiteness, screen frame, bracket
-    neighbours, Weingarten, Gauss, and finiteness of the reported numbers."""
+    the order: finite coordinates (base, and x0 unless it is None), domain,
+    F (for a point whose x0 is None), metric jets, metric inverse, F jets,
+    finite dF, Hessian finiteness, screen frame, bracket neighbours,
+    Weingarten, Gauss, and finiteness of the reported numbers."""
     records = [PointAnalysis(index=i, point=sp) for i, sp in enumerate(points)]
     kept = []
     for record in records:
-        if not gen.admissible(record.point.base):
+        base, x0 = record.point.base, record.point.x0
+        if not (all(map(math.isfinite, base)) and (x0 is None or math.isfinite(x0))):
+            record.error = "point is not finite"
+            continue
+        if not gen.admissible(base):
             record.error = "outside domain"
             continue
         try:
-            if record.point.x0 is None:
-                gen.surface_point(record.point.base)  # raises why F has no value
+            if x0 is None:
+                gen.surface_point(base)  # raises why F has no value
         except EvalDomainError as exc:
             record.error = str(exc)
             continue
@@ -866,8 +865,8 @@ def _analyze(
 
     screen_nxi, minimal, bracket = np.full((3, n), np.nan)
     if d >= 2:
-        drop(_screen_failures(data), light)
-        frame, _ = data.kernel_frame
+        frame, failures = data.kernel_frame
+        drop(failures, light)
         screen = _lift(frame.vectors) @ data.gbar @ nxi[:, :, None]
         screen_nxi = np.abs(screen).max(axis=(1, 2))
         minimal = _minimal_defect(frame, data.hess)

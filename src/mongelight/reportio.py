@@ -315,10 +315,14 @@ def report_to_dict(report: ClassificationReport) -> dict:
     """Fixed-key-order dict form of a classification report."""
     points = []
     for a in report.points:
+        base, x0 = list(a.point.base), a.point.x0
+        if a.error is not None:  # classify records every non-finite point as failed
+            base = [x if math.isfinite(x) else None for x in base]
+            x0 = x0 if x0 is None or math.isfinite(x0) else None
         record = {
             "index": a.index,
-            "point": list(a.point.base),
-            "x0": a.point.x0,
+            "point": base,
+            "x0": x0,
             "error": a.error,
             "lightlike_defect": a.lightlike_defect,
             "is_lightlike": a.is_lightlike,

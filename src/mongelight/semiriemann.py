@@ -5,7 +5,8 @@ partials at a point, from jets; the verified inverses of a stack of metric
 matrices, with the symmetry, degeneracy and inverse-residual gates checked
 per row in one call (the one place these gates live); Levi-Civita
 connection coefficients from jet derivatives of the metric; and
-Gram-Schmidt orthonormalization under an indefinite inner product.
+orthonormal frames under an indefinite inner product, from one stacked
+eigendecomposition.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ __all__ = [
     "MetricField",
     "OrthoFrame",
     "DegenerateMetricError",
-    "NearNullPivotError",
     "local_scale",
     "invert_metric",
     "metric_jets_at",
@@ -38,15 +38,6 @@ INVERSE_RESIDUAL_TOLERANCE = 1e-10
 
 class DegenerateMetricError(Exception):
     """Metric determinant below the degeneracy threshold at a point."""
-
-
-class NearNullPivotError(Exception):
-    """Every remaining Gram-Schmidt candidate is g-null within tolerance."""
-
-
-def _null_pivot(tolerance: float) -> NearNullPivotError:
-    """The error of a Gram-Schmidt step whose every candidate is null."""
-    return NearNullPivotError(f"all remaining self-products below {tolerance:g} * scale")
 
 
 def local_scale(*tensors) -> float:
@@ -182,57 +173,32 @@ def christoffel_from_partials(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
     return gamma
 
 
-def orthonormalize(
-    vectors: Sequence[Sequence[float]],
-    g: np.ndarray,
-    tolerance: float = DEGENERACY_THRESHOLD,
-) -> OrthoFrame:
-    """Indefinite Gram-Schmidt with greedy pivoting.
+def orthonormalize(vectors: np.ndarray, g: np.ndarray) -> OrthoFrame:
+    """g-orthonormal frames of the spans of vectors (n, m, d) under metrics
+    g (n, d, d), points stacked along the leading axis, from one
+    eigendecomposition of the Gram matrices G = V g V^T.
 
-    At each step the remaining candidate whose projected self-product has
-    the largest magnitude is normalized by sqrt(|g(v, v)|) and its sign
-    recorded.  Raises NearNullPivotError when every candidate's
-    self-product falls below tolerance * scale, which signals a degenerate
-    restriction of g to the span.
-
-    With a leading point axis (vectors (n, m, d), g (n, d, d)) every point
-    is orthonormalized on its own and nothing is raised: the frame holds
-    (n, m, d) vectors and an (n, m) integer array of signs, and the rows
-    of a point whose pivot was null are all 0 (its null-pivot mask is
-    ``signs[:, 0] == 0``).
+    With G = Q diag(lam) Q^T the frame is Q^T V / sqrt|lam|, so
+    g(v_i, v_j) = sign(lam_i) delta_ij: the frame holds (n, m, d) vectors
+    and an (n, m) integer array of signs sign(lam), whose counts are the
+    signature of g on the span (Sylvester's law of inertia).  A point whose
+    G has an eigenvalue below DEGENERACY_THRESHOLD * scale, with scale
+    1 + the largest |entry| of its g and vectors, spans a g-degenerate
+    subspace: its rows and signs are all 0 (its mask is
+    ``signs[:, 0] == 0``).  Each point is computed on its own, and a
+    non-finite point gives NaN rows without raising.
     """
-    g = np.asarray(g, dtype=float)
-    stacked = g.ndim == 3
-    remaining = np.array(vectors, dtype=float)
-    if not stacked:
-        remaining, g = remaining.reshape(1, -1, g.shape[0]), g[None]
-    n, m, d = remaining.shape
-    entries = np.concatenate((g.reshape(n, d * d), remaining.reshape(n, m * d)), axis=1)
-    floor = tolerance * (1.0 + np.abs(entries).max(axis=1))
-    g, rows = g[:, None], np.arange(n)
-    frame = np.empty((n, m, d))
-    signs, magnitudes = np.empty((n, m)), np.empty((n, m))  # of each step's pivot
-    for step in range(m):
-        # remaining holds every candidate projected off the frame so far; a
-        # taken candidate is zeroed, so its self-product 0 wins only at a
-        # point whose every candidate left is null, which is masked below
-        wg = remaining[:, :, None, :] @ g
-        q = (wg @ remaining[..., None])[:, :, 0, 0]
-        best = np.abs(q).argmax(axis=1)
-        q, w = q[rows, best], remaining[rows, best]
-        magnitude = np.abs(q, out=magnitudes[:, step])
-        # a null pivot is normalized by the floor
-        u = np.divide(w, np.sqrt(np.maximum(magnitude, floor))[:, None], out=frame[:, step])
-        sign = np.copysign(1.0, q, out=signs[:, step])  # +-1; a q of 0 is null
-        if step + 1 < m:
-            coefficient = (wg @ u[:, None, :, None])[:, :, 0, 0] * sign[:, None]
-            remaining -= coefficient[:, :, None] * u[:, None, :]
-            remaining[rows, best] = 0.0
-    null = (magnitudes < floor[:, None]).any(axis=1)
-    signs = signs.astype(int)
-    frame[null], signs[null] = 0.0, 0
-    if stacked:
-        return OrthoFrame(frame, signs)
-    if null[0]:
-        raise _null_pivot(tolerance)
-    return OrthoFrame(frame[0], tuple(signs[0].tolist()))
+    n, m, d = vectors.shape
+    entries = np.concatenate((g.reshape(n, d * d), vectors.reshape(n, m * d)), axis=1)
+    floor = DEGENERACY_THRESHOLD * (1.0 + np.abs(entries).max(axis=1))
+    lam, q = np.linalg.eigh(vectors @ g @ vectors.transpose(0, 2, 1))
+    magnitude = np.abs(lam)
+    # Q^T V, summed from -0.0, the IEEE additive identity: a matmul's +0
+    # start would turn a -0 entry of V (one vector, Q = 1) into +0
+    frame = (q[..., None] * vectors[:, :, None, :]).sum(axis=1, initial=-0.0)
+    # a degenerate point is divided by the floor, then zeroed
+    frame /= np.sqrt(np.maximum(magnitude, floor[:, None]))[:, :, None]
+    signs = np.where(lam < 0.0, -1, 1)
+    degenerate = (magnitude < floor[:, None]).any(axis=1)
+    frame[degenerate], signs[degenerate] = 0.0, 0
+    return OrthoFrame(frame, signs)

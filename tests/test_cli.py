@@ -315,6 +315,13 @@ class TestEvalCommand:
         assert captured.err == f"mongelight eval: error: bad --point {point!r}\n"
         assert captured.out == ""
 
+    def test_failing_point_prints_nothing(self, capsys):
+        # x0 = ln(y) exists at y = 1e-300, but the metric 1/y^2 does not
+        assert cli.main(["eval", "--builtin", "hyperbolic2", "--point=1e200,1e-300"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "mongelight: division by zero in subexpression '1.0/y^2.0'\n"
+
     def test_wrong_point_arity(self, capsys):
         assert cli.main(["eval", "--builtin", "hyperbolic2", "--point", "1,2,3"]) == 64
 

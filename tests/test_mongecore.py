@@ -43,7 +43,7 @@ from mongelight.mongecore import (
     _screen_fields,
 )
 from mongelight.reportio import GridSpec, grid_sample, render_report
-from mongelight.semiriemann import MetricField, NearNullPivotError, OrthoFrame, local_scale
+from mongelight.semiriemann import MetricField, OrthoFrame, local_scale
 
 from _oracles import (
     fd_christoffel,
@@ -454,9 +454,18 @@ class TestLiftedScreen:
             with pytest.raises(ScreenRankError, match="rank d; expected d-1"):
                 screen_frame_at(entry.generator, sp)
 
-    def test_null_kernel_basis_is_rank_deficient(self):
+    @staticmethod
+    def assert_frame(gen, base, signs):
+        screen = screen_frame_at(gen, base)
+        assert sorted(screen.signs) == signs
+        W, gbar = screen.vectors, ambient_metric_at(gen, base)
+        gram = W @ gbar @ W.T
+        assert np.max(np.abs(gram - np.diag(screen.signs))) < 1e-12 * local_scale(gbar, W)
+
+    def test_null_kernel_basis_gives_a_frame(self):
         # g makes both eliminated kernel vectors (-1/2, 1, 0), (-1/2, 0, 1) of
-        # dF = (1, 1/2, 1/2) null, yet xi_hat = (1, 0, 0) has g(xi_hat, xi_hat) = 1
+        # dF = (1, 1/2, 1/2) null, yet xi_hat = (1, 0, 0) has g(xi_hat, xi_hat)
+        # = 1, so g on ker dF is non-degenerate: eigenvalues -1 and 1
         chart = CoordinateChart(("x", "y", "z"))
         rows = [["1", "0.5", "0.5"], ["0.5", "0.25", "1.25"], ["0.5", "1.25", "0.25"]]
         gen = MongeGenerator(
@@ -467,15 +476,13 @@ class TestLiftedScreen:
         )
         base = (0.1, 0.2, 0.3)
         assert lightlike_defect_at(gen, base) == pytest.approx(0.0, abs=1e-15)
-        with pytest.raises(ScreenRankError, match="screen projection rank deficient"):
-            screen_frame_at(gen, base)
-        with pytest.raises(NearNullPivotError):
-            minimal_defect_at(gen, base)
+        self.assert_frame(gen, base, [-1, 1])
+        # Hess F = 0: the surface is totally geodesic, so minimal
+        assert minimal_defect_at(gen, base) == 0.0
 
-    def test_null_pair_in_kernel_is_rank_deficient(self):
+    def test_null_pair_in_kernel_gives_a_frame(self):
         # dF = (1, 0, 0, 0) eliminates to the kernel basis e_y, e_z, e_w; g is 1
-        # on e_y and pairs e_z with e_w, so both candidates left after e_y are
-        # exactly null (test_batch pins the error classify records for this)
+        # on e_y and pairs e_z with e_w, both null: signature (+, +, -)
         chart = CoordinateChart(("x", "y", "z", "w"))
         rows = [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "0", "1"]]
         rows.append(["0", "0", "1", "0"])
@@ -483,10 +490,104 @@ class TestLiftedScreen:
             "null_pair", chart, MetricField.from_strings(chart, rows), parse("x", chart)
         )
         base = (0.1, 0.2, 0.3, 0.4)
-        with pytest.raises(ScreenRankError, match="screen projection rank deficient"):
-            screen_frame_at(gen, base)
-        with pytest.raises(NearNullPivotError):
+        self.assert_frame(gen, base, [-1, 1, 1])
+        assert minimal_defect_at(gen, base) == 0.0
+
+    def test_null_xi_hat_is_rank_deficient(self):
+        # off the lightlike locus xi_hat may be g-null, and then so is ker dF:
+        # g = [[0, 1], [1, 0]] and F = x give xi_hat = e_y = ker dF
+        chart = CoordinateChart(("x", "y"))
+        gen = MongeGenerator(
+            "null_xi_hat",
+            chart,
+            MetricField.from_strings(chart, [["0", "1"], ["1", "0"]]),
+            parse("x", chart),
+        )
+        base = (0.1, 0.2)
+        assert lightlike_defect_at(gen, base) == -1.0
+        frame, _ = _point_data(gen, base).kernel_frame
+        assert not frame.signs.any() and not frame.vectors.any()
+        with pytest.raises(ScreenRankError, match="^screen projection rank deficient: "):
             minimal_defect_at(gen, base)
+
+
+def constant_generator(g, dF):
+    """F = dF . p over the constant metric g, every number written exactly."""
+    names = "pqrs"[: len(dF)]
+    chart = CoordinateChart(tuple(names))
+    rows = [[repr(float(x)) for x in row] for row in g]
+    scalar = " + ".join(f"({float(c)!r})*{name}" for c, name in zip(dF, names))
+    metric = MetricField.from_strings(chart, rows)
+    return MongeGenerator("constant", chart, metric, parse(scalar, chart))
+
+
+class TestSylvester:
+    """The screen frame of a lightlike point has the signature of g less one
+    +, since ker dF is the g-orthogonal complement of the unit spacelike
+    xi_hat (Sylvester's law of inertia); no basis of ker dF can hide it."""
+
+    @staticmethod
+    def random_lightlike(rng, d):
+        """A symmetric g of mixed signature and a dF with g(xi_hat, xi_hat) = 1."""
+        rotation, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        signs = np.array([1.0, -1.0, *rng.choice([-1.0, 1.0], d - 2)])
+        eigenvalues = rng.uniform(0.5, 2.0, d) * signs
+        g = (rotation * eigenvalues) @ rotation.T
+        g = 0.5 * (g + g.T)
+        while True:
+            u = rng.normal(size=d)
+            q = u @ np.linalg.solve(g, u)
+            if q > 0.1:
+                return g, u / np.sqrt(q)
+
+    @staticmethod
+    def null_elimination(rng, d):
+        """g and dF as above, with every vector b_j of the elimination basis
+        of ker dF g-null: g(b_i, b_j) = K_ij with a zero diagonal (K is
+        non-singular), g(w, b_j) = 0 and g(w, w) = 1 for w = e_pivot / dF_pivot,
+        which makes w = xi_hat.  Returns g, dF and the b_j."""
+        dF = rng.uniform(-1.0, 1.0, d)
+        pivot = rng.integers(d)
+        dF[pivot] = rng.choice([-1.0, 1.0]) * rng.uniform(1.5, 2.0)  # the largest entry
+        others = [j for j in range(d) if j != pivot]
+        rows = np.eye(d)[others + [pivot]]  # b_j, then w
+        rows[:-1, pivot] = -dF[others] / dF[pivot]
+        rows[-1] /= dF[pivot]
+        entries = rng.choice([-1.0, 1.0], (d - 1, d - 1)) * rng.uniform(0.5, 2.0, (d - 1, d - 1))
+        upper = np.triu(entries, 1)
+        gram = np.eye(d)
+        gram[:-1, :-1] = upper + upper.T
+        inverse = np.linalg.inv(rows)  # rows g rows^T = gram
+        g = inverse @ gram @ inverse.T
+        return 0.5 * (g + g.T), dF, rows[:-1]
+
+    @staticmethod
+    def check(g, dF):
+        data = _point_data(constant_generator(g, dF), (0.1, 0.2, 0.3, 0.4)[: len(dF)])
+        assert abs(data.norm2[0] - 1.0) < 1e-12
+        frame, failures = data.kernel_frame
+        assert failures == {}
+        v, signs, g = frame.vectors[0], frame.signs[0], data.g[0]
+        scale = local_scale(g) * local_scale(v) ** 2
+        assert np.max(np.abs(v @ g @ v.T - np.diag(signs))) < 1e-12 * scale
+        eigenvalues = np.linalg.eigvalsh(g)
+        assert (signs < 0).sum() == (eigenvalues < 0).sum()
+        assert (signs > 0).sum() == (eigenvalues > 0).sum() - 1
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_random_metrics(self, d):
+        rng = np.random.default_rng(1500 + d)
+        for _ in range(25):
+            self.check(*self.random_lightlike(rng, d))
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_null_elimination_bases(self, d):
+        rng = np.random.default_rng(1510 + d)
+        for _ in range(25):
+            g, dF, basis = self.null_elimination(rng, d)
+            nulls = np.einsum("ij,jk,ik->i", basis, g, basis)
+            assert np.max(np.abs(nulls)) < 1e-12 * local_scale(g, basis) ** 2
+            self.check(g, dF)
 
 
 class TestGaussDecomposition:

@@ -539,12 +539,31 @@ class TestNonFiniteRefused:
             render_report(hand_report(witness=math.inf))
 
     def test_non_finite_sample_point(self):
-        # classify analyses the point without an error; only rendering refuses it
+        # a NaN or infinite coordinate is that point's error, recorded before
+        # the domain check (y = -inf is outside it too), and the report
+        # writes the number as null
         gen = catalog.builtin("hyperbolic2").generator
-        report = classify(gen, [SurfacePoint((math.nan, 1.0), 0.0)])
-        assert report.points[0].error is None
-        with pytest.raises(ValueError, match="not JSON compliant: nan"):
-            render_report(report)
+        good = gen.surface_point((0.5, 2.0))
+        points = [
+            SurfacePoint((math.nan, 1.0), 0.0),
+            SurfacePoint((0.0, -math.inf), 0.0),
+            SurfacePoint((0.5, 2.0), math.inf),
+            good,
+            SurfacePoint((math.inf, 1.0), None),
+        ]
+        report = classify(gen, points)
+        errors = [a.error for a in report.points]
+        assert errors == ["point is not finite"] * 3 + [None, "point is not finite"]
+        doc = json.loads(render_report(report))  # rendering refuses nan and inf
+        assert [(p["point"], p["x0"]) for p in doc["points"]] == [
+            ([None, 1.0], 0.0),
+            ([0.0, None], 0.0),
+            ([0.5, 2.0], None),
+            ([0.5, 2.0], good.x0),
+            ([None, 1.0], None),
+        ]
+        (alone,) = report_to_dict(classify(gen, [good]))["points"]
+        assert doc["points"][3] == dict(alone, index=3)
 
     def test_cli_writes_no_report(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "gen.json"
