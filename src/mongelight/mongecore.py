@@ -212,19 +212,19 @@ class _PointData:
     with {row: first error} of the rows that fail, whose numbers mean
     nothing: a jet error (see _jets), else a non-finite covariant Hessian.
 
-    dg[k, i, j, l] = d_i g_jl, d2F holds plain coordinate partials d_i d_j F,
-    gamma[k, l, i, j] the Christoffel symbols and hess the covariant
-    Hessian; the rest is derived on first use.
+    d2F holds plain coordinate partials d_i d_j F, gamma[k, l, i, j] the
+    Christoffel symbols (from the metric's partials, which are not kept)
+    and hess the covariant Hessian; the rest is derived on first use.
     """
 
     def __init__(self, gen: MongeGenerator, bases: Sequence[tuple[float, ...]]):
         self.bases = list(bases)
         jets, self.failures = _jets(gen, self.bases)
-        self.g, self.ginv, self.dg, self.dF, self.d2F, self.xi_hat = jets
+        self.g, self.ginv, dg, self.dF, self.d2F, self.xi_hat = jets
         # the all-i _weingarten result per xi_scale, kept for weingarten_at
         self.weingarten: dict[float, tuple[np.ndarray, ...]] = {}
         n, d = self.dF.shape
-        self.gamma = christoffel_from_partials(self.ginv, self.dg)
+        self.gamma = christoffel_from_partials(self.ginv, dg)
         contracted = self.dF[:, None, :] @ self.gamma.reshape(n, d, d * d)
         self.hess = self.d2F - contracted.reshape(n, d, d)
         # an overflowed dg or d2F lane leaves hess non-finite
@@ -278,14 +278,11 @@ class _PointData:
 
     @cached_property
     def kernel_frame(self) -> tuple[OrthoFrame, dict[int, Exception]]:
-        """Orthonormal frames of ker dF under g (d-1 base vectors per point)
-        and the errors of the points that have none: the null space of the
-        row vector dF, spanned by eliminating against its largest-magnitude
-        entry, then orthonormalized; requires d >= 2.
-
-        At a lightlike point ker dF is the g-orthogonal complement of xi_hat,
-        and g(xi_hat, xi_hat) = 1, so g is non-degenerate on ker dF wherever
-        it is non-degenerate itself, whatever the elimination basis."""
+        """Orthonormal frames of ker dF under g (d-1 base vectors per point),
+        for screen_frame_at, and the errors of the points that have none:
+        ker dF spanned by eliminating against dF's largest-magnitude entry,
+        then orthonormalized; requires d >= 2.  g is non-degenerate on ker dF
+        wherever g(dF, dF) is not 0 (see _minimal_defect), whatever the basis."""
         n, d = self.dF.shape
         rows = np.arange(n)
         pivot = np.abs(self.dF).argmax(axis=1)
@@ -297,15 +294,7 @@ class _PointData:
         basis = units[pivot]
         basis[rows, :, pivot] = (-self.dF / lead[:, None])[rows[:, None], others[pivot]]
         frame = orthonormalize(basis, self.g)
-        failures: dict[int, Exception] = {}
-        for k in (vanishing | (frame.signs[:, 0] == 0)).nonzero()[0]:
-            failures[int(k)] = ScreenRankError(
-                "dF vanishes; kernel of dF is not a hyperplane"
-                if vanishing[k]
-                else "screen projection rank deficient: g on ker dF has an eigenvalue "
-                f"below {DEGENERACY_THRESHOLD:g} * scale"
-            )
-        return frame, failures
+        return frame, _screen_rank_failures(self.dF, vanishing | (frame.signs[:, 0] == 0))
 
 
 @lru_cache(maxsize=None)
@@ -456,14 +445,31 @@ def _scatter(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _minimal_defect(frame: OrthoFrame, hess: np.ndarray) -> np.ndarray:
-    """Sign-weighted Hessian trace over g-orthonormal frames of ker dF."""
-    v = frame.vectors
-    terms = frame.signs * (v[:, :, None, :] @ hess[:, None] @ v[..., None])[..., 0, 0]
-    total = 0.0
-    for k in range(terms.shape[1]):
-        total = total + terms[:, k]
-    return total
+def _minimal_defect(data: _PointData) -> tuple[np.ndarray, dict[int, Exception]]:
+    """Sign-weighted Hessian trace over g-orthonormal frames of ker dF, and
+    the errors of the points that have none.  ker dF is the g-orthogonal
+    complement of xi_hat, so the trace is tr(g^-1 Hess) - Hess(xi_hat,
+    xi_hat) / q, q = g(dF, dF), and g on ker dF is degenerate exactly where
+    q = 0: |q| below DEGENERACY_THRESHOLD * (1 + sum |dF_i xi_hat^i|)."""
+    q, xi_hat = data.norm2, data.xi_hat
+    trace = (data.ginv * data.hess.transpose(0, 2, 1)).sum(axis=(1, 2))
+    along = (xi_hat[:, None, :] @ data.hess @ xi_hat[:, :, None])[:, 0, 0]
+    scale = 1.0 + np.abs(data.dF * xi_hat).sum(axis=1)
+    failures = _screen_rank_failures(data.dF, np.abs(q) < DEGENERACY_THRESHOLD * scale)
+    return trace - along / q, failures
+
+
+def _screen_rank_failures(dF: np.ndarray, deficient: np.ndarray) -> dict[int, Exception]:
+    """{row: ScreenRankError} of the deficient rows: dF vanishes, or g on ker dF is degenerate."""
+    return {
+        k: ScreenRankError(
+            "screen projection rank deficient: g on ker dF has an eigenvalue "
+            f"below {DEGENERACY_THRESHOLD:g} * scale"
+            if dF[k].any()
+            else "dF vanishes; kernel of dF is not a hyperplane"
+        )
+        for k in np.flatnonzero(deficient).tolist()
+    }
 
 
 def _tangency_failures(
@@ -568,15 +574,15 @@ def minimal_defect_at(gen: MongeGenerator, p) -> float:
     """Sign-weighted Hessian trace over a g-orthonormal frame of ker dF.
 
     Zero within tolerance means the hypersurface is minimal at the point.
-    The value is invariant (to rounding) under sign-orthogonal changes of
-    the frame.
+    The trace is the same over every such frame; it is computed without
+    one, as tr(g^-1 Hess) - Hess(xi_hat, xi_hat) / g(dF, dF).
     """
     data = _point_data(gen, _base_of(p))
     if gen.dimension < 2:
         raise ScreenRankError("kernel frame needs chart dimension >= 2")
-    frame, failures = data.kernel_frame
+    defect, failures = _minimal_defect(data)
     _raise(failures)
-    return float(_minimal_defect(frame, data.hess)[0])
+    return float(defect[0])
 
 
 @_quiet
@@ -605,25 +611,25 @@ def screen_frame_at(gen: MongeGenerator, p, tolerance: float = 1e-8) -> OrthoFra
 # Gauss-Weingarten data
 
 
-def _gauss_split(
-    data: _PointData, xi_scale: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(tangent, B, |gbar(tangent, xi)|, scale) per point, indexed [k, i, j]
-    by the derivative of e_j along e_i.
+def _check_indices(d: int, **indices):
+    """Refuse a frame index that is a bool or not an int (NumPy's included) in range(d)."""
+    for name, k in indices.items():
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 0 <= k < d:
+            raise ValueError(f"{name} must be an int in range({d}), got {k!r}")
 
-    The ambient derivative carries the plain second partial of F in its x0
-    slot and the base connection coefficients in the base slots (the x0
-    direction is flat and parallel in the product metric); its tangency
-    gate is certificate > tolerance * scale, with scale
-    local_scale(ambient[k, i, j], xi, gbar).
-    """
-    ambient = np.concatenate((data.d2F[..., None], data.gamma.transpose(0, 2, 3, 1)), axis=3)
+
+def _gauss_split(data: _PointData, xi_scale: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(B, |gbar(tangent, xi)|, scale) per point, indexed [k, i, j] by the
+    derivative of e_j along e_i: (d2F_ij, Gamma^l_ij), since the x0
+    direction is flat and parallel.  It pairs with xi as B_ij and
+    gbar(N, xi) = (1 + q) / 2, q = g(dF, dF), so the tangent part
+    (derivative - B N) pairs with xi as |B_ij| |1 - q| / 2.  The gate is
+    certificate > tolerance * (1 + max(|d2F_ij|, |Gamma^l_ij|, _peak))."""
     B = -xi_scale * data.hess
-    tangent = ambient - B[..., None] * (data.nxi / xi_scale)[:, None, None, :]
-    xi = xi_scale * data.xi
-    certificate = np.abs(tangent @ data.gbar[:, None] @ xi[:, None, :, None])[..., 0]
-    scale = 1.0 + np.maximum(np.abs(ambient).max(axis=3), _peak(data, xi)[:, None, None])
-    return tangent, B, certificate, scale
+    certificate = np.abs(B * (0.5 * (1.0 - data.norm2))[:, None, None])
+    ambient = np.maximum(np.abs(data.d2F), np.abs(data.gamma).max(axis=1))
+    scale = 1.0 + np.maximum(ambient, _peak(data, xi_scale * data.xi)[:, None, None])
+    return B, certificate, scale
 
 
 @_quiet
@@ -636,36 +642,29 @@ def gauss_decompose_at(
     gbar(tangent, xi) < tolerance * scale of every pair at the point are
     asserted before returning; they measure the agreement of B = -Hess
     with the defining projection gbar(ambient derivative, xi) and fail off
-    the degenerate locus.
+    the degenerate locus.  i and j must be ints in range(d).
     """
     xi_scale, tolerance = _check_xi_scale(xi_scale), _check_tolerance(tolerance)
-    tangent, B, certificate, scale = _gauss_split(_point_data(gen, _base_of(p)), xi_scale)
+    _check_indices(gen.dimension, i=i, j=j)
+    data = _point_data(gen, _base_of(p))
+    B, certificate, scale = _gauss_split(data, xi_scale)
     _raise(_tangency_failures("Gauss", certificate, scale, tolerance))
-    return tangent[0, i, j], B[0, i, j]
+    ambient = np.concatenate(([data.d2F[0, i, j]], data.gamma[0, :, i, j]))
+    return ambient - B[0, i, j] * (data.nxi[0] / xi_scale), B[0, i, j]
 
 
-def _weingarten(
-    data: _PointData, xi_scale: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(A_N e_i, tau(e_i), |gbar(A_N e_i, xi)|, scale) per point, for every i.
-
-    The ambient derivative of N along e_i reduces to half the base
-    covariant derivative of grad F (the x0 direction is parallel); tau is
-    its pairing with xi and A_N e_i = -(derivative - tau N).  The
-    tangency gate is certificate > tolerance * local_scale(dN, xi, gbar).
-    """
-    ginv = data.ginv[:, None]
-    # d_i xi_hat^k = d_i g^{kl} dF_l + g^{kl} d_i d_l F, with
-    # d_i g^{-1} = -g^{-1} (d_i g) g^{-1}
-    dxi_hat = ginv @ data.d2F[..., None] - ginv @ data.dg @ ginv @ data.dF[:, None, :, None]
-    nabla_xi_hat = dxi_hat + data.gamma.transpose(0, 2, 1, 3) @ data.xi_hat[:, None, :, None]
-    dN = _lift(0.5 * nabla_xi_hat[..., 0]) / xi_scale
-    xi, nxi = xi_scale * data.xi, data.nxi / xi_scale
-    gbar, xi_column = data.gbar[:, None], xi[:, None, :, None]
-    tau = (dN[:, :, None, :] @ gbar @ xi_column)[..., 0, 0]
-    a_vec = -(dN - tau[..., None] * nxi[:, None, :])
-    certificate = np.abs((a_vec[:, :, None, :] @ gbar @ xi_column)[..., 0, 0])
-    scale = 1.0 + np.maximum(np.abs(dN).max(axis=2), _peak(data, xi)[:, None])
+def _weingarten(data: _PointData, xi_scale: float) -> tuple[np.ndarray, ...]:
+    """(A_N e_i, tau(e_i), |gbar(A_N e_i, xi)|, scale) per point, for every i:
+    by nabla g = 0 the derivative of N along e_i is dN_i = (0, (g^-1 Hess)[:, i]
+    / 2) / c (x0 is parallel), pairing with xi as tau_i = Hess(e_i, xi_hat) / 2
+    = d_i q / 4, and A_N e_i = -(dN_i - tau_i N) as |tau_i| |1 - q| / 2, with
+    q = g(dF, dF).  Gate: certificate > tolerance * (1 + max(|dN_i|, _peak))."""
+    dN = 0.5 * (data.ginv @ data.hess).transpose(0, 2, 1) / xi_scale  # its base slots
+    tau = 0.5 * (data.hess @ data.xi_hat[:, :, None])[..., 0]
+    a_vec = tau[..., None] * (data.nxi / xi_scale)[:, None, :]
+    a_vec[..., 1:] -= dN
+    certificate = np.abs(tau * (0.5 * (1.0 - data.norm2))[:, None])
+    scale = 1.0 + np.maximum(np.abs(dN).max(axis=2), _peak(data, xi_scale * data.xi)[:, None])
     return a_vec, tau, certificate, scale
 
 
@@ -679,13 +678,14 @@ def _peak(data: _PointData, xi: np.ndarray) -> np.ndarray:
 def weingarten_at(
     gen: MongeGenerator, p, i: int, xi_scale: float = 1.0, tolerance: float = 1e-8
 ) -> tuple[np.ndarray, float]:
-    """Shape operator value A_N e_i and transversal form tau(e_i).
+    """Shape operator value A_N e_i and transversal form tau(e_i), i in range(d).
 
     The ambient derivative of N along e_i reduces to half the base
     covariant derivative of grad F (the x0 direction is parallel); tau is
     its pairing with xi and A_N e_i = -(derivative - tau N).
     """
     xi_scale, tolerance = _check_xi_scale(xi_scale), _check_tolerance(tolerance)
+    _check_indices(gen.dimension, i=i)
     data = _point_data(gen, _base_of(p))
     kept = data.weingarten.get(xi_scale)
     if kept is None:  # computed once for the d calls at a point
@@ -813,13 +813,15 @@ def _analyze(
     stack of every point that passed the domain and F, and one boolean
     ``alive`` mask says which rows still count.  A stage's failure is
     recorded only at a row that is alive and that the stage gates (the
-    lightlike rows, for the screen, Weingarten and Gauss).  The d >= 3
+    lightlike rows, for the screen rank, Weingarten and Gauss).  The d >= 3
     bracket neighbours of the live lightlike points form one more stack,
     with one more call of F.  A point records the first gate it fails, in
     the order: finite coordinates (base, and x0 unless it is None), domain,
     F (for a point whose x0 is None), metric jets, metric inverse, F jets,
-    finite dF, Hessian finiteness, screen frame, bracket neighbours,
-    Weingarten, Gauss, and finiteness of the reported numbers."""
+    finite dF, Hessian finiteness, screen rank (g(dF, dF) not 0), bracket
+    neighbours, Weingarten, Gauss, and finiteness of the reported numbers.
+    No screen frame is built: the minimal defect, tau and both tangency
+    certificates are closed forms of the jets."""
     records = [PointAnalysis(index=i, point=sp) for i, sp in enumerate(points)]
     kept = []
     for record in records:
@@ -854,7 +856,6 @@ def _analyze(
     drop(data.failures, everywhere)
     rank = _radical_rank(data, tol)
     light = _is_lightlike(data.norm2, tol)
-    B = -xi_scale * data.hess
     rho, residual, normalizer, posed = _umbilic_fit(data)
     fit = posed & (d >= 2)  # every 1 x 1 form is a multiple of T: the fit says nothing
     xi, nxi = xi_scale * data.xi, data.nxi / xi_scale
@@ -863,13 +864,10 @@ def _analyze(
     xi_nxi = _pair(xi, data.gbar, nxi)
     nxi_nxi = _pair(nxi, data.gbar, nxi)
 
-    screen_nxi, minimal, bracket = np.full((3, n), np.nan)
+    minimal, bracket = np.full((2, n), np.nan)
     if d >= 2:
-        frame, failures = data.kernel_frame
+        minimal, failures = _minimal_defect(data)
         drop(failures, light)
-        screen = _lift(frame.vectors) @ data.gbar @ nxi[:, :, None]
-        screen_nxi = np.abs(screen).max(axis=(1, 2))
-        minimal = _minimal_defect(frame, data.hess)
     if d == 2:
         bracket[:] = 0.0  # line fields are integrable by convention
     elif d >= 3:
@@ -880,7 +878,7 @@ def _analyze(
 
     _, tau, certificate, scale = _weingarten(data, xi_scale)
     drop(_tangency_failures("Weingarten", certificate, scale, tol), light)
-    _, _, certificate, scale = _gauss_split(data, xi_scale)
+    B, certificate, scale = _gauss_split(data, xi_scale)
     drop(_tangency_failures("Gauss", certificate, scale, tol), light)
     gauss = certificate.max(axis=(1, 2))
 
@@ -902,7 +900,6 @@ def _analyze(
         ("xi_null", xi_null, everywhere, "certificates"),
         ("xi_nxi", xi_nxi, light, "certificates"),
         ("nxi_nxi", nxi_nxi, light, "certificates"),
-        ("screen_nxi", screen_nxi, screened, "certificates"),
         ("gauss_tangency", gauss, light, "certificates"),
     )
     for name, values, present, _ in reported:
@@ -947,10 +944,10 @@ def classify(
     second-order jets and every later stage run once over one stack of all
     the points, with one ``alive`` mask for the points that have not failed
     yet (the d >= 3 bracket neighbours of the live lightlike points form one
-    more stack, with one more call of F).
-    A point that fails a gate keeps its first error, and its later numbers
-    reach no record.  A point's record does not depend on the other points
-    of the sample.
+    more stack, with one more call of F).  A point that fails a gate, in
+    _analyze's order (the screen rank is the scalar test |g(dF, dF)| above a
+    floor, with no frame built), keeps its first error, and its later numbers
+    reach no record.  A point's record does not depend on the other points.
     """
     if not isinstance(tol, Tolerances):
         tol = Tolerances() if tol is None else Tolerances(tol)

@@ -18,7 +18,11 @@ from mongelight.exprlang import (
     Num,
     Param,
     compile_expr,
+    parse,
+    parse_constraint,
 )
+from mongelight.mongecore import MongeGenerator
+from mongelight.semiriemann import MetricField
 
 FD_STEP = 1e-5
 RICH_STEP = 1e-3
@@ -279,3 +283,41 @@ def sample_admissible(rng: np.random.Generator, gen, ranges, count: int):
         if gen.admissible(base):
             points.append(base)
     return points
+
+
+# ---------------------------------------------------------------------------
+# A lightlike set that is not open
+
+
+def lightlike_line_fixtures():
+    """Generators whose lightlike set is a line, where tau and the screen
+    bracket do not vanish: F = y*sqrt(1 + x) on x > -1 has
+    q = g(dF, dF) = y^2 / (4 (1 + x)) + 1 + x over a flat metric in which
+    x and y are spacelike, lightlike only at x = y = 0.
+
+    There dF = e_y, Hess F = (e_x (x) e_y + e_y (x) e_x) / 2, so
+    tau = Hess(xi_hat) / 2 = e_x / 4 and the minimal defect is 0; in three
+    dimensions the screen bracket leaks exactly 1/2.  Returns
+    {name: (generator, lightlike base points, tau there)}.
+    """
+    cases = {
+        "line3": (("x", "y", "z"), ("1", "1", "1"), [(0.0, 0.0, z) for z in (-0.5, 0.0, 1.5)]),
+        "line2": (("x", "y"), ("1", "1"), [(0.0, 0.0)]),
+        "line_txy": (("t", "x", "y"), ("-1", "1", "1"), [(t, 0.0, 0.0) for t in (-0.5, 0.0, 2.0)]),
+    }
+    fixtures = {}
+    for name, (names, diagonal, bases) in cases.items():
+        chart = CoordinateChart(names)
+        d = chart.dimension
+        rows = [[diagonal[i] if i == j else "0" for j in range(d)] for i in range(d)]
+        gen = MongeGenerator(
+            name,
+            chart,
+            MetricField.from_strings(chart, rows),
+            parse("y*sqrt(1 + x)", chart),
+            (parse_constraint("x > -1", chart),),
+        )
+        tau = np.zeros(d)
+        tau[names.index("x")] = 0.25
+        fixtures[name] = gen, bases, tau
+    return fixtures

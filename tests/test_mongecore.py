@@ -25,6 +25,7 @@ from mongelight.mongecore import (
     NotLightlikeWarning,
     ScreenRankError,
     SurfacePoint,
+    TangencyError,
     Tolerances,
     ambient_metric_at,
     classify,
@@ -1069,6 +1070,35 @@ class TestArgumentChecks:
         assert monge_frame_at(self.GEN, self.POINT, 1e-8)[2] == 1
         assert len(screen_frame_at(self.GEN, self.POINT, 1).signs) == 2
 
+    # a frame index is an int in range(d): -1 once read an empty slice of
+    # the Weingarten gates, and gauss_decompose_at wrapped it around
+    BY_INDEX = {
+        ("weingarten_at", "i"): lambda gen, p, k: weingarten_at(gen, p, k),
+        ("gauss_decompose_at", "i"): lambda gen, p, k: gauss_decompose_at(gen, p, k, 0),
+        ("gauss_decompose_at", "j"): lambda gen, p, k: gauss_decompose_at(gen, p, 0, k),
+    }
+
+    @pytest.mark.parametrize("value", [-1, 3, True, 1.0])
+    @pytest.mark.parametrize("name", sorted(BY_INDEX))
+    def test_senseless_index_refused(self, name, value):
+        pattern = rf"^{name[1]} must be an int in range\(3\), got {value!r}$"
+        with pytest.raises(ValueError, match=pattern):
+            self.BY_INDEX[name](self.GEN, self.POINT, value)
+
+    @pytest.mark.parametrize("name", sorted(BY_INDEX))
+    def test_numpy_index_accepted(self, name):
+        result = self.BY_INDEX[name](self.GEN, self.POINT, np.int64(2))
+        expected = self.BY_INDEX[name](self.GEN, self.POINT, 2)
+        assert np.array_equal(result[0], expected[0]) and result[1] == expected[1]
+
+    def test_index_refused_before_the_tangency_gate(self):
+        # off the lightlike locus the gate of e_2 fails; -1 must not skip it
+        gen = euclidean(("x", "y"), "x^2 + y^2")
+        with pytest.raises(TangencyError, match="^Weingarten tangent part pairs with xi "):
+            weingarten_at(gen, (1.0, 1.0), 1)
+        with pytest.raises(ValueError, match=r"^i must be an int in range\(2\), got -1$"):
+            weingarten_at(gen, (1.0, 1.0), -1)
+
 
 class TestGeneratorImmutable:
     # per-point results are cached by generator identity, so a generator
@@ -1146,7 +1176,9 @@ class TestCompiledExpressions:
         # a coordinate-dependent exponent in F and in the metric, through
         # the metric's first-order jets and F's stacked jets at the bracket
         # neighbours of the lightlike points x = 0; the sha256 is that of
-        # the report before Jet1 and JetStack existed
+        # the report before Jet1 and JetStack existed, recorded again when
+        # the Gauss certificate became a closed form (field-wise, only
+        # gauss_tangency moved, by at most 2.3e-16, and screen_nxi went)
         chart = CoordinateChart(("x", "y", "z"))
         metric = MetricField.from_strings(
             chart, [["e^(2*y)", "0", "0"], ["0", "1", "0"], ["0", "0", "z^z"]]
@@ -1159,7 +1191,7 @@ class TestCompiledExpressions:
         bracketed = [a for a in report.points if a.integrability_defect is not None]
         assert len(bracketed) == 9 and all(a.point.base[0] == 0.0 for a in bracketed)
         digest = hashlib.sha256(render_report(report).encode()).hexdigest()
-        assert digest == "476a51f0466269ec89523f811faed21273d37e9bfd292ecb20bb333d7ad52f30"
+        assert digest == "9e46817ea56a3efa234526b6d14a7f60f401020bdde8def0d3c9e7fbc46e4fe7"
 
     def test_stationary_variable_exponent_needs_a_positive_base(self):
         # y^3 mentions a coordinate, so x^(y^3) takes the exp(y^3 ln x) rule
