@@ -25,7 +25,6 @@ from .semiriemann import (
     DegenerateMetricError,
     MetricField,
     OrthoFrame,
-    orthonormalize,
 )
 from .mongecore import (
     ClassificationReport,
@@ -72,7 +71,6 @@ __all__ = [
     "MetricField",
     "OrthoFrame",
     "DegenerateMetricError",
-    "orthonormalize",
     "MongeGenerator",
     "SurfacePoint",
     "Tolerances",

@@ -45,7 +45,6 @@ from .semiriemann import (
     OrthoFrame,
     christoffel_from_partials,
     invert_metric,
-    orthonormalize,
 )
 
 __all__ = [
@@ -276,34 +275,6 @@ class _PointData:
         """Gram matrix of the frame."""
         return self.g - self.dF[:, :, None] * self.dF[:, None, :]
 
-    @cached_property
-    def kernel_frame(self) -> tuple[OrthoFrame, dict[int, Exception]]:
-        """Orthonormal frames of ker dF under g (d-1 base vectors per point),
-        for screen_frame_at, and the errors of the points that have none:
-        ker dF spanned by eliminating against dF's largest-magnitude entry,
-        then orthonormalized; requires d >= 2.  g is non-degenerate on ker dF
-        wherever g(dF, dF) is not 0 (see _minimal_defect), whatever the basis."""
-        n, d = self.dF.shape
-        rows = np.arange(n)
-        pivot = np.abs(self.dF).argmax(axis=1)
-        lead = self.dF[rows, pivot]
-        vanishing = lead == 0.0
-        lead = np.where(vanishing, 1.0, lead)
-        # e_j with its pivot entry replaced by -dF_j / dF_pivot, for j != pivot
-        others, units = _elimination(d)
-        basis = units[pivot]
-        basis[rows, :, pivot] = (-self.dF / lead[:, None])[rows[:, None], others[pivot]]
-        frame = orthonormalize(basis, self.g)
-        return frame, _screen_rank_failures(self.dF, vanishing | (frame.signs[:, 0] == 0))
-
-
-@lru_cache(maxsize=None)
-def _elimination(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """For each pivot p of a d-vector: the indices j != p, and the rows e_j."""
-    others = np.array([[j for j in range(d) if j != p] for p in range(d)]).reshape(d, d - 1)
-    return others, np.eye(d)[others]
-
-
 def _jets(
     gen: MongeGenerator, bases: Sequence[tuple[float, ...]]
 ) -> tuple[tuple[np.ndarray, ...], dict[int, Exception]]:
@@ -447,28 +418,31 @@ def _scatter(values: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 def _minimal_defect(data: _PointData) -> tuple[np.ndarray, dict[int, Exception]]:
     """Sign-weighted Hessian trace over g-orthonormal frames of ker dF, and
-    the errors of the points that have none.  ker dF is the g-orthogonal
-    complement of xi_hat, so the trace is tr(g^-1 Hess) - Hess(xi_hat,
-    xi_hat) / q, q = g(dF, dF), and g on ker dF is degenerate exactly where
-    q = 0: |q| below DEGENERACY_THRESHOLD * (1 + sum |dF_i xi_hat^i|)."""
+    the errors of the points that have none (see _screen_rank_failures).
+    ker dF is the g-orthogonal complement of xi_hat, so the trace is
+    tr(g^-1 Hess) - Hess(xi_hat, xi_hat) / q, q = g(dF, dF)."""
     q, xi_hat = data.norm2, data.xi_hat
     trace = (data.ginv * data.hess.transpose(0, 2, 1)).sum(axis=(1, 2))
     along = (xi_hat[:, None, :] @ data.hess @ xi_hat[:, :, None])[:, 0, 0]
-    scale = 1.0 + np.abs(data.dF * xi_hat).sum(axis=1)
-    failures = _screen_rank_failures(data.dF, np.abs(q) < DEGENERACY_THRESHOLD * scale)
-    return trace - along / q, failures
+    return trace - along / q, _screen_rank_failures(data)
 
 
-def _screen_rank_failures(dF: np.ndarray, deficient: np.ndarray) -> dict[int, Exception]:
-    """{row: ScreenRankError} of the deficient rows: dF vanishes, or g on ker dF is degenerate."""
+def _screen_rank_failures(data: _PointData) -> dict[int, Exception]:
+    """{row: ScreenRankError} of the rows where g on ker dF is degenerate,
+    which it is exactly where q = g(dF, dF) = 0: the one screen-rank gate,
+    |q| <= DEGENERACY_THRESHOLD * max|dF| * max|xi_hat|, which no constant
+    rescaling of F or g moves.  A vanishing dF fails it with 0 <= 0; an
+    overflowed q passes it, though its floor may overflow too."""
+    dF, q = data.dF, data.norm2
+    floor = DEGENERACY_THRESHOLD * np.abs(dF).max(axis=1) * np.abs(data.xi_hat).max(axis=1)
     return {
         k: ScreenRankError(
-            "screen projection rank deficient: g on ker dF has an eigenvalue "
-            f"below {DEGENERACY_THRESHOLD:g} * scale"
+            "screen projection rank deficient: |g(dF, dF)| <= "
+            f"{DEGENERACY_THRESHOLD:g} * max|dF| * max|xi_hat|"
             if dF[k].any()
             else "dF vanishes; kernel of dF is not a hyperplane"
         )
-        for k in np.flatnonzero(deficient).tolist()
+        for k in np.flatnonzero((np.abs(q) <= floor) & np.isfinite(q)).tolist()
     }
 
 
@@ -579,7 +553,7 @@ def minimal_defect_at(gen: MongeGenerator, p) -> float:
     """
     data = _point_data(gen, _base_of(p))
     if gen.dimension < 2:
-        raise ScreenRankError("kernel frame needs chart dimension >= 2")
+        raise ScreenRankError("screen needs chart dimension >= 2")
     defect, failures = _minimal_defect(data)
     _raise(failures)
     return float(defect[0])
@@ -595,6 +569,12 @@ def screen_frame_at(gen: MongeGenerator, p, tolerance: float = 1e-8) -> OrthoFra
     gbar restricts there to g, so the frame is the lift (0, v) of the
     g-orthonormal frame of ker dF.  Where the lightlike defect exceeds
     tolerance the screen fields have rank d and no such frame exists.
+
+    The frame comes from one eigendecomposition of the screen metric
+    h = g - dF (x) dF / q, q = g(dF, dF): h xi_hat = 0 and h = g on ker dF,
+    so the eigenvectors u of its d-1 nonzero eigenvalues lam (ascending,
+    the smallest |lam| dropped) give the frame (u - (dF.u / q) xi_hat) /
+    sqrt|lam| with signs sign(lam).
     """
     tolerance = _check_tolerance(tolerance)
     data = _point_data(gen, _base_of(p))
@@ -602,9 +582,13 @@ def screen_frame_at(gen: MongeGenerator, p, tolerance: float = 1e-8) -> OrthoFra
         raise ScreenRankError("screen needs chart dimension >= 2")
     if not _is_lightlike(data.norm2[0], tolerance):
         raise ScreenRankError("screen projection has rank d; expected d-1")
-    frame, failures = data.kernel_frame
-    _raise(failures)
-    return OrthoFrame(_lift(frame.vectors[0]), tuple(frame.signs[0].tolist()))
+    _raise(_screen_rank_failures(data))
+    dF, xi_hat, q = data.dF[0], data.xi_hat[0], data.norm2[0]
+    lam, u = np.linalg.eigh(data.g[0] - dF[:, None] * (dF / q))
+    kept = np.arange(len(lam)) != np.abs(lam).argmin()
+    lam, u = lam[kept], u[:, kept].T
+    vectors = (u - (u @ dF / q)[:, None] * xi_hat) / np.sqrt(np.abs(lam))[:, None]
+    return OrthoFrame(_lift(vectors), tuple(np.where(lam < 0.0, -1, 1).tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,8 @@
 Everything here is a pure function of its inputs: the metric and its first
 partials at a point, from jets; the verified inverses of a stack of metric
 matrices, with the symmetry, degeneracy and inverse-residual gates checked
-per row in one call (the one place these gates live); Levi-Civita
-connection coefficients from jet derivatives of the metric; and
-orthonormal frames under an indefinite inner product, from one stacked
-eigendecomposition.
+per row in one call (the one place these gates live); and Levi-Civita
+connection coefficients from jet derivatives of the metric.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ __all__ = [
     "invert_metric",
     "metric_jets_at",
     "christoffel_from_partials",
-    "orthonormalize",
 ]
 
 DEGENERACY_THRESHOLD = 1e-10
@@ -171,34 +168,3 @@ def christoffel_from_partials(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
     gamma = 0.5 * (ginv @ bracket.reshape(n, d, d * d)).reshape(n, d, d, d)
     gamma = 0.5 * (gamma + np.transpose(gamma, (0, 1, 3, 2)))
     return gamma
-
-
-def orthonormalize(vectors: np.ndarray, g: np.ndarray) -> OrthoFrame:
-    """g-orthonormal frames of the spans of vectors (n, m, d) under metrics
-    g (n, d, d), points stacked along the leading axis, from one
-    eigendecomposition of the Gram matrices G = V g V^T.
-
-    With G = Q diag(lam) Q^T the frame is Q^T V / sqrt|lam|, so
-    g(v_i, v_j) = sign(lam_i) delta_ij: the frame holds (n, m, d) vectors
-    and an (n, m) integer array of signs sign(lam), whose counts are the
-    signature of g on the span (Sylvester's law of inertia).  A point whose
-    G has an eigenvalue below DEGENERACY_THRESHOLD * scale, with scale
-    1 + the largest |entry| of its g and vectors, spans a g-degenerate
-    subspace: its rows and signs are all 0 (its mask is
-    ``signs[:, 0] == 0``).  Each point is computed on its own, and a
-    non-finite point gives NaN rows without raising.
-    """
-    n, m, d = vectors.shape
-    entries = np.concatenate((g.reshape(n, d * d), vectors.reshape(n, m * d)), axis=1)
-    floor = DEGENERACY_THRESHOLD * (1.0 + np.abs(entries).max(axis=1))
-    lam, q = np.linalg.eigh(vectors @ g @ vectors.transpose(0, 2, 1))
-    magnitude = np.abs(lam)
-    # Q^T V, summed from -0.0, the IEEE additive identity: a matmul's +0
-    # start would turn a -0 entry of V (one vector, Q = 1) into +0
-    frame = (q[..., None] * vectors[:, :, None, :]).sum(axis=1, initial=-0.0)
-    # a degenerate point is divided by the floor, then zeroed
-    frame /= np.sqrt(np.maximum(magnitude, floor[:, None]))[:, :, None]
-    signs = np.where(lam < 0.0, -1, 1)
-    degenerate = (magnitude < floor[:, None]).any(axis=1)
-    frame[degenerate], signs[degenerate] = 0.0, 0
-    return OrthoFrame(frame, signs)

@@ -21,8 +21,8 @@ from mongelight.exprlang import (
     parse,
     parse_constraint,
 )
-from mongelight.mongecore import MongeGenerator
-from mongelight.semiriemann import MetricField
+from mongelight.mongecore import MongeGenerator, screen_frame_at
+from mongelight.semiriemann import MetricField, OrthoFrame
 
 FD_STEP = 1e-5
 RICH_STEP = 1e-3
@@ -246,6 +246,12 @@ def random_ast(rng: np.random.Generator, chart: CoordinateChart, depth: int = 4)
 
 # ---------------------------------------------------------------------------
 # Sign-orthogonal frame mixes
+
+
+def screen_base_frame(gen, p, tolerance=1e-8) -> OrthoFrame:
+    """The base slots of screen_frame_at: a g-orthonormal frame of ker dF."""
+    screen = screen_frame_at(gen, p, tolerance)
+    return OrthoFrame(screen.vectors[:, 1:], screen.signs)
 
 
 def random_sign_orthogonal(rng: np.random.Generator, signs) -> np.ndarray:

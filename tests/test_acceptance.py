@@ -30,7 +30,6 @@ from mongelight.mongecore import (
 from mongelight.reportio import grid_sample, render_report
 from mongelight.semiriemann import (
     MetricField,
-    OrthoFrame,
     local_scale,
 )
 
@@ -47,6 +46,7 @@ from _oracles import (
     random_smooth_expr,
     sample_admissible,
     scalar_evaluator,
+    screen_base_frame,
 )
 
 DEGENERATE_NAMES = (
@@ -56,12 +56,6 @@ DEGENERATE_NAMES = (
     "euclid_hyperplane",
     "euclid_cone",
 )
-
-
-def kernel_frame(gen, p):
-    """The g-orthonormal frame of ker dF: the base slots of the screen frame."""
-    screen = screen_frame_at(gen, p)
-    return OrthoFrame(screen.vectors[:, 1:], screen.signs)
 
 
 def ambient_derivative(gen, p, i, j):
@@ -352,7 +346,7 @@ def test_criterion_7c_frame_independence_1000():
     worst = 0.0
     checks = 0
     for gen, base in cases:
-        frame = kernel_frame(gen, base)
+        frame = screen_base_frame(gen, base)
         hess = -second_fundamental_form_at(gen, base)
         reference = minimal_defect_at(gen, base)
         for _ in range(10):

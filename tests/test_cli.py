@@ -2,12 +2,17 @@
 
 import json
 import math
+import re
 
+import numpy as np
 import pytest
 
 from mongelight import catalog, cli
 from mongelight.exprlang import render
 from mongelight.reportio import SampleSet, save_generator
+from mongelight.semiriemann import local_scale
+
+from _oracles import fd_gradient, metric_evaluator, scalar_evaluator
 
 
 @pytest.fixture
@@ -303,6 +308,31 @@ class TestEvalCommand:
         assert "xi = (1, 0, 2)" in out
         assert "B =" in out
         assert "W_1" not in out  # screen not requested
+
+    @pytest.mark.parametrize(
+        "name, point", [("hyperbolic3", "0.3,-0.2,2"), ("schwarzschild_tr", "0.5,3")]
+    )
+    def test_screen_basis_is_orthonormal_in_ker_dF(self, name, point, capsys):
+        # each printed W_i = (0, w_i) has g(w_i, w_j) = sign_i delta_ij and dF(w_i) = 0
+        assert cli.main(["eval", "--builtin", name, "--point", point, "--show", "screen"]) == 0
+        rows, signs = [], []
+        for line in capsys.readouterr().out.splitlines():
+            if line.startswith("W_"):
+                match = re.fullmatch(r"W_(\d+) = \((.*)\)  sign ([+-]1)", line)
+                assert int(match[1]) == len(rows) + 1
+                rows.append([float(x) for x in match[2].split(", ")])
+                signs.append(int(match[3]))
+        gen = catalog.builtin(name).generator
+        base = [float(x) for x in point.split(",")]
+        W = np.array(rows)
+        assert W.shape == (gen.dimension - 1, gen.dimension + 1)
+        assert not W[:, 0].any()
+        w = W[:, 1:]
+        g = metric_evaluator(gen.metric, gen.chart)(base)
+        dF = fd_gradient(scalar_evaluator(gen.scalar_field, gen.chart), base)
+        scale = local_scale(g) * local_scale(w) ** 2
+        assert np.max(np.abs(w @ g @ w.T - np.diag(signs))) < 1e-12 * scale
+        assert np.max(np.abs(w @ dF)) < 1e-8 * local_scale(dF) * local_scale(w)
 
     def test_bad_point_string(self, capsys):
         assert cli.main(["eval", "--builtin", "hyperbolic2", "--point", "a,b"]) == 64

@@ -215,7 +215,7 @@ def test_minimal_defect_against_an_eigh_frame(d):
         (
             [["0", "1"], ["1", "0"]],
             "x",
-            "screen projection rank deficient: g on ker dF has an eigenvalue below 1e-10 * scale",
+            "screen projection rank deficient: |g(dF, dF)| <= 1e-10 * max|dF| * max|xi_hat|",
         ),
     ],
 )

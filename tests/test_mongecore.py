@@ -44,7 +44,7 @@ from mongelight.mongecore import (
     _screen_fields,
 )
 from mongelight.reportio import GridSpec, grid_sample, render_report
-from mongelight.semiriemann import MetricField, OrthoFrame, local_scale
+from mongelight.semiriemann import MetricField, local_scale
 
 from _oracles import (
     fd_christoffel,
@@ -58,6 +58,7 @@ from _oracles import (
     random_smooth_expr,
     sample_admissible,
     scalar_evaluator,
+    screen_base_frame,
 )
 
 HYP2 = catalog.builtin("hyperbolic2")
@@ -82,12 +83,6 @@ def euclidean(names, scalar, domain=()):
         parse(scalar, chart),
         tuple(parse_constraint(c, chart) for c in domain),
     )
-
-
-def kernel_frame(gen, p):
-    """The g-orthonormal frame of ker dF: the base slots of the screen frame."""
-    screen = screen_frame_at(gen, p)
-    return OrthoFrame(screen.vectors[:, 1:], screen.signs)
 
 
 def default_points(entry, limit=None):
@@ -271,7 +266,7 @@ class TestKernelFrameAndMinimal:
     def test_hyperbolic_plane(self):
         gen = HYP2.generator
         sp = gen.surface_point((0.0, 2.0))
-        frame = kernel_frame(gen, sp)
+        frame = screen_base_frame(gen, sp)
         assert np.allclose(np.abs(frame.vectors), [[2.0, 0.0]], atol=1e-14)
         assert frame.signs == (1,)
         assert minimal_defect_at(gen, sp) == pytest.approx(-1.0, abs=1e-12)
@@ -279,7 +274,7 @@ class TestKernelFrameAndMinimal:
     def test_exterior_chart(self):
         gen = SCHW.generator
         sp = gen.surface_point((0.0, 2.0))
-        frame = kernel_frame(gen, sp)
+        frame = screen_base_frame(gen, sp)
         assert np.allclose(np.abs(frame.vectors), [[np.sqrt(2.0), 0.0]], atol=1e-14)
         assert frame.signs == (-1,)
         assert minimal_defect_at(gen, sp) == pytest.approx(0.17677669529663687, rel=1e-10)
@@ -298,14 +293,12 @@ class TestKernelFrameAndMinimal:
             (),
         )
         assert lightlike_defect_at(gen, (0.5,)) == 0.0
-        with pytest.raises(ScreenRankError):
-            kernel_frame(gen, (0.5,))
-        with pytest.raises(ScreenRankError):
+        with pytest.raises(ScreenRankError, match="^screen needs chart dimension >= 2$"):
             screen_frame_at(gen, (0.5,))
         # dF (x) dF - g vanishes on a null line
         with pytest.raises(IllPosedFitError, match=r"^dF \(x\) dF - g vanishes; cannot fit rho$"):
             umbilic_fit_at(gen, (0.5,))
-        with pytest.raises(ScreenRankError, match="^kernel frame needs chart dimension >= 2$"):
+        with pytest.raises(ScreenRankError, match="^screen needs chart dimension >= 2$"):
             minimal_defect_at(gen, (0.5,))
         with pytest.raises(ScreenRankError, match="^screen needs chart dimension >= 2$"):
             screen_integrability_defect_at(gen, (0.5,))
@@ -317,7 +310,7 @@ class TestKernelFrameAndMinimal:
             entry = catalog.builtin(name)
             gen = entry.generator
             for base in sample_admissible(rng, gen, entry.default_samples.ranges, 10):
-                frame = kernel_frame(gen, base)
+                frame = screen_base_frame(gen, base)
                 reference = minimal_defect_at(gen, base)
                 hess = -second_fundamental_form_at(gen, base)
                 for _ in range(5):
@@ -343,7 +336,7 @@ class TestKernelFrameAndMinimal:
         )
         base = (0.5, 2.0, 1.0)
         assert lightlike_defect_at(gen, base) == pytest.approx(0.0, abs=1e-12)
-        frame = kernel_frame(gen, base)
+        frame = screen_base_frame(gen, base)
         assert sorted(frame.signs) == [-1, 1]
         hess = -second_fundamental_form_at(gen, base)
         reference = minimal_defect_at(gen, base)
@@ -496,7 +489,8 @@ class TestLiftedScreen:
 
     def test_null_xi_hat_is_rank_deficient(self):
         # off the lightlike locus xi_hat may be g-null, and then so is ker dF:
-        # g = [[0, 1], [1, 0]] and F = x give xi_hat = e_y = ker dF
+        # g = [[0, 1], [1, 0]] and F = x give xi_hat = e_y = ker dF, and the
+        # frame and the minimal defect are refused by the same gate
         chart = CoordinateChart(("x", "y"))
         gen = MongeGenerator(
             "null_xi_hat",
@@ -506,15 +500,53 @@ class TestLiftedScreen:
         )
         base = (0.1, 0.2)
         assert lightlike_defect_at(gen, base) == -1.0
-        frame, _ = _point_data(gen, base).kernel_frame
-        assert not frame.signs.any() and not frame.vectors.any()
-        with pytest.raises(ScreenRankError, match="^screen projection rank deficient: "):
+        message = (
+            "^screen projection rank deficient: "
+            r"\|g\(dF, dF\)\| <= 1e-10 \* max\|dF\| \* max\|xi_hat\|$"
+        )
+        with pytest.raises(ScreenRankError, match=message):
+            screen_frame_at(gen, base, tolerance=5.0)
+        with pytest.raises(ScreenRankError, match=message):
             minimal_defect_at(gen, base)
+
+    def test_nearly_null_kernel_gives_a_frame(self):
+        # g = [[0, 1], [1, 1.5e-10]] and F = x: q = g(dF, dF) = -1.5e-10 clears
+        # the gate's floor 1e-10 * max|dF| * max|xi_hat| = 1e-10, and g on
+        # ker dF = span e_y is 1.5e-10, small but not degenerate
+        chart = CoordinateChart(("x", "y"))
+        rows = [["0", "1"], ["1", "1.5e-10"]]
+        gen = MongeGenerator(
+            "nearly_null", chart, MetricField.from_strings(chart, rows), parse("x", chart)
+        )
+        base = (0.1, 0.2)
+        frame = screen_base_frame(gen, base, tolerance=2.0)
+        assert frame.signs == (1,)
+        (v,) = frame.vectors
+        assert abs(1.5e-10 * v[1] ** 2 - 1.0) < 1e-12  # g(v, v) = 1
+        assert abs(v[0]) < 1e-12 * abs(v[1])  # dF(v) = 0
+        assert minimal_defect_at(gen, base) == 0.0
+
+    @pytest.mark.parametrize("scalar", ["1e-9*x", "1e160*x"])
+    def test_small_or_overflowing_gradient_is_not_rank_deficient(self, scalar):
+        # over flat R^3 g on ker dF is the identity, whether q is 1e-18 or
+        # overflows to inf (where the gate's floor overflows too)
+        gen = euclidean(("x", "y", "z"), scalar)
+        assert minimal_defect_at(gen, (0.1, 0.2, 0.3)) == 0.0
+
+    @pytest.mark.parametrize("f_scale, g_scale", [(1e-9, 1.0), (1.0, 1e-4), (1e6, 1e8)])
+    def test_gate_ignores_rescaling(self, f_scale, g_scale):
+        # c F over s g moves q by c^2 / s and the floor by the same factor
+        g = g_scale * np.array([[0.0, 1.0], [1.0, 1.5e-10]])
+        nearly_null = constant_generator(g, (f_scale, 0.0))
+        assert minimal_defect_at(nearly_null, (0.1, 0.2)) == 0.0
+        null = constant_generator(g_scale * np.array([[0.0, 1.0], [1.0, 0.0]]), (f_scale, 0.0))
+        with pytest.raises(ScreenRankError, match="^screen projection rank deficient: "):
+            minimal_defect_at(null, (0.1, 0.2))
 
 
 def constant_generator(g, dF):
     """F = dF . p over the constant metric g, every number written exactly."""
-    names = "pqrs"[: len(dF)]
+    names = "pqrst"[: len(dF)]
     chart = CoordinateChart(tuple(names))
     rows = [[repr(float(x)) for x in row] for row in g]
     scalar = " + ".join(f"({float(c)!r})*{name}" for c, name in zip(dF, names))
@@ -564,24 +596,25 @@ class TestSylvester:
 
     @staticmethod
     def check(g, dF):
-        data = _point_data(constant_generator(g, dF), (0.1, 0.2, 0.3, 0.4)[: len(dF)])
-        assert abs(data.norm2[0] - 1.0) < 1e-12
-        frame, failures = data.kernel_frame
-        assert failures == {}
-        v, signs, g = frame.vectors[0], frame.signs[0], data.g[0]
+        gen = constant_generator(g, dF)
+        base = (0.1, 0.2, 0.3, 0.4, 0.5)[: len(dF)]
+        assert abs(_point_data(gen, base).norm2[0] - 1.0) < 1e-12
+        frame = screen_base_frame(gen, base)
+        v, signs = frame.vectors, np.array(frame.signs)
         scale = local_scale(g) * local_scale(v) ** 2
         assert np.max(np.abs(v @ g @ v.T - np.diag(signs))) < 1e-12 * scale
+        assert np.max(np.abs(v @ dF)) < 1e-12 * local_scale(dF) * local_scale(v)
         eigenvalues = np.linalg.eigvalsh(g)
         assert (signs < 0).sum() == (eigenvalues < 0).sum()
         assert (signs > 0).sum() == (eigenvalues > 0).sum() - 1
 
-    @pytest.mark.parametrize("d", [3, 4])
+    @pytest.mark.parametrize("d", [3, 4, 5])
     def test_random_metrics(self, d):
         rng = np.random.default_rng(1500 + d)
         for _ in range(25):
             self.check(*self.random_lightlike(rng, d))
 
-    @pytest.mark.parametrize("d", [3, 4])
+    @pytest.mark.parametrize("d", [3, 4, 5])
     def test_null_elimination_bases(self, d):
         rng = np.random.default_rng(1510 + d)
         for _ in range(25):

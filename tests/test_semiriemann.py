@@ -1,5 +1,5 @@
-"""Metric kernels: inverses, connection coefficients, gradients, Hessians,
-and indefinite orthonormalization, cross-checked against finite differences."""
+"""Metric kernels: inverses, connection coefficients, gradients and Hessians,
+cross-checked against finite differences."""
 
 import numpy as np
 import pytest
@@ -20,7 +20,6 @@ from mongelight.semiriemann import (
     invert_metric,
     local_scale,
     metric_jets_at,
-    orthonormalize,
 )
 
 from _oracles import (
@@ -365,103 +364,3 @@ class TestMetricCompatibility:
                 - np.einsum("lik,jl->ijk", gamma, g)
             )
             assert np.max(np.abs(residual)) <= 1e-6 * local_scale(g, dg)
-
-
-def one(vectors, g):
-    """orthonormalize on a stack of one point."""
-    return orthonormalize(np.array([vectors], dtype=float), np.array([g], dtype=float))
-
-
-class TestOrthonormalize:
-    def test_hyperbolic_span(self):
-        g, _ = kernel_metric(HYP2.metric, [0.0, 2.0])
-        frame = one([[1.0, 0.0]], g)
-        assert np.allclose(frame.vectors[0], [[2.0, 0.0]], atol=1e-14)
-        assert frame.signs.tolist() == [[1]]
-        v = frame.vectors[0, 0]
-        assert float(v @ g @ v) == pytest.approx(1.0, abs=1e-12)
-        # a zero entry keeps its sign, so eval prints "-0" where it did
-        assert np.signbit(one([[1.0, -0.0]], g).vectors[0, 0, 1])
-
-    def test_timelike_span(self):
-        g, _ = kernel_metric(SCHW.metric, [0.0, 2.0])
-        frame = one([[1.0, 0.0]], g)
-        assert np.allclose(frame.vectors[0], [[np.sqrt(2.0), 0.0]], atol=1e-14)
-        assert frame.signs.tolist() == [[-1]]
-
-    def test_identity_basis_fixed(self):
-        frame = one(np.eye(3), np.eye(3))
-        assert np.array_equal(frame.vectors[0], np.eye(3))
-        assert frame.signs.tolist() == [[1, 1, 1]]
-
-    def test_orthonormality_certificate(self):
-        rng = np.random.default_rng(5150)
-        g = np.diag([-1.0, 1.0, 1.0, 1.0])
-        vectors = rng.normal(size=(50, 4, 4))
-        frame = orthonormalize(vectors, np.broadcast_to(g, (50, 4, 4)))
-        assert frame.signs.all()  # random spans are not degenerate
-        for v, signs in zip(frame.vectors, frame.signs):
-            assert np.allclose(v @ g @ v.T, np.diag(signs), atol=1e-8)
-            assert sorted(signs.tolist()) == [-1, 1, 1, 1]
-
-    def test_signature_invariant_under_shuffles(self):
-        rng = np.random.default_rng(616)
-        g = np.diag([-1.0, -1.0, 1.0, 1.0])
-        vectors = rng.normal(size=(4, 4))
-        reference = sorted(one(vectors, g).signs[0].tolist())
-        for _ in range(20):
-            order = rng.permutation(4)
-            shuffled = [vectors[i] for i in order]
-            assert sorted(one(shuffled, g).signs[0].tolist()) == reference
-
-    def test_near_null_pivot(self):
-        g = np.diag([1.0, -1.0])
-        frame = one([[1.0, 1.0]], g)  # a null vector spans a degenerate line
-        assert not frame.signs.any() and not frame.vectors.any()
-
-    def test_span_of_null_vectors(self):
-        # both vectors are g-null but pair to 2: the span is the plane
-        # (y, z) of signature (+, -), which no choice of single candidates
-        # can orthonormalize
-        g = np.diag([1.0, 1.0, -1.0])
-        vectors = [[0.0, 1.0, 1.0], [0.0, 1.0, -1.0]]
-        frame = one(vectors, g)
-        assert frame.signs.tolist() == [[-1, 1]]
-        v = frame.vectors[0]
-        assert np.max(np.abs(v @ g @ v.T - np.diag([-1.0, 1.0]))) < 1e-15
-        # a repeated vector spans a line, not a plane: degenerate
-        frame = one([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]], g)
-        assert not frame.signs.any() and not frame.vectors.any()
-
-    def test_leading_axis_rows_match_single_points(self):
-        # each point is orthonormalized on its own; a degenerate span zeroes
-        # its point's rows
-        rng = np.random.default_rng(77)
-        g = np.array([np.diag([-1.0, 1.0, 1.0]), np.eye(3), np.diag([1.0, -1.0, 1.0]), np.eye(3)])
-        vectors = rng.normal(size=(4, 2, 3))
-        vectors[2] = [[1.0, 1.0, 0.0], [2.0, 2.0, 0.0]]  # spans a g-null line
-        frame = orthonormalize(vectors, g)
-        assert frame.vectors.shape == (4, 2, 3) and frame.signs.shape == (4, 2)
-        assert not frame.signs[2].any() and not frame.vectors[2].any()
-        for k in range(4):
-            single = one(vectors[k], g[k])
-            assert np.array_equal(frame.vectors[k], single.vectors[0])
-            assert np.array_equal(frame.signs[k], single.signs[0])
-
-    def test_non_finite_rows_leave_good_rows(self):
-        # a NaN and an inf row (the library runs this under errstate that
-        # ignores invalid and overflow, like classify) neither raise nor
-        # change the finite rows
-        rng = np.random.default_rng(78)
-        g = np.array([np.diag([-1.0, 1.0, 1.0])] * 4)
-        vectors = rng.normal(size=(4, 2, 3))
-        vectors[1, 0, 2] = np.nan
-        g[2, 1, 1] = np.inf
-        with np.errstate(over="ignore", invalid="ignore"):
-            frame = orthonormalize(vectors, g)
-        assert not np.isfinite(frame.vectors[1]).all()
-        assert not np.isfinite(frame.vectors[2]).all()
-        for k in (0, 3):
-            single = one(vectors[k], g[k])
-            assert np.array_equal(frame.vectors[k], single.vectors[0])
-            assert np.array_equal(frame.signs[k], single.signs[0])
