@@ -31,7 +31,9 @@ lanes, and computes the same chain-rule coefficients f' and f'' (the
 elementary functions and the power rules are shared), so it agrees with
 Jet2 bit for bit there and raises on exactly the same inputs; it skips
 only the Hessian arrays.  The library runs Jet1 for the metric, whose
-Christoffel symbols need only dg, one point at a time.
+Christoffel symbols need only dg, one point at a time; where it needs the
+metric's values alone, it runs the float closures, whose bits Jet1's value
+lane reproduces.
 
 The power rule is chosen by the exponent's type, never by its lanes: a
 plain-number exponent takes the constant-power rule, and a jet exponent
@@ -48,6 +50,7 @@ exp or a power overflows.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import repeat
 from typing import Sequence
 
@@ -291,14 +294,24 @@ def constant(value: float, dim: int, order: int = 2) -> Jet1 | Jet2:
     return _jet(value, np.zeros(dim), np.zeros((dim, dim)))
 
 
+@lru_cache(maxsize=None)
+def _units(d: int) -> tuple[np.ndarray, ...]:
+    """The rows of one read-only d x d identity: the unit gradients every
+    seed of dimension d shares (no rule writes into its operands)."""
+    eye = np.eye(d)
+    eye.flags.writeable = False
+    return tuple(eye)
+
+
 def seed(point: Sequence[float], order: int = 2) -> list[Jet1] | list[Jet2]:
     """Independent-variable jets of the given order for a point: unit
-    gradients (and zero Hessians)."""
+    gradients, read-only rows of one identity cached per dimension (and
+    zero Hessians)."""
     d = len(point)
-    eye = np.eye(d)
+    units = _units(d)
     if order == 1:
-        return [_jet1(point[i], eye[i]) for i in range(d)]
-    return [_jet(point[i], eye[i], np.zeros((d, d))) for i in range(d)]
+        return [_jet1(x, unit) for x, unit in zip(point, units)]
+    return [_jet(x, unit, np.zeros((d, d))) for x, unit in zip(point, units)]
 
 
 class JetStack:

@@ -195,15 +195,17 @@ def _base_of(p) -> tuple[float, ...]:
 # ---------------------------------------------------------------------------
 # Stacked geometry
 #
-# The metric's jets are evaluated point by point; the metric inverse, F's
-# jets (one compile_stacked call) and everything after them run once over
-# the points stacked along a leading axis.  Every contraction is a matmul of
-# per-point slices or an elementwise operation, so a point's numbers do not
-# depend on which other points share its stack.  A stage that can fail
-# returns {row: exception}.  A failed row stays in the stack under errstate
-# _quiet: its numbers mean nothing, and classify's ``alive`` mask keeps them
-# out of the records.  The public functions run the same stages on a stack
-# of one point and raise the exception of row 0.
+# The metric is evaluated point by point, one metric_jets_at pass each that
+# fills g (and dg) from the field's slot map: first-order jets at the
+# points, the values only at the d >= 3 bracket neighbours.  The metric
+# inverse, F's jets (one compile_stacked call) and everything after them
+# run once over the points stacked along a leading axis.  Every contraction
+# is a matmul of per-point slices or an elementwise operation, so a point's
+# numbers do not depend on which other points share its stack.  A stage
+# that can fail returns {row: exception}.  A failed row stays in the stack
+# under errstate _quiet: its numbers mean nothing, and classify's ``alive``
+# mask keeps them out of the records.  The public functions run the same
+# stages on a stack of one point and raise the exception of row 0.
 
 
 class _PointData:
@@ -276,25 +278,30 @@ class _PointData:
         return self.g - self.dF[:, :, None] * self.dF[:, None, :]
 
 def _jets(
-    gen: MongeGenerator, bases: Sequence[tuple[float, ...]]
+    gen: MongeGenerator, bases: Sequence[tuple[float, ...]], order: int = 1
 ) -> tuple[tuple[np.ndarray, ...], dict[int, Exception]]:
     """(g, ginv, dg, dF, d2F, xi_hat) at the points ``bases``, stacked along
     a leading axis, and {row: error} of the rows that fail, whose numbers
-    mean nothing.  The metric's jets run point by point, then the inverse's
-    gates and F's second-order jets (one compile_stacked call) run once over
-    every row.  A row records the first stage it fails, in the order: the
-    metric's jets, the inverse's gates, F's jets, a finite dF; dF and d2F
-    are 0 at a row that fails before the last."""
+    mean nothing.  The metric runs point by point, one metric_jets_at pass
+    of the given order each (order 0: the values only, and dg is None),
+    then the inverse's gates and F's second-order jets (one compile_stacked
+    call) run once over every row.  A row records the first stage it fails,
+    in the order: the metric, the inverse's gates, F's jets, a finite dF;
+    dF and d2F are 0 at a row that fails before the last."""
     n, d = len(bases), gen.dimension
-    g, dg = np.zeros((n, d, d)), np.zeros((n, d, d, d))
+    g = np.zeros((n, d, d))
+    dg = np.zeros((n, d, d, d)) if order else None
     failures: dict[int, Exception] = {}
     for k, base in enumerate(bases):
         try:
-            g[k], dg[k] = semiriemann.metric_jets_at(gen.metric, base)
+            g[k], partials = semiriemann.metric_jets_at(gen.metric, base, order)
         except EvalDomainError as exc:
             failures[k] = exc
+            continue
+        if order:
+            dg[k] = partials
     ginv, singular = invert_metric(g, bases)
-    failures = singular | failures  # a metric jet error comes first
+    failures = singular | failures  # a metric error comes first
     F, errors = gen._stacked(np.array(bases, dtype=float).reshape(n, d))
     dF, d2F = F.grad.T.copy(), F.hess.transpose(2, 0, 1).copy()  # rows first
     if errors or failures:
@@ -689,9 +696,10 @@ def _neighbour_jets(
 ) -> tuple[np.ndarray, np.ndarray, dict[int, Exception]]:
     """dF and xi_hat, each (n, d, 2, d), at the central-difference neighbours
     base +- BRACKET_STEP e_l of the n points ``bases``, run as one stack (F
-    at second order, like the points themselves), and {point: error} of the
-    points with a failing neighbour: the error of the first, in the order l
-    ascending, +h before -h."""
+    at second order, like the points themselves; the metric at order 0, its
+    values only, since xi_hat = g^-1 dF reads no partial of g), and
+    {point: error} of the points with a failing neighbour: the error of the
+    first, in the order l ascending, +h before -h."""
     n, d = len(bases), gen.dimension
     shifted = [
         base[:l] + (base[l] + step,) + base[l + 1 :]
@@ -699,7 +707,7 @@ def _neighbour_jets(
         for l in range(d)
         for step in (BRACKET_STEP, -BRACKET_STEP)
     ]
-    (*_, dF, _, xi_hat), failed = _jets(gen, shifted)
+    (*_, dF, _, xi_hat), failed = _jets(gen, shifted, order=0)
     first: dict[int, Exception] = {}
     for k in sorted(failed):
         first.setdefault(k // (2 * d), failed[k])
@@ -729,8 +737,10 @@ def screen_integrability_defect_at(gen: MongeGenerator, p) -> float:
     The x0 part of the closed-form fields s_i = (0, delta_i - dF_i xi_hat),
     and so of every bracket, vanishes identically; the leakage is the
     pairing with N, |dF([s_i, s_j])| / 2.  d_l s_i are central differences
-    whose neighbours compute only dF and xi_hat (a metric error there names
-    the neighbour).  Line fields (d = 2) are integrable by convention: 0.
+    whose neighbours compute only dF and xi_hat, from the metric's values
+    (a metric error there names the neighbour; a kink of g, where only its
+    partials fail, is no error there).  Line fields (d = 2) are integrable
+    by convention: 0.
     """
     base = _base_of(p)
     data = _point_data(gen, base)
@@ -792,18 +802,20 @@ class ClassificationReport:
 def _analyze(
     gen: MongeGenerator, points: Sequence[SurfacePoint], tol: float, xi_scale: float
 ) -> list[PointAnalysis]:
-    """One record per sample point.  The metric's jets run point by point;
-    the metric inverse, F's jets and every later stage run once over one
-    stack of every point that passed the domain and F, and one boolean
-    ``alive`` mask says which rows still count.  A stage's failure is
-    recorded only at a row that is alive and that the stage gates (the
-    lightlike rows, for the screen rank, Weingarten and Gauss).  The d >= 3
-    bracket neighbours of the live lightlike points form one more stack,
-    with one more call of F.  A point records the first gate it fails, in
-    the order: finite coordinates (base, and x0 unless it is None), domain,
-    F (for a point whose x0 is None), metric jets, metric inverse, F jets,
-    finite dF, Hessian finiteness, screen rank (g(dF, dF) not 0), bracket
-    neighbours, Weingarten, Gauss, and finiteness of the reported numbers.
+    """One record per sample point.  The metric's jets run point by point,
+    each filling g and dg from the slot map; the metric inverse, F's jets
+    and every later stage run once over one stack of every point that
+    passed the domain and F, and one boolean ``alive`` mask says which rows
+    still count.  A stage's failure is recorded only at a row that is alive
+    and that the stage gates (the lightlike rows, for the screen rank,
+    Weingarten and Gauss).  The d >= 3 bracket neighbours of the live
+    lightlike points form one more stack, with one more call of F and one
+    value-only metric pass per neighbour.  A point records the first gate
+    it fails, in the order: finite coordinates (base, and x0 unless it is
+    None), domain, F (for a point whose x0 is None), metric jets, metric
+    inverse, F jets, finite dF, Hessian finiteness, screen rank (g(dF, dF)
+    not 0), bracket neighbours, Weingarten, Gauss, and finiteness of the
+    reported numbers.
     No screen frame is built: the minimal defect, tau and both tangency
     certificates are closed forms of the jets."""
     records = [PointAnalysis(index=i, point=sp) for i, sp in enumerate(points)]
@@ -924,14 +936,16 @@ def classify(
     every verdict is "indeterminate".  A refused tolerance or a zero,
     non-finite or bool xi_scale raises ValueError; negative scales are valid.
 
-    The metric's jets are evaluated point by point; the metric inverse, F's
-    second-order jets and every later stage run once over one stack of all
-    the points, with one ``alive`` mask for the points that have not failed
-    yet (the d >= 3 bracket neighbours of the live lightlike points form one
-    more stack, with one more call of F).  A point that fails a gate, in
-    _analyze's order (the screen rank is the scalar test |g(dF, dF)| above a
-    floor, with no frame built), keeps its first error, and its later numbers
-    reach no record.  A point's record does not depend on the other points.
+    The metric's jets are evaluated point by point, each pass filling g and
+    dg from the metric's slot map; the metric inverse, F's second-order jets
+    and every later stage run once over one stack of all the points, with
+    one ``alive`` mask for the points that have not failed yet (the d >= 3
+    bracket neighbours of the live lightlike points form one more stack,
+    with one more call of F; they evaluate the metric's values only).  A
+    point that fails a gate, in _analyze's order (the screen rank is the
+    scalar test |g(dF, dF)| above a floor, with no frame built), keeps its
+    first error, and its later numbers reach no record.  A point's record
+    does not depend on the other points.
     """
     if not isinstance(tol, Tolerances):
         tol = Tolerances() if tol is None else Tolerances(tol)

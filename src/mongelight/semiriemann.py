@@ -1,10 +1,11 @@
 """Tensor kernels on a semi-Riemannian base manifold.
 
-Everything here is a pure function of its inputs: the metric and its first
-partials at a point, from jets; the verified inverses of a stack of metric
-matrices, with the symmetry, degeneracy and inverse-residual gates checked
-per row in one call (the one place these gates live); and Levi-Civita
-connection coefficients from jet derivatives of the metric.
+Everything here is a pure function of its inputs: the metric at a point,
+its values alone or with its first partials from jets; the verified
+inverses of a stack of metric matrices, with the symmetry, degeneracy and
+inverse-residual gates checked per row in one call (the one place these
+gates live); and Levi-Civita connection coefficients from jet derivatives
+of the metric.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ __all__ = [
 ]
 
 DEGENERACY_THRESHOLD = 1e-10
+_LOG_THRESHOLD = float(np.log(DEGENERACY_THRESHOLD))
+_LEAST_SUBNORMAL = float(np.finfo(float).smallest_subnormal)
 SYMMETRY_TOLERANCE = 1e-12
 INVERSE_RESIDUAL_TOLERANCE = 1e-10
 
@@ -53,16 +56,19 @@ class MetricField:
 
     Frozen, with tuple rows, because per-point results are cached by the
     identity of the generator that holds the field.  Each structurally
-    distinct component is compiled once, here.
+    distinct component is compiled once, here, and a slot map sends each
+    slot j*d + k to its distinct component, so that metric_jets_at fills g
+    (and dg) with one gather per pass.
     """
 
     chart: CoordinateChart
     components: tuple[tuple[Expr, ...], ...]
-    # each structurally distinct component once: compiled, with the (j, k)
-    # slots it fills
-    _distinct: tuple[tuple[Callable, tuple[tuple[int, int], ...]], ...] = dataclasses.field(
-        init=False, repr=False, compare=False
-    )
+    # each structurally distinct component once, compiled
+    _distinct: tuple[Callable, ...] = dataclasses.field(init=False, repr=False, compare=False)
+    # _slots[j*d + k]: the index c into _distinct of component [j][k], and
+    # _partial_slots[(i*d + j)*d + k] = c*d + i, into the flat (c, i) gradients
+    _slots: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
+    _partial_slots: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d = self.chart.dimension
@@ -72,16 +78,18 @@ class MetricField:
         object.__setattr__(self, "components", components)
         # render tells Num(-0.0) from Num(0.0), which == does not; == tells
         # Num(-2.0)^2 from -(2.0^2), which render does not
-        slots: dict[tuple[str, Expr], list[tuple[int, int]]] = {}
-        for j in range(d):
-            for k in range(d):
-                expr = components[j][k]
-                slots.setdefault((render(expr), expr), []).append((j, k))
+        distinct: dict[tuple[str, Expr], int] = {}
+        index = [
+            distinct.setdefault((render(e), e), len(distinct)) for row in components for e in row
+        ]
+        slots = np.array(index, dtype=np.intp)
+        partial_slots = np.array([c * d + i for i in range(d) for c in index], dtype=np.intp)
+        slots.flags.writeable = partial_slots.flags.writeable = False
         params = self.chart.parameters
-        distinct = tuple(
-            (compile_expr(expr, params), tuple(where)) for (_, expr), where in slots.items()
-        )
-        object.__setattr__(self, "_distinct", distinct)
+        compiled = tuple(compile_expr(expr, params) for _, expr in distinct)
+        object.__setattr__(self, "_distinct", compiled)
+        object.__setattr__(self, "_slots", slots)
+        object.__setattr__(self, "_partial_slots", partial_slots)
 
     @classmethod
     def from_strings(cls, chart: CoordinateChart, rows: Sequence[Sequence[str]]) -> "MetricField":
@@ -103,18 +111,25 @@ def invert_metric(
     """Verified inverses of the metric matrices g (n, d, d) at the points
     ``bases``, and {row: DegenerateMetricError} of the rows that have none.
 
-    A row fails at the first of three gates: it is asymmetric, its |det|
-    falls below the degeneracy threshold relative to the scale 1 + max|g|,
-    or its inverse residual ||g g^-1 - I||_inf exceeds tolerance.  The
-    message ends " at [x, y, ...]" with the row's base point, and the row's
-    inverse is NaN.  Each row is computed on its own; a row holding NaN
-    passes every gate, since a comparison with NaN is false.
+    A row fails at the first of three gates: it is asymmetric (beyond a
+    tolerance relative to 1 + max|g|), it is singular or its |det| falls
+    below the degeneracy threshold times max|g|**d (so no constant
+    rescaling of g moves the gate), or its inverse residual
+    ||g g^-1 - I||_inf exceeds tolerance.  The message ends " at [x, y,
+    ...]" with the row's base point, and the row's inverse is NaN.  Each
+    row is computed on its own; a row holding NaN passes every gate, since
+    a comparison with NaN is false.
     """
     n, d = g.shape[:2]
-    scale = 1.0 + np.abs(g).max(axis=(1, 2))
-    asymmetric = np.abs(g - g.transpose(0, 2, 1)).max(axis=(1, 2)) > SYMMETRY_TOLERANCE * scale
-    # in logs, because scale**d overflows for extreme metrics
-    degenerate = np.linalg.slogdet(g)[1] < np.log(DEGENERACY_THRESHOLD) + d * np.log(scale)
+    peak = np.abs(g).max(axis=(1, 2))
+    skew = np.abs(g - g.transpose(0, 2, 1)).max(axis=(1, 2))
+    asymmetric = skew > SYMMETRY_TOLERANCE * (1.0 + peak)
+    # |det g| against max|g|**d, which a constant rescaling of g moves alike;
+    # in logs, because peak**d overflows for extreme metrics.  Only g = 0
+    # has a peak below the least subnormal, and raising it there keeps the
+    # floor finite: a singular row's log|det| = -inf then always fails.
+    floor = _LOG_THRESHOLD + d * np.log(np.maximum(peak, _LEAST_SUBNORMAL))
+    degenerate = np.linalg.slogdet(g)[1] < floor
     refused = asymmetric | degenerate
     if refused.any():  # a refused row is inverted as the identity, so it cannot raise
         g = np.where(refused[:, None, None], np.eye(d), g)
@@ -135,24 +150,40 @@ def invert_metric(
     return ginv, failures
 
 
-def metric_jets_at(field: MetricField, point: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    """Metric values and first partials (dg[i, j, k] = d_i g_jk) in one pass
-    of first-order jets, which give Jet2's value and gradient bits on every
-    expression; each distinct component is evaluated once."""
+def metric_jets_at(
+    field: MetricField, point: Sequence[float], order: int = 1
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The metric g (d, d) at a point and, at order 1, its first partials
+    dg[i, j, k] = d_i g_jk, else None.
+
+    Each distinct component is evaluated once, and g and dg are gathered
+    from the per-component values and gradients through the slot map.
+    Order 1 runs first-order jets, which give Jet2's value and gradient bits
+    on every expression.  Order 0 runs the compiled expressions on the
+    plain float point; a jet's value lane runs the same floating-point
+    operations, so g has order 1's bits.  It fails only where the values
+    leave the domain (division by zero, ln or sqrt of a non-positive value,
+    a non-finite result), with order 1's message, and not where only a
+    derivative does not exist (abs or u^0.5 at 0).
+    """
     d = field.chart.dimension
+    distinct, slots = field._distinct, field._slots
+    if order == 0:
+        x = [float(v) for v in point]
+        return np.array([component(x) for component in distinct])[slots].reshape(d, d), None
+    if order != 1:
+        raise ValueError(f"metric order must be 0 or 1, got {order!r}")
     jets = autodiff.seed(point, 1)
-    g = np.empty((d, d))
-    dg = np.empty((d, d, d))
-    for component, slots in field._distinct:
+    values = np.empty(len(distinct))
+    grads = np.zeros((len(distinct), d))
+    for c, component in enumerate(distinct):
         jet = component(jets)
-        if isinstance(jet, float):  # constant entry
-            value, grad = jet, 0.0
+        if isinstance(jet, float):  # constant entry: zero gradient
+            values[c] = jet
         else:
-            value, grad = jet.value, jet.grad
-        for j, k in slots:
-            g[j, k] = value
-            dg[:, j, k] = grad
-    return g, dg
+            values[c] = jet.value
+            grads[c] = jet.grad
+    return values[slots].reshape(d, d), grads.ravel()[field._partial_slots].reshape(d, d, d)
 
 
 def christoffel_from_partials(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from mongelight.exprlang import (
     parse_constraint,
 )
 from mongelight.mongecore import (
+    BRACKET_STEP,
     EmptySampleError,
     IllPosedFitError,
     MongeGenerator,
@@ -44,7 +46,7 @@ from mongelight.mongecore import (
     _screen_fields,
 )
 from mongelight.reportio import GridSpec, grid_sample, render_report
-from mongelight.semiriemann import MetricField, local_scale
+from mongelight.semiriemann import MetricField, local_scale, metric_jets_at
 
 from _oracles import (
     fd_christoffel,
@@ -838,6 +840,32 @@ class TestScreenIntegrability:
         near, far = report.points
         assert near.error == "sqrt of non-positive value -5e-06 in subexpression 'sqrt(z)'"
         assert far.error is None and far.integrability_defect == 0.0
+
+    @pytest.mark.parametrize(
+        "kink, message",
+        [
+            ("abs(z - 1)", "abs is not differentiable at 0"),
+            ("((z - 1)^2)^0.5", "power 0.5 is not twice differentiable at 0"),
+        ],
+    )
+    def test_neighbour_at_a_kink_of_the_metric(self, kink, message):
+        # the +z neighbour of z = 1 - BRACKET_STEP lands on the kink z = 1,
+        # where g has a value but no partials.  The neighbours evaluate g's
+        # values only, so the point gets its bracket; F = x keeps xi_hat =
+        # (1, 0, 0) and the screen fields constant, and the defect is 0.
+        chart = CoordinateChart(("x", "y", "z"))
+        rows = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", f"1 + {kink}"]]
+        gen = MongeGenerator(
+            "kinked_z", chart, MetricField.from_strings(chart, rows), parse("x", chart)
+        )
+        base = (0.0, 0.0, 1.0 - BRACKET_STEP)
+        assert base[2] + BRACKET_STEP == 1.0
+        with pytest.raises(EvalDomainError, match=f"^{re.escape(message)}"):
+            metric_jets_at(gen.metric, (0.0, 0.0, 1.0))  # the kink has no dg
+        (point,) = classify(gen, [gen.surface_point(base)]).points
+        assert point.error is None and point.is_lightlike
+        assert point.integrability_defect == 0.0
+        assert screen_integrability_defect_at(gen, base) == 0.0
 
     def test_sphere_screen(self):
         # screen fields genuinely vary; tangent planes of spheres integrate

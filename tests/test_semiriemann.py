@@ -1,13 +1,25 @@
 """Metric kernels: inverses, connection coefficients, gradients and Hessians,
 cross-checked against finite differences."""
 
+import re
+
 import numpy as np
 import pytest
 
 from mongelight import autodiff, catalog
-from mongelight.exprlang import BinOp, CoordinateChart, Coord, Neg, Num, evaluate, parse
+from mongelight.exprlang import (
+    BinOp,
+    CoordinateChart,
+    Coord,
+    EvalDomainError,
+    Neg,
+    Num,
+    evaluate,
+    parse,
+)
 from mongelight.mongecore import (
     MongeGenerator,
+    classify,
     lightlike_defect_at,
     monge_frame_at,
     normal_and_transversal_at,
@@ -96,6 +108,36 @@ class TestMetricAt:
         )
         with pytest.raises(DegenerateMetricError):
             kernel_metric(field, [0.0, 1.0])
+
+    @staticmethod
+    def flat_chart_classified(rows):
+        # one point of the graph of F = x + y over the constant metric rows
+        chart = CoordinateChart(("x", "y"))
+        gen = MongeGenerator(
+            "constant", chart, MetricField.from_strings(chart, rows), parse("x + y", chart)
+        )
+        return classify(gen, [gen.surface_point((0.1, 0.2))]).points[0]
+
+    @pytest.mark.parametrize(
+        "rows", [[["1e-6", "0"], ["0", "1e-6"]], [["0", "1e-6"], ["1e-6", "0"]]]
+    )
+    def test_rescaled_metric_is_not_degenerate(self, rows):
+        # |det g| = 1e-12, but g is 1e-6 times a unimodular metric: the gate
+        # compares |det g| with max|g|**d, which rescales alike
+        field = MetricField.from_strings(CoordinateChart(("x", "y")), rows)
+        g, ginv = kernel_metric(field, [0.1, 0.2])
+        assert np.array_equal(g @ ginv, np.eye(2))
+        point = self.flat_chart_classified(rows)
+        assert point.error is None and np.isfinite(point.B).all()
+
+    @pytest.mark.parametrize("rows", [[["1", "0"], ["0", "1e-12"]], [["0", "0"], ["0", "0"]]])
+    def test_degenerate_constant_metric_refused(self, rows):
+        # diag(1, 1e-12) falls below the threshold; the zero matrix, whose
+        # max|g|**d is 0 too, is refused before np.linalg.inv sees it
+        field = MetricField.from_strings(CoordinateChart(("x", "y")), rows)
+        with pytest.raises(DegenerateMetricError, match=r"^metric degenerate at \[0.1, 0.2\]$"):
+            kernel_metric(field, [0.1, 0.2])
+        assert self.flat_chart_classified(rows).error == "metric degenerate at [0.1, 0.2]"
 
     def test_asymmetric_rejected(self):
         field = MetricField.from_strings(
@@ -207,6 +249,13 @@ class TestMetricJets:
             self.assert_same_bits(got, want)
         assert np.signbit(g[0, 1]) and not np.signbit(g[1, 0])
         assert g[0, 0] == 6.0 and g[1, 1] == -6.0
+        self.assert_values_only(field, (0.5, 1.5), g)
+
+    def assert_values_only(self, field, point, g):
+        # order 0 runs the float closures: g has order 1's bits, and no dg
+        values, partials = metric_jets_at(field, point, order=0)
+        assert partials is None
+        self.assert_same_bits(values, g)
 
     def test_random_fields_match_the_second_order_reference(self):
         # metric_jets_at runs first-order jets, also on an entry with a
@@ -228,8 +277,73 @@ class TestMetricJets:
                 g, dg = metric_jets_at(field, point)
                 for got, want in zip((g, dg), self.entrywise(field, point)):
                     self.assert_same_bits(got, want)
+                self.assert_values_only(field, point, g)
                 variable_ran += case % 3 == 0 and bool(dg[:, 1, 1].any())
         assert variable_ran == 80
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # all nine entries distinct
+            [["1 + x", "x*y", "z"], ["2*y", "3 + y^2", "sin(z)"], ["x - z", "exp(y)", "4 + z*x"]],
+            # asymmetric: [j, k] and [k, j] are different components
+            [["2", "x", "y^2"], ["z", "2", "x*z"], ["y", "z*x", "2"]],
+        ],
+        ids=["nine_distinct", "asymmetric"],
+    )
+    def test_slot_map_keeps_every_slot(self, rows):
+        field = MetricField.from_strings(CoordinateChart(("x", "y", "z")), rows)
+        point = (0.7, -0.4, 1.3)
+        g, dg = metric_jets_at(field, point)
+        for got, want in zip((g, dg), self.entrywise(field, point)):
+            self.assert_same_bits(got, want)
+        self.assert_values_only(field, point, g)
+        assert len(field._distinct) == len(set(map(str, np.ravel(rows))))
+
+    def test_results_are_fresh_arrays(self):
+        # a caller may write into g and dg: nothing reaches the next call
+        # (the seeds' unit gradients are one cached identity per dimension)
+        field = MetricField.from_strings(
+            CoordinateChart(("x", "y")), [["x", "1"], ["1", "y"]]
+        )
+        first = [metric_jets_at(field, (0.5, 1.5), order) for order in (1, 0)]
+        for g, dg in first:
+            g[...] = 7.0
+            if dg is not None:
+                dg[...] = 7.0
+        for order in (1, 0):
+            g, dg = metric_jets_at(field, (0.5, 1.5), order)
+            assert g.tolist() == [[0.5, 1.0], [1.0, 1.5]]
+            if order:
+                assert dg.tolist() == [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]]
+        assert autodiff.seed((0.5, 1.5), 1)[0].grad.tolist() == [1.0, 0.0]
+
+    @pytest.mark.parametrize(
+        "entry, z",
+        [
+            ("1/z", 0.0),
+            ("ln(z)", -1.0),
+            ("sqrt(z)", 0.0),
+            ("exp(1000*z)", 1.0),
+            ("(z - 1)^0.5", 0.5),
+            ("1e200*z*z", 1e200),
+            ("0^(z - 2)", 1.0),
+        ],
+    )
+    def test_value_domain_failures_keep_their_message(self, entry, z):
+        field = MetricField.from_strings(
+            CoordinateChart(("x", "z")), [["1", "0"], ["0", entry]]
+        )
+        messages = []
+        for order in (1, 0):
+            with pytest.raises(EvalDomainError) as failure:
+                metric_jets_at(field, (0.0, z), order)
+            messages.append(str(failure.value))
+        assert messages[0] == messages[1]
+
+    def test_order_is_zero_or_one(self):
+        with pytest.raises(ValueError, match="order must be 0 or 1"):
+            metric_jets_at(IDENTITY3, (0.0, 0.0, 0.0), order=2)
 
 
 class TestChristoffel:
