@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +43,7 @@ from .mongecore import (
     ClassificationReport,
     EmptySampleError,
     MongeGenerator,
+    PointAnalysis,
     SurfacePoint,
 )
 from .semiriemann import MetricField
@@ -83,6 +85,10 @@ class GridSpec:
             raise ValueError("ranges and counts must align")
         if any(c < 1 for c in self.counts):
             raise ValueError("counts must be >= 1")
+        for lo, hi in self.ranges:
+            # np.linspace fills a range whose span overflows with nan and inf
+            if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(hi - lo)):
+                raise ValueError(f"range [{lo!r}, {hi!r}] is not finite or its span overflows")
 
 
 @dataclass(frozen=True)
@@ -311,32 +317,32 @@ def save_generator(gen: MongeGenerator, samples: SampleSet, path):
 # Reports
 
 
-def report_to_dict(report: ClassificationReport) -> dict:
-    """Fixed-key-order dict form of a classification report."""
-    points = []
-    for a in report.points:
-        base, x0 = list(a.point.base), a.point.x0
-        if a.error is not None:  # classify records every non-finite point as failed
-            base = [x if math.isfinite(x) else None for x in base]
-            x0 = x0 if x0 is None or math.isfinite(x0) else None
-        record = {
-            "index": a.index,
-            "point": base,
-            "x0": x0,
-            "error": a.error,
-            "lightlike_defect": a.lightlike_defect,
-            "is_lightlike": a.is_lightlike,
-            "radical_rank": a.radical_rank,
-            "B": None if a.B is None else a.B.tolist(),
-            "umbilic_rho": a.umbilic_rho,
-            "umbilic_residual": a.umbilic_residual,
-            "minimal_defect": a.minimal_defect,
-            "integrability_defect": a.integrability_defect,
-            "tau": None if a.tau is None else a.tau.tolist(),
-            "scales": a.scales,
-            "certificates": a.certificates,
-        }
-        points.append(record)
+def _point_record(a: PointAnalysis) -> dict:
+    """Fixed-key-order dict form of one point's analysis."""
+    base, x0 = list(a.point.base), a.point.x0
+    if a.error is not None:  # classify records every non-finite point as failed
+        base = [x if math.isfinite(x) else None for x in base]
+        x0 = x0 if x0 is None or math.isfinite(x0) else None
+    return {
+        "index": a.index,
+        "point": base,
+        "x0": x0,
+        "error": a.error,
+        "lightlike_defect": a.lightlike_defect,
+        "is_lightlike": a.is_lightlike,
+        "radical_rank": a.radical_rank,
+        "B": None if a.B is None else a.B.tolist(),
+        "umbilic_rho": a.umbilic_rho,
+        "umbilic_residual": a.umbilic_residual,
+        "minimal_defect": a.minimal_defect,
+        "integrability_defect": a.integrability_defect,
+        "tau": None if a.tau is None else a.tau.tolist(),
+        "scales": a.scales,
+        "certificates": a.certificates,
+    }
+
+
+def _report_dict(report: ClassificationReport, points: list) -> dict:
     verdicts = {
         name: {
             "value": v.value,
@@ -357,12 +363,168 @@ def report_to_dict(report: ClassificationReport) -> dict:
     }
 
 
+def report_to_dict(report: ClassificationReport) -> dict:
+    """Fixed-key-order dict form of a classification report."""
+    return _report_dict(report, [_point_record(a) for a in report.points])
+
+
 def render_report(report: ClassificationReport) -> str:
     """Deterministic strict JSON text: fixed key order, stable float
     formatting, and no NaN or Infinity (a non-finite number raises
     ValueError).  The bytes equal
-    ``json.dumps(report_to_dict(report), indent=2, allow_nan=False) + "\\n"``."""
-    return _dumps(report_to_dict(report)) + "\n"
+    ``json.dumps(report_to_dict(report), indent=2, allow_nan=False) + "\\n"``.
+
+    Each point record is filled into a template that ``_dumps`` wrote for
+    its shape (see ``_fill_records``).  A report the templates cannot
+    write, such as one holding a non-finite number, is written by
+    ``_dumps`` whole, which raises json's error for the first bad value in
+    document order."""
+    text = _fill_records(report)
+    if text is None:
+        text = _dumps(report_to_dict(report))
+    return text + "\n"
+
+
+# A leaf no report writes: the text ``_dumps`` gives it cuts a document into
+# the pieces between its leaves.  A key or string that holds this text too
+# is caught by the piece count, and ``_dumps`` writes that record or report.
+_MARK = "\x00leaf\x00"
+_NONE = type(None)
+_isfinite = math.isfinite
+_bool_text = {False: "false", True: "true"}.__getitem__
+
+
+def _mark(o):
+    """``o`` with every leaf but None replaced by ``_MARK``."""
+    t = type(o)
+    if t is dict:
+        return {k: _mark(v) for k, v in o.items()}
+    if t is list:
+        return [_mark(v) for v in o]
+    return None if o is None else _MARK
+
+
+def _cut(o, nl: str, leaves: int) -> list[str] | None:
+    """The text ``_dumps(o, nl)`` cut at each ``_MARK``, or None unless it
+    has exactly ``leaves`` of them."""
+    pieces = _dumps(o, nl).split(_escape(_MARK))
+    return pieces if len(pieces) == leaves + 1 else None
+
+
+def _template(a: PointAnalysis, types: tuple, nl: str):
+    """``(format, keep, fixes)`` for the records shaped like ``a``, whose
+    leaves, in document order, have the types ``types``; None where a leaf
+    is not a number, a bool or None.  ``format`` is ``_dumps``'s text of
+    the record with ``%s`` at each leaf but None (which it writes as null),
+    ``keep`` picks those leaves (None when all are), and ``fixes`` lists
+    the ``(position, text)`` of each leaf that ``%s`` would not write as
+    json does: bools and subclasses of float and int."""
+    fixes = []
+    for i, t in enumerate(t for t in types if t is not _NONE):
+        if t is float or t is int:  # %s writes these with their own __repr__
+            continue
+        if t is bool:
+            fixes.append((i, _bool_text))
+        elif issubclass(t, float):
+            fixes.append((i, _float_repr))
+        elif issubclass(t, int):
+            fixes.append((i, _int_repr))
+        else:
+            return None
+    pieces = _cut(_mark(_point_record(a)), nl, len(types) - types.count(_NONE))
+    if pieces is None:
+        return None
+    keep = tuple(t is not _NONE for t in types) if _NONE in types else None
+    return "%s".join(p.replace("%", "%%") for p in pieces), keep, tuple(fixes)
+
+
+def _fill_records(report: ClassificationReport) -> str | None:
+    """The report's text without its final line break, each point record
+    filled into the template ``_dumps`` wrote for its shape: one ``%``
+    call per record in place of ``_dumps``'s walk of d+6 containers.  The
+    shape is everything the layout reads: the leaf types in document order
+    (so the dimension, which fields are None, and how numbers are written),
+    the shapes of ``B`` and ``tau``, and the key order of ``scales`` and
+    ``certificates``.  Exact floats and ints are written by ``%s``, which
+    calls their ``__repr__``, as json does.  A record with an error, or
+    with a leaf of another type, is written by ``_dumps``.  The templates
+    live for this one call.
+
+    None where a record holds a non-finite number, where the header or
+    verdicts hold a value the writer refuses (json may meet a bad record
+    first), or where a string there holds ``_MARK``: ``_dumps`` then
+    writes the whole report, or raises for its first bad value.  Records
+    are written in document order, so an error one raises here is the
+    report's first."""
+    if not report.points:
+        return None
+    try:
+        frame = _cut(_report_dict(report, [_MARK, _MARK]), "\n", 2)
+    except (TypeError, ValueError):
+        return None
+    if frame is None:
+        return None
+    head, sep, tail = frame
+    nl = sep[sep.index("\n"):]  # the line break and indent of each record
+    templates = {}
+    records = []
+    for a in report.points:
+        B, tau, scales, certificates = a.B, a.tau, a.scales, a.certificates
+        if (
+            a.error is None
+            and type(scales) is dict
+            and type(certificates) is dict
+            and (B is None or type(B) is np.ndarray)
+            and (tau is None or type(tau) is np.ndarray)
+        ):
+            point = a.point
+            # the leaves of _point_record(a) but its None error, in its order
+            values = (
+                a.index,
+                *point.base,
+                point.x0,
+                a.lightlike_defect,
+                a.is_lightlike,
+                a.radical_rank,
+                *(() if B is None else B.ravel().tolist()),
+                a.umbilic_rho,
+                a.umbilic_residual,
+                a.minimal_defect,
+                a.integrability_defect,
+                *(() if tau is None else tau.ravel().tolist()),
+                *scales.values(),
+                *certificates.values(),
+            )
+            types = tuple(map(type, values))
+            key = (
+                types,
+                None if B is None else B.shape,
+                None if tau is None else tau.shape,
+                tuple(scales),
+                tuple(certificates),
+            )
+            entry = templates.get(key, False)
+            if entry is False:
+                entry = templates[key] = _template(a, types, nl)
+            if entry is not None:
+                form, keep, fixes = entry
+                if keep is not None:
+                    values = tuple(compress(values, keep))
+                try:
+                    finite = all(map(_isfinite, values))
+                except OverflowError:  # an int past the float range, which json writes
+                    finite = False
+                if not finite:
+                    return None
+                if fixes:
+                    values = list(values)
+                    for i, fix in fixes:
+                        values[i] = fix(values[i])
+                    values = tuple(values)
+                records.append(form % values)
+                continue
+        records.append(_dumps(_point_record(a), nl))
+    return head + sep.join(records) + tail
 
 
 _escape = json.encoder.encode_basestring_ascii
@@ -379,26 +541,17 @@ def _dumps(o, nl: str = "\n") -> str:
     JSON tree: dicts with str keys, lists, tuples, str, int, float, bool and
     None; ``nl`` is the line break and indent that ``o`` is written after.
     json writes with an indent through its pure-Python encoder, one chunk at
-    a time; this writes each container in one frame, its floats in place
-    (``float.__repr__`` gives a text with an ``n`` only for nan and inf),
-    and each list of floats in one join.  A non-finite float raises
-    ValueError and any other object TypeError, as json does.  A key that is
-    not a str raises TypeError too, where json would convert it; a circular
-    tree is not detected."""
+    a time; this writes each container in one frame and its floats in place
+    (``float.__repr__`` gives a text with an ``n`` only for nan and inf).
+    ``render_report`` writes each point record from a template this wrote.
+    A non-finite float raises ValueError and any other object TypeError, as
+    json does.  A key that is not a str raises TypeError too, where json
+    would convert it; a circular tree is not detected."""
     t = type(o)
     if t is list or t is tuple:
         if not o:
             return "[]"
         inner = nl + "  "
-        if type(o[0]) is float:
-            try:
-                text = f",{inner}".join(map(_float_repr, o))
-            except TypeError:  # an item is not a float: write them one by one
-                pass
-            else:
-                if "n" in text:
-                    raise _out_of_range(next(v for v in o if not math.isfinite(v)))
-                return f"[{inner}{text}{nl}]"
         parts = []
         for v in o:
             if type(v) is float:

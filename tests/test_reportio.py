@@ -1,6 +1,7 @@
 """Generator-file loading, grid sampling, and report serialization."""
 
 import collections
+import dataclasses
 import enum
 import hashlib
 import json
@@ -107,6 +108,13 @@ class TestGridSample:
             None,
         ]
         assert [p["x0"] for p in doc["points"]] == [None, None, 0.0]
+
+    @pytest.mark.parametrize(
+        "lo, hi", [(math.nan, 1.0), (0.0, math.inf), (-math.inf, 0.0), (1e308, -1e308)]
+    )
+    def test_non_finite_range_refused(self, lo, hi):
+        with pytest.raises(ValueError, match="is not finite or its span overflows"):
+            GridSpec(((lo, hi),), (3,))
 
     def test_axis_count_mismatch(self):
         entry = catalog.builtin("hyperbolic2")
@@ -246,6 +254,29 @@ class TestLoadGenerator:
         doc["samples"]["counts"] = [1000, 1000]
         _, samples = load_generator(write(tmp_path, doc))
         assert samples.grid.counts == (1000, 1000)
+
+    @pytest.mark.parametrize("lo, hi", [(1e308, -1e308), (-1e308, 1e308), (-1.7e308, 1e308)])
+    def test_grid_span_that_overflows_refused(self, tmp_path, capsys, lo, hi):
+        # np.linspace would fill such an axis with nan and inf, and warn
+        doc = hyperbolic2_doc()
+        doc["samples"] = {"ranges": [[lo, hi], [0.5, 4.0]], "counts": [3, 1]}
+        path = write(tmp_path, doc)
+        with pytest.raises(GeneratorFileError) as caught:
+            load_generator(path)
+        assert caught.value.field_path == "samples"
+        assert str(caught.value) == (
+            f"samples: range [{lo!r}, {hi!r}] is not finite or its span overflows"
+        )
+        out = tmp_path / "report.json"
+        assert cli.main(["classify", "--generator", str(path), "--out", str(out)]) == 66
+        assert "file error: samples: range [" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_widest_finite_grid_span_accepted(self, tmp_path):
+        doc = hyperbolic2_doc()
+        doc["samples"] = {"ranges": [[-8e307, 8e307], [0.5, 4.0]], "counts": [3, 1]}
+        gen, samples = load_generator(write(tmp_path, doc))
+        assert [p.base[0] for p in samples.materialize(gen)] == [-8e307, 0.0, 8e307]
 
     @pytest.mark.parametrize(
         "parameters, message",
@@ -474,7 +505,7 @@ class TestWriter:
             (),
             [[], {}, ()],
             {"": {"": []}},
-            [1.5, 2],  # the float fast path falls back to writing items one by one
+            [1.5, 2],
             [1.5, True, None, "x"],
             [np.float64(0.1), 1e-7],
             1e16,
@@ -576,3 +607,190 @@ class TestNonFiniteRefused:
         assert cli.main(["classify", "--generator", str(path), "--out", str(out)]) == 1
         assert "ValueError" in capsys.readouterr().err
         assert not out.exists()
+
+
+# render_report fills each point record into a template that the writer
+# wrote for the record's shape; these reports vary everything that shape
+# reads, several shapes to a report
+SCALE_KEYS = ["lightlike", "second_form", "normality", "xi_null", "%s", "a%"]
+
+
+def numbers(floats):
+    return st.one_of(floats, floats.map(np.float64), st.integers(-(2**70), 2**70))
+
+
+@st.composite
+def point_analyses(draw, index, floats):
+    d = draw(st.integers(1, 4))
+
+    def maybe(strategy):
+        return draw(st.one_of(st.none(), strategy))
+
+    def array(shape):
+        size = math.prod(shape)
+        return np.array(draw(st.lists(floats, min_size=size, max_size=size))).reshape(shape)
+
+    def keyed():
+        keys = draw(st.lists(st.sampled_from(SCALE_KEYS), unique=True, max_size=4))
+        return {k: draw(numbers(floats)) for k in keys}
+
+    return PointAnalysis(
+        index=index,
+        point=SurfacePoint(tuple(draw(st.lists(floats, min_size=d, max_size=d))), maybe(floats)),
+        error=draw(st.one_of(st.none(), st.none(), STRINGS)),
+        radical_rank=maybe(st.integers(0, d)),
+        B=maybe(st.sampled_from([(d, d), (d * d,)]).map(array)),
+        lightlike_defect=maybe(numbers(floats)),
+        umbilic_rho=maybe(numbers(floats)),
+        umbilic_residual=maybe(numbers(floats)),
+        minimal_defect=maybe(numbers(floats)),
+        integrability_defect=maybe(numbers(floats)),
+        tau=maybe(st.sampled_from([(d,), (d, 1)]).map(array)),
+        certificates=keyed(),
+        scales=keyed(),
+        is_lightlike=maybe(st.booleans()),
+    )
+
+
+@st.composite
+def reports(draw, floats):
+    count = draw(st.integers(1, 6))
+    points = [draw(point_analyses(k, floats)) for k in range(count)]
+    # repeat a record, so that a later record reuses a template
+    points += [draw(st.sampled_from(points))]
+    verdicts = draw(
+        st.dictionaries(
+            STRINGS,
+            st.builds(Verdict, st.one_of(st.booleans(), st.none()), st.integers(0, 9), floats),
+            max_size=2,
+        )
+    )
+    return ClassificationReport(
+        generator_name=draw(STRINGS),
+        tolerances=Tolerances(),
+        xi_scale=draw(floats),
+        points=points,
+        verdicts=verdicts,
+        failed_fraction=draw(floats),
+    )
+
+
+class TestTemplates:
+    @settings(max_examples=100, deadline=None)
+    @given(reports(FLOATS))
+    def test_matches_json_dumps(self, report):
+        assert render_report(report) == oracle(report_to_dict(report)) + "\n"
+
+    @settings(max_examples=100, deadline=None)
+    @given(reports(st.one_of(FLOATS, FLOATS, NON_FINITE)))
+    def test_refuses_what_json_refuses(self, report):
+        try:
+            want = oracle(report_to_dict(report))
+        except ValueError as exc:  # the first non-finite number, in the same words
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                render_report(report)
+        else:
+            assert render_report(report) == want + "\n"
+
+    @pytest.mark.parametrize("where", ["umbilic_rho", "B", "scales"])
+    def test_non_finite_after_its_template_was_used(self, where):
+        # the first record fills the template, the second, of the same
+        # shape, holds nan, and a verdict after both holds inf: json names nan
+        report = hand_report(witness=math.inf)
+        first = report.points[0]
+        second = dataclasses.replace(first, index=1, scales={"lightlike": 1.0})
+        report.points = [dataclasses.replace(first, scales={"lightlike": 2.0}), second]
+        if where == "umbilic_rho":
+            second.umbilic_rho = math.nan
+        elif where == "B":
+            second.B = np.array([[1.0, 0.0], [0.0, math.nan]])
+        else:
+            second.scales["lightlike"] = math.nan
+        message = "^Out of range float values are not JSON compliant: nan$"
+        with pytest.raises(ValueError, match=message):
+            oracle(report_to_dict(report))
+        with pytest.raises(ValueError, match=message):
+            render_report(report)
+
+    def test_int_past_the_float_range(self):
+        report = hand_report()
+        report.points[0].scales = {"big": 10**400}
+        assert render_report(report) == oracle(report_to_dict(report)) + "\n"
+
+    def test_first_refused_value_in_document_order(self):
+        # a record leaf json refuses comes before a verdict's inf
+        report = hand_report(witness=math.inf)
+        report.points[0].scales = {"a": np.int64(1)}
+        message = "^Object of type int64 is not JSON serializable$"
+        with pytest.raises(TypeError, match=message):
+            oracle(report_to_dict(report))
+        with pytest.raises(TypeError, match=message):
+            render_report(report)
+
+    @staticmethod
+    def alike_records(d, orders, field="certificates"):
+        """A report of records alike but for the key order of ``field``."""
+        points = [
+            PointAnalysis(
+                index=k,
+                point=SurfacePoint(tuple(0.5 + i for i in range(d)), 0.25),
+                radical_rank=1,
+                B=np.full((d, d), 0.125),
+                lightlike_defect=0.0,
+                umbilic_rho=0.5,
+                umbilic_residual=0.0,
+                minimal_defect=1e-17,
+                tau=np.arange(d, dtype=float),
+                certificates={"normality": 1.5, "xi_null": 2.5},
+                scales={"lightlike": 2.0, "second_form": 3.0},
+                is_lightlike=k % 2 == 0,
+            )
+            for k in range(len(orders))
+        ]
+        for a, order in zip(points, orders):
+            setattr(a, field, {key: getattr(a, field)[key] for key in order})
+        return ClassificationReport("by hand", Tolerances(), 1.0, points, {}, 0.0)
+
+    def test_a_render_keeps_no_state(self):
+        two = self.alike_records(2, [("normality", "xi_null")] * 3)
+        fresh = render_report(two)
+        assert fresh == oracle(report_to_dict(two)) + "\n"
+        render_report(self.alike_records(3, [("normality", "xi_null")] * 3))
+        assert render_report(two) == fresh
+
+    @pytest.mark.parametrize(
+        "field, keys",
+        [("certificates", ("normality", "xi_null")), ("scales", ("lightlike", "second_form"))],
+    )
+    def test_each_record_keeps_its_key_order(self, field, keys):
+        orders = [keys, keys[::-1], keys]
+        report = self.alike_records(3, orders, field)
+        text = render_report(report)
+        assert text == oracle(report_to_dict(report)) + "\n"
+        assert [tuple(p[field]) for p in json.loads(text)["points"]] == orders
+
+    @pytest.mark.parametrize(
+        "field, shapes", [("B", [(2, 2), (4,), (1, 4)]), ("tau", [(2,), (2, 1), (1, 2)])]
+    )
+    def test_records_alike_but_for_an_array_shape(self, field, shapes):
+        report = hand_report()
+        first = dataclasses.replace(report.points[0], tau=np.array([0.25, 0.5]))
+        values = np.arange(1.0, 1.0 + getattr(first, field).size)
+        report.points = [
+            dataclasses.replace(first, index=k, **{field: values.reshape(shape)})
+            for k, shape in enumerate(shapes)
+        ]
+        assert reportio._fill_records(report) == oracle(report_to_dict(report))
+
+    def test_mark_or_percent_in_a_string(self):
+        # a key or header string that holds the placeholder's own text, or
+        # a %, which the templates write too
+        report = hand_report()
+        report.points[0].scales = {reportio._MARK: 1.0, "a": 2.0}
+        percent = dataclasses.replace(report.points[0], index=1, scales={"%s": 1.0, "a%": 2.0})
+        report.points.append(percent)
+        want = oracle(report_to_dict(report))
+        assert reportio._fill_records(report) == want
+        report.generator_name = reportio._MARK
+        assert reportio._fill_records(report) is None
+        assert render_report(report) == oracle(report_to_dict(report)) + "\n"
