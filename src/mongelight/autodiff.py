@@ -30,10 +30,11 @@ floating-point operations, in the same order, as Jet2's value and gradient
 lanes, and computes the same chain-rule coefficients f' and f'' (the
 elementary functions and the power rules are shared), so it agrees with
 Jet2 bit for bit there and raises on exactly the same inputs; it skips
-only the Hessian arrays.  The library runs Jet1 for the metric, whose
-Christoffel symbols need only dg, one point at a time; where it needs the
-metric's values alone, it runs the float closures, whose bits Jet1's value
-lane reproduces.
+only the Hessian arrays.  The library no longer runs it either: the
+metric, whose Christoffel symbols need only dg, runs exprlang's
+first-order lane, Jet1's rules on plain floats, which take their
+coefficients from the same functions (_COEFFICIENTS, _power_coefficients
+and _check_variable_base), and Jet1 is the tests' reference for that lane.
 
 The power rule is chosen by the exponent's type, never by its lanes: a
 plain-number exponent takes the constant-power rule, and a jet exponent
@@ -59,70 +60,117 @@ import numpy as np
 __all__ = ["JetStack", "Jet1", "Jet2", "seed", "constant", "seed_stack"]
 
 
+def _taylor_sin(v: float) -> tuple[float, float, float]:
+    s, c = math.sin(v), math.cos(v)
+    return s, c, -s
+
+
+def _taylor_cos(v: float) -> tuple[float, float, float]:
+    s, c = math.sin(v), math.cos(v)
+    return c, -s, -c
+
+
+def _taylor_tan(v: float) -> tuple[float, float, float]:
+    t = math.tan(v)
+    d = 1.0 + t * t
+    return t, d, 2.0 * t * d
+
+
+def _taylor_exp(v: float) -> tuple[float, float, float]:
+    e = math.exp(v)
+    return e, e, e
+
+
+def _taylor_ln(v: float) -> tuple[float, float, float]:
+    if v <= 0.0:
+        raise ValueError(f"ln of non-positive value {v!r}")
+    return math.log(v), 1.0 / v, -1.0 / (v * v)
+
+
+def _taylor_sqrt(v: float) -> tuple[float, float, float]:
+    if v <= 0.0:
+        raise ValueError(f"sqrt of non-positive value {v!r}")
+    r = math.sqrt(v)
+    return r, 0.5 / r, -0.25 / (r * v)
+
+
+# f, f', f'' of each elementary function but abs at a value, raising where
+# a jet of that value raises; the scalar jets and exprlang's first-order
+# float lane both compute their chain rules from these
+_COEFFICIENTS = {
+    "sin": _taylor_sin,
+    "cos": _taylor_cos,
+    "tan": _taylor_tan,
+    "exp": _taylor_exp,
+    "ln": _taylor_ln,
+    "sqrt": _taylor_sqrt,
+}
+
+
+def _power_coefficients(v: float, c: float) -> tuple[float, float, float] | None:
+    """f, f', f'' of u**c at u = v for a plain-number exponent c, or None
+    for c = 0 or 1 (a constant 1, and u itself); raises where a jet does."""
+    if v < 0.0 and not c.is_integer():
+        raise ValueError(f"fractional power {c!r} of negative base {v!r}")
+    if v == 0.0 and c < 2.0 and c not in (0.0, 1.0):
+        raise ValueError(f"power {c!r} is not twice differentiable at 0")
+    if c == 0.0 or c == 1.0:
+        return None
+    f1 = c * math.pow(v, c - 1.0)
+    f2 = c * (c - 1.0) * math.pow(v, c - 2.0)
+    return math.pow(v, c), f1, f2
+
+
+def _check_variable_base(base: float) -> None:
+    """Refuse the base of a power whose exponent mentions a coordinate,
+    which the exp(e ln b) rule needs positive."""
+    if base <= 0.0:
+        raise ValueError(_VARIABLE_BASE)
+
+
 class _Taylor:
     """The elementary functions and powers, shared by both orders: each
-    computes the scalar coefficients f, f', f'' and hands them to the
-    order's _chain, or an exponent u and exp(u)'s value to the order's _exp."""
+    takes the scalar coefficients f, f', f'' from _COEFFICIENTS or
+    _power_coefficients and hands them to the order's _chain, or an exponent
+    u and exp(u)'s value to the order's _exp."""
 
     __slots__ = ()
 
     def _pow_const(self, c: float):
-        v = self.value
-        if v < 0.0 and not c.is_integer():
-            raise ValueError(f"fractional power {c!r} of negative base {v!r}")
-        if v == 0.0 and c < 2.0 and c not in (0.0, 1.0):
-            raise ValueError(f"power {c!r} is not twice differentiable at 0")
-        if c == 0.0:
-            return constant(1.0, self.dim, self.order)
-        if c == 1.0:
-            return self
-        f1 = c * math.pow(v, c - 1.0)
-        f2 = c * (c - 1.0) * math.pow(v, c - 2.0)
-        return self._chain(math.pow(v, c), f1, f2)
+        coefficients = _power_coefficients(self.value, c)
+        if coefficients is None:
+            return constant(1.0, self.dim, self.order) if c == 0.0 else self
+        return self._chain(*coefficients)
 
     def __pow__(self, other):
         if not isinstance(other, _Taylor):
             return self._pow_const(float(other))
         # variable exponent: derivatives of exp(e*ln(b)), value lane kept
         # as the direct power so it matches float evaluation
-        if self.value <= 0.0:
-            raise ValueError("power with variable exponent needs a positive base")
+        _check_variable_base(self.value)
         return self._exp(other * self.ln(), math.pow(self.value, other.value))
 
     def __rpow__(self, base):
-        if base <= 0.0:
-            raise ValueError("power with variable exponent needs a positive base")
+        _check_variable_base(base)
         return self._exp(self * math.log(base), math.pow(base, self.value))
 
     def sin(self):
-        s, c = math.sin(self.value), math.cos(self.value)
-        return self._chain(s, c, -s)
+        return self._chain(*_taylor_sin(self.value))
 
     def cos(self):
-        s, c = math.sin(self.value), math.cos(self.value)
-        return self._chain(c, -s, -c)
+        return self._chain(*_taylor_cos(self.value))
 
     def tan(self):
-        t = math.tan(self.value)
-        d = 1.0 + t * t
-        return self._chain(t, d, 2.0 * t * d)
+        return self._chain(*_taylor_tan(self.value))
 
     def exp(self):
-        v = math.exp(self.value)
-        return self._chain(v, v, v)
+        return self._chain(*_taylor_exp(self.value))
 
     def ln(self):
-        v = self.value
-        if v <= 0.0:
-            raise ValueError(f"ln of non-positive value {v!r}")
-        return self._chain(math.log(v), 1.0 / v, -1.0 / (v * v))
+        return self._chain(*_taylor_ln(self.value))
 
     def sqrt(self):
-        v = self.value
-        if v <= 0.0:
-            raise ValueError(f"sqrt of non-positive value {v!r}")
-        r = math.sqrt(v)
-        return self._chain(r, 0.5 / r, -0.25 / (r * v))
+        return self._chain(*_taylor_sqrt(self.value))
 
     def abs(self):
         if self.value == 0.0:

@@ -25,6 +25,7 @@ from .exprlang import EvalDomainError, compile_expr, parse
 from .mongecore import (
     ClassificationReport,
     Tolerances,
+    _is_lightlike,
     classify,
     lightlike_defect_at,
     minimal_defect_at,
@@ -247,8 +248,7 @@ def _cmd_eval(args) -> int:
     if "B" in show:
         B = second_fundamental_form_at(gen, sp, tolerance=tol)
         out(f"B = {_fmt_matrix(B)}")
-    lightlike = abs(defect) < tol * (1.0 + abs(defect + 1.0))
-    if lightlike and gen.dimension >= 2:
+    if _is_lightlike(defect, tol) and gen.dimension >= 2:
         out(f"minimal_defect = {_fmt(minimal_defect_at(gen, sp))}")
         if "screen" in show:
             screen = screen_frame_at(gen, sp, tol)

@@ -2,13 +2,22 @@
 
 Metric components, scalar fields, and domain constraints are written as
 strings in a small real-valued DSL and parsed against a coordinate chart.
-``compile_expr`` turns an AST into a tree of closures once; the result is
-generic over the scalar type, so the same compiled expression runs on
-plain floats and on first- or second-order jets (see autodiff).
-``evaluate`` compiles and runs in one call.  ``compile_stacked`` compiles
-the array lane: one call evaluates the second-order jets of a whole stack
-of points (autodiff.JetStack), with every domain check a mask over the
-points.
+An expression is compiled three ways, each once into a tree of closures:
+
+- ``compile_expr`` is generic over the scalar type, so the same compiled
+  expression runs on plain floats and on first- or second-order jets (see
+  autodiff).  ``evaluate`` compiles and runs in one call.
+- ``_compile_first_order`` is the first-order lane on plain floats: a
+  closure tree over (value, gradient tuple) that runs autodiff.Jet1's rules
+  and gives Jet1's bits, with every subexpression that mentions no
+  coordinate folded to its number when the tree is built.  MetricField
+  compiles its components this way.
+- ``compile_stacked`` is the array lane: one call evaluates the
+  second-order jets of a whole stack of points (autodiff.JetStack), with
+  every domain check a mask over the points.
+
+All three run compile_expr's domain checks, in its order, with its
+messages.
 
 Grammar (no implicit multiplication; ^ binds tighter than unary minus):
 
@@ -33,7 +42,13 @@ from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
 
-from .autodiff import JetStack, seed_stack
+from .autodiff import (
+    _COEFFICIENTS,
+    JetStack,
+    _check_variable_base,
+    _power_coefficients,
+    seed_stack,
+)
 
 __all__ = [
     "CoordinateChart",
@@ -106,8 +121,9 @@ class CoordinateChart:
             if name in seen:
                 raise ValueError(f"duplicate identifier {name!r}")
             seen.add(name)
+        parameters = {name: _parameter_value(name, v) for name, v in self.parameters.items()}
         object.__setattr__(self, "names", tuple(self.names))
-        object.__setattr__(self, "parameters", MappingProxyType(dict(self.parameters)))
+        object.__setattr__(self, "parameters", MappingProxyType(parameters))
 
     @property
     def dimension(self) -> int:
@@ -115,6 +131,19 @@ class CoordinateChart:
 
     def index(self, name: str) -> int:
         return self.names.index(name)
+
+
+def _parameter_value(name: str, value) -> float:
+    """A chart parameter's value as a float: a finite int or float, not a bool."""
+    number = math.nan
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # its repr may be too long to print
+            raise ValueError(f"parameter {name!r} is an int beyond the float range") from None
+    if not math.isfinite(number):
+        raise ValueError(f"parameter {name!r} must be a finite number, got {value!r}")
+    return number
 
 
 # ---------------------------------------------------------------------------
@@ -447,18 +476,36 @@ def _compile(node: Expr, params: Mapping[str, float]) -> Callable[[Sequence], ob
     raise TypeError(f"not an expression node: {node!r}")
 
 
+def _check_argument(node: Call, v: float, jet: bool) -> None:
+    """Refuse a function's argument value v (a jet's value lane, where jet):
+    ln and sqrt need it positive, abs of a jet nonzero."""
+    if v <= 0.0 and node.func in ("ln", "sqrt"):
+        raise EvalDomainError(f"{node.func} of non-positive value {v!r}", node)
+    if jet and v == 0.0 and node.func == "abs":
+        raise EvalDomainError("abs is not differentiable at 0", node)
+
+
+def _check_power(node: BinOp, base: float, expo: float) -> None:
+    """Refuse the value lanes of a power's base and exponent."""
+    if base < 0.0 and not float(expo).is_integer():
+        raise EvalDomainError(f"fractional power {expo!r} of negative base {base!r}", node)
+    if base == 0.0 and expo < 0.0:
+        raise EvalDomainError("zero raised to a negative power", node)
+
+
+def _check_divisor(node: BinOp, divisor: float) -> None:
+    """Refuse a divisor whose value lane is 0."""
+    if divisor == 0.0:
+        raise EvalDomainError("division by zero", node)
+
+
 def _compile_call(node: Call, arg: Callable) -> Callable:
     fn = node.func
-    positive = fn in ("ln", "sqrt")  # ln and sqrt need a positive argument
-    smooth = fn == "abs"  # abs of a jet needs a nonzero argument
 
     def call(point):
         x = arg(point)
         v = _lane(x)
-        if positive and v <= 0.0:
-            raise EvalDomainError(f"{fn} of non-positive value {v!r}", node)
-        if smooth and v == 0.0 and not isinstance(x, float):
-            raise EvalDomainError("abs is not differentiable at 0", node)
+        _check_argument(node, v, not isinstance(x, float))
         try:
             result = _FLOAT_FUNCS[fn](v) if isinstance(x, float) else getattr(x, fn)()
         except _ARITHMETIC_ERRORS as exc:
@@ -476,18 +523,13 @@ def _compile_binop(node: BinOp, left: Callable, right: Callable) -> Callable:
     elif node.op == "/":
 
         def apply(a, b):
-            if _lane(b) == 0.0:
-                raise EvalDomainError("division by zero", node)
+            _check_divisor(node, _lane(b))
             return a / b
 
     else:  # "^", as which every other operator runs
 
         def apply(a, b):
-            base, expo = _lane(a), _lane(b)
-            if base < 0.0 and not float(expo).is_integer():
-                raise EvalDomainError(f"fractional power {expo!r} of negative base {base!r}", node)
-            if base == 0.0 and expo < 0.0:
-                raise EvalDomainError("zero raised to a negative power", node)
+            _check_power(node, _lane(a), _lane(b))
             if isinstance(a, float) and isinstance(b, float):
                 return math.pow(a, b)
             return a**b
@@ -515,6 +557,255 @@ def evaluate(e: Expr, point: Sequence, params: Mapping[str, float] | None = None
     expression at many points.
     """
     return compile_expr(e, params)(point)
+
+
+# ---------------------------------------------------------------------------
+# First-order evaluation on plain floats
+#
+# Each rule is Jet1's, with a value v and a gradient tuple g in place of a
+# Jet1's value and NumPy gradient, run in Jet1's floating-point operation
+# order: elementwise + - * / on floats are IEEE-identical to NumPy's on
+# float64 arrays, and the elementary functions and powers take their
+# coefficients from the functions Jet1 takes them from.  Where a rule's
+# operand is a plain number (a subexpression that mentions no coordinate),
+# the rule is the one Jet1 runs with that float operand.
+
+
+def _negated(g):
+    return tuple(map(operator.neg, g))
+
+
+# The binary rules, one per operator and operand kind: two operands that
+# mention a coordinate, (value, gradient) each, or one of them a plain
+# number.  Each runs compile_expr's check of the operator first.
+
+
+def _add(node, av, ag, bv, bg):
+    return av + bv, tuple(map(operator.add, ag, bg))
+
+
+def _add_number(node, av, ag, b):
+    return av + b, ag
+
+
+def _number_add(node, a, bv, bg):
+    return bv + a, bg  # Jet1.__radd__
+
+
+def _sub(node, av, ag, bv, bg):
+    return av - bv, tuple(map(operator.sub, ag, bg))
+
+
+def _sub_number(node, av, ag, b):
+    return av - b, ag
+
+
+def _number_sub(node, a, bv, bg):
+    return a - bv, _negated(bg)
+
+
+def _mul(node, av, ag, bv, bg):
+    return av * bv, tuple([av * y + bv * x for x, y in zip(ag, bg)])
+
+
+def _mul_number(node, av, ag, b):
+    return av * b, tuple([x * b for x in ag])
+
+
+def _number_mul(node, a, bv, bg):
+    return bv * a, tuple([y * a for y in bg])  # Jet1.__rmul__
+
+
+def _div(node, av, ag, bv, bg):
+    _check_divisor(node, bv)
+    q = av / bv
+    return q, tuple([(x - q * y) / bv for x, y in zip(ag, bg)])
+
+
+def _div_number(node, av, ag, b):
+    _check_divisor(node, b)
+    return av / b, tuple([x / b for x in ag])
+
+
+def _number_div(node, a, bv, bg):
+    _check_divisor(node, bv)
+    q = a / bv
+    return q, tuple([(-q * y) / bv for y in bg])
+
+
+def _pow(node, av, ag, bv, bg):
+    # exp(b ln a), with the value lane the direct power
+    _check_power(node, av, bv)
+    _check_variable_base(av)
+    lv, l1, _ = _COEFFICIENTS["ln"](av)
+    u = [bv * (l1 * x) + lv * y for x, y in zip(ag, bg)]
+    p = math.pow(av, bv)
+    return p, tuple([p * x for x in u])
+
+
+def _pow_number(node, av, ag, c):
+    _check_power(node, av, c)
+    coefficients = _power_coefficients(av, c)
+    if coefficients is None:  # u^0 is the constant 1, u^1 is u
+        return (1.0, (0.0,) * len(ag)) if c == 0.0 else (av, ag)
+    f0, f1, _ = coefficients
+    return f0, tuple([f1 * x for x in ag])
+
+
+def _number_pow(node, a, bv, bg):
+    _check_power(node, a, bv)
+    _check_variable_base(a)
+    ln = math.log(a)
+    p = math.pow(a, bv)
+    return p, tuple([p * (y * ln) for y in bg])
+
+
+_FIRST_ORDER_RULES = {
+    "+": (_add, _add_number, _number_add),
+    "-": (_sub, _sub_number, _number_sub),
+    "*": (_mul, _mul_number, _number_mul),
+    "/": (_div, _div_number, _number_div),
+    "^": (_pow, _pow_number, _number_pow),
+}
+
+
+def _compile_first_order(
+    e: Expr, params: Mapping[str, float], dimension: int
+) -> Callable[[Sequence[float]], tuple[float, tuple[float, ...]]]:
+    """Compile ``e`` once for first-order jets on plain floats:
+    ``_compile_first_order(e, params, d)(point)`` is (value, gradient
+    tuple), the bits of ``evaluate(e, autodiff.seed(point, 1), params)``'s
+    value and gradient for a point of d floats (a constant expression gives
+    a zero gradient), and it raises where that call raises, with the same
+    EvalDomainError.
+
+    Every check of compile_expr runs in its order, with its message.  A
+    subexpression that mentions no coordinate is folded to its plain number
+    here, by compile_expr's closure; where that fails, the closure stays
+    and raises at each call.
+    """
+    units = tuple(tuple(float(i == j) for j in range(dimension)) for i in range(dimension))
+    run = _first_order(e, params, units)
+    if run is None:
+        run = _folded(e, params)
+    if callable(run):
+        return run
+    zeros = (0.0,) * dimension
+    return lambda point: (run, zeros)
+
+
+def _folded(node: Expr, params: Mapping[str, float]):
+    """A subexpression that mentions no coordinate: its plain number, or
+    compile_expr's closure where that raises (it raises at every call)."""
+    run = _compile(node, params)
+    try:
+        return run(())
+    except EvalDomainError:
+        return run
+
+
+def _first_order(node: Expr, params: Mapping[str, float], units) -> Callable | None:
+    """The closure ``point -> (value, gradient)`` of a node that mentions a
+    coordinate, or None for one that does not."""
+    if isinstance(node, (Num, Param)):
+        return None
+    if isinstance(node, Coord):
+        index, unit = node.index, units[node.index]
+        return lambda point: (point[index], unit)
+    if isinstance(node, Neg):
+        operand = _first_order(node.operand, params, units)
+        if operand is None:
+            return None
+
+        def neg(point):
+            v, g = operand(point)
+            return -v, _negated(g)
+
+        return neg
+    if isinstance(node, Call):
+        arg = _first_order(node.arg, params, units)
+        return None if arg is None else _first_order_call(node, arg)
+    if isinstance(node, BinOp):
+        left = _first_order(node.left, params, units)
+        right = _first_order(node.right, params, units)
+        if left is None and right is None:
+            return None
+        return _first_order_binop(
+            node,
+            _folded(node.left, params) if left is None else left,
+            _folded(node.right, params) if right is None else right,
+        )
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def _first_order_call(node: Call, arg: Callable) -> Callable:
+    coefficients = _COEFFICIENTS.get(node.func)  # None for abs
+
+    def call(point):
+        v, g = arg(point)
+        _check_argument(node, v, True)
+        if coefficients is None:  # Jet1.abs, at a nonzero value
+            if not v > 0.0:
+                v, g = -v, _negated(g)
+        else:
+            try:
+                v, f1, _ = coefficients(v)
+            except _ARITHMETIC_ERRORS as exc:
+                raise EvalDomainError(str(exc), node) from None
+            g = tuple([f1 * x for x in g])
+        if not math.isfinite(v):  # a coordinate may be inf or nan
+            raise EvalDomainError("non-finite result", node)
+        return v, g
+
+    return call
+
+
+def _first_order_binop(node: BinOp, left, right) -> Callable:
+    """left and right are closures, or plain numbers (a folded operand; a
+    folded operand that raises stays a closure, and raises before the rule
+    runs)."""
+    # every operator but + - * / runs as "^", as in compile_expr
+    both, with_number, of_number = _FIRST_ORDER_RULES.get(node.op, _FIRST_ORDER_RULES["^"])
+    isfinite = math.isfinite
+
+    if callable(left) and callable(right):
+
+        def binop(point):
+            av, ag = left(point)
+            bv, bg = right(point)
+            try:
+                v, g = both(node, av, ag, bv, bg)
+            except _ARITHMETIC_ERRORS as exc:
+                raise EvalDomainError(str(exc), node) from None
+            if not isfinite(v):
+                raise EvalDomainError("non-finite result", node)
+            return v, g
+
+    elif callable(left):
+
+        def binop(point):
+            av, ag = left(point)
+            try:
+                v, g = with_number(node, av, ag, right)
+            except _ARITHMETIC_ERRORS as exc:
+                raise EvalDomainError(str(exc), node) from None
+            if not isfinite(v):
+                raise EvalDomainError("non-finite result", node)
+            return v, g
+
+    else:
+
+        def binop(point):
+            bv, bg = right(point)
+            try:
+                v, g = of_number(node, left, bv, bg)
+            except _ARITHMETIC_ERRORS as exc:
+                raise EvalDomainError(str(exc), node) from None
+            if not isfinite(v):
+                raise EvalDomainError("non-finite result", node)
+            return v, g
+
+    return binop
 
 
 # ---------------------------------------------------------------------------

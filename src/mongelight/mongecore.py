@@ -192,20 +192,28 @@ def _base_of(p) -> tuple[float, ...]:
     return tuple(float(x) for x in p)
 
 
+def _length_error(gen: MongeGenerator, base: Sequence[float]) -> str | None:
+    """Why a base point does not fit the chart, or None where it does."""
+    if len(base) != gen.dimension:
+        return f"point has {len(base)} coordinates; chart has {gen.dimension}"
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Stacked geometry
 #
 # The metric is evaluated point by point, one metric_jets_at pass each that
-# fills g (and dg) from the field's slot map: first-order jets at the
-# points, the values only at the d >= 3 bracket neighbours.  The metric
-# inverse, F's jets (one compile_stacked call) and everything after them
-# run once over the points stacked along a leading axis.  Every contraction
-# is a matmul of per-point slices or an elementwise operation, so a point's
-# numbers do not depend on which other points share its stack.  A stage
-# that can fail returns {row: exception}.  A failed row stays in the stack
-# under errstate _quiet: its numbers mean nothing, and classify's ``alive``
-# mask keeps them out of the records.  The public functions run the same
-# stages on a stack of one point and raise the exception of row 0.
+# fills g (and dg) from the field's slot map: first-order forward mode on
+# plain floats at the points, the values only at the d >= 3 bracket
+# neighbours.  The metric inverse, F's jets (one compile_stacked call) and
+# everything after them run once over the points stacked along a leading
+# axis.  Every contraction is a matmul of per-point slices or an
+# elementwise operation, so a point's numbers do not depend on which other
+# points share its stack.  A stage that can fail returns {row: exception}.
+# A failed row stays in the stack under errstate _quiet: its numbers mean
+# nothing, and classify's ``alive`` mask keeps them out of the records.  The
+# public functions run the same stages on a stack of one point and raise
+# the exception of row 0.
 
 
 class _PointData:
@@ -283,11 +291,12 @@ def _jets(
     """(g, ginv, dg, dF, d2F, xi_hat) at the points ``bases``, stacked along
     a leading axis, and {row: error} of the rows that fail, whose numbers
     mean nothing.  The metric runs point by point, one metric_jets_at pass
-    of the given order each (order 0: the values only, and dg is None),
-    then the inverse's gates and F's second-order jets (one compile_stacked
-    call) run once over every row.  A row records the first stage it fails,
-    in the order: the metric, the inverse's gates, F's jets, a finite dF;
-    dF and d2F are 0 at a row that fails before the last."""
+    of the given order each (order 1: first-order forward mode on plain
+    floats; order 0: the values only, and dg is None), then the inverse's
+    gates and F's second-order jets (one compile_stacked call) run once
+    over every row.  A row records the first stage it fails, in the order:
+    the metric, the inverse's gates, F's jets, a finite dF; dF and d2F are
+    0 at a row that fails before the last."""
     n, d = len(bases), gen.dimension
     g = np.zeros((n, d, d))
     dg = np.zeros((n, d, d, d)) if order else None
@@ -338,7 +347,11 @@ def _raise(failures: dict[int, Exception]):
 @lru_cache(maxsize=1)
 @_quiet
 def _point_data(gen: MongeGenerator, base: tuple[float, ...]) -> _PointData:
-    """The stacked geometry of the one point ``base``."""
+    """The stacked geometry of the one point ``base``; a base that does not
+    fit the chart raises ValueError."""
+    error = _length_error(gen, base)
+    if error is not None:
+        raise ValueError(error)
     data = _PointData(gen, [base])
     _raise(data.failures)
     return data
@@ -381,10 +394,12 @@ def _radical_rank(data: _PointData, tolerance: float) -> np.ndarray:
     return (singular < tolerance * scale[:, None]).sum(axis=1)
 
 
-def _is_lightlike(norm2, tolerance: float):
-    """The lightlike defect g(grad F, grad F) - 1 is below tolerance * (1 + |norm2|),
-    for one norm2 or an array of them."""
-    return abs(norm2 - 1.0) < tolerance * (1.0 + abs(norm2))
+def _is_lightlike(defect, tolerance: float):
+    """The lightlike defect g(grad F, grad F) - 1 is below tolerance * (1 +
+    |defect + 1|), for one defect or an array of them: the one lightlike
+    gate of classify, screen_frame_at, second_fundamental_form_at and
+    ``mongelight eval``."""
+    return abs(defect) < tolerance * (1.0 + abs(defect + 1.0))
 
 
 def _umbilic_fit(data: _PointData) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -527,7 +542,7 @@ def second_fundamental_form_at(
     """
     xi_scale, tolerance = _check_xi_scale(xi_scale), _check_tolerance(tolerance)
     data = _point_data(gen, _base_of(p))
-    if not _is_lightlike(data.norm2[0], tolerance):
+    if not _is_lightlike(data.norm2[0] - 1.0, tolerance):
         warnings.warn(
             f"second fundamental form at non-lightlike point (defect {data.norm2[0] - 1.0:.3e})",
             NotLightlikeWarning,
@@ -587,7 +602,7 @@ def screen_frame_at(gen: MongeGenerator, p, tolerance: float = 1e-8) -> OrthoFra
     data = _point_data(gen, _base_of(p))
     if gen.dimension < 2:
         raise ScreenRankError("screen needs chart dimension >= 2")
-    if not _is_lightlike(data.norm2[0], tolerance):
+    if not _is_lightlike(data.norm2[0] - 1.0, tolerance):
         raise ScreenRankError("screen projection has rank d; expected d-1")
     _raise(_screen_rank_failures(data))
     dF, xi_hat, q = data.dF[0], data.xi_hat[0], data.norm2[0]
@@ -801,57 +816,67 @@ class ClassificationReport:
 @_quiet
 def _analyze(
     gen: MongeGenerator, points: Sequence[SurfacePoint], tol: float, xi_scale: float
-) -> list[PointAnalysis]:
-    """One record per sample point.  The metric's jets run point by point,
-    each filling g and dg from the slot map; the metric inverse, F's jets
-    and every later stage run once over one stack of every point that
-    passed the domain and F, and one boolean ``alive`` mask says which rows
-    still count.  A stage's failure is recorded only at a row that is alive
-    and that the stage gates (the lightlike rows, for the screen rank,
-    Weingarten and Gauss).  The d >= 3 bracket neighbours of the live
-    lightlike points form one more stack, with one more call of F and one
-    value-only metric pass per neighbour.  A point records the first gate
-    it fails, in the order: finite coordinates (base, and x0 unless it is
-    None), domain, F (for a point whose x0 is None), metric jets, metric
-    inverse, F jets, finite dF, Hessian finiteness, screen rank (g(dF, dF)
-    not 0), bracket neighbours, Weingarten, Gauss, and finiteness of the
-    reported numbers.
+) -> tuple[list[PointAnalysis], dict[str, object]]:
+    """One record per sample point, and the stacked columns of the live
+    points (those with no error) that classify aggregates its verdicts from:
+    their record indices ("index", a list), their lightlike defects and
+    scales, B, the second-form scales, and the umbilic residuals and
+    minimal defects, each None unless every live point carries one.
+
+    The metric's jets run point by point, each filling g and dg from the
+    slot map; the metric inverse, F's jets and every later stage run once
+    over one stack of every point that passed the domain and F, and one
+    boolean ``alive`` mask says which rows still count.  A stage's failure
+    is recorded only at a row that is alive and that the stage gates (the
+    lightlike rows, for the screen rank, Weingarten and Gauss).  The d >= 3
+    bracket neighbours of the live lightlike points form one more stack,
+    with one more call of F and one value-only metric pass per neighbour.
+    A point records the first gate it fails, in the order: its number of
+    coordinates, finite coordinates (base, and x0 unless it is None),
+    domain, F (for a point whose x0 is None), metric jets, metric inverse,
+    F jets, finite dF, Hessian finiteness, screen rank (g(dF, dF) not 0),
+    bracket neighbours, Weingarten, Gauss, and finiteness of the reported
+    numbers.  Each live point's record is built once, from the columns.
     No screen frame is built: the minimal defect, tau and both tangency
     certificates are closed forms of the jets."""
-    records = [PointAnalysis(index=i, point=sp) for i, sp in enumerate(points)]
-    kept = []
-    for record in records:
-        base, x0 = record.point.base, record.point.x0
-        if not (all(map(math.isfinite, base)) and (x0 is None or math.isfinite(x0))):
-            record.error = "point is not finite"
-            continue
-        if not gen.admissible(base):
-            record.error = "outside domain"
-            continue
-        try:
-            if x0 is None:
-                gen.surface_point(base)  # raises why F has no value
-        except EvalDomainError as exc:
-            record.error = str(exc)
-            continue
-        kept.append(record)
+    records: list[PointAnalysis | None] = [None] * len(points)
+    kept: list[int] = []
+    for i, sp in enumerate(points):
+        base, x0 = sp.base, sp.x0
+        error = _length_error(gen, base)
+        if error is None:
+            if not (all(map(math.isfinite, base)) and (x0 is None or math.isfinite(x0))):
+                error = "point is not finite"
+            elif not gen.admissible(base):
+                error = "outside domain"
+            elif x0 is None:
+                try:
+                    gen.surface_point(base)  # raises why F has no value
+                except EvalDomainError as exc:
+                    error = str(exc)
+        if error is None:
+            kept.append(i)
+        else:
+            records[i] = PointAnalysis(index=i, point=sp, error=error)
     if not kept:
-        return records
-    data = _PointData(gen, [r.point.base for r in kept])
+        return records, {"index": []}
+    data = _PointData(gen, [points[i].base for i in kept])
     n, d = data.dF.shape
     everywhere = np.ones(n, dtype=bool)
     alive = everywhere.copy()
+    errors: dict[int, str] = {}
 
     def drop(failures: dict[int, Exception], among: np.ndarray):
         """Record each failure at a row that is among the given rows and alive."""
         for k, exc in failures.items():
             if among[k] and alive[k]:
-                kept[k].error = str(exc)
+                errors[k] = str(exc)
                 alive[k] = False
 
     drop(data.failures, everywhere)
     rank = _radical_rank(data, tol)
-    light = _is_lightlike(data.norm2, tol)
+    defect = data.norm2 - 1.0
+    light = _is_lightlike(defect, tol)
     rho, residual, normalizer, posed = _umbilic_fit(data)
     fit = posed & (d >= 2)  # every 1 x 1 form is a multiple of T: the fit says nothing
     xi, nxi = xi_scale * data.xi, data.nxi / xi_scale
@@ -879,45 +904,87 @@ def _analyze(
     gauss = certificate.max(axis=(1, 2))
 
     # every number bound for the report, in record order, with the rows
-    # that carry it and the record field (or dict of the field) it fills;
-    # the first that is not finite names the point's error
+    # that carry it; the first that is not finite names the point's error
     screened = light & (d >= 2)
+    lightlike_scale = 1.0 + np.abs(data.norm2)
     reported = (
-        ("B", B, everywhere, None),
-        ("lightlike_defect", data.norm2 - 1.0, everywhere, None),
-        ("umbilic_rho", rho, fit, None),
-        ("umbilic_residual", residual, fit, None),
-        ("minimal_defect", minimal, screened, None),
-        ("integrability_defect", bracket, screened, None),
-        ("tau", tau, light, None),
-        ("lightlike", 1.0 + np.abs(data.norm2), everywhere, "scales"),
-        ("second_form", normalizer, everywhere, "scales"),
-        ("normality", normality, everywhere, "certificates"),
-        ("xi_null", xi_null, everywhere, "certificates"),
-        ("xi_nxi", xi_nxi, light, "certificates"),
-        ("nxi_nxi", nxi_nxi, light, "certificates"),
-        ("gauss_tangency", gauss, light, "certificates"),
+        ("B", B, everywhere),
+        ("lightlike_defect", defect, everywhere),
+        ("umbilic_rho", rho, fit),
+        ("umbilic_residual", residual, fit),
+        ("minimal_defect", minimal, screened),
+        ("integrability_defect", bracket, screened),
+        ("tau", tau, light),
+        ("lightlike", lightlike_scale, everywhere),
+        ("second_form", normalizer, everywhere),
+        ("normality", normality, everywhere),
+        ("xi_null", xi_null, everywhere),
+        ("xi_nxi", xi_nxi, light),
+        ("nxi_nxi", nxi_nxi, light),
+        ("gauss_tangency", gauss, light),
     )
-    for name, values, present, _ in reported:
+    for name, values, present in reported:
         bad = np.flatnonzero(~np.isfinite(values.reshape(n, -1)).all(axis=1)).tolist()
         drop(dict.fromkeys(bad, NonFiniteValueError(f"{name} is not finite")), present)
 
-    columns = [
-        (name, values.tolist() if values.ndim == 1 else values, present.tolist(), group)
-        for name, values, present, group in reported
+    for k, error in errors.items():
+        i = kept[k]
+        records[i] = PointAnalysis(index=i, point=points[i], error=error)
+    live = np.flatnonzero(alive)
+    index = [kept[k] for k in live.tolist()]
+
+    def column(values: np.ndarray, present: np.ndarray = everywhere) -> list:
+        """The values at the live rows: floats, or one array per row; None
+        at a row that does not carry the number."""
+        values = values[live]
+        column = values.tolist() if values.ndim == 1 else list(values)
+        shown = present[live]
+        if shown.all():
+            return column
+        return [v if p else None for v, p in zip(column, shown.tolist())]
+
+    scales = [
+        {"lightlike": a, "second_form": b}
+        for a, b in zip(column(lightlike_scale), column(normalizer))
     ]
-    ranks, lights = rank.tolist(), light.tolist()
-    for k in np.flatnonzero(alive).tolist():
-        record = kept[k]
-        record.radical_rank, record.is_lightlike = ranks[k], lights[k]
-        for name, values, present, group in columns:
-            if not present[k]:
-                continue
-            if group is None:
-                setattr(record, name, values[k])
-            else:
-                getattr(record, group)[name] = values[k]
-    return records
+    certificates = [
+        {"normality": a, "xi_null": b}
+        if c is None  # not lightlike
+        else {"normality": a, "xi_null": b, "xi_nxi": c, "nxi_nxi": e, "gauss_tangency": f}
+        for a, b, c, e, f in zip(
+            column(normality),
+            column(xi_null),
+            column(xi_nxi, light),
+            column(nxi_nxi, light),
+            column(gauss, light),
+        )
+    ]
+    for i, *fields in zip(
+        index,
+        rank[live].tolist(),
+        column(B),
+        column(defect),
+        column(rho, fit),
+        column(residual, fit),
+        column(minimal, screened),
+        column(bracket, screened),
+        column(tau, light),
+        certificates,
+        scales,
+        light[live].tolist(),
+    ):
+        records[i] = PointAnalysis(i, points[i], None, *fields)
+
+    columns = {
+        "index": index,
+        "lightlike_defect": defect[live],
+        "lightlike": lightlike_scale[live],
+        "B": B[live],
+        "second_form": normalizer[live],
+        "umbilic_residual": residual[live] if fit[live].all() else None,
+        "minimal_defect": minimal[live] if screened[live].all() else None,
+    }
+    return records, columns
 
 
 def classify(
@@ -945,7 +1012,9 @@ def classify(
     point that fails a gate, in _analyze's order (the screen rank is the
     scalar test |g(dF, dF)| above a floor, with no frame built), keeps its
     first error, and its later numbers reach no record.  A point's record
-    does not depend on the other points.
+    does not depend on the other points.  The verdicts are taken from the
+    live points' stacked columns; a verdict's witness is the first point
+    with the largest |value|.
     """
     if not isinstance(tol, Tolerances):
         tol = Tolerances() if tol is None else Tolerances(tol)
@@ -953,41 +1022,32 @@ def classify(
     if not points:
         raise EmptySampleError("no sample points supplied")
 
-    analyses = _analyze(gen, points, tol.base, xi_scale)
-    good = [a for a in analyses if a.error is None]
-    failed_fraction = 1.0 - len(good) / len(analyses)
+    analyses, columns = _analyze(gen, points, tol.base, xi_scale)
+    index = columns["index"]
+    failed_fraction = 1.0 - len(index) / len(analyses)
 
-    def aggregate(values: list[tuple[int, float]]) -> Verdict:
+    def aggregate(values: np.ndarray | None) -> Verdict:
         # not applicable unless every analyzed point carries a value
-        if not values or len(values) < len(good):
+        if values is None:
             return Verdict(value=None)
-        worst_index, worst = max(values, key=lambda item: abs(item[1]))
-        return Verdict(all(abs(v) < tol.base for _, v in values), worst_index, worst)
+        size = np.abs(values)
+        worst = int(size.argmax())
+        return Verdict(bool((size < tol.base).all()), index[worst], float(values[worst]))
 
     if failed_fraction > 0.10:
         verdicts = {
             name: Verdict("indeterminate")
             for name in ("degenerate", "totally_geodesic", "totally_umbilical", "minimal")
         }
-    else:
-        light = [(a.index, a.lightlike_defect / a.scales["lightlike"]) for a in good]
-        # at most 10% failed, so good is not empty
-        B_max = np.abs(np.stack([a.B for a in good])).max(axis=(1, 2)).tolist()
-        geo = [
-            (a.index, b / (abs(xi_scale) * a.scales["second_form"]))
-            for a, b in zip(good, B_max)
-        ]
-        umb = [(a.index, a.umbilic_residual) for a in good if a.umbilic_residual is not None]
-        mini = [
-            (a.index, a.minimal_defect / a.scales["second_form"])
-            for a in good
-            if a.minimal_defect is not None
-        ]
+    else:  # at most 10% failed, so some point is live
+        second_form = columns["second_form"]
+        B_max = np.abs(columns["B"]).max(axis=(1, 2))
+        minimal = columns["minimal_defect"]
         verdicts = {
-            "degenerate": aggregate(light),
-            "totally_geodesic": aggregate(geo),
-            "totally_umbilical": aggregate(umb),
-            "minimal": aggregate(mini),
+            "degenerate": aggregate(columns["lightlike_defect"] / columns["lightlike"]),
+            "totally_geodesic": aggregate(B_max / (abs(xi_scale) * second_form)),
+            "totally_umbilical": aggregate(columns["umbilic_residual"]),
+            "minimal": aggregate(None if minimal is None else minimal / second_form),
         }
 
     return ClassificationReport(

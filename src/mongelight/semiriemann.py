@@ -1,7 +1,8 @@
 """Tensor kernels on a semi-Riemannian base manifold.
 
 Everything here is a pure function of its inputs: the metric at a point,
-its values alone or with its first partials from jets; the verified
+its values alone or with its first partials from first-order forward mode
+on plain floats; the verified
 inverses of a stack of metric matrices, with the symmetry, degeneracy and
 inverse-residual gates checked per row in one call (the one place these
 gates live); and Levi-Civita connection coefficients from jet derivatives
@@ -16,8 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import autodiff
-from .exprlang import CoordinateChart, Expr, compile_expr, parse, render
+from .exprlang import CoordinateChart, Expr, _compile_first_order, compile_expr, parse, render
 
 __all__ = [
     "MetricField",
@@ -56,19 +56,25 @@ class MetricField:
 
     Frozen, with tuple rows, because per-point results are cached by the
     identity of the generator that holds the field.  Each structurally
-    distinct component is compiled once, here, and a slot map sends each
-    slot j*d + k to its distinct component, so that metric_jets_at fills g
-    (and dg) with one gather per pass.
+    distinct component is compiled twice, here: for plain floats
+    (compile_expr) and for first-order jets on plain floats (exprlang's
+    first-order lane, which gives Jet1's value and gradient bits).  A slot
+    map sends each slot j*d + k to its distinct component, so that
+    metric_jets_at fills g (and dg) with one gather per pass.
     """
 
     chart: CoordinateChart
     components: tuple[tuple[Expr, ...], ...]
-    # each structurally distinct component once, compiled
+    # each structurally distinct component once, compiled for floats and
+    # for first-order jets
     _distinct: tuple[Callable, ...] = dataclasses.field(init=False, repr=False, compare=False)
-    # _slots[j*d + k]: the index c into _distinct of component [j][k], and
-    # _partial_slots[(i*d + j)*d + k] = c*d + i, into the flat (c, i) gradients
+    _first_order: tuple[Callable, ...] = dataclasses.field(init=False, repr=False, compare=False)
+    # _slots[j*d + k]: the index c into _distinct of component [j][k]; into
+    # the flat rows (value, then gradient) of the first-order pass,
+    # _jet_slots[j*d + k] = c*(d + 1) and _jet_slots[d*d + (i*d + j)*d + k]
+    # = c*(d + 1) + 1 + i, for d_i of component [j][k]
     _slots: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
-    _partial_slots: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
+    _jet_slots: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d = self.chart.dimension
@@ -83,13 +89,18 @@ class MetricField:
             distinct.setdefault((render(e), e), len(distinct)) for row in components for e in row
         ]
         slots = np.array(index, dtype=np.intp)
-        partial_slots = np.array([c * d + i for i in range(d) for c in index], dtype=np.intp)
-        slots.flags.writeable = partial_slots.flags.writeable = False
+        jet_slots = np.array(
+            [c * (d + 1) for c in index] + [c * (d + 1) + 1 + i for i in range(d) for c in index],
+            dtype=np.intp,
+        )
+        slots.flags.writeable = jet_slots.flags.writeable = False
         params = self.chart.parameters
         compiled = tuple(compile_expr(expr, params) for _, expr in distinct)
+        first_order = tuple(_compile_first_order(expr, params, d) for _, expr in distinct)
         object.__setattr__(self, "_distinct", compiled)
+        object.__setattr__(self, "_first_order", first_order)
         object.__setattr__(self, "_slots", slots)
-        object.__setattr__(self, "_partial_slots", partial_slots)
+        object.__setattr__(self, "_jet_slots", jet_slots)
 
     @classmethod
     def from_strings(cls, chart: CoordinateChart, rows: Sequence[Sequence[str]]) -> "MetricField":
@@ -158,32 +169,33 @@ def metric_jets_at(
 
     Each distinct component is evaluated once, and g and dg are gathered
     from the per-component values and gradients through the slot map.
-    Order 1 runs first-order jets, which give Jet2's value and gradient bits
-    on every expression.  Order 0 runs the compiled expressions on the
-    plain float point; a jet's value lane runs the same floating-point
-    operations, so g has order 1's bits.  It fails only where the values
-    leave the domain (division by zero, ln or sqrt of a non-positive value,
-    a non-finite result), with order 1's message, and not where only a
-    derivative does not exist (abs or u^0.5 at 0).
+    Order 1 runs first-order forward mode on plain floats (exprlang's
+    first-order lane), which gives Jet1's, and so Jet2's, value and
+    gradient bits on every expression and raises where Jet1 raises.  Order
+    0 runs the compiled expressions on the plain float point; the first
+    order's value lane runs the same floating-point operations, so g has
+    order 1's bits.  It fails only where the values leave the domain
+    (division by zero, ln or sqrt of a non-positive value, a non-finite
+    result), with order 1's message, and not where only a derivative does
+    not exist (abs or u^0.5 at 0).  A point whose number of coordinates is
+    not the chart's raises ValueError.
     """
     d = field.chart.dimension
-    distinct, slots = field._distinct, field._slots
+    x = tuple(map(float, point))
+    if len(x) != d:
+        raise ValueError(f"point has {len(x)} coordinates; chart has {d}")
     if order == 0:
-        x = [float(v) for v in point]
-        return np.array([component(x) for component in distinct])[slots].reshape(d, d), None
+        values = np.array([component(x) for component in field._distinct])
+        return values[field._slots].reshape(d, d), None
     if order != 1:
         raise ValueError(f"metric order must be 0 or 1, got {order!r}")
-    jets = autodiff.seed(point, 1)
-    values = np.empty(len(distinct))
-    grads = np.zeros((len(distinct), d))
-    for c, component in enumerate(distinct):
-        jet = component(jets)
-        if isinstance(jet, float):  # constant entry: zero gradient
-            values[c] = jet
-        else:
-            values[c] = jet.value
-            grads[c] = jet.grad
-    return values[slots].reshape(d, d), grads.ravel()[field._partial_slots].reshape(d, d, d)
+    rows = []
+    for component in field._first_order:
+        value, grad = component(x)
+        rows.append(value)
+        rows.extend(grad)
+    jets = np.array(rows)[field._jet_slots].reshape(d + 1, d, d)
+    return jets[0], jets[1:]
 
 
 def christoffel_from_partials(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from mongelight import catalog, cli
+from mongelight import catalog, cli, mongecore
 from mongelight.exprlang import render
 from mongelight.reportio import SampleSet, save_generator
 from mongelight.semiriemann import local_scale
@@ -308,6 +308,26 @@ class TestEvalCommand:
         assert "xi = (1, 0, 2)" in out
         assert "B =" in out
         assert "W_1" not in out  # screen not requested
+
+    @pytest.mark.parametrize("tol", ["1e-8", "0.5", "10"])
+    def test_lightlike_gate_is_the_library_gate(self, tol, monkeypatch, capsys):
+        # eval decides whether to print the screen data by mongecore's gate,
+        # the one screen_frame_at and classify use, not by a copy of it
+        calls = []
+
+        def gate(defect, tolerance):
+            calls.append((defect, tolerance))
+            return mongecore._is_lightlike(defect, tolerance)
+
+        monkeypatch.setattr(cli, "_is_lightlike", gate)
+        gen = catalog.builtin("nonlightlike_control").generator
+        argv = ["eval", "--builtin", gen.name, "--point", "0.5,1", "--tol", tol, "--show", "xi"]
+        assert cli.main(argv) == 0
+        defect = mongecore.lightlike_defect_at(gen, (0.5, 1.0))
+        assert calls == [(defect, float(tol))]
+        lightlike = mongecore._is_lightlike(defect, float(tol))
+        assert ("minimal_defect" in capsys.readouterr().out) == lightlike
+        assert lightlike == (tol == "10")
 
     @pytest.mark.parametrize(
         "name, point", [("hyperbolic3", "0.3,-0.2,2"), ("schwarzschild_tr", "0.5,3")]

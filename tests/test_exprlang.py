@@ -50,6 +50,25 @@ class TestChart:
         with pytest.raises(ValueError):
             CoordinateChart(())
 
+    @pytest.mark.parametrize(
+        "value", ["abc", True, False, None, math.nan, math.inf, -math.inf, np.int64(2), 10**400]
+    )
+    def test_parameter_value_refused(self, value):
+        # "abc" once reached classify as a TypeError; True read as 1, nan and inf passed
+        with pytest.raises(ValueError, match="parameter 'R'"):
+            CoordinateChart(("t", "r"), {"R": value})
+
+    @pytest.mark.parametrize(
+        "value, stored", [(1, 1.0), (-3, -3.0), (2.5, 2.5), (np.float64(0.5), 0.5)]
+    )
+    def test_parameter_value_stored_as_float(self, value, stored):
+        chart = CoordinateChart(("t", "r"), {"R": value})
+        assert type(chart.parameters["R"]) is float and chart.parameters["R"] == stored
+        # an int parameter once made sin(R) fail: int has no jet method
+        assert evaluate(parse("sin(R)*r", chart), seed([0.0, 2.0]), chart.parameters).value == (
+            math.sin(stored) * 2.0
+        )
+
 
 class TestParse:
     def test_single_function_application(self):

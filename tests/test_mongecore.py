@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import json
 import re
 
 import numpy as np
@@ -29,6 +30,7 @@ from mongelight.mongecore import (
     SurfacePoint,
     TangencyError,
     Tolerances,
+    Verdict,
     ambient_metric_at,
     classify,
     gauss_decompose_at,
@@ -45,7 +47,7 @@ from mongelight.mongecore import (
     _point_data,
     _screen_fields,
 )
-from mongelight.reportio import GridSpec, grid_sample, render_report
+from mongelight.reportio import GridSpec, grid_sample, render_report, report_to_dict
 from mongelight.semiriemann import MetricField, local_scale, metric_jets_at
 
 from _oracles import (
@@ -1070,6 +1072,140 @@ class TestClassify:
     def test_senseless_xi_scale_refused(self, scale):
         with pytest.raises(ValueError, match="xi_scale must be finite and nonzero"):
             classify(HYP2.generator, default_points(HYP2, limit=2), xi_scale=scale)
+
+
+def verdicts_from_records(report) -> dict:
+    """The four verdicts by one pass over the records, as classify took them
+    before it read the stacked columns: the reference for its verdicts."""
+    tol, xi_scale = report.tolerances.base, report.xi_scale
+    good = [a for a in report.points if a.error is None]
+    if report.failed_fraction > 0.10:
+        return dict.fromkeys(report.verdicts, Verdict("indeterminate"))
+
+    def aggregate(values):
+        if not values or len(values) < len(good):
+            return Verdict(value=None)
+        worst_index, worst = max(values, key=lambda item: abs(item[1]))
+        return Verdict(all(abs(v) < tol for _, v in values), worst_index, worst)
+
+    light = [(a.index, a.lightlike_defect / a.scales["lightlike"]) for a in good]
+    geo = [
+        (a.index, float(np.abs(a.B).max()) / (abs(xi_scale) * a.scales["second_form"]))
+        for a in good
+    ]
+    return {
+        "degenerate": aggregate(light),
+        "totally_geodesic": aggregate(geo),
+        "totally_umbilical": aggregate(
+            [(a.index, a.umbilic_residual) for a in good if a.umbilic_residual is not None]
+        ),
+        "minimal": aggregate(
+            [
+                (a.index, a.minimal_defect / a.scales["second_form"])
+                for a in good
+                if a.minimal_defect is not None
+            ]
+        ),
+    }
+
+
+def verdict_bits(verdict):
+    """A verdict with its types, and its witness value's bits (-0.0 is not 0.0)."""
+    value = verdict.witness_value
+    return (
+        verdict.value,
+        type(verdict.value),
+        verdict.witness_index,
+        type(verdict.witness_index),
+        None if value is None else (type(value), value.hex()),
+    )
+
+
+class TestVerdictsFromColumns:
+    """classify takes its verdicts from the stacked columns; they must be
+    the verdicts of a pass over its own records, types and bits included."""
+
+    def check(self, report):
+        reference = verdicts_from_records(report)
+        assert list(report.verdicts) == list(reference)
+        for name, verdict in report.verdicts.items():
+            assert verdict_bits(verdict) == verdict_bits(reference[name]), name
+
+    @pytest.mark.parametrize("name", [name for name, _ in catalog.list_builtins()])
+    @pytest.mark.parametrize("xi_scale, tol", [(1.0, None), (-2.5, 1e-3), (1e-3, 10.0)])
+    def test_builtin_grids(self, name, xi_scale, tol):
+        entry = catalog.builtin(name)
+        self.check(classify(entry.generator, default_points(entry), tol, xi_scale))
+
+    def test_witness_is_a_record_index_and_ties_take_the_first(self):
+        # failed points ahead of the live ones, and every live point twice:
+        # the witness is the first of two equal |values|, by record index
+        gen = SCHW.generator
+        live = default_points(SCHW, limit=12)
+        bad = [SurfacePoint((0.0, 0.5), None), SurfacePoint((0.0,), None)]
+        report = classify(gen, bad + live + live[::-1] + live)
+        assert report.failed_fraction < 0.1
+        self.check(report)
+        for verdict in report.verdicts.values():
+            if verdict.witness_index is not None:
+                assert 2 <= verdict.witness_index < 2 + len(live)
+
+    def test_not_applicable_where_some_point_lacks_the_number(self):
+        # g(dF, dF) = x^2 + y^2 for F = x*y on flat R^2: only the lightlike
+        # points carry a minimal defect
+        gen = euclidean(("x", "y"), "x*y")
+        bases = [(0.0, 1.0), (0.6, 0.8), (0.5, 0.5), (1.0, 0.0)]
+        report = classify(gen, [gen.surface_point(b) for b in bases])
+        assert [a.is_lightlike for a in report.points] == [True, True, False, True]
+        self.check(report)
+        assert report.verdicts["minimal"].value is None
+        assert report.verdicts["degenerate"].witness_index == 2
+
+
+class TestPointLength:
+    """A sample point with the wrong number of coordinates is the first gate:
+    a per-point error in classify, a ValueError from the per-point functions."""
+
+    def test_mixed_sample_keeps_the_good_point(self):
+        # one coordinate raised IndexError, three a broadcast ValueError
+        gen = HYP2.generator
+        good = gen.surface_point((0.0, 2.0))
+        points = [
+            SurfacePoint((0.1,), None),
+            SurfacePoint((0.1, 1.0, 2.0), 0.5),
+            good,
+            SurfacePoint((float("nan"),), 0.0),  # ahead of finiteness
+            SurfacePoint((0.0, -1.0, 1.0), None),  # ahead of the domain
+        ]
+        report = classify(gen, points)
+        errors = [a.error for a in report.points]
+        one, three = (f"point has {k} coordinates; chart has 2" for k in (1, 3))
+        assert errors == [one, three, None, one, three]
+        alone = report_to_dict(classify(gen, [good]))["points"][0]
+        assert report_to_dict(report)["points"][2] == dict(alone, index=2)
+        assert json.loads(render_report(report))["points"][0]["error"] == one
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            lambda gen, p: ambient_metric_at(gen, p),
+            lambda gen, p: normal_and_transversal_at(gen, p),
+            lambda gen, p: lightlike_defect_at(gen, p),
+            lambda gen, p: monge_frame_at(gen, p),
+            lambda gen, p: second_fundamental_form_at(gen, p),
+            lambda gen, p: umbilic_fit_at(gen, p),
+            lambda gen, p: minimal_defect_at(gen, p),
+            lambda gen, p: screen_frame_at(gen, p),
+            lambda gen, p: gauss_decompose_at(gen, p, 0, 0),
+            lambda gen, p: weingarten_at(gen, p, 0),
+            lambda gen, p: screen_integrability_defect_at(gen, p),
+        ],
+    )
+    @pytest.mark.parametrize("point", [(0.1,), (0.1, 1.0, 2.0), SurfacePoint((0.1,), 0.0)])
+    def test_per_point_functions_raise(self, query, point):
+        k = len(point.base if isinstance(point, SurfacePoint) else point)
+        with pytest.raises(ValueError, match=re.escape(f"point has {k} coordinates; chart has 2")):
+            query(HYP2.generator, point)
 
 
 class TestArgumentChecks:

@@ -1,10 +1,13 @@
 """Metric kernels: inverses, connection coefficients, gradients and Hessians,
 cross-checked against finite differences."""
 
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mongelight import autodiff, catalog
 from mongelight.exprlang import (
@@ -14,8 +17,11 @@ from mongelight.exprlang import (
     EvalDomainError,
     Neg,
     Num,
+    Param,
+    compile_expr,
     evaluate,
     parse,
+    render,
 )
 from mongelight.mongecore import (
     MongeGenerator,
@@ -38,6 +44,7 @@ from _oracles import (
     fd_christoffel,
     fd_metric_partials,
     metric_evaluator,
+    random_ast,
     random_box_point,
     random_smooth_expr,
     sample_admissible,
@@ -302,7 +309,8 @@ class TestMetricJets:
 
     def test_results_are_fresh_arrays(self):
         # a caller may write into g and dg: nothing reaches the next call
-        # (the seeds' unit gradients are one cached identity per dimension)
+        # (g and dg are views of one array gathered at each call, and the
+        # seeds' unit gradients are one cached identity per dimension)
         field = MetricField.from_strings(
             CoordinateChart(("x", "y")), [["x", "1"], ["1", "y"]]
         )
@@ -344,6 +352,147 @@ class TestMetricJets:
     def test_order_is_zero_or_one(self):
         with pytest.raises(ValueError, match="order must be 0 or 1"):
             metric_jets_at(IDENTITY3, (0.0, 0.0, 0.0), order=2)
+
+
+def jet1_metric(field, point):
+    """g and dg from Jet1 run through compile_expr, slot by slot in row-major
+    order: the reference for metric_jets_at's first-order lane on plain
+    floats."""
+    d = field.chart.dimension
+    jets = autodiff.seed(point, 1)
+    g, dg = np.empty((d, d)), np.empty((d, d, d))
+    with np.errstate(all="ignore"):  # a gradient may overflow where the value does not
+        for j in range(d):
+            for k in range(d):
+                jet = compile_expr(field.components[j][k], field.chart.parameters)(jets)
+                if isinstance(jet, float):
+                    jet = autodiff.constant(jet, d, 1)
+                g[j, k], dg[:, j, k] = jet.value, jet.grad
+    return g, dg
+
+
+def jets_outcome(jets, field, point):
+    """g's and dg's bits, or the error's message and node (compared by
+    == and by render, which tells Num(-0.0) from Num(0.0))."""
+    try:
+        g, dg = jets(field, point)
+    except EvalDomainError as exc:
+        return "raised", str(exc), exc.node, render(exc.node)
+    return "jets", g.tobytes(), dg.tobytes()
+
+
+# coordinates at the edges of the float range, where a coefficient's
+# denominator underflows or a power overflows
+EDGE_VALUES = (1e-320, 1e-170, -1e-170, 5e-324, 0.0, -0.0, 1e-160, 1e154, 1e200, -3.0, 1.0, 2.0)
+NON_FINITE = (math.inf, -math.inf, math.nan)
+
+
+@st.composite
+def random_metrics(draw):
+    """A d x d field (d = 1..4) of random_smooth_expr or random_ast
+    components, and a point in the smooth box, at the float range's edges,
+    anywhere finite, or not finite."""
+    d = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    chart = CoordinateChart(tuple("pqrs"[:d]), {"R": 1.5})
+    if draw(st.booleans()):
+        rows = [[random_smooth_expr(rng, chart, depth=2) for _ in range(d)] for _ in range(d)]
+    else:
+        rows = [[random_ast(rng, chart, depth=3) for _ in range(d)] for _ in range(d)]
+    coordinate = st.one_of(
+        st.floats(0.6, 1.9),
+        st.sampled_from(EDGE_VALUES),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from(NON_FINITE),
+    )
+    return MetricField(chart, rows), draw(st.lists(coordinate, min_size=d, max_size=d))
+
+
+class TestFirstOrderLane:
+    """metric_jets_at's first-order pass on plain floats must give the bits
+    of Jet1 run through compile_expr, and raise its error where it raises."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_metrics())
+    def test_random_fields(self, case):
+        field, point = case
+        assert jets_outcome(metric_jets_at, field, point) == jets_outcome(jet1_metric, field, point)
+
+    @pytest.mark.parametrize(
+        "rows, points",
+        [
+            # signed zeros and constant components, one of them -0.0
+            ([[Num(-0.0), "2*x - x*2"], ["-(0*y)", "3"]], [(0.5, -1.5), (-0.0, 0.0)]),
+            # variable exponents, the first raising on a base <= 0
+            (
+                [["x^y", "2^x"], ["2^x", "(1 + y^2)^(x - y)"]],
+                [(1.7, -0.6), (-2.0, 2.0), (0.0, 3.0)],
+            ),
+            # kinks: abs and a fractional power at 0, where only a derivative fails
+            ([["abs(x - 1)", "0"], ["0", "(x - 1)^0.5"]], [(1.0, 0.0), (1.5, 0.0), (0.5, 0.0)]),
+            # underflowing coefficient denominators and an overflowing exp
+            (
+                [["sqrt(x)", "ln(y)"], ["ln(y)", "exp(y)"]],
+                [(1e-320, 1.0), (2.0, 1e-170), (2.0, 1000.0)],
+            ),
+            # y / x divides by 0, 1e200 * x * x overflows
+            ([["1 + y/x", "0"], ["0", "1e200*x*x"]], [(0.0, 1.0), (1e200, 1.0), (-2.0, 3.0)]),
+            # a divisor that is the constant 0
+            ([["1", "x/(1 - 1)"], ["0", "1"]], [(2.0, 1.0)]),
+            # u^0 is the constant 1 with +0.0 partials, u^1 is u
+            ([["(y - x)^0", "(y - x)^1"], ["(y - x)^1", "1"]], [(1.0, 0.5), (-2.0, 3.0)]),
+            # the power checks come before the rule's own
+            ([["x^(-1)", "0"], ["0", "(y - 2)^0.5"]], [(0.0, 3.0), (1.0, 1.0)]),
+        ],
+        ids=[
+            "signed_zeros",
+            "variable_exponents",
+            "kinks",
+            "underflow_overflow",
+            "division",
+            "zero_divisor",
+            "constant_powers",
+            "power_checks",
+        ],
+    )
+    def test_hand_built_fields(self, rows, points):
+        chart = CoordinateChart(("x", "y"))
+        field = MetricField(
+            chart, [[parse(e, chart) if isinstance(e, str) else e for e in row] for row in rows]
+        )
+        for point in points:
+            assert jets_outcome(metric_jets_at, field, point) == jets_outcome(
+                jet1_metric, field, point
+            ), point
+
+    def test_non_finite_coordinates(self):
+        # no node checks a coordinate itself: abs and Neg pass inf and nan on
+        chart = CoordinateChart(("x", "y"))
+        field = MetricField.from_strings(chart, [["x", "-y"], ["abs(x)", "-abs(y)"]])
+        for point in ((math.inf, 1.0), (1.0, -math.inf), (math.nan, 1.0), (-math.nan, -math.nan)):
+            outcome = jets_outcome(metric_jets_at, field, point)
+            assert outcome == jets_outcome(jet1_metric, field, point), point
+            assert outcome[:2] == ("raised", "non-finite result in subexpression " + (
+                "'abs(x)'" if not math.isfinite(point[0]) else "'abs(y)'"
+            ))
+
+    @pytest.mark.parametrize("point", [(0.5,), (0.5, 1.0, 2.0)])
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_point_length_refused(self, point, order):
+        field = MetricField.from_strings(CoordinateChart(("x", "y")), [["1", "0"], ["0", "1"]])
+        message = f"point has {len(point)} coordinates; chart has 2"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            metric_jets_at(field, point, order)
+
+    def test_unresolved_parameter(self):
+        # raises at each call, after the components before it, with its node
+        chart = CoordinateChart(("x", "y"))
+        x = Coord(0, "x")
+        rows = [[BinOp("*", x, Param("Q")), Num(1.0)], [Num(1.0), BinOp("+", Param("Q"), Num(1.0))]]
+        field = MetricField(chart, rows)
+        outcome = jets_outcome(metric_jets_at, field, (0.5, 1.0))
+        assert outcome == jets_outcome(jet1_metric, field, (0.5, 1.0))
+        assert outcome[1] == "unresolved parameter 'Q' in subexpression 'Q'"
 
 
 class TestChristoffel:
