@@ -434,7 +434,8 @@ def compile_expr(
     is ``evaluate(e, point, params)``, for float and jet points alike.
 
     Each node is dispatched on its type once, here, not at every call.
-    Parameters are resolved now; an unresolved one raises only when the
+    Parameters are resolved now, an int (NumPy's included) to its float
+    and a bool to ValueError; an unresolved one raises only when the
     result is called.  On jet points a subexpression that mentions no
     coordinate still yields a plain number, so a power's exponent is a jet
     exactly when it mentions a coordinate (autodiff picks the power rule
@@ -465,6 +466,11 @@ def _compile(node: Expr, params: Mapping[str, float]) -> Callable[[Sequence], ob
                 raise EvalDomainError(f"unresolved parameter {node.name!r}", node)
 
             return unresolved
+        # an int would take the jet path of a function or power
+        if isinstance(value, (bool, np.bool_)):
+            raise ValueError(f"parameter {node.name!r} must be a finite number, got {value!r}")
+        if isinstance(value, (int, np.integer)):
+            value = _parameter_value(node.name, int(value))
         return lambda point: value
     if isinstance(node, Neg):
         operand = _compile(node.operand, params)

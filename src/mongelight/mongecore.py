@@ -140,7 +140,12 @@ class MongeGenerator:
         return all(holds(base) for holds in self._domain)
 
     def surface_point(self, base: Sequence[float]) -> "SurfacePoint":
+        """The point (F(base), base); a base that does not fit the chart
+        raises ValueError."""
         base = tuple(float(x) for x in base)
+        error = _length_error(self, base)
+        if error is not None:
+            raise ValueError(error)
         return SurfacePoint(base, self._scalar(base))
 
 
@@ -223,7 +228,8 @@ class _PointData:
 
     d2F holds plain coordinate partials d_i d_j F, gamma[k, l, i, j] the
     Christoffel symbols (from the metric's partials, which are not kept)
-    and hess the covariant Hessian; the rest is derived on first use.
+    and hess the covariant Hessian; the rest is derived on first use (the
+    ambient stacks gbar, xi, nxi and frame by the public functions only).
     """
 
     def __init__(self, gen: MongeGenerator, bases: Sequence[tuple[float, ...]]):
@@ -355,11 +361,6 @@ def _point_data(gen: MongeGenerator, base: tuple[float, ...]) -> _PointData:
     data = _PointData(gen, [base])
     _raise(data.failures)
     return data
-
-
-def _pair(u: np.ndarray, gbar: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """gbar(u, v) per point."""
-    return (u[:, None, :] @ gbar @ v[:, :, None])[:, 0, 0]
 
 
 def _screen_fields(dF: np.ndarray, xi_hat: np.ndarray) -> np.ndarray:
@@ -634,7 +635,7 @@ def _gauss_split(data: _PointData, xi_scale: float) -> tuple[np.ndarray, np.ndar
     B = -xi_scale * data.hess
     certificate = np.abs(B * (0.5 * (1.0 - data.norm2))[:, None, None])
     ambient = np.maximum(np.abs(data.d2F), np.abs(data.gamma).max(axis=1))
-    scale = 1.0 + np.maximum(ambient, _peak(data, xi_scale * data.xi)[:, None, None])
+    scale = 1.0 + np.maximum(ambient, _peak(data, xi_scale)[:, None, None])
     return B, certificate, scale
 
 
@@ -660,24 +661,26 @@ def gauss_decompose_at(
 
 
 def _weingarten(data: _PointData, xi_scale: float) -> tuple[np.ndarray, ...]:
-    """(A_N e_i, tau(e_i), |gbar(A_N e_i, xi)|, scale) per point, for every i:
+    """(dN_i, tau(e_i), |gbar(A_N e_i, xi)|, scale) per point, for every i:
     by nabla g = 0 the derivative of N along e_i is dN_i = (0, (g^-1 Hess)[:, i]
-    / 2) / c (x0 is parallel), pairing with xi as tau_i = Hess(e_i, xi_hat) / 2
-    = d_i q / 4, and A_N e_i = -(dN_i - tau_i N) as |tau_i| |1 - q| / 2, with
-    q = g(dF, dF).  Gate: certificate > tolerance * (1 + max(|dN_i|, _peak))."""
-    dN = 0.5 * (data.ginv @ data.hess).transpose(0, 2, 1) / xi_scale  # its base slots
+    / 2) / c (x0 is parallel; its base slots are returned), pairing with xi
+    as tau_i = Hess(e_i, xi_hat) / 2 = d_i q / 4, and A_N e_i = -(dN_i -
+    tau_i N) as |tau_i| |1 - q| / 2, with q = g(dF, dF).  Gate: certificate
+    > tolerance * (1 + max(|dN_i|, _peak))."""
+    dN = 0.5 * (data.ginv @ data.hess).transpose(0, 2, 1) / xi_scale
     tau = 0.5 * (data.hess @ data.xi_hat[:, :, None])[..., 0]
-    a_vec = tau[..., None] * (data.nxi / xi_scale)[:, None, :]
-    a_vec[..., 1:] -= dN
     certificate = np.abs(tau * (0.5 * (1.0 - data.norm2))[:, None])
-    scale = 1.0 + np.maximum(np.abs(dN).max(axis=2), _peak(data, xi_scale * data.xi)[:, None])
-    return a_vec, tau, certificate, scale
+    scale = 1.0 + np.maximum(np.abs(dN).max(axis=2), _peak(data, xi_scale)[:, None])
+    return dN, tau, certificate, scale
 
 
-def _peak(data: _PointData, xi: np.ndarray) -> np.ndarray:
-    """max(max |xi|, max |gbar|) per point."""
-    n, d = data.dF.shape
-    return np.abs(np.concatenate((xi, data.gbar.reshape(n, (d + 1) ** 2)), axis=1)).max(axis=1)
+def _peak(data: _PointData, xi_scale: float) -> np.ndarray:
+    """max(max |xi|, max |gbar|) per point, xi = c (1, xi_hat) and gbar =
+    diag(-1, g), built from neither: rounding to nearest is symmetric and
+    monotone, so max_i |c x_i| = |c| max_i |x_i| bit for bit, and max |xi|
+    = |c| max(1, max |xi_hat|); max |gbar| = max(1, max |g|)."""
+    xi = abs(xi_scale) * np.maximum(1.0, np.abs(data.xi_hat).max(axis=1))
+    return np.maximum(xi, np.maximum(1.0, np.abs(data.g).max(axis=(1, 2))))
 
 
 @_quiet
@@ -696,10 +699,12 @@ def weingarten_at(
     kept = data.weingarten.get(xi_scale)
     if kept is None:  # computed once for the d calls at a point
         kept = data.weingarten[xi_scale] = _weingarten(data, xi_scale)
-    a_vec, tau, certificate, scale = kept
+    dN, tau, certificate, scale = kept
     column = slice(i, i + 1)
     _raise(_tangency_failures("Weingarten", certificate[:, column], scale[:, column], tolerance))
-    return a_vec[0, i], float(tau[0, i])
+    a_vec = tau[0, i] * (data.nxi[0] / xi_scale)
+    a_vec[1:] -= dN[0, i]
+    return a_vec, float(tau[0, i])
 
 
 # ---------------------------------------------------------------------------
@@ -838,7 +843,12 @@ def _analyze(
     bracket neighbours, Weingarten, Gauss, and finiteness of the reported
     numbers.  Each live point's record is built once, from the columns.
     No screen frame is built: the minimal defect, tau and both tangency
-    certificates are closed forms of the jets."""
+    certificates are closed forms of the jets.  No ambient (d+1)-vector
+    is built either: a lightlike point's certificates hold its Gauss
+    tangency certificate only, another point's none, since the pairings
+    of xi and N restate q = g(dF, dF) (gbar(xi, xi) = c^2 (q - 1),
+    gbar(xi, N) = (1 + q) / 2, gbar(N, N) = (q - 1) / (4 c^2)) and
+    gbar(e_i, xi) is the inverse's residual."""
     records: list[PointAnalysis | None] = [None] * len(points)
     kept: list[int] = []
     for i, sp in enumerate(points):
@@ -879,11 +889,6 @@ def _analyze(
     light = _is_lightlike(defect, tol)
     rho, residual, normalizer, posed = _umbilic_fit(data)
     fit = posed & (d >= 2)  # every 1 x 1 form is a multiple of T: the fit says nothing
-    xi, nxi = xi_scale * data.xi, data.nxi / xi_scale
-    normality = np.abs(data.frame @ data.gbar @ xi[:, :, None]).max(axis=(1, 2))
-    xi_null = _pair(xi, data.gbar, xi)
-    xi_nxi = _pair(xi, data.gbar, nxi)
-    nxi_nxi = _pair(nxi, data.gbar, nxi)
 
     minimal, bracket = np.full((2, n), np.nan)
     if d >= 2:
@@ -917,10 +922,6 @@ def _analyze(
         ("tau", tau, light),
         ("lightlike", lightlike_scale, everywhere),
         ("second_form", normalizer, everywhere),
-        ("normality", normality, everywhere),
-        ("xi_null", xi_null, everywhere),
-        ("xi_nxi", xi_nxi, light),
-        ("nxi_nxi", nxi_nxi, light),
         ("gauss_tangency", gauss, light),
     )
     for name, values, present in reported:
@@ -947,18 +948,7 @@ def _analyze(
         {"lightlike": a, "second_form": b}
         for a, b in zip(column(lightlike_scale), column(normalizer))
     ]
-    certificates = [
-        {"normality": a, "xi_null": b}
-        if c is None  # not lightlike
-        else {"normality": a, "xi_null": b, "xi_nxi": c, "nxi_nxi": e, "gauss_tangency": f}
-        for a, b, c, e, f in zip(
-            column(normality),
-            column(xi_null),
-            column(xi_nxi, light),
-            column(nxi_nxi, light),
-            column(gauss, light),
-        )
-    ]
+    certificates = [{} if a is None else {"gauss_tangency": a} for a in column(gauss, light)]
     for i, *fields in zip(
         index,
         rank[live].tolist(),

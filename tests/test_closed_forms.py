@@ -14,6 +14,7 @@ ker dF built with eigh.
 import numpy as np
 import pytest
 
+from mongelight import catalog
 from mongelight.exprlang import CoordinateChart, parse
 from mongelight.mongecore import (
     MongeGenerator,
@@ -22,13 +23,16 @@ from mongelight.mongecore import (
     gauss_decompose_at,
     lightlike_defect_at,
     minimal_defect_at,
+    monge_frame_at,
     normal_and_transversal_at,
     screen_integrability_defect_at,
     weingarten_at,
     _gauss_split,
+    _peak,
     _point_data,
     _weingarten,
 )
+from mongelight.reportio import grid_sample
 from mongelight.semiriemann import MetricField, local_scale
 
 from _oracles import (
@@ -161,6 +165,58 @@ class TestOffTheLocus:
                         pairing = abs(float(tangent @ gbar @ xi))
                         scale = local_scale(tangent, xi, gbar) ** 2
                         assert abs(pairing - gauss[i, j]) < 1e-13 * scale
+
+
+# the pairings of xi and N restate q = g(dF, dF) and reports do not carry
+# them: within PAIRING_ULPS ulps of 1 + |q|, in the units of each pairing
+# (c^2, 1, 1 / c^2 and |c|); the worst seen is 2.1
+PAIRING_ULPS = 4
+
+
+def pairing_cases():
+    """(generator, base) over MIXED, off the lightlike locus, and the
+    degenerate builtins' default grids."""
+    cases = [(MIXED, base) for base in mixed_points(40, 34)]
+    for name, _ in catalog.list_builtins():
+        entry = catalog.builtin(name)
+        if entry.expected.degenerate:
+            points = grid_sample(entry.generator, entry.default_samples)
+            cases += [(entry.generator, sp.base) for sp in points]
+    return cases
+
+
+@pytest.mark.parametrize("c", [1.0, -2.5])
+def test_pairings_restate_q(c):
+    off_locus = 0
+    for gen, p in pairing_cases():
+        gbar = ambient_metric_at(gen, p)
+        xi, N = normal_and_transversal_at(gen, p, c)
+        frame, _, _ = monge_frame_at(gen, p)
+        q = lightlike_defect_at(gen, p) + 1.0
+        off_locus += abs(q - 1.0) > 1e-3
+        bound = PAIRING_ULPS * np.finfo(float).eps * (1.0 + abs(q))
+        assert abs(xi @ gbar @ xi - c * c * (q - 1.0)) <= bound * c * c
+        assert abs(xi @ gbar @ N - (1.0 + q) / 2.0) <= bound
+        assert abs(N @ gbar @ N - (q - 1.0) / (4.0 * c * c)) <= bound / (c * c)
+        assert np.abs(frame @ gbar @ xi).max() <= bound * abs(c)  # e_i pair with xi as 0
+    assert off_locus == 40  # every MIXED point; the builtins' grids are lightlike
+
+
+def test_gate_peak_is_that_of_the_ambient_stacks():
+    # the tangency gates' scale, computed without gbar and xi, against its
+    # definition max(max |xi|, max |gbar|) over the public stacks, bit for
+    # bit; each of |c|, |c| max |xi_hat|, 1 and max |g| is the peak somewhere
+    winners = set()
+    for gen, p in pairing_cases():
+        gbar = ambient_metric_at(gen, p)
+        xi_hat = normal_and_transversal_at(gen, p)[0][1:]
+        for c in (1.0, -2.5, 1e-3, 40.0):
+            xi, _ = normal_and_transversal_at(gen, p, c)
+            want = np.abs(np.concatenate((xi, gbar.ravel()))).max()
+            assert _peak(_point_data(gen, p), c)[0].tobytes() == want.tobytes()
+            terms = (abs(c), abs(c) * np.abs(xi_hat).max(), 1.0, np.abs(gbar[1:, 1:]).max())
+            winners.update(k for k, term in enumerate(terms) if term == want)
+    assert winners == {0, 1, 2, 3}
 
 
 def quadratic_generator(g, dF, hess):

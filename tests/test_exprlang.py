@@ -274,6 +274,30 @@ class TestCompile:
             compiled([1.0, 2.0])
         assert str(caught.value) == "unresolved parameter 'R' in subexpression 'R'"
 
+    @pytest.mark.parametrize("text", ["sin(R)*r", "r/R", "R/r", "r^R", "R^r", "R^R", "exp(R)"])
+    @pytest.mark.parametrize("value", [2, -3, np.int64(2), np.int32(-3)])
+    def test_int_parameter_runs_as_its_float(self, text, value):
+        # sin(R) with R = 1 once raised AttributeError, on plain floats and
+        # jets alike: int has no sin method
+        expr = parse(text, TR)
+
+        def run(point, R):
+            try:
+                result = evaluate(expr, point, {"R": R})
+            except EvalDomainError as exc:  # (-3)^0.5 fails alike
+                return "error", str(exc)
+            if isinstance(result, float):
+                return result.hex()
+            return result.value.hex(), result.grad.tobytes(), result.hess.tobytes()
+
+        for point in ([2.0, 0.5], seed([2.0, 0.5])):
+            assert run(point, value) == run(point, float(value))
+
+    @pytest.mark.parametrize("value", [True, np.bool_(False)])
+    def test_bool_parameter_refused(self, value):
+        with pytest.raises(ValueError, match="^parameter 'R' must be a finite number"):
+            compile_expr(parse("r*R", TR), {"R": value})
+
     def test_integer_results_become_floats(self):
         assert type(compile_expr(Num(2))(())) is float
         assert type(compile_expr(BinOp("*", Coord(0, "n"), Num(3)))([4])) is float

@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from mongelight import catalog
+from mongelight import catalog, mongecore
 from mongelight.autodiff import seed
 from mongelight.exprlang import (
     BinOp,
@@ -700,6 +700,15 @@ class TestWeingarten:
             assert not a_vec.any()
             assert tau == 0.0
 
+    def test_result_is_a_fresh_array(self):
+        # A_N e_i was once a view into the point's cached result, so a
+        # caller's write changed what the next call returned
+        gen, base = catalog.builtin("hyperbolic3").generator, (0.1, 0.2, 2.0)
+        first, _ = weingarten_at(gen, base, 0)
+        want = first.copy()
+        first[:] = 7.0
+        assert weingarten_at(gen, base, 0)[0].tobytes() == want.tobytes()
+
     def test_pairing_with_second_form_on_screen(self):
         # gbar(A_N e_i, W) = B(e_i, W)/2 for screen W; the 1/2 comes from
         # N = xi/2 - d0 with d0 parallel, via metric compatibility
@@ -937,6 +946,36 @@ class TestScalingCovariance:
         scaled_report = classify(entry.generator, points, xi_scale=c)
         for key in base_report.verdicts:
             assert scaled_report.verdicts[key].value == base_report.verdicts[key].value
+
+    @pytest.mark.parametrize("c", [1e160, -1e-160])
+    @pytest.mark.parametrize("name", [name for name, _ in catalog.list_builtins()])
+    def test_extreme_scale_keeps_every_point(self, name, c):
+        # c^2 (q - 1) and (q - 1) / (4 c^2) overflow at these scales; while
+        # reports carried gbar(xi, xi) and gbar(N, N), every point failed and
+        # every verdict read "indeterminate"
+        entry = catalog.builtin(name)
+        points = default_points(entry)
+        base_report = classify(entry.generator, points)
+        scaled_report = classify(entry.generator, points, xi_scale=c)
+        assert [a.error for a in scaled_report.points] == [a.error for a in base_report.points]
+        for key, verdict in base_report.verdicts.items():
+            assert scaled_report.verdicts[key].value == verdict.value
+            assert scaled_report.verdicts[key].witness_index == verdict.witness_index
+
+
+@pytest.mark.parametrize("stack", ["gbar", "xi", "nxi", "frame"])
+def test_classify_builds_no_ambient_stack(monkeypatch, stack):
+    # the (d+1)-dimensional stacks serve the public functions only
+    def refuse(data):
+        raise AssertionError(f"classify read _PointData.{stack}")
+
+    monkeypatch.setattr(mongecore._PointData, stack, property(refuse))
+    for name, _ in catalog.list_builtins():
+        entry = catalog.builtin(name)
+        for c in (1.0, -2.5):
+            classify(entry.generator, default_points(entry), xi_scale=c)
+    with pytest.raises(AssertionError, match=f"read _PointData.{stack}$"):
+        getattr(mongecore._PointData(HYP2.generator, [(0.0, 2.0)]), stack)
 
 
 class TestClassify:
@@ -1207,6 +1246,13 @@ class TestPointLength:
         with pytest.raises(ValueError, match=re.escape(f"point has {k} coordinates; chart has 2")):
             query(HYP2.generator, point)
 
+    @pytest.mark.parametrize("base", [(0.1,), (0.1, 1.0, 2.0), ()])
+    def test_surface_point_raises(self, base):
+        # one coordinate raised IndexError; three gave x0 = F of the first two
+        message = f"point has {len(base)} coordinates; chart has 2"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            HYP2.generator.surface_point(base)
+
 
 class TestArgumentChecks:
     """The public functions refuse a senseless tolerance or xi_scale by the
@@ -1375,7 +1421,9 @@ class TestCompiledExpressions:
         # neighbours of the lightlike points x = 0; the sha256 is that of
         # the report before Jet1 and JetStack existed, recorded again when
         # the Gauss certificate became a closed form (field-wise, only
-        # gauss_tangency moved, by at most 2.3e-16, and screen_nxi went)
+        # gauss_tangency moved, by at most 2.3e-16, and screen_nxi went) and
+        # when normality, xi_null, xi_nxi and nxi_nxi went (field-wise,
+        # nothing else moved)
         chart = CoordinateChart(("x", "y", "z"))
         metric = MetricField.from_strings(
             chart, [["e^(2*y)", "0", "0"], ["0", "1", "0"], ["0", "0", "z^z"]]
@@ -1388,7 +1436,7 @@ class TestCompiledExpressions:
         bracketed = [a for a in report.points if a.integrability_defect is not None]
         assert len(bracketed) == 9 and all(a.point.base[0] == 0.0 for a in bracketed)
         digest = hashlib.sha256(render_report(report).encode()).hexdigest()
-        assert digest == "9e46817ea56a3efa234526b6d14a7f60f401020bdde8def0d3c9e7fbc46e4fe7"
+        assert digest == "91b023ac717c18c64f96b3920dd30ead7e975cc4a0cf1bfbd77d966e66d2f6be"
 
     def test_stationary_variable_exponent_needs_a_positive_base(self):
         # y^3 mentions a coordinate, so x^(y^3) takes the exp(y^3 ln x) rule

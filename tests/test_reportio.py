@@ -6,8 +6,12 @@ import enum
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -319,21 +323,56 @@ class TestReports:
     # metric inverse was stacked, and again when tau, the tangency
     # certificates and the minimal defect became closed forms of the jets
     # (field-wise, only those numbers moved, by a few ulps, and screen_nxi
-    # left the report); a change that claims byte-identical reports is
-    # checked here
+    # left the report), and again when normality, xi_null, xi_nxi and
+    # nxi_nxi left the report (field-wise, every other field kept its bits);
+    # a change that claims byte-identical reports is checked here
     PINNED = {
-        "hyperbolic2": "c1c326aacea2e7c312c305d469864c16298eb14f983fa25736ddd1f7f3754a2c",
-        "hyperbolic3": "9d0eba338c4df92828aa1d282c6013edab680e2f2da5c7931b3c88bad2b9a64a",
-        "schwarzschild_tr": "3dbca5bc5c29ef31967e6da0b2e53a62b2618b4f952668e0a362a87dd8cc0098",
-        "euclid_hyperplane": "3c30496c1078f547c33ba0c4cbc318ad5164b86b6c39b1c024d8f45672a53e9e",
-        "euclid_cone": "f2dbcd8675a57d9cda0f903dfe27a0d2e23215cf90b95d4b014f89bcaf40be8a",
-        "nonlightlike_control": "71b1a0efeb64bb074b2d26a8c327d6d1e105da9ad1d6a97a6a9b26c6c26208ba",
+        "hyperbolic2": "caeece576b8b1eaa881547ca80628c716caaea645a841ff2ba6dbd57e805e084",
+        "hyperbolic3": "73f5e8f93d1963b5dff9e4693c3dd3e938895a494c5398ebd16e0959392a6682",
+        "schwarzschild_tr": "e441fdb8adb1492925ccd1e9502ba012c2bed9b837340c901605139fc54eb2cd",
+        "euclid_hyperplane": "44eea0825f9704fb01c5b5d3993b812896bbacc3771d9eeb314f9c6469d617f9",
+        "euclid_cone": "89a91fcb77014fb990174869e8ee6e51da9732e8b946363b3a1ae03199f4f98d",
+        "nonlightlike_control": "da3529daf35b8191d2d919e1903a97f07efc13d43724c13b948a06c349214c30",
     }
 
     @pytest.mark.parametrize("name", [name for name, _ in catalog.list_builtins()])
     def test_builtin_report_bytes_pinned(self, name):
         digest = hashlib.sha256(render_report(self.make_report(name)).encode()).hexdigest()
         assert digest == self.PINNED[name]
+
+    def test_builtin_reports_independent_of_the_blas_kernel(self):
+        # OpenBLAS picks its kernels for the CPU it runs on, and
+        # OPENBLAS_CORETYPE forces another, here in one child interpreter
+        # only.  Reports once carried xi_null and nxi_nxi, whose bits moved
+        # with the kernel; the Prescott kernel still moves a few tau entries
+        script = (
+            "import json\n"
+            "from mongelight import catalog, classify, render_report\n"
+            "from mongelight.reportio import grid_sample\n"
+            "texts = {}\n"
+            "for name, _ in catalog.list_builtins():\n"
+            "    entry = catalog.builtin(name)\n"
+            "    points = grid_sample(entry.generator, entry.default_samples)\n"
+            "    texts[name] = render_report(classify(entry.generator, points))\n"
+            "print(json.dumps(texts))\n"
+        )
+        src = str(Path(reportio.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, OPENBLAS_CORETYPE="Haswell", PYTHONPATH=path)
+        child = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert child.returncode == 0, child.stderr
+        texts = json.loads(child.stdout)
+        assert list(texts) == [name for name, _ in catalog.list_builtins()]
+        for name, text in texts.items():
+            assert text == render_report(self.make_report(name)), name
+
+    def test_certificates_hold_the_gauss_certificate_at_lightlike_points(self):
+        for name, _ in catalog.list_builtins():
+            for a in self.make_report(name).points:
+                assert list(a.certificates) == (["gauss_tangency"] if a.is_lightlike else [])
+        assert not any(a.is_lightlike for a in self.make_report("nonlightlike_control").points)
 
     def test_json_parses_and_has_schema(self):
         doc = json.loads(render_report(self.make_report()))
