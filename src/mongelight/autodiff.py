@@ -1,12 +1,13 @@
-"""Forward-mode Taylor arithmetic: stacked second-order jets, and scalar jets
-of first and second order.
+"""Forward-mode Taylor arithmetic: stacked second-order jets, and the
+chain-rule coefficients that every derivative lane shares.
 
 A JetStack carries the second-order jets of n points at once: values (n,),
 gradients (d, n) and Hessians (d, d, n) with respect to all chart
 coordinates, the points along the last axis.  One pass of its arithmetic
 gives the second derivatives of a scalar field at every point (vector
 forward mode; Griewank & Walther, Evaluating Derivatives, ch. 3).  Each
-rule is Jet2's, applied elementwise in the same floating-point operation
+rule is that of the scalar second-order jet Jet2 (the tests' reference, in
+tests/_jets.py), applied elementwise in the same floating-point operation
 order, so row k is Jet2's result at point k bit for bit: elementwise
 + - * / and products with a row's scalar are IEEE-identical to Jet2's
 float-times-array operations, and the elementary functions and powers are
@@ -19,28 +20,15 @@ and records Jet2's exception in the result's ``faults`` ({row:
 exception}); the other rows are computed as usual.  The library runs F
 through JetStack (see exprlang.compile_stacked).
 
-A Jet2 carries one point's value, gradient and Hessian.  Its value lane
-reproduces plain float arithmetic exactly, and the Hessian stays exactly
-symmetric under every operation (each rule only ever adds symmetric
-outer-product pairs to symmetric inputs).  The library no longer runs it:
-it is the tests' scalar reference for JetStack.
+The metric, whose Christoffel symbols need only dg, runs exprlang's
+first-order lane on plain floats.  It takes its coefficients f, f', f''
+from _COEFFICIENTS, _power_coefficients and _check_variable_base, as the
+tests' scalar jets do, and gives their value and gradient bits.
 
-A Jet1 carries only the value and the gradient.  It runs the same
-floating-point operations, in the same order, as Jet2's value and gradient
-lanes, and computes the same chain-rule coefficients f' and f'' (the
-elementary functions and the power rules are shared), so it agrees with
-Jet2 bit for bit there and raises on exactly the same inputs; it skips
-only the Hessian arrays.  The library no longer runs it either: the
-metric, whose Christoffel symbols need only dg, runs exprlang's
-first-order lane, Jet1's rules on plain floats, which take their
-coefficients from the same functions (_COEFFICIENTS, _power_coefficients
-and _check_variable_base), and Jet1 is the tests' reference for that lane.
-
-The power rule is chosen by the exponent's type, never by its lanes: a
-plain-number exponent takes the constant-power rule, and a jet exponent
-(which a compiled expression passes exactly when the exponent mentions a
-coordinate) always takes the exp(e ln b) rule, which needs a positive base
-even where the exponent's derivatives happen to vanish.
+A plain-number exponent takes the constant-power rule, and a jet exponent
+(passed exactly when the exponent mentions a coordinate) always takes the
+exp(e ln b) rule, which needs a positive base even where the exponent's
+derivatives happen to vanish.
 
 Domain errors mirror the math module: ValueError for ln/sqrt/abs/power
 violations, ZeroDivisionError for division by a zero value lane (and for a
@@ -51,13 +39,11 @@ exp or a power overflows.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from itertools import repeat
-from typing import Sequence
 
 import numpy as np
 
-__all__ = ["JetStack", "Jet1", "Jet2", "seed", "constant", "seed_stack"]
+__all__ = ["JetStack", "seed_stack"]
 
 
 def _taylor_sin(v: float) -> tuple[float, float, float]:
@@ -95,8 +81,8 @@ def _taylor_sqrt(v: float) -> tuple[float, float, float]:
 
 
 # f, f', f'' of each elementary function but abs at a value, raising where
-# a jet of that value raises; the scalar jets and exprlang's first-order
-# float lane both compute their chain rules from these
+# a jet of that value raises; exprlang's first-order float lane and the
+# tests' scalar jets compute their chain rules from these
 _COEFFICIENTS = {
     "sin": _taylor_sin,
     "cos": _taylor_cos,
@@ -126,240 +112,6 @@ def _check_variable_base(base: float) -> None:
     which the exp(e ln b) rule needs positive."""
     if base <= 0.0:
         raise ValueError(_VARIABLE_BASE)
-
-
-class _Taylor:
-    """The elementary functions and powers, shared by both orders: each
-    takes the scalar coefficients f, f', f'' from _COEFFICIENTS or
-    _power_coefficients and hands them to the order's _chain, or an exponent
-    u and exp(u)'s value to the order's _exp."""
-
-    __slots__ = ()
-
-    def _pow_const(self, c: float):
-        coefficients = _power_coefficients(self.value, c)
-        if coefficients is None:
-            return constant(1.0, self.dim, self.order) if c == 0.0 else self
-        return self._chain(*coefficients)
-
-    def __pow__(self, other):
-        if not isinstance(other, _Taylor):
-            return self._pow_const(float(other))
-        # variable exponent: derivatives of exp(e*ln(b)), value lane kept
-        # as the direct power so it matches float evaluation
-        _check_variable_base(self.value)
-        return self._exp(other * self.ln(), math.pow(self.value, other.value))
-
-    def __rpow__(self, base):
-        _check_variable_base(base)
-        return self._exp(self * math.log(base), math.pow(base, self.value))
-
-    def sin(self):
-        return self._chain(*_taylor_sin(self.value))
-
-    def cos(self):
-        return self._chain(*_taylor_cos(self.value))
-
-    def tan(self):
-        return self._chain(*_taylor_tan(self.value))
-
-    def exp(self):
-        return self._chain(*_taylor_exp(self.value))
-
-    def ln(self):
-        return self._chain(*_taylor_ln(self.value))
-
-    def sqrt(self):
-        return self._chain(*_taylor_sqrt(self.value))
-
-    def abs(self):
-        if self.value == 0.0:
-            raise ValueError("abs is not differentiable at 0")
-        return self if self.value > 0.0 else -self
-
-    __abs__ = abs
-
-    @property
-    def dim(self) -> int:
-        return self.grad.shape[0]
-
-
-class Jet2(_Taylor):
-    """Truncated second-order Taylor scalar: value + gradient + Hessian."""
-
-    __slots__ = ("value", "grad", "hess")
-    order = 2
-
-    def __init__(self, value: float, grad, hess):
-        self.value = float(value)
-        self.grad = np.asarray(grad, dtype=float)
-        self.hess = np.asarray(hess, dtype=float)
-
-    def __repr__(self):
-        return f"Jet2({self.value!r}, grad={self.grad.tolist()}, hess={self.hess.tolist()})"
-
-    # -- ring operations ----------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, Jet2):
-            return _jet(self.value + other.value, self.grad + other.grad, self.hess + other.hess)
-        return _jet(self.value + other, self.grad, self.hess)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Jet2):
-            return _jet(self.value - other.value, self.grad - other.grad, self.hess - other.hess)
-        return _jet(self.value - other, self.grad, self.hess)
-
-    def __rsub__(self, other):
-        return _jet(other - self.value, -self.grad, -self.hess)
-
-    def __neg__(self):
-        return _jet(-self.value, -self.grad, -self.hess)
-
-    def __mul__(self, other):
-        if isinstance(other, Jet2):
-            cross = self.grad[:, None] * other.grad
-            sym = cross + cross.T  # formed first so the Hessian stays exactly symmetric
-            return _jet(
-                self.value * other.value,
-                self.value * other.grad + other.value * self.grad,
-                self.value * other.hess + other.value * self.hess + sym,
-            )
-        return _jet(self.value * other, self.grad * other, self.hess * other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if not isinstance(other, Jet2):
-            return _jet(self.value / other, self.grad / other, self.hess / other)
-        q = self.value / other.value  # raises ZeroDivisionError like floats
-        qg = (self.grad - q * other.grad) / other.value
-        cross = qg[:, None] * other.grad
-        qh = (self.hess - q * other.hess - (cross + cross.T)) / other.value
-        return _jet(q, qg, qh)
-
-    def __rtruediv__(self, other):
-        q = other / self.value
-        qg = (-q * self.grad) / self.value
-        cross = qg[:, None] * self.grad
-        qh = (-q * self.hess - (cross + cross.T)) / self.value
-        return _jet(q, qg, qh)
-
-    def _chain(self, f0: float, f1: float, f2: float):
-        outer = self.grad[:, None] * self.grad
-        return _jet(f0, f1 * self.grad, f1 * self.hess + f2 * outer)
-
-    def _exp(self, u: "Jet2", v: float):
-        """exp(u) with value lane v."""
-        outer = u.grad[:, None] * u.grad
-        return _jet(v, v * u.grad, v * (u.hess + outer))
-
-
-class Jet1(_Taylor):
-    """Truncated first-order Taylor scalar: value + gradient.
-
-    Every rule is Jet2's without the Hessian lane.
-    """
-
-    __slots__ = ("value", "grad")
-    order = 1
-
-    def __init__(self, value: float, grad):
-        self.value = float(value)
-        self.grad = np.asarray(grad, dtype=float)
-
-    def __repr__(self):
-        return f"Jet1({self.value!r}, grad={self.grad.tolist()})"
-
-    def __add__(self, other):
-        if isinstance(other, Jet1):
-            return _jet1(self.value + other.value, self.grad + other.grad)
-        return _jet1(self.value + other, self.grad)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Jet1):
-            return _jet1(self.value - other.value, self.grad - other.grad)
-        return _jet1(self.value - other, self.grad)
-
-    def __rsub__(self, other):
-        return _jet1(other - self.value, -self.grad)
-
-    def __neg__(self):
-        return _jet1(-self.value, -self.grad)
-
-    def __mul__(self, other):
-        if isinstance(other, Jet1):
-            grad = self.value * other.grad + other.value * self.grad
-            return _jet1(self.value * other.value, grad)
-        return _jet1(self.value * other, self.grad * other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if not isinstance(other, Jet1):
-            return _jet1(self.value / other, self.grad / other)
-        q = self.value / other.value  # raises ZeroDivisionError like floats
-        return _jet1(q, (self.grad - q * other.grad) / other.value)
-
-    def __rtruediv__(self, other):
-        q = other / self.value
-        return _jet1(q, (-q * self.grad) / self.value)
-
-    def _chain(self, f0: float, f1: float, f2: float):
-        return _jet1(f0, f1 * self.grad)
-
-    def _exp(self, u: "Jet1", v: float):
-        """exp(u) with value lane v."""
-        return _jet1(v, v * u.grad)
-
-
-def _jet(value: float, grad: np.ndarray, hess: np.ndarray) -> Jet2:
-    """A Jet2 from float64 arrays, as every operation forms them, without
-    the conversions of ``Jet2.__init__``."""
-    jet = object.__new__(Jet2)
-    jet.value = float(value)
-    jet.grad = grad
-    jet.hess = hess
-    return jet
-
-
-def _jet1(value: float, grad: np.ndarray) -> Jet1:
-    """A Jet1 from a float64 array, without the conversions of ``Jet1.__init__``."""
-    jet = object.__new__(Jet1)
-    jet.value = float(value)
-    jet.grad = grad
-    return jet
-
-
-def constant(value: float, dim: int, order: int = 2) -> Jet1 | Jet2:
-    """A jet of the given order with the given value and vanishing derivatives."""
-    if order == 1:
-        return _jet1(value, np.zeros(dim))
-    return _jet(value, np.zeros(dim), np.zeros((dim, dim)))
-
-
-@lru_cache(maxsize=None)
-def _units(d: int) -> tuple[np.ndarray, ...]:
-    """The rows of one read-only d x d identity: the unit gradients every
-    seed of dimension d shares (no rule writes into its operands)."""
-    eye = np.eye(d)
-    eye.flags.writeable = False
-    return tuple(eye)
-
-
-def seed(point: Sequence[float], order: int = 2) -> list[Jet1] | list[Jet2]:
-    """Independent-variable jets of the given order for a point: unit
-    gradients, read-only rows of one identity cached per dimension (and
-    zero Hessians)."""
-    d = len(point)
-    units = _units(d)
-    if order == 1:
-        return [_jet1(x, unit) for x, unit in zip(point, units)]
-    return [_jet(x, unit, np.zeros((d, d))) for x, unit in zip(point, units)]
 
 
 class JetStack:

@@ -4,20 +4,21 @@ Metric components, scalar fields, and domain constraints are written as
 strings in a small real-valued DSL and parsed against a coordinate chart.
 An expression is compiled three ways, each once into a tree of closures:
 
-- ``compile_expr`` is generic over the scalar type, so the same compiled
-  expression runs on plain floats and on first- or second-order jets (see
-  autodiff).  ``evaluate`` compiles and runs in one call.
+- ``compile_expr`` is the float tree: each node runs its float operation
+  on a point of plain numbers.  ``evaluate`` compiles and runs in one call.
 - ``_compile_first_order`` is the first-order lane on plain floats: a
-  closure tree over (value, gradient tuple) that runs autodiff.Jet1's rules
-  and gives Jet1's bits, with every subexpression that mentions no
-  coordinate folded to its number when the tree is built.  MetricField
-  compiles its components this way.
+  closure tree over (value, gradient tuple) that runs the rules of the
+  first-order scalar jet Jet1 (the tests' reference, in tests/_jets.py) and
+  gives Jet1's bits, with every subexpression that mentions no coordinate
+  folded to its number when the tree is built.  MetricField compiles its
+  components this way.
 - ``compile_stacked`` is the array lane: one call evaluates the
   second-order jets of a whole stack of points (autodiff.JetStack), with
   every domain check a mask over the points.
 
 All three run compile_expr's domain checks, in its order, with its
-messages.
+messages; the derivative lanes add the checks of the derivatives (abs at
+0, a variable exponent's base, a second coefficient that underflows).
 
 Grammar (no implicit multiplication; ^ binds tighter than unary minus):
 
@@ -402,9 +403,14 @@ def render(e: Expr) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Evaluation on plain floats
 
-# f, f', f'' for the float path; jets provide these as methods.
+# what Python's float arithmetic and the math module raise, reported as
+# EvalDomainError
+_ARITHMETIC_ERRORS = (ValueError, OverflowError, ZeroDivisionError)
+
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
 _FLOAT_FUNCS = {
     "sin": math.sin,
     "cos": math.cos,
@@ -416,47 +422,40 @@ _FLOAT_FUNCS = {
 }
 
 
-def _lane(x) -> float:
-    """Value lane of a scalar: the float itself, or a jet's value."""
-    return getattr(x, "value", x)
-
-
-# what Python's float and jet arithmetic raise, reported as EvalDomainError
-_ARITHMETIC_ERRORS = (ValueError, OverflowError, ZeroDivisionError)
-
-_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
-
-
 def compile_expr(
     e: Expr, params: Mapping[str, float] | None = None
-) -> Callable[[Sequence], object]:
-    """Compile ``e`` once into a tree of closures; ``compile_expr(e, params)(point)``
-    is ``evaluate(e, point, params)``, for float and jet points alike.
+) -> Callable[[Sequence[float]], float]:
+    """Compile ``e`` once into a tree of closures on plain floats;
+    ``compile_expr(e, params)(point)`` is ``evaluate(e, point, params)``.
 
-    Each node is dispatched on its type once, here, not at every call.
-    Parameters are resolved now, an int (NumPy's included) to its float
-    and a bool to ValueError; an unresolved one raises only when the
-    result is called.  On jet points a subexpression that mentions no
-    coordinate still yields a plain number, so a power's exponent is a jet
-    exactly when it mentions a coordinate (autodiff picks the power rule
-    from that).
+    Each node is dispatched on its type once, here; at every call it runs
+    its float operation after its domain checks, and raises EvalDomainError
+    naming itself where one fails or its result is not finite.  Parameters
+    are resolved now, an int (NumPy's included) to its float and a bool to
+    ValueError; an unresolved one raises only when the result is called.
+    An int result (of int coordinates or numbers) is returned as its float.
     """
     run = _compile(e, {} if params is None else params)
+    if isinstance(e, Num):
+        value = float(e.value) if isinstance(e.value, int) else e.value
+        return lambda point: value
+    # a function but abs, a quotient and a power give floats
+    if isinstance(e, Call) and e.func != "abs" or isinstance(e, BinOp) and e.op not in _OPERATORS:
+        return run
 
-    def compiled(point: Sequence):
+    def compiled(point: Sequence[float]) -> float:
         result = run(point)
         return float(result) if isinstance(result, int) else result
 
     return compiled
 
 
-def _compile(node: Expr, params: Mapping[str, float]) -> Callable[[Sequence], object]:
+def _compile(node: Expr, params: Mapping[str, float]) -> Callable[[Sequence[float]], float]:
     if isinstance(node, Num):
         value = node.value
         return lambda point: value
     if isinstance(node, Coord):
-        index = node.index
-        return lambda point: point[index]
+        return operator.itemgetter(node.index)
     if isinstance(node, Param):
         try:
             value = params[node.name]
@@ -466,7 +465,6 @@ def _compile(node: Expr, params: Mapping[str, float]) -> Callable[[Sequence], ob
                 raise EvalDomainError(f"unresolved parameter {node.name!r}", node)
 
             return unresolved
-        # an int would take the jet path of a function or power
         if isinstance(value, (bool, np.bool_)):
             raise ValueError(f"parameter {node.name!r} must be a finite number, got {value!r}")
         if isinstance(value, (int, np.integer)):
@@ -475,19 +473,156 @@ def _compile(node: Expr, params: Mapping[str, float]) -> Callable[[Sequence], ob
     if isinstance(node, Neg):
         operand = _compile(node.operand, params)
         return lambda point: -operand(point)
-    if isinstance(node, Call):
+    if isinstance(node, Call) and node.func in _FLOAT_FUNCS:
         return _compile_call(node, _compile(node.arg, params))
     if isinstance(node, BinOp):
         return _compile_binop(node, _compile(node.left, params), _compile(node.right, params))
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def _check_argument(node: Call, v: float, jet: bool) -> None:
-    """Refuse a function's argument value v (a jet's value lane, where jet):
-    ln and sqrt need it positive, abs of a jet nonzero."""
+def _compile_call(node: Call, arg: Callable) -> Callable:
+    fn = _FLOAT_FUNCS[node.func]
+    isfinite = math.isfinite
+
+    if node.func in ("ln", "sqrt"):
+        message = f"{node.func} of non-positive value "
+
+        def call(point):
+            x = arg(point)
+            if x <= 0.0:
+                raise EvalDomainError(message + repr(x), node)
+            try:
+                result = fn(x)
+            except _ARITHMETIC_ERRORS as exc:
+                raise EvalDomainError(str(exc), node) from None
+            if not isfinite(result):
+                raise EvalDomainError("non-finite result", node)
+            return result
+
+    else:
+
+        def call(point):
+            x = arg(point)
+            try:
+                result = fn(x)
+            except _ARITHMETIC_ERRORS as exc:
+                raise EvalDomainError(str(exc), node) from None
+            if not isfinite(result):
+                raise EvalDomainError("non-finite result", node)
+            return result
+
+    return call
+
+
+def _compile_binop(node: BinOp, left: Callable, right: Callable) -> Callable:
+    isfinite = math.isfinite
+
+    if node.op == "+":
+
+        def binop(point):
+            a = left(point)
+            b = right(point)
+            try:
+                result = a + b
+                if not isfinite(result):
+                    raise EvalDomainError("non-finite result", node)
+            except _ARITHMETIC_ERRORS as exc:
+                raise EvalDomainError(str(exc), node) from None
+            return result
+
+    elif node.op == "-":
+
+        def binop(point):
+            a = left(point)
+            b = right(point)
+            try:
+                result = a - b
+                if not isfinite(result):
+                    raise EvalDomainError("non-finite result", node)
+            except _ARITHMETIC_ERRORS as exc:
+                raise EvalDomainError(str(exc), node) from None
+            return result
+
+    elif node.op == "*":
+
+        def binop(point):
+            a = left(point)
+            b = right(point)
+            try:
+                result = a * b
+                if not isfinite(result):
+                    raise EvalDomainError("non-finite result", node)
+            except _ARITHMETIC_ERRORS as exc:
+                raise EvalDomainError(str(exc), node) from None
+            return result
+
+    elif node.op == "/":
+
+        def binop(point):
+            a = left(point)
+            b = right(point)
+            if b == 0.0:
+                raise EvalDomainError("division by zero", node)
+            try:
+                result = a / b
+                if not isfinite(result):
+                    raise EvalDomainError("non-finite result", node)
+            except _ARITHMETIC_ERRORS as exc:
+                raise EvalDomainError(str(exc), node) from None
+            return result
+
+    else:  # "^", as which every other operator runs
+        power = math.pow
+
+        def binop(point):
+            a = left(point)
+            b = right(point)
+            try:
+                if a < 0.0 and not float(b).is_integer():
+                    raise EvalDomainError(f"fractional power {b!r} of negative base {a!r}", node)
+                if a == 0.0 and b < 0.0:
+                    raise EvalDomainError("zero raised to a negative power", node)
+                result = power(a, b)
+                if not isfinite(result):
+                    raise EvalDomainError("non-finite result", node)
+            except _ARITHMETIC_ERRORS as exc:
+                raise EvalDomainError(str(exc), node) from None
+            return result
+
+    return binop
+
+
+def evaluate(e: Expr, point: Sequence[float], params: Mapping[str, float] | None = None) -> float:
+    """Evaluate ``e`` at ``point``, a sequence of plain numbers.
+
+    Domain violations (division by zero, ln/sqrt of non-positive values,
+    fractional powers of negative bases, overflow to non-finite) raise
+    EvalDomainError rather than producing non-finite values.  Compiles
+    ``e`` on every call; hold a ``compile_expr`` result to evaluate one
+    expression at many points.
+    """
+    return compile_expr(e, params)(point)
+
+
+# ---------------------------------------------------------------------------
+# First-order evaluation on plain floats
+#
+# Each rule is that of the tests' scalar jet Jet1 (tests/_jets.py), with a
+# value v and a gradient tuple g in place of a Jet1's value and NumPy
+# gradient, run in Jet1's floating-point operation order: elementwise
+# + - * / on floats are IEEE-identical to NumPy's on float64 arrays, and the
+# elementary functions and powers take their coefficients from the
+# functions Jet1 takes them from (autodiff._COEFFICIENTS and its kin).
+# Where a rule's operand is a plain number (a subexpression that mentions
+# no coordinate), the rule is the one Jet1 runs with that float operand.
+
+
+def _check_argument(node: Call, v: float) -> None:
+    """Refuse a function's argument value v where its first-order jet
+    raises: ln and sqrt need it positive, abs nonzero."""
     if v <= 0.0 and node.func in ("ln", "sqrt"):
         raise EvalDomainError(f"{node.func} of non-positive value {v!r}", node)
-    if jet and v == 0.0 and node.func == "abs":
+    if v == 0.0 and node.func == "abs":
         raise EvalDomainError("abs is not differentiable at 0", node)
 
 
@@ -503,78 +638,6 @@ def _check_divisor(node: BinOp, divisor: float) -> None:
     """Refuse a divisor whose value lane is 0."""
     if divisor == 0.0:
         raise EvalDomainError("division by zero", node)
-
-
-def _compile_call(node: Call, arg: Callable) -> Callable:
-    fn = node.func
-
-    def call(point):
-        x = arg(point)
-        v = _lane(x)
-        _check_argument(node, v, not isinstance(x, float))
-        try:
-            result = _FLOAT_FUNCS[fn](v) if isinstance(x, float) else getattr(x, fn)()
-        except _ARITHMETIC_ERRORS as exc:
-            raise EvalDomainError(str(exc), node) from None
-        if not math.isfinite(_lane(result)):
-            raise EvalDomainError("non-finite result", node)
-        return result
-
-    return call
-
-
-def _compile_binop(node: BinOp, left: Callable, right: Callable) -> Callable:
-    if node.op in _OPERATORS:
-        apply = _OPERATORS[node.op]
-    elif node.op == "/":
-
-        def apply(a, b):
-            _check_divisor(node, _lane(b))
-            return a / b
-
-    else:  # "^", as which every other operator runs
-
-        def apply(a, b):
-            _check_power(node, _lane(a), _lane(b))
-            if isinstance(a, float) and isinstance(b, float):
-                return math.pow(a, b)
-            return a**b
-
-    def binop(point):
-        a, b = left(point), right(point)
-        try:
-            result = apply(a, b)
-            if not math.isfinite(_lane(result)):
-                raise EvalDomainError("non-finite result", node)
-        except _ARITHMETIC_ERRORS as exc:
-            raise EvalDomainError(str(exc), node) from None
-        return result
-
-    return binop
-
-
-def evaluate(e: Expr, point: Sequence, params: Mapping[str, float] | None = None):
-    """Evaluate ``e`` at ``point``, whose entries may be floats or jets.
-
-    Domain violations (division by zero, ln/sqrt of non-positive values,
-    fractional powers of negative bases, overflow to non-finite) raise
-    EvalDomainError rather than producing non-finite values.  Compiles
-    ``e`` on every call; hold a ``compile_expr`` result to evaluate one
-    expression at many points.
-    """
-    return compile_expr(e, params)(point)
-
-
-# ---------------------------------------------------------------------------
-# First-order evaluation on plain floats
-#
-# Each rule is Jet1's, with a value v and a gradient tuple g in place of a
-# Jet1's value and NumPy gradient, run in Jet1's floating-point operation
-# order: elementwise + - * / on floats are IEEE-identical to NumPy's on
-# float64 arrays, and the elementary functions and powers take their
-# coefficients from the functions Jet1 takes them from.  Where a rule's
-# operand is a plain number (a subexpression that mentions no coordinate),
-# the rule is the one Jet1 runs with that float operand.
 
 
 def _negated(g):
@@ -680,10 +743,11 @@ def _compile_first_order(
 ) -> Callable[[Sequence[float]], tuple[float, tuple[float, ...]]]:
     """Compile ``e`` once for first-order jets on plain floats:
     ``_compile_first_order(e, params, d)(point)`` is (value, gradient
-    tuple), the bits of ``evaluate(e, autodiff.seed(point, 1), params)``'s
-    value and gradient for a point of d floats (a constant expression gives
-    a zero gradient), and it raises where that call raises, with the same
-    EvalDomainError.
+    tuple), the bits of the value and gradient of e on the first-order
+    scalar jets Jet1 seeded at a point of d floats (a constant expression
+    gives a zero gradient), and it raises where Jet1 raises, with the
+    EvalDomainError the jet-generic tree gives.  The tests hold Jet1 and
+    that tree (tests/_jets.py) as the reference for this lane.
 
     Every check of compile_expr runs in its order, with its message.  A
     subexpression that mentions no coordinate is folded to its plain number
@@ -749,7 +813,7 @@ def _first_order_call(node: Call, arg: Callable) -> Callable:
 
     def call(point):
         v, g = arg(point)
-        _check_argument(node, v, True)
+        _check_argument(node, v)
         if coefficients is None:  # Jet1.abs, at a nonzero value
             if not v > 0.0:
                 v, g = -v, _negated(g)
@@ -826,9 +890,11 @@ def compile_stacked(
     (n, d) array ``points``, in one pass of JetStack arithmetic.
 
     It returns a JetStack whose row k (value[k], grad[:, k], hess[:, :, k])
-    equals ``evaluate(e, seed(points[k]), params)`` bit for bit (a constant
-    expression gives zero derivatives), and {row: EvalDomainError} of the
-    rows where that call raises, with the same message.  Each check of
+    equals, bit for bit, e on the second-order scalar jets Jet2 seeded at
+    points[k] (a constant expression gives zero derivatives), and {row:
+    EvalDomainError} of the rows where that evaluation raises, with the same
+    message.  The tests hold Jet2 and the jet-generic tree (tests/_jets.py)
+    as the reference for this lane.  Each check of
     compile_expr is a mask over the rows, and a row records the first node
     it fails in the scalar evaluation order (left operand, right operand,
     then the node).  A failed row's numbers mean nothing; no row's numbers
@@ -1001,7 +1067,7 @@ def _stacked_binop(node: BinOp, left: Callable, right: Callable) -> Callable:
     else:  # "^", as which every other operator runs
 
         def apply(a, b, failures):
-            base, expo = _lane(a), _lane(b)
+            base, expo = getattr(a, "value", a), getattr(b, "value", b)
             negative = np.less(base, 0.0)
             if np.count_nonzero(negative):
                 _refuse(

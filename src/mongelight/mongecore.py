@@ -171,15 +171,33 @@ class Tolerances:
 
 
 def _finite_real(value) -> bool:
-    """A finite int or float, NumPy's included, that is not a bool."""
+    """A finite int or float, NumPy's included, that is not a bool (an int
+    beyond the float range is not finite)."""
     real = isinstance(value, (int, float, np.integer, np.floating))
-    return real and not isinstance(value, bool) and math.isfinite(value)
+    return real and not isinstance(value, bool) and _is_finite(value)
+
+
+def _is_finite(value) -> bool:
+    """math.isfinite of a number; False for an int beyond the float range
+    and for a value that is not a number."""
+    try:
+        return math.isfinite(value)
+    except (TypeError, OverflowError):
+        return False
+
+
+def _shown(value) -> str:
+    """repr of a refused value, which for an int beyond the float range
+    may be too long to print."""
+    if isinstance(value, int) and not _is_finite(value):
+        return "an int beyond the float range"
+    return repr(value)
 
 
 def _check_tolerance(tolerance) -> float:
     """The tolerance as a float: a finite number > 0 that is not a bool."""
     if not (_finite_real(tolerance) and tolerance > 0):
-        raise ValueError(f"tolerance must be a finite number > 0, got {tolerance!r}")
+        raise ValueError(f"tolerance must be a finite number > 0, got {_shown(tolerance)}")
     return float(tolerance)
 
 
@@ -187,7 +205,7 @@ def _check_xi_scale(xi_scale) -> float:
     """The xi scale as a float: a finite nonzero number that is not a bool;
     negative scales are valid."""
     if not (_finite_real(xi_scale) and xi_scale != 0):
-        raise ValueError(f"xi_scale must be finite and nonzero, got {xi_scale!r}")
+        raise ValueError(f"xi_scale must be finite and nonzero, got {_shown(xi_scale)}")
     return float(xi_scale)
 
 
@@ -195,6 +213,20 @@ def _base_of(p) -> tuple[float, ...]:
     if isinstance(p, SurfacePoint):
         return p.base
     return tuple(float(x) for x in p)
+
+
+def _coordinate_error(base: Sequence[float], x0: float | None) -> str | None:
+    """Why a point's coordinates (base, and x0 unless it is None) cannot be
+    analyzed, or None where each is a finite number: an int beyond the
+    float range is not finite, and a str or other object is not a number."""
+    try:
+        if all(map(math.isfinite, base)) and (x0 is None or math.isfinite(x0)):
+            return None
+    except TypeError:
+        return "point is not a number"
+    except OverflowError:
+        pass
+    return "point is not finite"
 
 
 def _length_error(gen: MongeGenerator, base: Sequence[float]) -> str | None:
@@ -837,11 +869,11 @@ def _analyze(
     bracket neighbours of the live lightlike points form one more stack,
     with one more call of F and one value-only metric pass per neighbour.
     A point records the first gate it fails, in the order: its number of
-    coordinates, finite coordinates (base, and x0 unless it is None),
-    domain, F (for a point whose x0 is None), metric jets, metric inverse,
-    F jets, finite dF, Hessian finiteness, screen rank (g(dF, dF) not 0),
-    bracket neighbours, Weingarten, Gauss, and finiteness of the reported
-    numbers.  Each live point's record is built once, from the columns.
+    coordinates, numeric and finite coordinates (base, and x0 unless it is
+    None), domain, F (for a point whose x0 is None), metric jets, metric
+    inverse, F jets, finite dF, Hessian finiteness, screen rank (g(dF, dF)
+    not 0), bracket neighbours, Weingarten, Gauss, and finiteness of the
+    reported numbers.  Each live point's record is built once, from the columns.
     No screen frame is built: the minimal defect, tau and both tangency
     certificates are closed forms of the jets.  No ambient (d+1)-vector
     is built either: a lightlike point's certificates hold its Gauss
@@ -853,11 +885,9 @@ def _analyze(
     kept: list[int] = []
     for i, sp in enumerate(points):
         base, x0 = sp.base, sp.x0
-        error = _length_error(gen, base)
+        error = _length_error(gen, base) or _coordinate_error(base, x0)
         if error is None:
-            if not (all(map(math.isfinite, base)) and (x0 is None or math.isfinite(x0))):
-                error = "point is not finite"
-            elif not gen.admissible(base):
+            if not gen.admissible(base):
                 error = "outside domain"
             elif x0 is None:
                 try:

@@ -45,6 +45,7 @@ from .mongecore import (
     MongeGenerator,
     PointAnalysis,
     SurfacePoint,
+    _is_finite,
 )
 from .semiriemann import MetricField
 
@@ -321,8 +322,8 @@ def _point_record(a: PointAnalysis) -> dict:
     """Fixed-key-order dict form of one point's analysis."""
     base, x0 = list(a.point.base), a.point.x0
     if a.error is not None:  # classify records every non-finite point as failed
-        base = [x if math.isfinite(x) else None for x in base]
-        x0 = x0 if x0 is None or math.isfinite(x0) else None
+        base = [x if _is_finite(x) else None for x in base]
+        x0 = x0 if _is_finite(x0) else None
     return {
         "index": a.index,
         "point": base,

@@ -23,7 +23,6 @@ __all__ = [
     "MetricField",
     "OrthoFrame",
     "DegenerateMetricError",
-    "local_scale",
     "invert_metric",
     "metric_jets_at",
     "christoffel_from_partials",
@@ -40,25 +39,16 @@ class DegenerateMetricError(Exception):
     """Metric determinant below the degeneracy threshold at a point."""
 
 
-def local_scale(*tensors) -> float:
-    """1 + the largest absolute entry of the given tensors."""
-    peak = 0.0
-    for t in tensors:
-        a = np.asarray(t, dtype=float)
-        if a.size:
-            peak = max(peak, float(np.max(np.abs(a))))
-    return 1.0 + peak
-
-
 @dataclass(frozen=True)
 class MetricField:
     """A d x d matrix of component expressions over a chart.
 
     Frozen, with tuple rows, because per-point results are cached by the
     identity of the generator that holds the field.  Each structurally
-    distinct component is compiled twice, here: for plain floats
-    (compile_expr) and for first-order jets on plain floats (exprlang's
-    first-order lane, which gives Jet1's value and gradient bits).  A slot
+    distinct component is compiled twice, here: for the values alone
+    (compile_expr's float tree, which the order-0 pass runs) and for
+    first-order jets on plain floats (exprlang's first-order lane, which
+    gives the value and gradient bits of the tests' scalar jet Jet1).  A slot
     map sends each slot j*d + k to its distinct component, so that
     metric_jets_at fills g (and dg) with one gather per pass.
     """
@@ -170,11 +160,12 @@ def metric_jets_at(
     Each distinct component is evaluated once, and g and dg are gathered
     from the per-component values and gradients through the slot map.
     Order 1 runs first-order forward mode on plain floats (exprlang's
-    first-order lane), which gives Jet1's, and so Jet2's, value and
-    gradient bits on every expression and raises where Jet1 raises.  Order
-    0 runs the compiled expressions on the plain float point; the first
-    order's value lane runs the same floating-point operations, so g has
-    order 1's bits.  It fails only where the values leave the domain
+    first-order lane), which gives the value and gradient bits of the tests'
+    scalar jets Jet1 and Jet2 on every expression and raises where Jet1
+    raises.  Order 0 runs the compiled expressions (compile_expr's float
+    tree) on the plain float point; the first order's value lane runs the
+    same floating-point operations, so g has order 1's bits.  It fails
+    only where the values leave the domain
     (division by zero, ln or sqrt of a non-positive value, a non-finite
     result), with order 1's message, and not where only a derivative does
     not exist (abs or u^0.5 at 0).  A point whose number of coordinates is

@@ -28,6 +28,16 @@ FD_STEP = 1e-5
 RICH_STEP = 1e-3
 
 
+def local_scale(*tensors) -> float:
+    """1 + the largest absolute entry of the given tensors."""
+    peak = 0.0
+    for t in tensors:
+        a = np.asarray(t, dtype=float)
+        if a.size:
+            peak = max(peak, float(np.max(np.abs(a))))
+    return 1.0 + peak
+
+
 # ---------------------------------------------------------------------------
 # Finite-difference derivatives
 

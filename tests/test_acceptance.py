@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 from mongelight import catalog
-from mongelight.autodiff import Jet2, constant, seed
-from mongelight.exprlang import CoordinateChart, evaluate, parse, render
+from mongelight.exprlang import CoordinateChart, parse, render
 from mongelight.mongecore import (
     MongeGenerator,
     ambient_metric_at,
@@ -28,17 +27,16 @@ from mongelight.mongecore import (
     _point_data,
 )
 from mongelight.reportio import grid_sample, render_report
-from mongelight.semiriemann import (
-    MetricField,
-    local_scale,
-)
+from mongelight.semiriemann import MetricField
 
+from _jets import Jet2, constant, evaluate, seed
 from _oracles import (
     fd_christoffel,
     fd_covariant_hessian,
     fd_gradient,
     fd_hessian,
     fd_hessian_rich,
+    local_scale,
     metric_evaluator,
     random_ast,
     random_box_point,

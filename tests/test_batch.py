@@ -26,9 +26,9 @@ from mongelight.mongecore import (
     weingarten_at,
 )
 from mongelight.reportio import grid_sample, render_report
-from mongelight.semiriemann import DegenerateMetricError, MetricField, local_scale
+from mongelight.semiriemann import DegenerateMetricError, MetricField
 
-from _oracles import lightlike_line_fixtures
+from _oracles import lightlike_line_fixtures, local_scale
 
 IDENTITY2 = [["1", "0"], ["0", "1"]]
 

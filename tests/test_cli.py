@@ -10,9 +10,8 @@ import pytest
 from mongelight import catalog, cli, mongecore
 from mongelight.exprlang import render
 from mongelight.reportio import SampleSet, save_generator
-from mongelight.semiriemann import local_scale
 
-from _oracles import fd_gradient, metric_evaluator, scalar_evaluator
+from _oracles import fd_gradient, local_scale, metric_evaluator, scalar_evaluator
 
 
 @pytest.fixture

@@ -33,13 +33,14 @@ from mongelight.mongecore import (
     _weingarten,
 )
 from mongelight.reportio import grid_sample
-from mongelight.semiriemann import MetricField, local_scale
+from mongelight.semiriemann import MetricField
 
 from _oracles import (
     fd_christoffel,
     fd_gradient,
     fd_screen_integrability_defect,
     lightlike_line_fixtures,
+    local_scale,
     metric_evaluator,
     scalar_evaluator,
 )

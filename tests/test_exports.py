@@ -18,3 +18,11 @@ def test_all_names_resolve(module_name):
     module = importlib.import_module(module_name)
     missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert missing == []
+
+
+@pytest.mark.parametrize("module_name", MODULES)
+def test_no_scalar_jets_in_the_package(module_name):
+    # the scalar jets are the tests' reference (tests/_jets.py); the library
+    # runs plain floats, the first-order lane and JetStack
+    module = importlib.import_module(module_name)
+    assert [name for name in ("Jet1", "Jet2", "seed") if hasattr(module, name)] == []

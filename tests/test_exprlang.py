@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from mongelight.autodiff import seed
 from mongelight.exprlang import (
     BinOp,
     Call,
@@ -23,6 +22,8 @@ from mongelight.exprlang import (
     render,
 )
 
+import _jets
+from _jets import seed
 from _oracles import random_ast, random_box_point, random_smooth_expr
 
 XY = CoordinateChart(("x", "y"))
@@ -65,9 +66,8 @@ class TestChart:
         chart = CoordinateChart(("t", "r"), {"R": value})
         assert type(chart.parameters["R"]) is float and chart.parameters["R"] == stored
         # an int parameter once made sin(R) fail: int has no jet method
-        assert evaluate(parse("sin(R)*r", chart), seed([0.0, 2.0]), chart.parameters).value == (
-            math.sin(stored) * 2.0
-        )
+        jet = _jets.evaluate(parse("sin(R)*r", chart), seed([0.0, 2.0]), chart.parameters)
+        assert jet.value == math.sin(stored) * 2.0
 
 
 class TestParse:
@@ -235,7 +235,7 @@ class TestEvaluate:
             expr = random_smooth_expr(rng, chart)
             point = random_box_point(rng, 2)
             plain = evaluate(expr, point, chart.parameters)
-            jet = evaluate(expr, seed(point), chart.parameters)
+            jet = _jets.evaluate(expr, seed(point), chart.parameters)
             assert getattr(jet, "value", jet) == plain
 
 
@@ -265,7 +265,7 @@ class TestCompile:
         expr = parse("abs(x)*y", XY)
         assert compile_expr(expr)([0.0, 2.0]) == 0.0
         with pytest.raises(EvalDomainError, match="abs is not differentiable at 0"):
-            compile_expr(expr)(seed([0.0, 2.0]))
+            _jets.compile_expr(expr)(seed([0.0, 2.0]))
 
     def test_unresolved_parameter_raises_only_when_called(self):
         compiled = compile_expr(parse("t + R*r", TR), {})
@@ -281,17 +281,18 @@ class TestCompile:
         # jets alike: int has no sin method
         expr = parse(text, TR)
 
-        def run(point, R):
+        def run(evaluator, point, R):
             try:
-                result = evaluate(expr, point, {"R": R})
+                result = evaluator(expr, point, {"R": R})
             except EvalDomainError as exc:  # (-3)^0.5 fails alike
                 return "error", str(exc)
             if isinstance(result, float):
                 return result.hex()
             return result.value.hex(), result.grad.tobytes(), result.hess.tobytes()
 
-        for point in ([2.0, 0.5], seed([2.0, 0.5])):
-            assert run(point, value) == run(point, float(value))
+        # plain floats run the library's tree, jets the tests' reference
+        for evaluator, point in ((evaluate, [2.0, 0.5]), (_jets.evaluate, seed([2.0, 0.5]))):
+            assert run(evaluator, point, value) == run(evaluator, point, float(value))
 
     @pytest.mark.parametrize("value", [True, np.bool_(False)])
     def test_bool_parameter_refused(self, value):
@@ -301,6 +302,7 @@ class TestCompile:
     def test_integer_results_become_floats(self):
         assert type(compile_expr(Num(2))(())) is float
         assert type(compile_expr(BinOp("*", Coord(0, "n"), Num(3)))([4])) is float
+        assert type(compile_expr(Call("abs", Coord(0, "n")))([-4])) is float
 
     def test_not_a_node(self):
         with pytest.raises(TypeError, match="not an expression node"):
@@ -326,6 +328,62 @@ class TestCompile:
         ):
             c = parse_constraint(source, TR)
             assert c.compile(params)(point) is want
+
+
+# coordinates where the random expressions fail: zeros of either sign,
+# negative bases, a subnormal, magnitudes whose products, powers or
+# exponentials overflow, and the non-finite numbers
+FAILING = (0.0, -0.0, -1.5, -2.0, 5e-324, 1e200, 1e4, 400.0, math.inf, -math.inf, math.nan)
+
+
+def outcome(compiled, point):
+    """A compiled expression's result at a point, its type and bits, or the
+    message and node of its EvalDomainError."""
+    try:
+        result = compiled(point)
+    except EvalDomainError as exc:
+        return "error", str(exc), render(exc.node)
+    return type(result).__name__, result.hex()
+
+
+class TestFloatTree:
+    """compile_expr runs plain floats only; on them it must match the tests'
+    jet-generic reference tree (tests/_jets.py) call for call."""
+
+    def test_matches_the_jet_reference(self):
+        rng = np.random.default_rng(2201)
+        chart = CoordinateChart(("u", "v"), {"R": 1.5})
+        calls, messages = 0, set()
+        for k in range(600):
+            if k % 2:
+                expr = random_ast(rng, chart, depth=4)
+            else:
+                expr = random_smooth_expr(rng, chart)
+            compiled = compile_expr(expr, chart.parameters)
+            reference = _jets.compile_expr(expr, chart.parameters)
+            for point in (
+                random_box_point(rng, 2),
+                [float(v) for v in rng.choice(FAILING, size=2)],
+                np.array([rng.choice(FAILING), rng.uniform(-3.0, 3.0)]),
+            ):
+                with np.errstate(all="ignore"):  # NumPy scalars warn where floats overflow
+                    got = outcome(compiled, point)
+                    assert got == outcome(reference, point), (render(expr), point)
+                calls += 1
+                if got[0] == "error":
+                    messages.add(got[1].split(" in subexpression")[0])
+        assert calls >= 1800
+        seen = " | ".join(sorted(messages))
+        for kind in (
+            "ln of non-positive value",
+            "sqrt of non-positive value",
+            "division by zero",
+            "fractional power",
+            "zero raised to a negative power",
+            "math range error",
+            "non-finite result",
+        ):
+            assert kind in seen, (kind, seen)
 
 
 class TestDomain:

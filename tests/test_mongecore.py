@@ -9,14 +9,12 @@ import numpy as np
 import pytest
 
 from mongelight import catalog, mongecore
-from mongelight.autodiff import seed
 from mongelight.exprlang import (
     BinOp,
     Coord,
     CoordinateChart,
     EvalDomainError,
     Num,
-    compile_expr,
     parse,
     parse_constraint,
 )
@@ -48,14 +46,17 @@ from mongelight.mongecore import (
     _screen_fields,
 )
 from mongelight.reportio import GridSpec, grid_sample, render_report, report_to_dict
-from mongelight.semiriemann import MetricField, local_scale, metric_jets_at
+from mongelight.semiriemann import MetricField, metric_jets_at
 
+from _jets import compile_expr as reference_compile
+from _jets import seed
 from _oracles import (
     fd_christoffel,
     fd_gradient,
     fd_hessian,
     fd_hessian_rich,
     fd_screen_integrability_defect,
+    local_scale,
     metric_evaluator,
     random_box_point,
     random_sign_orthogonal,
@@ -1112,6 +1113,19 @@ class TestClassify:
         with pytest.raises(ValueError, match="xi_scale must be finite and nonzero"):
             classify(HYP2.generator, default_points(HYP2, limit=2), xi_scale=scale)
 
+    def test_int_beyond_the_float_range_refused(self):
+        # these once raised OverflowError from the finiteness check
+        points = default_points(HYP2, limit=2)
+        tolerance = "^tolerance must be a finite number > 0, got an int beyond the float range$"
+        with pytest.raises(ValueError, match=tolerance):
+            Tolerances(10**400)
+        with pytest.raises(ValueError, match=tolerance):
+            classify(HYP2.generator, points, tol=10**400)
+        scale = "^xi_scale must be finite and nonzero, got an int beyond the float range$"
+        for value in (10**400, -(10**400)):
+            with pytest.raises(ValueError, match=scale):
+                classify(HYP2.generator, points, xi_scale=value)
+
 
 def verdicts_from_records(report) -> dict:
     """The four verdicts by one pass over the records, as classify took them
@@ -1443,7 +1457,7 @@ class TestCompiledExpressions:
         # on jets of either order, also at y = 0 where the exponent's lanes
         # vanish; plain floats still give (-2)^0 = 1
         gen = euclidean(("x", "y"), "x^(y^3)")
-        compiled = compile_expr(gen.scalar_field)
+        compiled = reference_compile(gen.scalar_field)
         message = "power with variable exponent needs a positive base"
         for order in (1, 2):
             with pytest.raises(EvalDomainError, match=message):

@@ -638,6 +638,39 @@ class TestNonFiniteRefused:
         (alone,) = report_to_dict(classify(gen, [good]))["points"]
         assert doc["points"][3] == dict(alone, index=3)
 
+    def test_int_beyond_the_float_range_is_not_finite(self):
+        # 10**400 in the base or as x0 once raised OverflowError from the
+        # finiteness gate, and again from the report writer
+        gen = catalog.builtin("hyperbolic2").generator
+        good = gen.surface_point((0.5, 2.0))
+        points = [SurfacePoint((10**400, 1.0), 0.0), SurfacePoint((0.5, 2.0), -(10**400)), good]
+        report = classify(gen, points)
+        assert [a.error for a in report.points] == ["point is not finite"] * 2 + [None]
+        doc = json.loads(render_report(report))
+        written = [(p["point"], p["x0"]) for p in doc["points"][:2]]
+        assert written == [([None, 1.0], 0.0), ([0.5, 2.0], None)]
+
+    def test_non_number_coordinate_is_an_error(self):
+        # a str in the base or as x0 once raised TypeError from classify
+        gen = catalog.builtin("hyperbolic2").generator
+        good = gen.surface_point((0.5, 2.0))
+        points = [SurfacePoint(("0.5", 2.0), 0.0), SurfacePoint((0.5, 2.0), "x0"), good]
+        report = classify(gen, points)
+        assert [a.error for a in report.points] == ["point is not a number"] * 2 + [None]
+        doc = json.loads(render_report(report))
+        written = [(p["point"], p["x0"]) for p in doc["points"][:2]]
+        assert written == [([None, 2.0], 0.0), ([0.5, 2.0], None)]
+
+    @pytest.mark.parametrize(
+        "odd", [10**400, "abc", None, object()], ids=["int", "str", "None", "object"]
+    )
+    def test_point_record_writes_odd_coordinates_as_null(self, odd):
+        # the writer itself once called math.isfinite on them
+        failed = PointAnalysis(index=0, point=SurfacePoint((odd, 1.0), odd), error="by hand")
+        report = dataclasses.replace(hand_report(), points=[failed])
+        (record,) = json.loads(render_report(report))["points"]
+        assert (record["point"], record["x0"], record["error"]) == ([None, 1.0], None, "by hand")
+
     def test_cli_writes_no_report(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "gen.json"
         path.write_text(json.dumps(hyperbolic2_doc()))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mongelight import autodiff, catalog
+from mongelight import catalog
 from mongelight.exprlang import (
     BinOp,
     CoordinateChart,
@@ -18,8 +18,6 @@ from mongelight.exprlang import (
     Neg,
     Num,
     Param,
-    compile_expr,
-    evaluate,
     parse,
     render,
 )
@@ -36,13 +34,14 @@ from mongelight.semiriemann import (
     MetricField,
     christoffel_from_partials,
     invert_metric,
-    local_scale,
     metric_jets_at,
 )
 
+import _jets
 from _oracles import (
     fd_christoffel,
     fd_metric_partials,
+    local_scale,
     metric_evaluator,
     random_ast,
     random_box_point,
@@ -224,9 +223,10 @@ class TestMetricJets:
         dg = np.empty((d, d, d))
         for j in range(d):
             for k in range(d):
-                jet = evaluate(field.components[j][k], autodiff.seed(point), field.chart.parameters)
-                if not isinstance(jet, autodiff.Jet2):
-                    jet = autodiff.constant(jet, d)
+                component = field.components[j][k]
+                jet = _jets.evaluate(component, _jets.seed(point), field.chart.parameters)
+                if not isinstance(jet, _jets.Jet2):
+                    jet = _jets.constant(jet, d)
                 g[j, k] = jet.value
                 dg[:, j, k] = jet.grad
         return g, dg
@@ -324,7 +324,7 @@ class TestMetricJets:
             assert g.tolist() == [[0.5, 1.0], [1.0, 1.5]]
             if order:
                 assert dg.tolist() == [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]]
-        assert autodiff.seed((0.5, 1.5), 1)[0].grad.tolist() == [1.0, 0.0]
+        assert _jets.seed((0.5, 1.5), 1)[0].grad.tolist() == [1.0, 0.0]
 
     @pytest.mark.parametrize(
         "entry, z",
@@ -355,18 +355,18 @@ class TestMetricJets:
 
 
 def jet1_metric(field, point):
-    """g and dg from Jet1 run through compile_expr, slot by slot in row-major
+    """g and dg from Jet1 run through the reference compile_expr, slot by slot in row-major
     order: the reference for metric_jets_at's first-order lane on plain
     floats."""
     d = field.chart.dimension
-    jets = autodiff.seed(point, 1)
+    jets = _jets.seed(point, 1)
     g, dg = np.empty((d, d)), np.empty((d, d, d))
     with np.errstate(all="ignore"):  # a gradient may overflow where the value does not
         for j in range(d):
             for k in range(d):
-                jet = compile_expr(field.components[j][k], field.chart.parameters)(jets)
+                jet = _jets.compile_expr(field.components[j][k], field.chart.parameters)(jets)
                 if isinstance(jet, float):
-                    jet = autodiff.constant(jet, d, 1)
+                    jet = _jets.constant(jet, d, 1)
                 g[j, k], dg[:, j, k] = jet.value, jet.grad
     return g, dg
 
@@ -410,7 +410,7 @@ def random_metrics(draw):
 
 class TestFirstOrderLane:
     """metric_jets_at's first-order pass on plain floats must give the bits
-    of Jet1 run through compile_expr, and raise its error where it raises."""
+    of Jet1 run through the reference compile_expr, and raise its error where it raises."""
 
     @settings(max_examples=150, deadline=None)
     @given(random_metrics())

@@ -6,16 +6,17 @@ depend on the other rows of its stack."""
 import numpy as np
 import pytest
 
-from mongelight.autodiff import JetStack, seed
+from mongelight.autodiff import JetStack
 from mongelight.exprlang import (
     CoordinateChart,
     EvalDomainError,
-    compile_expr,
     compile_stacked,
     parse,
     render,
 )
 
+import _jets
+from _jets import seed
 from _oracles import random_ast, random_box_point, random_smooth_expr
 
 XY = CoordinateChart(("x", "y"))
@@ -58,7 +59,7 @@ def stacked_rows(expr, params, points):
 
 
 def assert_rows_match(expr, params, points):
-    compiled = compile_expr(expr, params)
+    compiled = _jets.compile_expr(expr, params)
     d = len(points[0])
     want = [scalar_row(compiled, point, d) for point in points]
     assert stacked_rows(expr, params, points) == want
