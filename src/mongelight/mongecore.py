@@ -137,15 +137,22 @@ class MongeGenerator:
         return self.chart.parameters
 
     def admissible(self, base: Sequence[float]) -> bool:
+        """Whether the base point satisfies every domain constraint; a base
+        that does not fit the chart, or whose coordinates are not finite
+        numbers, raises ValueError with classify's message."""
+        _check_base(self, base)
+        return self._admits(base)
+
+    def _admits(self, base: Sequence[float]) -> bool:
+        """admissible, for a base already checked."""
         return all(holds(base) for holds in self._domain)
 
     def surface_point(self, base: Sequence[float]) -> "SurfacePoint":
-        """The point (F(base), base); a base that does not fit the chart
-        raises ValueError."""
-        base = tuple(float(x) for x in base)
-        error = _length_error(self, base)
-        if error is not None:
-            raise ValueError(error)
+        """The point (F(base), base); a base that does not fit the chart, or
+        whose coordinates are not finite numbers, raises ValueError with
+        classify's message."""
+        _check_base(self, base)
+        base = tuple(map(float, base))
         return SurfacePoint(base, self._scalar(base))
 
 
@@ -236,17 +243,28 @@ def _length_error(gen: MongeGenerator, base: Sequence[float]) -> str | None:
     return None
 
 
+def _check_base(gen: MongeGenerator, base: Sequence[float]):
+    """Raise ValueError, with the error classify records, for a base point
+    that does not fit the chart or whose coordinates are not finite numbers."""
+    error = _length_error(gen, base) or _coordinate_error(base, None)
+    if error is not None:
+        raise ValueError(error)
+
+
 # ---------------------------------------------------------------------------
 # Stacked geometry
 #
 # The metric is evaluated point by point, one metric_jets_at pass each that
-# fills g (and dg) from the field's slot map: first-order forward mode on
-# plain floats at the points, the values only at the d >= 3 bracket
-# neighbours.  The metric inverse, F's jets (one compile_stacked call) and
-# everything after them run once over the points stacked along a leading
-# axis.  Every contraction is a matmul of per-point slices or an
-# elementwise operation, so a point's numbers do not depend on which other
-# points share its stack.  A stage that can fail returns {row: exception}.
+# writes g (and dg), gathered through the field's slot map, into its row of
+# the stack: first-order forward mode on plain floats at the points, the
+# values only at the d >= 3 bracket neighbours.  The metric inverse, F's
+# jets (one compile_stacked call) and everything after them run once over
+# the points stacked along a leading axis.  A bracket neighbour whose g is
+# bit-identical to its point's takes the point's verified inverse, which
+# invert_metric, computing each row from its bits alone, would give again;
+# only the other neighbours are inverted.  Every contraction is a matmul of
+# per-point slices or an elementwise operation, so a point's numbers do not
+# depend on which other points share its stack.  A stage that can fail returns {row: exception}.
 # A failed row stays in the stack under errstate _quiet: its numbers mean
 # nothing, and classify's ``alive`` mask keeps them out of the records.  The
 # public functions run the same stages on a stack of one point and raise
@@ -258,15 +276,18 @@ class _PointData:
     with {row: first error} of the rows that fail, whose numbers mean
     nothing: a jet error (see _jets), else a non-finite covariant Hessian.
 
-    d2F holds plain coordinate partials d_i d_j F, gamma[k, l, i, j] the
-    Christoffel symbols (from the metric's partials, which are not kept)
-    and hess the covariant Hessian; the rest is derived on first use (the
-    ambient stacks gbar, xi, nxi and frame by the public functions only).
+    points holds the bases as an (n, d) float array, which F's jets and
+    the bracket neighbours read.  d2F holds plain coordinate partials
+    d_i d_j F, gamma[k, l, i, j] the Christoffel symbols (from the metric's
+    partials, which are not kept) and hess the covariant Hessian; the rest
+    is derived on first use (the ambient stacks gbar, xi, nxi and frame by
+    the public functions only).
     """
 
     def __init__(self, gen: MongeGenerator, bases: Sequence[tuple[float, ...]]):
         self.bases = list(bases)
-        jets, self.failures = _jets(gen, self.bases)
+        self.points = np.array(self.bases, dtype=float).reshape(len(self.bases), gen.dimension)
+        jets, self.failures = _jets(gen, self.points, self.bases)
         self.g, self.ginv, dg, self.dF, self.d2F, self.xi_hat = jets
         # the all-i _weingarten result per xi_scale, kept for weingarten_at
         self.weingarten: dict[float, tuple[np.ndarray, ...]] = {}
@@ -324,17 +345,30 @@ class _PointData:
         return self.g - self.dF[:, :, None] * self.dF[:, None, :]
 
 def _jets(
-    gen: MongeGenerator, bases: Sequence[tuple[float, ...]], order: int = 1
+    gen: MongeGenerator, points: np.ndarray, bases: Sequence[Sequence[float]]
 ) -> tuple[tuple[np.ndarray, ...], dict[int, Exception]]:
-    """(g, ginv, dg, dF, d2F, xi_hat) at the points ``bases``, stacked along
-    a leading axis, and {row: error} of the rows that fail, whose numbers
-    mean nothing.  The metric runs point by point, one metric_jets_at pass
-    of the given order each (order 1: first-order forward mode on plain
-    floats; order 0: the values only, and dg is None), then the inverse's
-    gates and F's second-order jets (one compile_stacked call) run once
-    over every row.  A row records the first stage it fails, in the order:
-    the metric, the inverse's gates, F's jets, a finite dF; dF and d2F are
-    0 at a row that fails before the last."""
+    """(g, ginv, dg, dF, d2F, xi_hat) at the n points, rows of the (n, d)
+    array ``points`` and, as plain floats, of ``bases`` (which error
+    messages name), stacked along a leading axis, and {row: error} of the
+    rows that fail, whose numbers mean nothing.  The metric runs point by
+    point, one first-order metric_jets_at pass each (forward mode on plain
+    floats), then the inverse's gates and F's jets (see _scalar_jets) run
+    once over every row.  A row records the first stage it fails, in the
+    order: the metric, the inverse's gates, F's jets, a finite dF."""
+    g, dg, failures = _metric(gen, bases, 1)
+    ginv, singular = invert_metric(g, bases)
+    failures = singular | failures  # a metric error comes first
+    dF, d2F, xi_hat = _scalar_jets(gen, points, bases, ginv, failures)
+    return (g, ginv, dg, dF, d2F, xi_hat), failures
+
+
+def _metric(
+    gen: MongeGenerator, bases: Sequence[Sequence[float]], order: int
+) -> tuple[np.ndarray, np.ndarray | None, dict[int, Exception]]:
+    """g, and at order 1 dg (else None), at the points ``bases``, one
+    metric_jets_at pass of the given order each, written in place into the
+    stacks; and {row: EvalDomainError} of the rows whose pass fails, which
+    keep g = 0 (and dg = 0)."""
     n, d = len(bases), gen.dimension
     g = np.zeros((n, d, d))
     dg = np.zeros((n, d, d, d)) if order else None
@@ -347,9 +381,23 @@ def _jets(
             continue
         if order:
             dg[k] = partials
-    ginv, singular = invert_metric(g, bases)
-    failures = singular | failures  # a metric error comes first
-    F, errors = gen._stacked(np.array(bases, dtype=float).reshape(n, d))
+    return g, dg, failures
+
+
+def _scalar_jets(
+    gen: MongeGenerator,
+    points: np.ndarray,
+    bases: Sequence[Sequence[float]],
+    ginv: np.ndarray,
+    failures: dict[int, Exception],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """dF, d2F and xi_hat = g^-1 dF at the points (rows of ``points``, named
+    by ``bases``) whose metric inverse is ``ginv``, from F's second-order
+    jets (one compile_stacked call).  ``failures`` holds the rows that
+    failed before; each other row that fails F's jets or has a non-finite
+    dF is added to it.  dF and d2F are 0 at a row that fails before the
+    last."""
+    F, errors = gen._stacked(points)
     dF, d2F = F.grad.T.copy(), F.hess.transpose(2, 0, 1).copy()  # rows first
     if errors or failures:
         for k, exc in errors.items():
@@ -362,7 +410,7 @@ def _jets(
     if not finite.all():  # the usual case skips the masks
         for k in np.flatnonzero(~finite.all(axis=1)).tolist():
             failures[k] = NonFiniteValueError(f"derivatives not finite at {list(bases[k])}")
-    return (g, ginv, dg, dF, d2F, (ginv @ dF[:, :, None])[:, :, 0]), failures
+    return dF, d2F, (ginv @ dF[:, :, None])[:, :, 0]
 
 
 # The errstate classify and the public functions run under, as a decorator:
@@ -744,25 +792,40 @@ def weingarten_at(
 
 
 def _neighbour_jets(
-    gen: MongeGenerator, bases: Sequence[tuple[float, ...]]
+    gen: MongeGenerator, points: np.ndarray, g: np.ndarray, ginv: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, dict[int, Exception]]:
     """dF and xi_hat, each (n, d, 2, d), at the central-difference neighbours
-    base +- BRACKET_STEP e_l of the n points ``bases``, run as one stack (F
-    at second order, like the points themselves; the metric at order 0, its
-    values only, since xi_hat = g^-1 dF reads no partial of g), and
+    base +- BRACKET_STEP e_l of the n points, rows of ``points``, whose
+    metric g passed the inverse's gates with the inverse ``ginv``; and
     {point: error} of the points with a failing neighbour: the error of the
-    first, in the order l ascending, +h before -h."""
-    n, d = len(bases), gen.dimension
-    shifted = [
-        base[:l] + (base[l] + step,) + base[l + 1 :]
-        for base in bases
-        for l in range(d)
-        for step in (BRACKET_STEP, -BRACKET_STEP)
-    ]
-    (*_, dF, _, xi_hat), failed = _jets(gen, shifted, order=0)
+    first, in the order l ascending, +h before -h.
+
+    The neighbours run as one stack, like the points themselves: one
+    value-only metric pass each (xi_hat = g^-1 dF reads no partial of g)
+    and F at second order.  A neighbour whose g equals its point's bit for
+    bit (compared as integers, so -0.0 is not 0.0 and NaN payloads count)
+    takes the point's inverse: invert_metric computes each row from that
+    row's bits alone, so it would give the same inverse and pass the same
+    gates.  Only the other neighbours are inverted; on a metric that does
+    not read coordinate l, both neighbours along l reuse."""
+    n, d = points.shape
+    shifted = np.repeat(points, 2 * d, axis=0)  # row (k*d + l)*2 + side
+    for l in range(d):
+        shifted[2 * l :: 2 * d, l] += BRACKET_STEP
+        shifted[2 * l + 1 :: 2 * d, l] -= BRACKET_STEP
+    bases = shifted.tolist()
+    near, _, failures = _metric(gen, bases, 0)
+    bits, own = near.view(np.uint64), g.view(np.uint64)
+    same = (bits.reshape(n, 2 * d, d * d) == own.reshape(n, 1, d * d)).all(axis=2)
+    differ = np.flatnonzero(~same.ravel()).tolist()
+    near_inv = np.repeat(ginv, 2 * d, axis=0)
+    if differ:
+        near_inv[differ], singular = invert_metric(near[differ], [bases[k] for k in differ])
+        failures = {differ[k]: exc for k, exc in singular.items()} | failures
+    dF, _, xi_hat = _scalar_jets(gen, shifted, bases, near_inv, failures)
     first: dict[int, Exception] = {}
-    for k in sorted(failed):
-        first.setdefault(k // (2 * d), failed[k])
+    for k in sorted(failures):
+        first.setdefault(k // (2 * d), failures[k])
     return dF.reshape(n, d, 2, d), xi_hat.reshape(n, d, 2, d), first
 
 
@@ -791,8 +854,10 @@ def screen_integrability_defect_at(gen: MongeGenerator, p) -> float:
     pairing with N, |dF([s_i, s_j])| / 2.  d_l s_i are central differences
     whose neighbours compute only dF and xi_hat, from the metric's values
     (a metric error there names the neighbour; a kink of g, where only its
-    partials fail, is no error there).  Line fields (d = 2) are integrable
-    by convention: 0.
+    partials fail, is no error there).  A neighbour whose g equals the
+    point's bit for bit takes the point's verified inverse (see
+    _neighbour_jets), which gives the numbers and errors of inverting its
+    own.  Line fields (d = 2) are integrable by convention: 0.
     """
     base = _base_of(p)
     data = _point_data(gen, base)
@@ -801,7 +866,7 @@ def screen_integrability_defect_at(gen: MongeGenerator, p) -> float:
         raise ScreenRankError("screen needs chart dimension >= 2")
     if d == 2:
         return 0.0
-    dF, xi_hat, failures = _neighbour_jets(gen, [base])
+    dF, xi_hat, failures = _neighbour_jets(gen, data.points, data.g, data.ginv)
     _raise(failures)
     return float(_bracket_defect(data.dF, data.xi_hat, dF, xi_hat)[0])
 
@@ -867,7 +932,11 @@ def _analyze(
     is recorded only at a row that is alive and that the stage gates (the
     lightlike rows, for the screen rank, Weingarten and Gauss).  The d >= 3
     bracket neighbours of the live lightlike points form one more stack,
-    with one more call of F and one value-only metric pass per neighbour.
+    with one more call of F and one value-only metric pass per neighbour;
+    the points' g and verified ginv go with them, and a neighbour whose g
+    is bit-identical to its point's takes that ginv instead of being
+    inverted (a live point passed every gate of the inverse, which the
+    same bits pass again).
     A point records the first gate it fails, in the order: its number of
     coordinates, numeric and finite coordinates (base, and x0 unless it is
     None), domain, F (for a point whose x0 is None), metric jets, metric
@@ -887,7 +956,7 @@ def _analyze(
         base, x0 = sp.base, sp.x0
         error = _length_error(gen, base) or _coordinate_error(base, x0)
         if error is None:
-            if not gen.admissible(base):
+            if not gen._admits(base):
                 error = "outside domain"
             elif x0 is None:
                 try:
@@ -928,7 +997,8 @@ def _analyze(
         bracket[:] = 0.0  # line fields are integrable by convention
     elif d >= 3:
         rows = np.flatnonzero(light & alive)
-        dF, xi_hat, failures = _neighbour_jets(gen, [data.bases[r] for r in rows])
+        centres = data.points[rows], data.g[rows], data.ginv[rows]
+        dF, xi_hat, failures = _neighbour_jets(gen, *centres)
         drop({rows[k]: exc for k, exc in failures.items()}, light)
         bracket[rows] = _bracket_defect(data.dF[rows], data.xi_hat[rows], dF, xi_hat)
 
@@ -1028,7 +1098,9 @@ def classify(
     and every later stage run once over one stack of all the points, with
     one ``alive`` mask for the points that have not failed yet (the d >= 3
     bracket neighbours of the live lightlike points form one more stack,
-    with one more call of F; they evaluate the metric's values only).  A
+    with one more call of F; they evaluate the metric's values only, and
+    one whose g is bit-identical to its point's reuses the point's verified
+    inverse, so only the others are inverted, with the same outcome).  A
     point that fails a gate, in _analyze's order (the screen rank is the
     scalar test |g(dF, dF)| above a floor, with no frame built), keeps its
     first error, and its later numbers reach no record.  A point's record

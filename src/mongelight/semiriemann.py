@@ -49,7 +49,7 @@ class MetricField:
     (compile_expr's float tree, which the order-0 pass runs) and for
     first-order jets on plain floats (exprlang's first-order lane, which
     gives the value and gradient bits of the tests' scalar jet Jet1).  A slot
-    map sends each slot j*d + k to its distinct component, so that
+    map sends each slot [j, k] to its distinct component, so that
     metric_jets_at fills g (and dg) with one gather per pass.
     """
 
@@ -59,10 +59,11 @@ class MetricField:
     # for first-order jets
     _distinct: tuple[Callable, ...] = dataclasses.field(init=False, repr=False, compare=False)
     _first_order: tuple[Callable, ...] = dataclasses.field(init=False, repr=False, compare=False)
-    # _slots[j*d + k]: the index c into _distinct of component [j][k]; into
-    # the flat rows (value, then gradient) of the first-order pass,
-    # _jet_slots[j*d + k] = c*(d + 1) and _jet_slots[d*d + (i*d + j)*d + k]
-    # = c*(d + 1) + 1 + i, for d_i of component [j][k]
+    # stored in the shapes of g and of (g, dg), so that a pass's one gather
+    # gives them with no reshape: _slots[j, k] is the index c into _distinct
+    # of component [j][k]; into the flat rows (value, then gradient) of the
+    # first-order pass, _jet_slots[0, j, k] = c*(d + 1) and
+    # _jet_slots[1 + i, j, k] = c*(d + 1) + 1 + i, for d_i of component [j][k]
     _slots: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
     _jet_slots: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
 
@@ -78,11 +79,11 @@ class MetricField:
         index = [
             distinct.setdefault((render(e), e), len(distinct)) for row in components for e in row
         ]
-        slots = np.array(index, dtype=np.intp)
+        slots = np.array(index, dtype=np.intp).reshape(d, d)
         jet_slots = np.array(
             [c * (d + 1) for c in index] + [c * (d + 1) + 1 + i for i in range(d) for c in index],
             dtype=np.intp,
-        )
+        ).reshape(d + 1, d, d)
         slots.flags.writeable = jet_slots.flags.writeable = False
         params = self.chart.parameters
         compiled = tuple(compile_expr(expr, params) for _, expr in distinct)
@@ -171,13 +172,12 @@ def metric_jets_at(
     not exist (abs or u^0.5 at 0).  A point whose number of coordinates is
     not the chart's raises ValueError.
     """
-    d = field.chart.dimension
+    d = len(field._slots)  # the chart's dimension, read from the (d, d) slot map
     x = tuple(map(float, point))
     if len(x) != d:
         raise ValueError(f"point has {len(x)} coordinates; chart has {d}")
     if order == 0:
-        values = np.array([component(x) for component in field._distinct])
-        return values[field._slots].reshape(d, d), None
+        return np.array([component(x) for component in field._distinct])[field._slots], None
     if order != 1:
         raise ValueError(f"metric order must be 0 or 1, got {order!r}")
     rows = []
@@ -185,7 +185,7 @@ def metric_jets_at(
         value, grad = component(x)
         rows.append(value)
         rows.extend(grad)
-    jets = np.array(rows)[field._jet_slots].reshape(d + 1, d, d)
+    jets = np.array(rows)[field._jet_slots]
     return jets[0], jets[1:]
 
 

@@ -14,15 +14,23 @@ from mongelight.exprlang import (
     Call,
     Coord,
     CoordinateChart,
+    EvalDomainError,
     Neg,
     Num,
     Param,
     compile_expr,
+    compile_stacked,
     parse,
     parse_constraint,
 )
-from mongelight.mongecore import MongeGenerator, screen_frame_at
-from mongelight.semiriemann import MetricField, OrthoFrame
+from mongelight.mongecore import (
+    BRACKET_STEP,
+    MongeGenerator,
+    NonFiniteValueError,
+    _bracket_defect,
+    screen_frame_at,
+)
+from mongelight.semiriemann import MetricField, OrthoFrame, invert_metric, metric_jets_at
 
 FD_STEP = 1e-5
 RICH_STEP = 1e-3
@@ -152,6 +160,58 @@ def fd_screen_integrability_defect(metric_eval, f, x, h=RICH_STEP):
             b = sum(s0[i, 1 + l] * ds[l, j] - s0[j, 1 + l] * ds[l, i] for l in range(d))
             worst = max(worst, abs(b[0]) + abs(float(b @ gbar @ nxi)))
     return worst
+
+
+def reference_bracket_defect(gen, base):
+    """The screen bracket of classify and screen_integrability_defect_at at
+    a base point of a d >= 3 chart whose own jets pass every gate, with
+    every central-difference neighbour's metric inverted, through the
+    public metric_jets_at, invert_metric and compile_stacked only:
+    (defect, None), or (None, the message of the first failing neighbour,
+    in the order axis ascending, +h before -h).
+
+    The point's jets are a stack of one, as a public query's are: g from
+    the first-order metric pass, then its inverse and F's jets.  Each
+    neighbour runs a value-only metric pass, and every neighbour is
+    inverted, whether or not its g equals the point's.  A neighbour
+    records the first stage it fails: the metric, the inverse's gates, F's
+    jets, a finite dF.  _bracket_defect turns the fields into the leakage.
+    """
+    base = tuple(map(float, base))
+    d = len(base)
+    stacked = compile_stacked(gen.scalar_field, gen.params)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g, _ = metric_jets_at(gen.metric, base)
+        ginv, _ = invert_metric(g[None], [base])
+        F, _ = stacked(np.array([base]))
+        dF = F.grad.T.copy()
+        xi_hat = (ginv @ dF[:, :, None])[:, :, 0]
+        shifted = [
+            base[:l] + (base[l] + step,) + base[l + 1 :]
+            for l in range(d)
+            for step in (BRACKET_STEP, -BRACKET_STEP)
+        ]
+        near = np.zeros((2 * d, d, d))
+        failures = {}
+        for k, point in enumerate(shifted):
+            try:
+                near[k], _ = metric_jets_at(gen.metric, point, 0)
+            except EvalDomainError as exc:
+                failures[k] = exc
+        near_inv, singular = invert_metric(near, shifted)
+        failures = singular | failures
+        F, errors = stacked(np.array(shifted))
+        for k, exc in errors.items():
+            failures.setdefault(k, exc)
+        near_dF = F.grad.T.copy()
+        near_dF[list(failures)] = 0.0
+        for k in np.flatnonzero(~np.isfinite(near_dF).all(axis=1)).tolist():
+            failures[k] = NonFiniteValueError(f"derivatives not finite at {list(shifted[k])}")
+        if failures:
+            return None, str(failures[min(failures)])
+        near_xi = (near_inv @ near_dF[:, :, None])[:, :, 0]
+        fields = (near_dF.reshape(1, d, 2, d), near_xi.reshape(1, d, 2, d))
+        return float(_bracket_defect(dF, xi_hat, *fields)[0]), None
 
 
 def metric_evaluator(field, chart):

@@ -7,13 +7,15 @@ in which the gates are checked cannot drift.
 """
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
 
-from mongelight import catalog
-from mongelight.exprlang import CoordinateChart, EvalDomainError, parse, parse_constraint
+from mongelight import catalog, mongecore
+from mongelight.exprlang import CoordinateChart, EvalDomainError, parse, parse_constraint, render
 from mongelight.mongecore import (
+    BRACKET_STEP,
     MongeGenerator,
     SurfacePoint,
     ambient_metric_at,
@@ -26,9 +28,15 @@ from mongelight.mongecore import (
     weingarten_at,
 )
 from mongelight.reportio import grid_sample, render_report
-from mongelight.semiriemann import DegenerateMetricError, MetricField
+from mongelight.semiriemann import DegenerateMetricError, MetricField, invert_metric
 
-from _oracles import lightlike_line_fixtures, local_scale
+from _oracles import (
+    lightlike_line_fixtures,
+    local_scale,
+    random_box_point,
+    random_smooth_expr,
+    reference_bracket_defect,
+)
 
 IDENTITY2 = [["1", "0"], ["0", "1"]]
 
@@ -314,3 +322,106 @@ def test_null_elimination_bases_analyse_cleanly(name):
     if name == "null_pair":  # the z = 0 point has its z = 0.5 neighbour's geometry
         first, zero, _ = classify(gen, points, tol).points
         assert bits(zero.minimal_defect) == bits(first.minimal_defect)
+
+
+# The bracket's neighbours take their point's verified inverse where their
+# metric is bit-identical to the point's; the reference inverts every one.
+# A tolerance above 1 makes every point lightlike, so that classify runs the
+# bracket at each point that passes its earlier gates.
+EVERY_POINT_LIGHTLIKE = 1e9
+
+
+def assert_bracket_matches_reference(gen, points, tol=None):
+    """classify's bracket defects and neighbour errors, and those of
+    screen_integrability_defect_at, equal the reference's bit for bit."""
+    for a in classify(gen, points, tol).points:
+        defect, error = reference_bracket_defect(gen, a.point.base)
+        if error is None:
+            assert a.error is None
+            assert bits(a.integrability_defect) == bits(defect)
+            assert bits(screen_integrability_defect_at(gen, a.point)) == bits(defect)
+        else:
+            assert a.error == error
+            with pytest.raises(Exception, match=f"^{re.escape(error)}$"):
+                screen_integrability_defect_at(gen, a.point)
+
+
+def subset_generator(seed, d):
+    """A generator on d coordinates whose metric reads a seeded random
+    subset of them (none, some or all), non-degenerate on the box [0.6,
+    1.9]^d of random_box_point, and whose F has a linear part in every
+    coordinate."""
+    rng = np.random.default_rng(seed)
+    names = "xyzw"[:d]
+    chart = CoordinateChart(tuple(names))
+    read = sorted(rng.choice(d, size=int(rng.integers(0, d + 1)), replace=False).tolist())
+
+    def term():
+        if not read:
+            return f"{rng.uniform(0.3, 2.0):.3f}"
+        return render(random_smooth_expr(rng, CoordinateChart(tuple(names[i] for i in read)), 2))
+
+    # a diagonal of magnitude >= 1/2 and off-diagonal entries of at most
+    # 0.05 keep g non-degenerate; the first diagonal entry may be timelike
+    rows = [[None] * d for _ in range(d)]
+    for i in range(d):
+        sign = "-" if i == 0 and rng.random() < 0.5 else ""
+        rows[i][i] = f"{sign}(1.5 + sin({term()}))"
+        for j in range(i + 1, d):
+            rows[i][j] = rows[j][i] = f"0.05*sin({term()})"
+    slope = " + ".join(f"{0.1 * (i + 1):g}*{name}" for i, name in enumerate(names))
+    scalar = f"{render(random_smooth_expr(rng, chart, 3))} + {slope}"
+    gen = generator(f"subset{seed}", names, rows, scalar)
+    return gen, drawn(gen, [tuple(random_box_point(rng, d)) for _ in range(5)])
+
+
+@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("seed", range(6))
+def test_bracket_on_a_metric_of_some_coordinates_matches_reference(seed, d):
+    gen, points = subset_generator(100 * d + seed, d)
+    assert_bracket_matches_reference(gen, points, EVERY_POINT_LIGHTLIKE)
+
+
+def test_bracket_errors_name_the_first_neighbour_as_the_reference_does():
+    gen, points, tol = CASES["first_neighbour"]
+    assert_bracket_matches_reference(gen, points, tol)
+
+
+def inverted_bases(monkeypatch) -> list:
+    """The base points of each invert_metric call classify makes from now on."""
+    calls = []
+
+    def recording(g, bases):
+        calls.append([tuple(b) for b in bases])
+        return invert_metric(g, bases)
+
+    monkeypatch.setattr(mongecore, "invert_metric", recording)
+    return calls
+
+
+def test_hyperbolic3_inverts_only_the_z_neighbours(monkeypatch):
+    # g = diag(1, 1, 1) / z^2 reads z only: the x and y neighbours, 2/3 of
+    # them, reuse their point's inverse
+    gen, points = seeded_case("hyperbolic3")
+    calls = inverted_bases(monkeypatch)
+    report = classify(gen, points)
+    bracketed = [a.point.base for a in report.points if a.integrability_defect is not None]
+    assert len(bracketed) == len(points)
+    h = BRACKET_STEP
+    assert calls[1:] == [[(x, y, z + step) for x, y, z in bracketed for step in (h, -h)]]
+
+
+def test_a_neighbour_whose_zero_changes_sign_is_inverted(monkeypatch):
+    # 0*x is -0.0 at x < 0 and 0.0 at x > 0, a g that == calls equal but
+    # whose bits differ: the +x neighbour of a point with -h < x < 0 is
+    # inverted, every other neighbour reuses its point's inverse
+    rows = [["1", "0*x", "0"], ["0*x", "1", "0"], ["0", "0", "2 + z"]]
+    gen = generator("signed_zero", "xyz", rows, "x*y + 0.5*z^2")
+    h = BRACKET_STEP
+    points = drawn(gen, [(-h / 2, 0.3, 0.2), (0.5, 0.3, 0.2)])
+    assert_bracket_matches_reference(gen, points, EVERY_POINT_LIGHTLIKE)
+    calls = inverted_bases(monkeypatch)
+    classify(gen, points, EVERY_POINT_LIGHTLIKE)
+    (x, y, z), _ = (p.base for p in points)
+    z_neighbours = [(x, y, z + step) for x, y, z in (p.base for p in points) for step in (h, -h)]
+    assert calls[1:] == [[(x + h, y, z), *z_neighbours]]

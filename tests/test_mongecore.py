@@ -786,7 +786,7 @@ class TestScreenIntegrability:
         entry = catalog.builtin(name)
         for sp in default_points(entry, limit=5):
             data = _point_data(entry.generator, sp.base)
-            (*_, dF, _, xi_hat), _ = _jets(entry.generator, [sp.base])
+            (*_, dF, _, xi_hat), _ = _jets(entry.generator, np.array([sp.base]), [sp.base])
             assert np.array_equal(
                 _screen_fields(dF[0], xi_hat[0]), _screen_fields(data.dF[0], data.xi_hat[0])
             )
@@ -1267,6 +1267,30 @@ class TestPointLength:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             HYP2.generator.surface_point(base)
 
+    @pytest.mark.parametrize(
+        "base, message",
+        [
+            ((1.0, 10**400), "point is not finite"),
+            ((1.0, float("inf")), "point is not finite"),
+            ((float("nan"), 2.0), "point is not finite"),
+            ((1.0, "a"), "point is not a number"),
+            ((1.0, "2.0"), "point is not a number"),
+            ((None, 2.0), "point is not a number"),
+            ((1.0,), "point has 1 coordinates; chart has 2"),
+            ((1.0, 2.0, "a"), "point has 3 coordinates; chart has 2"),
+        ],
+    )
+    @pytest.mark.parametrize("method", ["surface_point", "admissible"])
+    def test_generator_refuses_a_base_as_classify_does(self, method, base, message):
+        # an int beyond the float range raised OverflowError, a str float()'s
+        # own ValueError or TypeError, and a short base IndexError in the
+        # domain constraint
+        gen = HYP2.generator
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            getattr(gen, method)(base)
+        (record,) = classify(gen, [SurfacePoint(base, None)]).points
+        assert record.error == message
+
 
 class TestArgumentChecks:
     """The public functions refuse a senseless tolerance or xi_scale by the
@@ -1422,10 +1446,10 @@ class TestCompiledExpressions:
         # F's jets run once over the stack; each row equals a stack of one
         entry = catalog.builtin("schwarzschild_tr")
         bases = [sp.base for sp in default_points(entry, limit=6)]
-        stacked, failures = _jets(entry.generator, bases)
+        stacked, failures = _jets(entry.generator, np.array(bases), bases)
         assert failures == {} and stacked[4].shape == (6, 2, 2)
         for k, base in enumerate(bases):
-            alone, _ = _jets(entry.generator, [base])
+            alone, _ = _jets(entry.generator, np.array([base]), [base])
             for got, want in zip(stacked, alone):
                 assert got[k].tobytes() == want[0].tobytes()
 

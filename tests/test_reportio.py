@@ -368,6 +368,37 @@ class TestReports:
         for name, text in texts.items():
             assert text == render_report(self.make_report(name)), name
 
+    @pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+    def test_seeded_hyperbolic3_report_independent_of_the_blas_kernel(self, coretype):
+        # 512 points drawn from hyperbolic3's default box run the d = 3
+        # bracket neighbours, most of which reuse their point's inverse;
+        # unlike euclid_cone's default grid, this report does not move under
+        # the Prescott kernel either
+        entry = catalog.builtin("hyperbolic3")
+        lo, hi = np.array(entry.default_samples.ranges).T
+        bases = (lo + (hi - lo) * np.random.default_rng(512).random((512, 3))).tolist()
+        script = (
+            "import json, sys\n"
+            "from mongelight import catalog, classify, render_report\n"
+            "gen = catalog.builtin('hyperbolic3').generator\n"
+            "points = [gen.surface_point(b) for b in json.load(sys.stdin)]\n"
+            "sys.stdout.write(render_report(classify(gen, points)))\n"
+        )
+        src = str(Path(reportio.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, OPENBLAS_CORETYPE=coretype, PYTHONPATH=path)
+        child = subprocess.run(
+            [sys.executable, "-c", script],
+            input=json.dumps(bases),
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert child.returncode == 0, child.stderr
+        points = [entry.generator.surface_point(b) for b in bases]
+        assert child.stdout == render_report(classify(entry.generator, points))
+
     def test_certificates_hold_the_gauss_certificate_at_lightlike_points(self):
         for name, _ in catalog.list_builtins():
             for a in self.make_report(name).points:
