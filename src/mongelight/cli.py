@@ -24,6 +24,7 @@ from . import __version__, catalog
 from .exprlang import EvalDomainError, compile_expr, parse
 from .mongecore import (
     ClassificationReport,
+    EmptySampleError,
     Tolerances,
     _is_lightlike,
     classify,
@@ -126,7 +127,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_classify(args) -> int:
     gen, samples = load_generator(args.generator)
-    points = samples.materialize(gen)
+    try:
+        points = samples.materialize(gen)
+    except EmptySampleError as exc:  # the file's grid misses the domain
+        raise GeneratorFileError("samples", str(exc)) from exc
     report = classify(gen, points, Tolerances(args.tol))
     text = render_report(report)
     if args.out:

@@ -216,12 +216,6 @@ def _check_xi_scale(xi_scale) -> float:
     return float(xi_scale)
 
 
-def _base_of(p) -> tuple[float, ...]:
-    if isinstance(p, SurfacePoint):
-        return p.base
-    return tuple(float(x) for x in p)
-
-
 def _coordinate_error(base: Sequence[float], x0: float | None) -> str | None:
     """Why a point's coordinates (base, and x0 unless it is None) cannot be
     analyzed, or None where each is a finite number: an int beyond the
@@ -432,15 +426,32 @@ def _raise(failures: dict[int, Exception]):
 # point is never asked again.
 @lru_cache(maxsize=1)
 @_quiet
-def _point_data(gen: MongeGenerator, base: tuple[float, ...]) -> _PointData:
-    """The stacked geometry of the one point ``base``; a base that does not
-    fit the chart raises ValueError."""
-    error = _length_error(gen, base)
-    if error is not None:
-        raise ValueError(error)
-    data = _PointData(gen, [base])
+def _point_data(gen: MongeGenerator, base: tuple) -> _PointData:
+    """The stacked geometry of the one point ``base``, as floats; a base
+    that does not fit the chart, or whose coordinates are not finite
+    numbers, raises ValueError with classify's message.  The check runs
+    once per point, here, before float() could read the str "2.0" or
+    overflow on an int beyond its range."""
+    _check_base(gen, base)
+    data = _PointData(gen, [tuple(map(float, base))])
     _raise(data.failures)
     return data
+
+
+def _point_at(gen: MongeGenerator, p) -> _PointData:
+    """_point_data at a SurfacePoint's base or at the coordinates ``p``; a
+    base the cache cannot hash (one holding a 0-d array, say) is checked
+    and goes in as floats."""
+    base = p.base if isinstance(p, SurfacePoint) else tuple(p)
+    try:
+        return _point_data(gen, base)
+    except TypeError:
+        try:
+            hash(base)
+        except TypeError:
+            _check_base(gen, base)
+            return _point_data(gen, tuple(map(float, base)))
+        raise
 
 
 def _screen_fields(dF: np.ndarray, xi_hat: np.ndarray) -> np.ndarray:
@@ -574,7 +585,7 @@ def _tangency_failures(
 @_quiet
 def ambient_metric_at(gen: MongeGenerator, point) -> np.ndarray:
     """Ambient metric diag(-1, g) at a base point."""
-    return _point_data(gen, _base_of(point)).gbar[0].copy()
+    return _point_at(gen, point).gbar[0].copy()
 
 
 @_quiet
@@ -587,14 +598,14 @@ def normal_and_transversal_at(
     gbar(xi, N) = 1, gbar(N, N) = 0 up to the lightlike defect.
     """
     xi_scale = _check_xi_scale(xi_scale)
-    data = _point_data(gen, _base_of(p))
+    data = _point_at(gen, p)
     return xi_scale * data.xi[0], data.nxi[0] / xi_scale
 
 
 @_quiet
 def lightlike_defect_at(gen: MongeGenerator, point) -> float:
     """g(grad F, grad F) - 1; zero exactly where the hypersurface is lightlike."""
-    return float(_point_data(gen, _base_of(point)).norm2[0] - 1.0)
+    return float(_point_at(gen, point).norm2[0] - 1.0)
 
 
 @_quiet
@@ -607,7 +618,7 @@ def monge_frame_at(
     tolerance * scale; it is 1 exactly on the degenerate locus.
     """
     tolerance = _check_tolerance(tolerance)
-    data = _point_data(gen, _base_of(p))
+    data = _point_at(gen, p)
     rank = int(_radical_rank(data, tolerance)[0])
     return data.frame[0].copy(), data.induced[0].copy(), rank
 
@@ -622,7 +633,7 @@ def second_fundamental_form_at(
     its geometric meaning.
     """
     xi_scale, tolerance = _check_xi_scale(xi_scale), _check_tolerance(tolerance)
-    data = _point_data(gen, _base_of(p))
+    data = _point_at(gen, p)
     if not _is_lightlike(data.norm2[0] - 1.0, tolerance):
         warnings.warn(
             f"second fundamental form at non-lightlike point (defect {data.norm2[0] - 1.0:.3e})",
@@ -640,7 +651,7 @@ def umbilic_fit_at(gen: MongeGenerator, p) -> tuple[float, float]:
     by 1 + ||Hess||_inf + ||T||_inf.  The point is umbilic when the
     residual is below tolerance, geodesic when ||Hess||_inf itself is.
     """
-    rho, residual, _, posed = _umbilic_fit(_point_data(gen, _base_of(p)))
+    rho, residual, _, posed = _umbilic_fit(_point_at(gen, p))
     if not posed[0]:
         raise IllPosedFitError("dF (x) dF - g vanishes; cannot fit rho")
     return float(rho[0]), float(residual[0])
@@ -654,7 +665,7 @@ def minimal_defect_at(gen: MongeGenerator, p) -> float:
     The trace is the same over every such frame; it is computed without
     one, as tr(g^-1 Hess) - Hess(xi_hat, xi_hat) / g(dF, dF).
     """
-    data = _point_data(gen, _base_of(p))
+    data = _point_at(gen, p)
     if gen.dimension < 2:
         raise ScreenRankError("screen needs chart dimension >= 2")
     defect, failures = _minimal_defect(data)
@@ -680,7 +691,7 @@ def screen_frame_at(gen: MongeGenerator, p, tolerance: float = 1e-8) -> OrthoFra
     sqrt|lam| with signs sign(lam).
     """
     tolerance = _check_tolerance(tolerance)
-    data = _point_data(gen, _base_of(p))
+    data = _point_at(gen, p)
     if gen.dimension < 2:
         raise ScreenRankError("screen needs chart dimension >= 2")
     if not _is_lightlike(data.norm2[0] - 1.0, tolerance):
@@ -733,7 +744,7 @@ def gauss_decompose_at(
     """
     xi_scale, tolerance = _check_xi_scale(xi_scale), _check_tolerance(tolerance)
     _check_indices(gen.dimension, i=i, j=j)
-    data = _point_data(gen, _base_of(p))
+    data = _point_at(gen, p)
     B, certificate, scale = _gauss_split(data, xi_scale)
     _raise(_tangency_failures("Gauss", certificate, scale, tolerance))
     ambient = np.concatenate(([data.d2F[0, i, j]], data.gamma[0, :, i, j]))
@@ -775,7 +786,7 @@ def weingarten_at(
     """
     xi_scale, tolerance = _check_xi_scale(xi_scale), _check_tolerance(tolerance)
     _check_indices(gen.dimension, i=i)
-    data = _point_data(gen, _base_of(p))
+    data = _point_at(gen, p)
     kept = data.weingarten.get(xi_scale)
     if kept is None:  # computed once for the d calls at a point
         kept = data.weingarten[xi_scale] = _weingarten(data, xi_scale)
@@ -859,8 +870,7 @@ def screen_integrability_defect_at(gen: MongeGenerator, p) -> float:
     _neighbour_jets), which gives the numbers and errors of inverting its
     own.  Line fields (d = 2) are integrable by convention: 0.
     """
-    base = _base_of(p)
-    data = _point_data(gen, base)
+    data = _point_at(gen, p)
     d = gen.dimension
     if d < 2:
         raise ScreenRankError("screen needs chart dimension >= 2")

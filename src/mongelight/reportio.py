@@ -16,8 +16,9 @@ Generator files are JSON documents with human-writable expression strings:
 ``samples`` holds either per-coordinate ranges with counts (inclusive
 endpoints; a count of 1 takes the lower endpoint) or an explicit
 ``"points"`` list.  Reports are emitted as deterministic JSON: fixed key
-order and byte-identical output for identical inputs, written by this
-module's own indent-2 writer (the bytes of ``json.dumps(..., indent=2)``).
+order and byte-identical output for identical inputs, written by
+``json.dumps(..., indent=2)``; each point record is filled into a template
+cut from json's text of its shape.
 """
 
 from __future__ import annotations
@@ -375,20 +376,21 @@ def render_report(report: ClassificationReport) -> str:
     ValueError).  The bytes equal
     ``json.dumps(report_to_dict(report), indent=2, allow_nan=False) + "\\n"``.
 
-    Each point record is filled into a template that ``_dumps`` wrote for
+    Each point record is filled into a template cut from json's text of
     its shape (see ``_fill_records``).  A report the templates cannot
-    write, such as one holding a non-finite number, is written by
-    ``_dumps`` whole, which raises json's error for the first bad value in
-    document order."""
+    write, such as one holding a non-finite number, is written by that
+    ``json.dumps`` call whole, which raises its own error: ValueError for
+    the first non-finite number in document order or for a circular tree,
+    TypeError for an object it cannot write."""
     text = _fill_records(report)
     if text is None:
-        text = _dumps(report_to_dict(report))
+        text = json.dumps(report_to_dict(report), indent=2, allow_nan=False)
     return text + "\n"
 
 
-# A leaf no report writes: the text ``_dumps`` gives it cuts a document into
-# the pieces between its leaves.  A key or string that holds this text too
-# is caught by the piece count, and ``_dumps`` writes that record or report.
+# A leaf no report writes: json's text of it cuts a document into the
+# pieces between its leaves.  A key or string that holds this text too is
+# caught by the piece count, and json writes that record or report whole.
 _MARK = "\x00leaf\x00"
 _NONE = type(None)
 _isfinite = math.isfinite
@@ -406,8 +408,8 @@ def _mark(o):
 
 
 def _cut(o, nl: str, leaves: int) -> list[str] | None:
-    """The text ``_dumps(o, nl)`` cut at each ``_MARK``, or None unless it
-    has exactly ``leaves`` of them."""
+    """json's text of ``o``, written after ``nl`` (see ``_dumps``), cut at
+    each ``_MARK``, or None unless it has exactly ``leaves`` of them."""
     pieces = _dumps(o, nl).split(_escape(_MARK))
     return pieces if len(pieces) == leaves + 1 else None
 
@@ -415,11 +417,15 @@ def _cut(o, nl: str, leaves: int) -> list[str] | None:
 def _template(a: PointAnalysis, types: tuple, nl: str):
     """``(format, keep, fixes)`` for the records shaped like ``a``, whose
     leaves, in document order, have the types ``types``; None where a leaf
-    is not a number, a bool or None.  ``format`` is ``_dumps``'s text of
-    the record with ``%s`` at each leaf but None (which it writes as null),
-    ``keep`` picks those leaves (None when all are), and ``fixes`` lists
-    the ``(position, text)`` of each leaf that ``%s`` would not write as
-    json does: bools and subclasses of float and int."""
+    is not a number, a bool or None, or where a key of ``scales`` or
+    ``certificates`` is not a str.  ``format`` is json's text of the record
+    with ``%s`` at each leaf but None (which json writes as null), ``keep``
+    picks those leaves (None when all are), and ``fixes`` lists the
+    ``(position, text)`` of each leaf that ``%s`` would not write as json
+    does: bools and subclasses of float and int."""
+    if any(type(k) is not str for k in (*a.scales, *a.certificates)):
+        # json writes 1, 1.0 and True, equal keys, as "1", "1.0" and "true"
+        return None
     fixes = []
     for i, t in enumerate(t for t in types if t is not _NONE):
         if t is float or t is int:  # %s writes these with their own __repr__
@@ -441,22 +447,21 @@ def _template(a: PointAnalysis, types: tuple, nl: str):
 
 def _fill_records(report: ClassificationReport) -> str | None:
     """The report's text without its final line break, each point record
-    filled into the template ``_dumps`` wrote for its shape: one ``%``
-    call per record in place of ``_dumps``'s walk of d+6 containers.  The
+    filled into the template cut from json's text of its shape: one ``%``
+    call per record in place of json's walk of d+6 containers.  The
     shape is everything the layout reads: the leaf types in document order
     (so the dimension, which fields are None, and how numbers are written),
     the shapes of ``B`` and ``tau``, and the key order of ``scales`` and
     ``certificates``.  Exact floats and ints are written by ``%s``, which
-    calls their ``__repr__``, as json does.  A record with an error, or
-    with a leaf of another type, is written by ``_dumps``.  The templates
-    live for this one call.
+    calls their ``__repr__``, as json does.  A record with an error, with
+    a leaf of another type or with a key that is not a str is written by
+    json on its own.  The templates live for this one call.
 
     None where a record holds a non-finite number, where the header or
-    verdicts hold a value the writer refuses (json may meet a bad record
-    first), or where a string there holds ``_MARK``: ``_dumps`` then
-    writes the whole report, or raises for its first bad value.  Records
-    are written in document order, so an error one raises here is the
-    report's first."""
+    verdicts hold a value json refuses (json may meet a bad record first),
+    or where a string there holds ``_MARK``: json then writes the whole
+    report, or raises for its first bad value.  Records are written in
+    document order, so an error one raises here is the report's first."""
     if not report.points:
         return None
     try:
@@ -533,72 +538,8 @@ _float_repr = float.__repr__
 _int_repr = int.__repr__
 
 
-def _out_of_range(value) -> ValueError:
-    return ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-
-
 def _dumps(o, nl: str = "\n") -> str:
-    """``json.dumps(o, indent=2, allow_nan=False)``, byte for byte, of a
-    JSON tree: dicts with str keys, lists, tuples, str, int, float, bool and
-    None; ``nl`` is the line break and indent that ``o`` is written after.
-    json writes with an indent through its pure-Python encoder, one chunk at
-    a time; this writes each container in one frame and its floats in place
-    (``float.__repr__`` gives a text with an ``n`` only for nan and inf).
-    ``render_report`` writes each point record from a template this wrote.
-    A non-finite float raises ValueError and any other object TypeError, as
-    json does.  A key that is not a str raises TypeError too, where json
-    would convert it; a circular tree is not detected."""
-    t = type(o)
-    if t is list or t is tuple:
-        if not o:
-            return "[]"
-        inner = nl + "  "
-        parts = []
-        for v in o:
-            if type(v) is float:
-                text = _float_repr(v)
-                if "n" in text:
-                    raise _out_of_range(v)
-            else:
-                text = _dumps(v, inner)
-            parts.append(text)
-        return f"[{inner}{f',{inner}'.join(parts)}{nl}]"
-    if t is dict:
-        if not o:
-            return "{}"
-        inner = nl + "  "
-        parts = []
-        for k, v in o.items():
-            if type(v) is float:
-                text = _float_repr(v)
-                if "n" in text:
-                    raise _out_of_range(v)
-            else:
-                text = _dumps(v, inner)
-            parts.append(f"{_escape(k)}: {text}")
-        return f"{{{inner}{f',{inner}'.join(parts)}{nl}}}"
-    if t is str:
-        return _escape(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if t is int:
-        return _int_repr(o)
-    # subclasses (np.float64, IntEnum, ...), checked in json's order
-    if isinstance(o, str):
-        return _escape(o)
-    if isinstance(o, int):
-        return _int_repr(o)
-    if isinstance(o, float):
-        text = _float_repr(o)
-        if "n" in text:
-            raise _out_of_range(o)
-        return text
-    if isinstance(o, (list, tuple)):
-        return _dumps(list(o), nl)
-    if isinstance(o, dict):
-        return _dumps(dict(o.items()), nl)
-    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+    """``json.dumps(o, indent=2, allow_nan=False)`` written after the line
+    break and indent ``nl``: json escapes every line break inside a string,
+    so each one in its text starts a line of the layout."""
+    return json.dumps(o, indent=2, allow_nan=False).replace("\n", nl)

@@ -170,10 +170,17 @@ def metric_jets_at(
     (division by zero, ln or sqrt of a non-positive value, a non-finite
     result), with order 1's message, and not where only a derivative does
     not exist (abs or u^0.5 at 0).  A point whose number of coordinates is
-    not the chart's raises ValueError.
+    not the chart's raises ValueError, and so does a coordinate float()
+    refuses, with classify's message: an int beyond the float range "is not
+    finite", and a str or other object "is not a number".
     """
     d = len(field._slots)  # the chart's dimension, read from the (d, d) slot map
-    x = tuple(map(float, point))
+    try:
+        x = tuple(map(float, point))
+    except OverflowError:
+        raise ValueError("point is not finite") from None
+    except (TypeError, ValueError):
+        raise ValueError("point is not a number") from None
     if len(x) != d:
         raise ValueError(f"point has {len(x)} coordinates; chart has {d}")
     if order == 0:

@@ -128,6 +128,8 @@ class TestClassifyCommand:
             ({"domain": "y > 0"}, "domain"),
             ({"domain": [1]}, "domain[0]"),
             ({"domain": ["y"]}, "domain[0]"),
+            # no grid point is inside the domain y > 0 (this exited 1)
+            ({"samples": {"ranges": [[-1, 1], [-2, -1]], "counts": [2, 2]}}, "samples"),
         ],
     )
     def test_malformed_generator_names_the_field(self, tmp_path, capsys, changes, field):

@@ -1215,6 +1215,34 @@ class TestVerdictsFromColumns:
         assert report.verdicts["degenerate"].witness_index == 2
 
 
+# the public per-point functions, each asked at the point p of hyperbolic2
+PER_POINT_QUERIES = [
+    lambda gen, p: ambient_metric_at(gen, p),
+    lambda gen, p: normal_and_transversal_at(gen, p),
+    lambda gen, p: lightlike_defect_at(gen, p),
+    lambda gen, p: monge_frame_at(gen, p),
+    lambda gen, p: second_fundamental_form_at(gen, p),
+    lambda gen, p: umbilic_fit_at(gen, p),
+    lambda gen, p: minimal_defect_at(gen, p),
+    lambda gen, p: screen_frame_at(gen, p),
+    lambda gen, p: gauss_decompose_at(gen, p, 0, 0),
+    lambda gen, p: weingarten_at(gen, p, 0),
+    lambda gen, p: screen_integrability_defect_at(gen, p),
+]
+
+# bases classify records as failed on hyperbolic2, with its error
+REFUSED_BASES = [
+    ((1.0, 10**400), "point is not finite"),
+    ((1.0, float("inf")), "point is not finite"),
+    ((float("nan"), 2.0), "point is not finite"),
+    ((1.0, "a"), "point is not a number"),
+    ((1.0, "2.0"), "point is not a number"),
+    ((None, 2.0), "point is not a number"),
+    ((1.0,), "point has 1 coordinates; chart has 2"),
+    ((1.0, 2.0, "a"), "point has 3 coordinates; chart has 2"),
+]
+
+
 class TestPointLength:
     """A sample point with the wrong number of coordinates is the first gate:
     a per-point error in classify, a ValueError from the per-point functions."""
@@ -1238,22 +1266,7 @@ class TestPointLength:
         assert report_to_dict(report)["points"][2] == dict(alone, index=2)
         assert json.loads(render_report(report))["points"][0]["error"] == one
 
-    @pytest.mark.parametrize(
-        "query",
-        [
-            lambda gen, p: ambient_metric_at(gen, p),
-            lambda gen, p: normal_and_transversal_at(gen, p),
-            lambda gen, p: lightlike_defect_at(gen, p),
-            lambda gen, p: monge_frame_at(gen, p),
-            lambda gen, p: second_fundamental_form_at(gen, p),
-            lambda gen, p: umbilic_fit_at(gen, p),
-            lambda gen, p: minimal_defect_at(gen, p),
-            lambda gen, p: screen_frame_at(gen, p),
-            lambda gen, p: gauss_decompose_at(gen, p, 0, 0),
-            lambda gen, p: weingarten_at(gen, p, 0),
-            lambda gen, p: screen_integrability_defect_at(gen, p),
-        ],
-    )
+    @pytest.mark.parametrize("query", PER_POINT_QUERIES)
     @pytest.mark.parametrize("point", [(0.1,), (0.1, 1.0, 2.0), SurfacePoint((0.1,), 0.0)])
     def test_per_point_functions_raise(self, query, point):
         k = len(point.base if isinstance(point, SurfacePoint) else point)
@@ -1267,19 +1280,7 @@ class TestPointLength:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             HYP2.generator.surface_point(base)
 
-    @pytest.mark.parametrize(
-        "base, message",
-        [
-            ((1.0, 10**400), "point is not finite"),
-            ((1.0, float("inf")), "point is not finite"),
-            ((float("nan"), 2.0), "point is not finite"),
-            ((1.0, "a"), "point is not a number"),
-            ((1.0, "2.0"), "point is not a number"),
-            ((None, 2.0), "point is not a number"),
-            ((1.0,), "point has 1 coordinates; chart has 2"),
-            ((1.0, 2.0, "a"), "point has 3 coordinates; chart has 2"),
-        ],
-    )
+    @pytest.mark.parametrize("base, message", REFUSED_BASES)
     @pytest.mark.parametrize("method", ["surface_point", "admissible"])
     def test_generator_refuses_a_base_as_classify_does(self, method, base, message):
         # an int beyond the float range raised OverflowError, a str float()'s
@@ -1290,6 +1291,27 @@ class TestPointLength:
             getattr(gen, method)(base)
         (record,) = classify(gen, [SurfacePoint(base, None)]).points
         assert record.error == message
+
+    def test_coordinate_the_point_cache_cannot_hash(self):
+        # a 0-d array, which classify accepts, is read as its float
+        gen = HYP2.generator
+        want = lightlike_defect_at(gen, (0.5, 2.0))
+        for point in ((np.array(0.5), 2.0), SurfacePoint((np.array(0.5), 2.0), 0.0)):
+            assert lightlike_defect_at(gen, point) == want
+        with pytest.raises(ValueError, match="^point is not a number$"):
+            lightlike_defect_at(gen, ([0.5], 2.0))
+
+    @pytest.mark.parametrize("query", PER_POINT_QUERIES)
+    @pytest.mark.parametrize("base, message", REFUSED_BASES)
+    def test_per_point_functions_refuse_a_base_as_classify_does(self, query, base, message):
+        # float() raised OverflowError for the int beyond its range and its
+        # own ValueError for "a", read "2.0" as 2.0, and inf or nan reached
+        # the metric's EvalDomainError; the same base, asked again, and as
+        # a SurfacePoint's, is refused again
+        gen = HYP2.generator
+        for point in (base, base, SurfacePoint(base, 0.0)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                query(gen, point)
 
 
 class TestArgumentChecks:

@@ -499,8 +499,7 @@ class TestReports:
         assert all(p["error"] is not None for p in doc["points"])
 
 
-# json.dumps is the writer's oracle: at indent 2 it runs json's pure-Python
-# encoder, whose bytes render_report must keep
+# json.dumps is render_report's oracle, whose bytes it must keep
 def oracle(tree):
     return json.dumps(tree, indent=2, allow_nan=False)
 
@@ -555,6 +554,8 @@ class TestWriter:
     @given(trees(FLOATS))
     def test_matches_json_dumps(self, tree):
         assert reportio._dumps(tree) == oracle(tree)
+        # written after a line break and indent, as a record in its list
+        assert "[\n  " + reportio._dumps(tree, "\n  ") + "\n]" == oracle([tree])
 
     @settings(max_examples=200, deadline=None)
     @given(trees(st.one_of(FLOATS, NON_FINITE)))
@@ -587,6 +588,9 @@ class TestWriter:
             # subclasses are written as their base type, as json writes them
             [enum.IntEnum("Rank", "ONE TWO").TWO, Label("a\tb")],
             collections.OrderedDict(b=[np.float64(1.5)], a=Pair(0.5, -0.0)),
+            # json converts int and None keys to strings
+            {1: 2.0},
+            {None: 1},
         ],
     )
     def test_edge_trees(self, tree):
@@ -594,10 +598,9 @@ class TestWriter:
 
     @pytest.mark.parametrize(
         "tree",
-        [{1, 2}, [np.int64(1)], {"a": np.bool_(True)}, [object()], b"x", {1: 2.0}, {None: 1}],
+        [{1, 2}, [np.int64(1)], {"a": np.bool_(True)}, [object()], b"x"],
     )
     def test_refuses_other_objects(self, tree):
-        # json converts int and None keys; the writer takes str keys only
         with pytest.raises(TypeError):
             reportio._dumps(tree)
 
@@ -712,8 +715,8 @@ class TestNonFiniteRefused:
         assert not out.exists()
 
 
-# render_report fills each point record into a template that the writer
-# wrote for the record's shape; these reports vary everything that shape
+# render_report fills each point record into a template cut from json's
+# text of the record's shape; these reports vary everything that shape
 # reads, several shapes to a report
 SCALE_KEYS = ["lightlike", "second_form", "normality", "xi_null", "%s", "a%"]
 
@@ -814,6 +817,19 @@ class TestTemplates:
             oracle(report_to_dict(report))
         with pytest.raises(ValueError, match=message):
             render_report(report)
+
+    def test_keys_that_are_not_str(self):
+        # json writes an int, float, bool or None key as a string, by its
+        # type as well as its value: 1, 1.0 and True are equal keys, written
+        # "1", "1.0" and "true"
+        report = hand_report()
+        first = report.points[0]
+        first.scales = {2: 1.0, 0.5: 2.0, False: 3.0, None: 4.0}
+        report.points += [
+            dataclasses.replace(first, index=k, scales={key: 1.0}, certificates={key: 2.0})
+            for k, key in enumerate(["1", 1, 1.0, True, "1"], 1)
+        ]
+        assert render_report(report) == oracle(report_to_dict(report)) + "\n"
 
     def test_int_past_the_float_range(self):
         report = hand_report()

@@ -484,6 +484,23 @@ class TestFirstOrderLane:
         with pytest.raises(ValueError, match=re.escape(message)):
             metric_jets_at(field, point, order)
 
+    @pytest.mark.parametrize(
+        "point, message",
+        [
+            ((1.0, 10**400), "point is not finite"),
+            ((1.0, "a"), "point is not a number"),
+            ((None, 2.0), "point is not a number"),
+            ((1.0, object()), "point is not a number"),
+        ],
+    )
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_coordinate_float_refuses(self, point, message, order):
+        # float() raised OverflowError for the int beyond its range, and its
+        # own ValueError or TypeError for the others; classify's words now
+        field = catalog.builtin("hyperbolic2").generator.metric
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            metric_jets_at(field, point, order)
+
     def test_unresolved_parameter(self):
         # raises at each call, after the components before it, with its node
         chart = CoordinateChart(("x", "y"))
