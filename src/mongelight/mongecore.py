@@ -887,7 +887,13 @@ def screen_integrability_defect_at(gen: MongeGenerator, p) -> float:
 
 @dataclass
 class PointAnalysis:
-    """Everything computed at one sample point (None where unavailable)."""
+    """Everything computed at one sample point (None where unavailable).
+
+    ``second_form_scale`` is 1 + ||Hess||_inf + ||T||_inf, the scale of the
+    totally-geodesic and minimal verdicts.  The degenerate verdict's scale,
+    1 + |lightlike_defect + 1|, is the lightlike gate's and is not stored,
+    nor is the Gauss tangency certificate, max|B| |lightlike_defect| / 2:
+    each verdict is recomputed bit for bit from these fields."""
 
     index: int
     point: SurfacePoint
@@ -900,8 +906,7 @@ class PointAnalysis:
     minimal_defect: float | None = None
     integrability_defect: float | None = None
     tau: np.ndarray | None = None
-    certificates: dict = field(default_factory=dict)
-    scales: dict = field(default_factory=dict)
+    second_form_scale: float | None = None
     is_lightlike: bool | None = None
 
 
@@ -931,9 +936,9 @@ def _analyze(
 ) -> tuple[list[PointAnalysis], dict[str, object]]:
     """One record per sample point, and the stacked columns of the live
     points (those with no error) that classify aggregates its verdicts from:
-    their record indices ("index", a list), their lightlike defects and
-    scales, B, the second-form scales, and the umbilic residuals and
-    minimal defects, each None unless every live point carries one.
+    their record indices ("index", a list), their lightlike defects, B,
+    the second-form scales, and the umbilic residuals and minimal defects,
+    each None unless every live point carries one.
 
     The metric's jets run point by point, each filling g and dg from the
     slot map; the metric inverse, F's jets and every later stage run once
@@ -954,12 +959,14 @@ def _analyze(
     not 0), bracket neighbours, Weingarten, Gauss, and finiteness of the
     reported numbers.  Each live point's record is built once, from the columns.
     No screen frame is built: the minimal defect, tau and both tangency
-    certificates are closed forms of the jets.  No ambient (d+1)-vector
-    is built either: a lightlike point's certificates hold its Gauss
-    tangency certificate only, another point's none, since the pairings
-    of xi and N restate q = g(dF, dF) (gbar(xi, xi) = c^2 (q - 1),
-    gbar(xi, N) = (1 + q) / 2, gbar(N, N) = (q - 1) / (4 c^2)) and
-    gbar(e_i, xi) is the inverse's residual."""
+    certificates are closed forms of the jets.  The certificates gate the
+    lightlike points and reach no record: the Gauss certificate is
+    max|B| |lightlike_defect| / 2, and the Weingarten certificate is
+    |tau| |lightlike_defect| / 2.  No ambient (d+1)-vector is built either,
+    since the pairings of xi and N restate q = g(dF, dF)
+    (gbar(xi, xi) = c^2 (q - 1), gbar(xi, N) = (1 + q) / 2,
+    gbar(N, N) = (q - 1) / (4 c^2)) and gbar(e_i, xi) is the inverse's
+    residual."""
     records: list[PointAnalysis | None] = [None] * len(points)
     kept: list[int] = []
     for i, sp in enumerate(points):
@@ -1016,12 +1023,10 @@ def _analyze(
     drop(_tangency_failures("Weingarten", certificate, scale, tol), light)
     B, certificate, scale = _gauss_split(data, xi_scale)
     drop(_tangency_failures("Gauss", certificate, scale, tol), light)
-    gauss = certificate.max(axis=(1, 2))
 
     # every number bound for the report, in record order, with the rows
     # that carry it; the first that is not finite names the point's error
     screened = light & (d >= 2)
-    lightlike_scale = 1.0 + np.abs(data.norm2)
     reported = (
         ("B", B, everywhere),
         ("lightlike_defect", defect, everywhere),
@@ -1030,9 +1035,7 @@ def _analyze(
         ("minimal_defect", minimal, screened),
         ("integrability_defect", bracket, screened),
         ("tau", tau, light),
-        ("lightlike", lightlike_scale, everywhere),
-        ("second_form", normalizer, everywhere),
-        ("gauss_tangency", gauss, light),
+        ("second_form_scale", normalizer, everywhere),
     )
     for name, values, present in reported:
         bad = np.flatnonzero(~np.isfinite(values.reshape(n, -1)).all(axis=1)).tolist()
@@ -1054,11 +1057,6 @@ def _analyze(
             return column
         return [v if p else None for v, p in zip(column, shown.tolist())]
 
-    scales = [
-        {"lightlike": a, "second_form": b}
-        for a, b in zip(column(lightlike_scale), column(normalizer))
-    ]
-    certificates = [{} if a is None else {"gauss_tangency": a} for a in column(gauss, light)]
     for i, *fields in zip(
         index,
         rank[live].tolist(),
@@ -1069,8 +1067,7 @@ def _analyze(
         column(minimal, screened),
         column(bracket, screened),
         column(tau, light),
-        certificates,
-        scales,
+        column(normalizer),
         light[live].tolist(),
     ):
         records[i] = PointAnalysis(i, points[i], None, *fields)
@@ -1078,7 +1075,6 @@ def _analyze(
     columns = {
         "index": index,
         "lightlike_defect": defect[live],
-        "lightlike": lightlike_scale[live],
         "B": B[live],
         "second_form": normalizer[live],
         "umbilic_residual": residual[live] if fit[live].all() else None,
@@ -1095,10 +1091,12 @@ def classify(
 ) -> ClassificationReport:
     """Analyze every sample point and aggregate global verdicts.
 
-    Verdicts: degenerate (all lightlike defects below tolerance),
-    totally_geodesic (all second forms vanish), totally_umbilical (all
-    umbilic residuals vanish; None on 1-dimensional charts), minimal (all
-    minimal defects vanish; None when no point carries one).  Points that
+    Verdicts: degenerate (every lightlike defect over 1 + |defect + 1|,
+    the lightlike gate's scale, below tolerance), totally_geodesic (every
+    max|B| over |xi_scale| times the second-form scale), totally_umbilical
+    (every umbilic residual; None on 1-dimensional charts), minimal (every
+    minimal defect over the second-form scale; None when no point carries
+    one).  Each is recomputed bit for bit from the records.  Points that
     fail to evaluate are recorded with their error; above 10% failures
     every verdict is "indeterminate".  A refused tolerance or a zero,
     non-finite or bool xi_scale raises ValueError; negative scales are valid.
@@ -1142,11 +1140,12 @@ def classify(
             for name in ("degenerate", "totally_geodesic", "totally_umbilical", "minimal")
         }
     else:  # at most 10% failed, so some point is live
+        defect = columns["lightlike_defect"]
         second_form = columns["second_form"]
         B_max = np.abs(columns["B"]).max(axis=(1, 2))
         minimal = columns["minimal_defect"]
         verdicts = {
-            "degenerate": aggregate(columns["lightlike_defect"] / columns["lightlike"]),
+            "degenerate": aggregate(defect / (1.0 + np.abs(defect + 1.0))),
             "totally_geodesic": aggregate(B_max / (abs(xi_scale) * second_form)),
             "totally_umbilical": aggregate(columns["umbilic_residual"]),
             "minimal": aggregate(None if minimal is None else minimal / second_form),

@@ -17,8 +17,12 @@ Generator files are JSON documents with human-writable expression strings:
 endpoints; a count of 1 takes the lower endpoint) or an explicit
 ``"points"`` list.  Reports are emitted as deterministic JSON: fixed key
 order and byte-identical output for identical inputs, written by
-``json.dumps(..., indent=2)``; each point record is filled into a template
-cut from json's text of its shape.
+``json.dumps(..., indent=2)``.  A report of format 2 (its ``"format"``
+key) holds no free-form dict in a record: every record has the same fixed
+keys, whose values are numbers, bools, null, the error string, and the
+lists ``point``, ``B`` and ``tau``.  A record's shape is then its leaf
+types and the shapes of ``B`` and ``tau``, and each point record is
+filled into a template cut from json's text of that shape.
 """
 
 from __future__ import annotations
@@ -77,7 +81,9 @@ class GeneratorFileError(Exception):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Per-coordinate [lo, hi] ranges and point counts (inclusive endpoints)."""
+    """Per-coordinate [lo, hi] ranges and point counts (inclusive endpoints).
+    Each count is an int, NumPy's included, that is not a bool; it is
+    stored as an int."""
 
     ranges: tuple[tuple[float, float], ...]
     counts: tuple[int, ...]
@@ -85,6 +91,11 @@ class GridSpec:
     def __post_init__(self):
         if len(self.ranges) != len(self.counts):
             raise ValueError("ranges and counts must align")
+        for c in self.counts:
+            # np.linspace takes True as 1 and refuses 2.5 only when sampling
+            if isinstance(c, bool) or not isinstance(c, (int, np.integer)):
+                raise ValueError(f"count {c!r} is not a whole int")
+        object.__setattr__(self, "counts", tuple(map(int, self.counts)))
         if any(c < 1 for c in self.counts):
             raise ValueError("counts must be >= 1")
         for lo, hi in self.ranges:
@@ -319,6 +330,10 @@ def save_generator(gen: MongeGenerator, samples: SampleSet, path):
 # Reports
 
 
+# the report format; a change to the fields of a report raises it
+REPORT_FORMAT = 2
+
+
 def _point_record(a: PointAnalysis) -> dict:
     """Fixed-key-order dict form of one point's analysis."""
     base, x0 = list(a.point.base), a.point.x0
@@ -339,8 +354,7 @@ def _point_record(a: PointAnalysis) -> dict:
         "minimal_defect": a.minimal_defect,
         "integrability_defect": a.integrability_defect,
         "tau": None if a.tau is None else a.tau.tolist(),
-        "scales": a.scales,
-        "certificates": a.certificates,
+        "second_form_scale": a.second_form_scale,
     }
 
 
@@ -354,6 +368,7 @@ def _report_dict(report: ClassificationReport, points: list) -> dict:
         for name, v in report.verdicts.items()
     }
     return {
+        "format": REPORT_FORMAT,
         "generator": report.generator_name,
         "tool_version": __version__,
         "tolerance": report.tolerances.base,
@@ -389,8 +404,8 @@ def render_report(report: ClassificationReport) -> str:
 
 
 # A leaf no report writes: json's text of it cuts a document into the
-# pieces between its leaves.  A key or string that holds this text too is
-# caught by the piece count, and json writes that record or report whole.
+# pieces between its leaves.  A header string that holds this text too is
+# caught by the piece count, and json writes that report whole.
 _MARK = "\x00leaf\x00"
 _NONE = type(None)
 _isfinite = math.isfinite
@@ -399,33 +414,26 @@ _bool_text = {False: "false", True: "true"}.__getitem__
 
 def _mark(o):
     """``o`` with every leaf but None replaced by ``_MARK``."""
-    t = type(o)
-    if t is dict:
-        return {k: _mark(v) for k, v in o.items()}
-    if t is list:
+    if type(o) is list:
         return [_mark(v) for v in o]
     return None if o is None else _MARK
 
 
-def _cut(o, nl: str, leaves: int) -> list[str] | None:
+def _cut(o, nl: str) -> list[str]:
     """json's text of ``o``, written after ``nl`` (see ``_dumps``), cut at
-    each ``_MARK``, or None unless it has exactly ``leaves`` of them."""
-    pieces = _dumps(o, nl).split(_escape(_MARK))
-    return pieces if len(pieces) == leaves + 1 else None
+    each ``_MARK``."""
+    return _dumps(o, nl).split(_escape(_MARK))
 
 
 def _template(a: PointAnalysis, types: tuple, nl: str):
     """``(format, keep, fixes)`` for the records shaped like ``a``, whose
     leaves, in document order, have the types ``types``; None where a leaf
-    is not a number, a bool or None, or where a key of ``scales`` or
-    ``certificates`` is not a str.  ``format`` is json's text of the record
-    with ``%s`` at each leaf but None (which json writes as null), ``keep``
-    picks those leaves (None when all are), and ``fixes`` lists the
-    ``(position, text)`` of each leaf that ``%s`` would not write as json
-    does: bools and subclasses of float and int."""
-    if any(type(k) is not str for k in (*a.scales, *a.certificates)):
-        # json writes 1, 1.0 and True, equal keys, as "1", "1.0" and "true"
-        return None
+    is not a number, a bool or None.  ``format`` is json's text of the
+    record with ``%s`` at each leaf but None (which json writes as null),
+    ``keep`` picks those leaves (None when all are), and ``fixes`` lists
+    the ``(position, text)`` of each leaf that ``%s`` would not write as
+    json does: bools and subclasses of float and int.  The record's keys
+    are fixed literals, and no ``%`` is among them."""
     fixes = []
     for i, t in enumerate(t for t in types if t is not _NONE):
         if t is float or t is int:  # %s writes these with their own __repr__
@@ -438,24 +446,21 @@ def _template(a: PointAnalysis, types: tuple, nl: str):
             fixes.append((i, _int_repr))
         else:
             return None
-    pieces = _cut(_mark(_point_record(a)), nl, len(types) - types.count(_NONE))
-    if pieces is None:
-        return None
+    record = {k: _mark(v) for k, v in _point_record(a).items()}
     keep = tuple(t is not _NONE for t in types) if _NONE in types else None
-    return "%s".join(p.replace("%", "%%") for p in pieces), keep, tuple(fixes)
+    return "%s".join(_cut(record, nl)), keep, tuple(fixes)
 
 
 def _fill_records(report: ClassificationReport) -> str | None:
     """The report's text without its final line break, each point record
     filled into the template cut from json's text of its shape: one ``%``
-    call per record in place of json's walk of d+6 containers.  The
-    shape is everything the layout reads: the leaf types in document order
-    (so the dimension, which fields are None, and how numbers are written),
-    the shapes of ``B`` and ``tau``, and the key order of ``scales`` and
-    ``certificates``.  Exact floats and ints are written by ``%s``, which
-    calls their ``__repr__``, as json does.  A record with an error, with
-    a leaf of another type or with a key that is not a str is written by
-    json on its own.  The templates live for this one call.
+    call per record in place of json's walk of its containers.  The shape
+    is everything the layout reads: the leaf types in document order (so
+    the dimension, which fields are None, and how numbers are written) and
+    the shapes of ``B`` and ``tau``.  Exact floats and ints are written by
+    ``%s``, which calls their ``__repr__``, as json does.  A record with an
+    error or with a leaf of another type is written by json on its own.
+    The templates live for this one call.
 
     None where a record holds a non-finite number, where the header or
     verdicts hold a value json refuses (json may meet a bad record first),
@@ -465,21 +470,19 @@ def _fill_records(report: ClassificationReport) -> str | None:
     if not report.points:
         return None
     try:
-        frame = _cut(_report_dict(report, [_MARK, _MARK]), "\n", 2)
+        frame = _cut(_report_dict(report, [_MARK, _MARK]), "\n")
     except (TypeError, ValueError):
         return None
-    if frame is None:
+    if len(frame) != 3:
         return None
     head, sep, tail = frame
     nl = sep[sep.index("\n"):]  # the line break and indent of each record
     templates = {}
     records = []
     for a in report.points:
-        B, tau, scales, certificates = a.B, a.tau, a.scales, a.certificates
+        B, tau = a.B, a.tau
         if (
             a.error is None
-            and type(scales) is dict
-            and type(certificates) is dict
             and (B is None or type(B) is np.ndarray)
             and (tau is None or type(tau) is np.ndarray)
         ):
@@ -498,17 +501,10 @@ def _fill_records(report: ClassificationReport) -> str | None:
                 a.minimal_defect,
                 a.integrability_defect,
                 *(() if tau is None else tau.ravel().tolist()),
-                *scales.values(),
-                *certificates.values(),
+                a.second_form_scale,
             )
             types = tuple(map(type, values))
-            key = (
-                types,
-                None if B is None else B.shape,
-                None if tau is None else tau.shape,
-                tuple(scales),
-                tuple(certificates),
-            )
+            key = (types, None if B is None else B.shape, None if tau is None else tau.shape)
             entry = templates.get(key, False)
             if entry is False:
                 entry = templates[key] = _template(a, types, nl)
