@@ -1,5 +1,6 @@
-"""Forward-mode Taylor arithmetic: stacked second-order jets, and the
-chain-rule coefficients that every derivative lane shares.
+"""Forward-mode Taylor arithmetic: stacked second-order jets, the chain-rule
+coefficients that every derivative lane shares, and the expression
+language's seven domain rules.
 
 A JetStack carries the second-order jets of n points at once: values (n,),
 gradients (d, n) and Hessians (d, d, n) with respect to all chart
@@ -22,18 +23,27 @@ through JetStack (see exprlang.compile_stacked).
 
 The metric, whose Christoffel symbols need only dg, runs exprlang's
 first-order lane on plain floats.  It takes its coefficients f, f', f''
-from _COEFFICIENTS, _power_coefficients and _check_variable_base, as the
-tests' scalar jets do, and gives their value and gradient bits.
+from _COEFFICIENTS and _power_coefficients, as the tests' scalar jets do,
+and gives their value and gradient bits.
+
+The domain rules are scalar functions, each written once here, and every
+lane asks them: the float tree, the first-order lane and the tests' jets
+call them on their numbers, and the array lanes flag the rows where a rule
+may refuse with a cheap mask and ask the rule at each flagged row (see
+_faults).  ln and sqrt need a positive argument (_check_positive), a
+divisor must not be 0 (_divide), a negative base needs an integer exponent
+and a zero base a non-negative one (_check_power), a variable exponent
+needs a positive base (_check_variable_base), and, for jets only, abs
+needs a nonzero argument (_check_abs) and u^c with c < 2 a nonzero base
+(_power_coefficients).  Each raises ValueError, or ZeroDivisionError for
+a zero divisor, as the math module would; the rules' own arithmetic adds
+ZeroDivisionError for a coefficient f'' whose denominator underflows to 0,
+and OverflowError where exp or a power overflows.
 
 A plain-number exponent takes the constant-power rule, and a jet exponent
 (passed exactly when the exponent mentions a coordinate) always takes the
 exp(e ln b) rule, which needs a positive base even where the exponent's
 derivatives happen to vanish.
-
-Domain errors mirror the math module: ValueError for ln/sqrt/abs/power
-violations, ZeroDivisionError for division by a zero value lane (and for a
-coefficient f'' whose denominator underflows to 0), OverflowError where
-exp or a power overflows.
 """
 
 from __future__ import annotations
@@ -44,6 +54,46 @@ from itertools import repeat
 import numpy as np
 
 __all__ = ["JetStack", "seed_stack"]
+
+
+# The domain rules: each refuses its numbers with the message every lane
+# reports (see the module docstring)
+
+
+def _check_positive(func: str, v: float) -> None:
+    """Refuse the argument v <= 0 of ln or sqrt (named func)."""
+    if v <= 0.0:
+        raise ValueError(f"{func} of non-positive value {v!r}")
+
+
+def _divide(a: float, b: float) -> float:
+    """a / b, refusing a zero divisor (float division refuses one too,
+    but with another message, and a NumPy float not at all)."""
+    if b == 0.0:
+        raise ZeroDivisionError("division by zero")
+    return a / b
+
+
+def _check_power(base: float, expo: float) -> None:
+    """Refuse a negative base with a fractional exponent, and a zero base
+    with a negative one."""
+    if base < 0.0 and not float(expo).is_integer():
+        raise ValueError(f"fractional power {expo!r} of negative base {base!r}")
+    if base == 0.0 and expo < 0.0:
+        raise ValueError("zero raised to a negative power")
+
+
+def _check_variable_base(base: float) -> None:
+    """Refuse the base of a power whose exponent mentions a coordinate,
+    which the exp(e ln b) rule needs positive."""
+    if base <= 0.0:
+        raise ValueError("power with variable exponent needs a positive base")
+
+
+def _check_abs(v: float) -> None:
+    """Refuse a jet's abs at 0, where it has no derivative."""
+    if v == 0.0:
+        raise ValueError("abs is not differentiable at 0")
 
 
 def _taylor_sin(v: float) -> tuple[float, float, float]:
@@ -68,14 +118,12 @@ def _taylor_exp(v: float) -> tuple[float, float, float]:
 
 
 def _taylor_ln(v: float) -> tuple[float, float, float]:
-    if v <= 0.0:
-        raise ValueError(f"ln of non-positive value {v!r}")
+    _check_positive("ln", v)
     return math.log(v), 1.0 / v, -1.0 / (v * v)
 
 
 def _taylor_sqrt(v: float) -> tuple[float, float, float]:
-    if v <= 0.0:
-        raise ValueError(f"sqrt of non-positive value {v!r}")
+    _check_positive("sqrt", v)
     r = math.sqrt(v)
     return r, 0.5 / r, -0.25 / (r * v)
 
@@ -95,9 +143,9 @@ _COEFFICIENTS = {
 
 def _power_coefficients(v: float, c: float) -> tuple[float, float, float] | None:
     """f, f', f'' of u**c at u = v for a plain-number exponent c, or None
-    for c = 0 or 1 (a constant 1, and u itself); raises where a jet does."""
-    if v < 0.0 and not c.is_integer():
-        raise ValueError(f"fractional power {c!r} of negative base {v!r}")
+    for c = 0 or 1 (a constant 1, and u itself); raises where a jet does:
+    where _check_power refuses, and at v = 0 where c < 2."""
+    _check_power(v, c)
     if v == 0.0 and c < 2.0 and c not in (0.0, 1.0):
         raise ValueError(f"power {c!r} is not twice differentiable at 0")
     if c == 0.0 or c == 1.0:
@@ -105,13 +153,6 @@ def _power_coefficients(v: float, c: float) -> tuple[float, float, float] | None
     f1 = c * math.pow(v, c - 1.0)
     f2 = c * (c - 1.0) * math.pow(v, c - 2.0)
     return math.pow(v, c), f1, f2
-
-
-def _check_variable_base(base: float) -> None:
-    """Refuse the base of a power whose exponent mentions a coordinate,
-    which the exp(e ln b) rule needs positive."""
-    if base <= 0.0:
-        raise ValueError(_VARIABLE_BASE)
 
 
 class JetStack:
@@ -194,19 +235,13 @@ class JetStack:
 
     def _pow_const(self, c: float):
         v = self.value
-        refused = None
-        if not c.is_integer():
-            refused = _rows(
-                v < 0.0,
-                lambda k: ValueError(f"fractional power {c!r} of negative base {float(v[k])!r}"),
-            )
-        if c < 2.0 and c not in (0.0, 1.0):
-            message = f"power {c!r} is not twice differentiable at 0"
-            refused = _merged(refused, _rows(v == 0.0, lambda k: ValueError(message)))
         if c == 0.0:
             return _stack(np.ones_like(v), np.zeros_like(self.grad), np.zeros_like(self.hess))
         if c == 1.0:
             return self
+        refused = None
+        if c < 2.0 or not c.is_integer():  # a base <= 0 may be refused
+            refused = _faults(_power_coefficients, v <= 0.0, v, c)
         p1, f1_faults = _each(math.pow, v, c - 1.0)
         p2, f2_faults = _each(math.pow, v, c - 2.0)
         p0, f0_faults = _each(math.pow, v, c)
@@ -216,14 +251,14 @@ class JetStack:
     def __pow__(self, other):
         if not isinstance(other, JetStack):
             return self._pow_const(float(other))
-        refused = _rows(self.value <= 0.0, lambda k: ValueError(_VARIABLE_BASE))
+        refused = _faults(_check_variable_base, self.value <= 0.0, self.value)
         ln = self.ln()
         power, failed = _each(math.pow, self.value, other.value)
         return self._exp(other * ln, power, _merged(refused, ln.faults, failed))
 
     def __rpow__(self, base):
         if base <= 0.0:
-            refused = dict.fromkeys(range(len(self.value)), ValueError(_VARIABLE_BASE))
+            refused = _faults(_check_variable_base, np.full(self.value.shape, True), base)
             nan = np.full_like(self.value, math.nan)
             return _stack(nan, np.zeros_like(self.grad), np.zeros_like(self.hess), refused)
         power, failed = _each(math.pow, base, self.value)
@@ -251,26 +286,20 @@ class JetStack:
     def ln(self):
         v = self.value
         square = v * v
-        log, failed = _each(math.log, v)
-        faults = None
-        if np.count_nonzero(v * square > 0.0) < len(v):  # v <= 0, or v * v underflowed
-            refused = _rows(v <= 0.0, lambda k: ValueError(f"ln of non-positive value {float(v[k])!r}"))
-            faults = _merged(refused, failed, _rows(square == 0.0, _underflow))
+        log, _ = _each(math.log, v)  # NaN where v <= 0, which the rule refuses
+        faults = _faults(_taylor_ln, ~(v * square > 0.0), v)  # v <= 0, or v * v underflowed
         return self._chain(log, 1.0 / v, -1.0 / square, faults)
 
     def sqrt(self):
         v = self.value
         r = np.sqrt(v)  # correctly rounded, like math.sqrt
         rv = r * v
-        faults = None
-        if np.count_nonzero(rv > 0.0) < len(v):  # v <= 0, or r * v underflowed
-            refused = _rows(v <= 0.0, lambda k: ValueError(f"sqrt of non-positive value {float(v[k])!r}"))
-            faults = _merged(refused, _rows(rv == 0.0, _underflow))
+        faults = _faults(_taylor_sqrt, ~(rv > 0.0), v)  # v <= 0, or r * v underflowed
         return self._chain(r, 0.5 / r, -0.25 / rv, faults)
 
     def abs(self):
         v = self.value
-        refused = _rows(v == 0.0, lambda k: ValueError("abs is not differentiable at 0"))
+        refused = _faults(_check_abs, v == 0.0, v)
         positive = v > 0.0
         if refused is None and np.count_nonzero(positive) == len(v):
             return self
@@ -285,14 +314,6 @@ class JetStack:
     __abs__ = abs
 
 
-_VARIABLE_BASE = "power with variable exponent needs a positive base"
-
-
-def _underflow(k: int) -> ZeroDivisionError:
-    """Jet2's error where a coefficient's denominator underflows to 0."""
-    return ZeroDivisionError("float division by zero")
-
-
 def _stack(value, grad, hess, faults=None) -> JetStack:
     """A JetStack from float64 arrays, as every rule forms them, without the
     conversions of ``JetStack.__init__``."""
@@ -304,11 +325,20 @@ def _stack(value, grad, hess, faults=None) -> JetStack:
     return stack
 
 
-def _rows(mask: np.ndarray, error) -> dict[int, Exception] | None:
-    """{row: error(row)} over the rows of the mask, or None where it has none."""
-    if not np.count_nonzero(mask):
+def _faults(rule, flagged: np.ndarray, *lanes) -> dict[int, Exception] | None:
+    """{row: the exception the scalar rule raises at that row's numbers}
+    over the rows the mask flags (a plain number is every row's), or None
+    where the rule raises at none.  The mask is a cheap superset of the
+    rows the rule refuses; the rule decides, with its message."""
+    if not np.count_nonzero(flagged):  # the usual case, without the loop
         return None
-    return {k: error(k) for k in np.flatnonzero(mask).tolist()}
+    faults = {}
+    for k in np.flatnonzero(flagged).tolist():
+        try:
+            rule(*[lane[k].item() if isinstance(lane, np.ndarray) else lane for lane in lanes])
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            faults[k] = exc
+    return faults or None
 
 
 def _merged(*parts) -> dict[int, Exception] | None:

@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .exprlang import EvalDomainError, compile_expr, parse
 from .mongecore import (
     ClassificationReport,
     EmptySampleError,
+    NotLightlikeWarning,
     Tolerances,
     _is_lightlike,
     classify,
@@ -250,7 +252,12 @@ def _cmd_eval(args) -> int:
             out(f"e_{i + 1} = {_fmt_vector(row)}")
         out(f"induced_g = {_fmt_matrix(induced)}")
     if "B" in show:
-        B = second_fundamental_form_at(gen, sp, tolerance=tol)
+        # B at a non-lightlike point warns; eval says so in one line
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", NotLightlikeWarning)
+            B = second_fundamental_form_at(gen, sp, tolerance=tol)
+        for warning in caught:
+            print(f"mongelight eval: warning: {warning.message}", file=sys.stderr)
         out(f"B = {_fmt_matrix(B)}")
     if _is_lightlike(defect, tol) and gen.dimension >= 2:
         out(f"minimal_defect = {_fmt(minimal_defect_at(gen, sp))}")

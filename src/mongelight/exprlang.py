@@ -4,8 +4,9 @@ Metric components, scalar fields, and domain constraints are written as
 strings in a small real-valued DSL and parsed against a coordinate chart.
 An expression is compiled three ways, each once into a tree of closures:
 
-- ``compile_expr`` is the float tree: each node runs its float operation
-  on a point of plain numbers.  ``evaluate`` compiles and runs in one call.
+- ``compile_expr`` is the float tree, one closure per node kind: each node
+  runs its float operation on a point of plain numbers.  ``evaluate``
+  compiles and runs in one call.
 - ``_compile_first_order`` is the first-order lane on plain floats: a
   closure tree over (value, gradient tuple) that runs the rules of the
   first-order scalar jet Jet1 (the tests' reference, in tests/_jets.py) and
@@ -14,11 +15,16 @@ An expression is compiled three ways, each once into a tree of closures:
   components this way.
 - ``compile_stacked`` is the array lane: one call evaluates the
   second-order jets of a whole stack of points (autodiff.JetStack), with
-  every domain check a mask over the points.
+  each domain rule asked at the points a mask flags.
 
-All three run compile_expr's domain checks, in its order, with its
-messages; the derivative lanes add the checks of the derivatives (abs at
-0, a variable exponent's base, a second coefficient that underflows).
+Every lane asks the same domain rules, the scalar functions of autodiff
+(_check_positive, _divide, _check_power and, for jets, _check_abs,
+_check_variable_base and _power_coefficients), in the same order, and
+turns what a rule raises into EvalDomainError(message, node): the scalar
+lanes call them on their numbers, and the array lane asks them at the rows
+its masks flag.  The derivative lanes add the rules of the derivatives
+(abs at 0, a variable exponent's base, u^c at 0 for c < 2, a second
+coefficient that underflows).
 
 Grammar (no implicit multiplication; ^ binds tighter than unary minus):
 
@@ -46,7 +52,12 @@ import numpy as np
 from .autodiff import (
     _COEFFICIENTS,
     JetStack,
+    _check_abs,
+    _check_positive,
+    _check_power,
     _check_variable_base,
+    _divide,
+    _faults,
     _power_coefficients,
     seed_stack,
 )
@@ -411,15 +422,35 @@ _ARITHMETIC_ERRORS = (ValueError, OverflowError, ZeroDivisionError)
 
 _OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
+
+def _positive(fn: Callable[[float], float], func: str) -> Callable[[float], float]:
+    """fn after the rule that its argument is positive."""
+
+    def checked(x):
+        _check_positive(func, x)
+        return fn(x)
+
+    return checked
+
+
+def _power(base, expo) -> float:
+    """math.pow after the power rules, which only a base <= 0 can fail."""
+    if base <= 0.0:
+        _check_power(base, expo)
+    return math.pow(base, expo)
+
+
+# f of each function and operator on plain floats, after its domain rules
 _FLOAT_FUNCS = {
     "sin": math.sin,
     "cos": math.cos,
     "tan": math.tan,
     "exp": math.exp,
-    "ln": math.log,
-    "sqrt": math.sqrt,
+    "ln": _positive(math.log, "ln"),
+    "sqrt": _positive(math.sqrt, "sqrt"),
     "abs": abs,
 }
+_FLOAT_OPERATORS = {**_OPERATORS, "/": _divide, "^": _power}
 
 
 def compile_expr(
@@ -484,110 +515,34 @@ def _compile_call(node: Call, arg: Callable) -> Callable:
     fn = _FLOAT_FUNCS[node.func]
     isfinite = math.isfinite
 
-    if node.func in ("ln", "sqrt"):
-        message = f"{node.func} of non-positive value "
-
-        def call(point):
-            x = arg(point)
-            if x <= 0.0:
-                raise EvalDomainError(message + repr(x), node)
-            try:
-                result = fn(x)
-            except _ARITHMETIC_ERRORS as exc:
-                raise EvalDomainError(str(exc), node) from None
-            if not isfinite(result):
-                raise EvalDomainError("non-finite result", node)
-            return result
-
-    else:
-
-        def call(point):
-            x = arg(point)
-            try:
-                result = fn(x)
-            except _ARITHMETIC_ERRORS as exc:
-                raise EvalDomainError(str(exc), node) from None
-            if not isfinite(result):
-                raise EvalDomainError("non-finite result", node)
-            return result
+    def call(point):
+        x = arg(point)
+        try:
+            result = fn(x)
+        except _ARITHMETIC_ERRORS as exc:
+            raise EvalDomainError(str(exc), node) from None
+        if not isfinite(result):
+            raise EvalDomainError("non-finite result", node)
+        return result
 
     return call
 
 
 def _compile_binop(node: BinOp, left: Callable, right: Callable) -> Callable:
+    # every operator but + - * / runs as "^"
+    apply = _FLOAT_OPERATORS.get(node.op, _power)
     isfinite = math.isfinite
 
-    if node.op == "+":
-
-        def binop(point):
-            a = left(point)
-            b = right(point)
-            try:
-                result = a + b
-                if not isfinite(result):
-                    raise EvalDomainError("non-finite result", node)
-            except _ARITHMETIC_ERRORS as exc:
-                raise EvalDomainError(str(exc), node) from None
-            return result
-
-    elif node.op == "-":
-
-        def binop(point):
-            a = left(point)
-            b = right(point)
-            try:
-                result = a - b
-                if not isfinite(result):
-                    raise EvalDomainError("non-finite result", node)
-            except _ARITHMETIC_ERRORS as exc:
-                raise EvalDomainError(str(exc), node) from None
-            return result
-
-    elif node.op == "*":
-
-        def binop(point):
-            a = left(point)
-            b = right(point)
-            try:
-                result = a * b
-                if not isfinite(result):
-                    raise EvalDomainError("non-finite result", node)
-            except _ARITHMETIC_ERRORS as exc:
-                raise EvalDomainError(str(exc), node) from None
-            return result
-
-    elif node.op == "/":
-
-        def binop(point):
-            a = left(point)
-            b = right(point)
-            if b == 0.0:
-                raise EvalDomainError("division by zero", node)
-            try:
-                result = a / b
-                if not isfinite(result):
-                    raise EvalDomainError("non-finite result", node)
-            except _ARITHMETIC_ERRORS as exc:
-                raise EvalDomainError(str(exc), node) from None
-            return result
-
-    else:  # "^", as which every other operator runs
-        power = math.pow
-
-        def binop(point):
-            a = left(point)
-            b = right(point)
-            try:
-                if a < 0.0 and not float(b).is_integer():
-                    raise EvalDomainError(f"fractional power {b!r} of negative base {a!r}", node)
-                if a == 0.0 and b < 0.0:
-                    raise EvalDomainError("zero raised to a negative power", node)
-                result = power(a, b)
-                if not isfinite(result):
-                    raise EvalDomainError("non-finite result", node)
-            except _ARITHMETIC_ERRORS as exc:
-                raise EvalDomainError(str(exc), node) from None
-            return result
+    def binop(point):
+        a = left(point)
+        b = right(point)
+        try:
+            result = apply(a, b)
+            if not isfinite(result):
+                raise EvalDomainError("non-finite result", node)
+        except _ARITHMETIC_ERRORS as exc:
+            raise EvalDomainError(str(exc), node) from None
+        return result
 
     return binop
 
@@ -617,94 +572,68 @@ def evaluate(e: Expr, point: Sequence[float], params: Mapping[str, float] | None
 # no coordinate), the rule is the one Jet1 runs with that float operand.
 
 
-def _check_argument(node: Call, v: float) -> None:
-    """Refuse a function's argument value v where its first-order jet
-    raises: ln and sqrt need it positive, abs nonzero."""
-    if v <= 0.0 and node.func in ("ln", "sqrt"):
-        raise EvalDomainError(f"{node.func} of non-positive value {v!r}", node)
-    if v == 0.0 and node.func == "abs":
-        raise EvalDomainError("abs is not differentiable at 0", node)
-
-
-def _check_power(node: BinOp, base: float, expo: float) -> None:
-    """Refuse the value lanes of a power's base and exponent."""
-    if base < 0.0 and not float(expo).is_integer():
-        raise EvalDomainError(f"fractional power {expo!r} of negative base {base!r}", node)
-    if base == 0.0 and expo < 0.0:
-        raise EvalDomainError("zero raised to a negative power", node)
-
-
-def _check_divisor(node: BinOp, divisor: float) -> None:
-    """Refuse a divisor whose value lane is 0."""
-    if divisor == 0.0:
-        raise EvalDomainError("division by zero", node)
-
-
 def _negated(g):
     return tuple(map(operator.neg, g))
 
 
 # The binary rules, one per operator and operand kind: two operands that
 # mention a coordinate, (value, gradient) each, or one of them a plain
-# number.  Each runs compile_expr's check of the operator first.
+# number.  Each asks the operator's domain rules first, as compile_expr does.
 
 
-def _add(node, av, ag, bv, bg):
+def _add(av, ag, bv, bg):
     return av + bv, tuple(map(operator.add, ag, bg))
 
 
-def _add_number(node, av, ag, b):
+def _add_number(av, ag, b):
     return av + b, ag
 
 
-def _number_add(node, a, bv, bg):
+def _number_add(a, bv, bg):
     return bv + a, bg  # Jet1.__radd__
 
 
-def _sub(node, av, ag, bv, bg):
+def _sub(av, ag, bv, bg):
     return av - bv, tuple(map(operator.sub, ag, bg))
 
 
-def _sub_number(node, av, ag, b):
+def _sub_number(av, ag, b):
     return av - b, ag
 
 
-def _number_sub(node, a, bv, bg):
+def _number_sub(a, bv, bg):
     return a - bv, _negated(bg)
 
 
-def _mul(node, av, ag, bv, bg):
+def _mul(av, ag, bv, bg):
     return av * bv, tuple([av * y + bv * x for x, y in zip(ag, bg)])
 
 
-def _mul_number(node, av, ag, b):
+def _mul_number(av, ag, b):
     return av * b, tuple([x * b for x in ag])
 
 
-def _number_mul(node, a, bv, bg):
+def _number_mul(a, bv, bg):
     return bv * a, tuple([y * a for y in bg])  # Jet1.__rmul__
 
 
-def _div(node, av, ag, bv, bg):
-    _check_divisor(node, bv)
-    q = av / bv
+def _div(av, ag, bv, bg):
+    q = _divide(av, bv)
     return q, tuple([(x - q * y) / bv for x, y in zip(ag, bg)])
 
 
-def _div_number(node, av, ag, b):
-    _check_divisor(node, b)
-    return av / b, tuple([x / b for x in ag])
+def _div_number(av, ag, b):
+    return _divide(av, b), tuple([x / b for x in ag])
 
 
-def _number_div(node, a, bv, bg):
-    _check_divisor(node, bv)
-    q = a / bv
+def _number_div(a, bv, bg):
+    q = _divide(a, bv)
     return q, tuple([(-q * y) / bv for y in bg])
 
 
-def _pow(node, av, ag, bv, bg):
+def _pow(av, ag, bv, bg):
     # exp(b ln a), with the value lane the direct power
-    _check_power(node, av, bv)
+    _check_power(av, bv)
     _check_variable_base(av)
     lv, l1, _ = _COEFFICIENTS["ln"](av)
     u = [bv * (l1 * x) + lv * y for x, y in zip(ag, bg)]
@@ -712,8 +641,7 @@ def _pow(node, av, ag, bv, bg):
     return p, tuple([p * x for x in u])
 
 
-def _pow_number(node, av, ag, c):
-    _check_power(node, av, c)
+def _pow_number(av, ag, c):
     coefficients = _power_coefficients(av, c)
     if coefficients is None:  # u^0 is the constant 1, u^1 is u
         return (1.0, (0.0,) * len(ag)) if c == 0.0 else (av, ag)
@@ -721,8 +649,8 @@ def _pow_number(node, av, ag, c):
     return f0, tuple([f1 * x for x in ag])
 
 
-def _number_pow(node, a, bv, bg):
-    _check_power(node, a, bv)
+def _number_pow(a, bv, bg):
+    _check_power(a, bv)
     _check_variable_base(a)
     ln = math.log(a)
     p = math.pow(a, bv)
@@ -813,16 +741,16 @@ def _first_order_call(node: Call, arg: Callable) -> Callable:
 
     def call(point):
         v, g = arg(point)
-        _check_argument(node, v)
-        if coefficients is None:  # Jet1.abs, at a nonzero value
-            if not v > 0.0:
-                v, g = -v, _negated(g)
-        else:
-            try:
+        try:
+            if coefficients is None:  # Jet1.abs
+                _check_abs(v)
+                if not v > 0.0:
+                    v, g = -v, _negated(g)
+            else:
                 v, f1, _ = coefficients(v)
-            except _ARITHMETIC_ERRORS as exc:
-                raise EvalDomainError(str(exc), node) from None
-            g = tuple([f1 * x for x in g])
+                g = tuple([f1 * x for x in g])
+        except _ARITHMETIC_ERRORS as exc:
+            raise EvalDomainError(str(exc), node) from None
         if not math.isfinite(v):  # a coordinate may be inf or nan
             raise EvalDomainError("non-finite result", node)
         return v, g
@@ -844,7 +772,7 @@ def _first_order_binop(node: BinOp, left, right) -> Callable:
             av, ag = left(point)
             bv, bg = right(point)
             try:
-                v, g = both(node, av, ag, bv, bg)
+                v, g = both(av, ag, bv, bg)
             except _ARITHMETIC_ERRORS as exc:
                 raise EvalDomainError(str(exc), node) from None
             if not isfinite(v):
@@ -856,7 +784,7 @@ def _first_order_binop(node: BinOp, left, right) -> Callable:
         def binop(point):
             av, ag = left(point)
             try:
-                v, g = with_number(node, av, ag, right)
+                v, g = with_number(av, ag, right)
             except _ARITHMETIC_ERRORS as exc:
                 raise EvalDomainError(str(exc), node) from None
             if not isfinite(v):
@@ -868,7 +796,7 @@ def _first_order_binop(node: BinOp, left, right) -> Callable:
         def binop(point):
             bv, bg = right(point)
             try:
-                v, g = of_number(node, left, bv, bg)
+                v, g = of_number(left, bv, bg)
             except _ARITHMETIC_ERRORS as exc:
                 raise EvalDomainError(str(exc), node) from None
             if not isfinite(v):
@@ -894,8 +822,8 @@ def compile_stacked(
     points[k] (a constant expression gives zero derivatives), and {row:
     EvalDomainError} of the rows where that evaluation raises, with the same
     message.  The tests hold Jet2 and the jet-generic tree (tests/_jets.py)
-    as the reference for this lane.  Each check of
-    compile_expr is a mask over the rows, and a row records the first node
+    as the reference for this lane.  Each domain rule is asked at the rows
+    a mask flags, and a row records the first node
     it fails in the scalar evaluation order (left operand, right operand,
     then the node).  A failed row's numbers mean nothing; no row's numbers
     or error depend on another row.  A subexpression that mentions no
@@ -1009,37 +937,29 @@ def _shared(node: Expr, params: Mapping[str, float]) -> Callable:
     return lambda point, failures: run(point)
 
 
-def _refuse(failures: dict, rows: np.ndarray, node: Expr, message) -> None:
-    """Record EvalDomainError(message, node) at each row of the mask that has
-    no error yet; message is a string, or a function of the row."""
-    if not np.count_nonzero(rows):  # the usual case, without the loop
-        return
-    shared = None if callable(message) else EvalDomainError(message, node)
-    for k in np.flatnonzero(rows).tolist():
-        if k not in failures:
-            failures[k] = EvalDomainError(message(k), node) if shared is None else shared
+def _record(failures: dict, faults: dict | None, node: Expr) -> None:
+    """Record each fault ({row: exception}) as the node's EvalDomainError at
+    its row, where that row has no error yet."""
+    if faults:
+        for k, exc in faults.items():
+            failures.setdefault(k, EvalDomainError(str(exc), node))
 
 
 def _checked(failures: dict, result: JetStack, node: Expr) -> JetStack:
     """result, after recording at the rows without an error the faults of
     its rule, then its non-finite value lanes."""
-    if result.faults:
-        for k, exc in result.faults.items():
-            failures.setdefault(k, EvalDomainError(str(exc), node))
+    _record(failures, result.faults, node)
     value = result.value
     if not math.isfinite(value.dot(value)):  # a finite sum of squares: every row finite
-        _refuse(failures, ~np.isfinite(value), node, "non-finite result")
+        shared = EvalDomainError("non-finite result", node)
+        for k in np.flatnonzero(~np.isfinite(value)).tolist():
+            failures.setdefault(k, shared)
     return result
 
 
-def _at(lane, k: int):
-    """Row k of a value lane, as a Python number (a plain number is every row's)."""
-    return lane[k].item() if isinstance(lane, np.ndarray) else lane
-
-
 def _stacked_call(node: Call, arg: Callable) -> Callable:
-    # JetStack's ln, sqrt and abs record compile_expr's domain errors, with
-    # its messages, as their faults
+    # JetStack's ln, sqrt and abs record the domain rules' errors as their
+    # faults
     fn = node.func
 
     def call(point, failures):
@@ -1049,6 +969,7 @@ def _stacked_call(node: Call, arg: Callable) -> Callable:
 
 
 def _stacked_binop(node: BinOp, left: Callable, right: Callable) -> Callable:
+    # each domain rule is asked at the rows its mask flags (autodiff._faults)
     if node.op in _OPERATORS:
         operate = _OPERATORS[node.op]
 
@@ -1058,27 +979,24 @@ def _stacked_binop(node: BinOp, left: Callable, right: Callable) -> Callable:
     elif node.op == "/":
 
         def apply(a, b, failures):
-            if isinstance(b, JetStack):
-                _refuse(failures, b.value == 0.0, node, "division by zero")
-            elif b == 0.0:
-                raise EvalDomainError("division by zero", node)  # at every row
+            if not isinstance(b, JetStack):
+                try:
+                    return _divide(a, b)
+                except ZeroDivisionError as exc:  # a constant 0 fails every row
+                    raise EvalDomainError(str(exc), node) from None
+            divisor = b.value
+            _record(failures, _faults(_divide, divisor == 0.0, getattr(a, "value", a), divisor), node)
             return a / b
 
     else:  # "^", as which every other operator runs
 
         def apply(a, b, failures):
             base, expo = getattr(a, "value", a), getattr(b, "value", b)
-            negative = np.less(base, 0.0)
-            if np.count_nonzero(negative):
-                _refuse(
-                    failures,
-                    negative & (np.floor(expo) != expo),
-                    node,
-                    lambda k: f"fractional power {_at(expo, k)!r} of negative base {_at(base, k)!r}",
-                )
-            zero = np.equal(base, 0.0)
-            if np.count_nonzero(zero):
-                _refuse(failures, zero & np.less(expo, 0.0), node, "zero raised to a negative power")
+            negative, zero = np.less(base, 0.0), np.equal(base, 0.0)
+            if np.count_nonzero(negative) or np.count_nonzero(zero):
+                fractional = np.mod(expo, 1.0) != 0.0  # so are inf and nan, as in the rule
+                refused = negative & fractional | zero & np.less(expo, 0.0)
+                _record(failures, _faults(_check_power, refused, base, expo), node)
             return a**b
 
     def binop(point, failures):

@@ -83,7 +83,8 @@ class GeneratorFileError(Exception):
 class GridSpec:
     """Per-coordinate [lo, hi] ranges and point counts (inclusive endpoints).
     Each count is an int, NumPy's included, that is not a bool; it is
-    stored as an int."""
+    stored as an int.  Each bound is an int or float, NumPy's included,
+    that is not a bool; it is stored as a float."""
 
     ranges: tuple[tuple[float, float], ...]
     counts: tuple[int, ...]
@@ -98,10 +99,17 @@ class GridSpec:
         object.__setattr__(self, "counts", tuple(map(int, self.counts)))
         if any(c < 1 for c in self.counts):
             raise ValueError("counts must be >= 1")
+        ranges = []
         for lo, hi in self.ranges:
+            for bound in (lo, hi):
+                # save_generator would write True as true, which load_generator refuses
+                if isinstance(bound, bool) or not isinstance(bound, (int, float, np.integer, np.floating)):
+                    raise ValueError(f"range bound {bound!r} is not a real number")
             # np.linspace fills a range whose span overflows with nan and inf
-            if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(hi - lo)):
+            if not (_is_finite(lo) and _is_finite(hi) and math.isfinite(float(hi) - float(lo))):
                 raise ValueError(f"range [{lo!r}, {hi!r}] is not finite or its span overflows")
+            ranges.append((float(lo), float(hi)))
+        object.__setattr__(self, "ranges", tuple(ranges))
 
 
 @dataclass(frozen=True)
@@ -118,10 +126,14 @@ class SampleSet:
 
 
 def _sample_point(gen: MongeGenerator, base) -> SurfacePoint:
-    """The surface point over ``base``, with x0 None where F cannot be
-    evaluated there: classify records that point's error."""
+    """The surface point over ``base``, with x0 None where classify records
+    the point's error: where the base does not fit the chart or is not
+    finite numbers (the base is kept as given), or where F cannot be
+    evaluated there."""
     try:
         return gen.surface_point(base)
+    except ValueError:
+        return SurfacePoint(base, None)
     except EvalDomainError:
         return SurfacePoint(tuple(float(x) for x in base), None)
 

@@ -10,12 +10,12 @@ the same floating-point operations, in the same order, as Jet2's value and
 gradient lanes, so it agrees with Jet2 bit for bit there and raises on
 exactly the same inputs.  Both take their chain-rule coefficients f' and f''
 from the functions mongelight.autodiff shares with the library's lanes
-(_COEFFICIENTS, _power_coefficients and _check_variable_base).
+(_COEFFICIENTS and _power_coefficients), and ask its domain rules.
 
 ``compile_expr`` and ``evaluate`` here are a jet-generic closure tree: the
 same compiled expression runs on plain floats and on jets of either order,
-with mongelight.exprlang's domain checks and messages.  The tests judge
-against them:
+asking mongelight.autodiff's domain rules, in the library's order.  The
+tests judge against them:
 
 - exprlang.compile_expr (plain floats) by the float bits and errors,
 - exprlang's first-order lane by Jet1's value and gradient bits,
@@ -42,7 +42,11 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from mongelight.autodiff import (
+    _check_abs,
+    _check_positive,
+    _check_power,
     _check_variable_base,
+    _divide,
     _power_coefficients,
     _taylor_cos,
     _taylor_exp,
@@ -62,8 +66,6 @@ from mongelight.exprlang import (
     Neg,
     Num,
     Param,
-    _check_divisor,
-    _check_power,
     _parameter_value,
 )
 
@@ -115,8 +117,7 @@ class _Taylor:
         return self._chain(*_taylor_sqrt(self.value))
 
     def abs(self):
-        if self.value == 0.0:
-            raise ValueError("abs is not differentiable at 0")
+        _check_abs(self.value)
         return self if self.value > 0.0 else -self
 
     __abs__ = abs
@@ -380,24 +381,18 @@ def _compile(node: Expr, params: Mapping[str, float]) -> Callable[[Sequence], ob
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def _check_argument(node: Call, v: float, jet: bool) -> None:
-    """Refuse a function's argument value v (a jet's value lane, where jet):
-    ln and sqrt need it positive, abs of a jet nonzero."""
-    if v <= 0.0 and node.func in ("ln", "sqrt"):
-        raise EvalDomainError(f"{node.func} of non-positive value {v!r}", node)
-    if jet and v == 0.0 and node.func == "abs":
-        raise EvalDomainError("abs is not differentiable at 0", node)
-
-
 def _compile_call(node: Call, arg: Callable) -> Callable:
     fn = node.func
 
     def call(point):
         x = arg(point)
-        v = _lane(x)
-        _check_argument(node, v, not isinstance(x, float))
         try:
-            result = _FLOAT_FUNCS[fn](v) if isinstance(x, float) else getattr(x, fn)()
+            if isinstance(x, float):
+                if fn in ("ln", "sqrt"):
+                    _check_positive(fn, x)
+                result = _FLOAT_FUNCS[fn](x)
+            else:  # a jet's rule asks the domain rules
+                result = getattr(x, fn)()
         except _ARITHMETIC_ERRORS as exc:
             raise EvalDomainError(str(exc), node) from None
         if not math.isfinite(_lane(result)):
@@ -413,13 +408,13 @@ def _compile_binop(node: BinOp, left: Callable, right: Callable) -> Callable:
     elif node.op == "/":
 
         def apply(a, b):
-            _check_divisor(node, _lane(b))
-            return a / b
+            quotient = _divide(_lane(a), _lane(b))  # the value lane, after the rule
+            return quotient if isinstance(a, float) and isinstance(b, float) else a / b
 
     else:  # "^", as which every other operator runs
 
         def apply(a, b):
-            _check_power(node, _lane(a), _lane(b))
+            _check_power(_lane(a), _lane(b))
             if isinstance(a, float) and isinstance(b, float):
                 return math.pow(a, b)
             return a**b

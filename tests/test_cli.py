@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -292,6 +293,18 @@ class TestVerifyCommand:
 
 
 class TestEvalCommand:
+    def test_non_lightlike_point_warns_in_one_line(self, capsys):
+        argv = ["eval", "--builtin", "nonlightlike_control", "--point", "0.1,0.2"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning that leaves eval fails the run
+            assert cli.main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "mongelight eval: warning: second fundamental form at non-lightlike point"
+            " (defect 3.000e+00)\n"
+        )
+        assert "B = [(-0, -0); (-0, -0)]" in captured.out.splitlines()
+
     def test_exterior_chart_point(self, capsys):
         rc = cli.main(["eval", "--builtin", "schwarzschild_tr", "--point", "0,2"])
         assert rc == 0

@@ -113,12 +113,41 @@ class TestGridSample:
         ]
         assert [p["x0"] for p in doc["points"]] == [None, None, 0.0]
 
+    def test_explicit_point_the_chart_refuses_records_its_error(self):
+        # materialize keeps such a base as given, with x0 None, and classify
+        # records why, as it does where F fails
+        gen = catalog.builtin("hyperbolic2").generator
+        bases = ((0.1,), (0.1, math.nan), (0.1, "a"), (0.1, 1.0))
+        points = SampleSet(points=bases).materialize(gen)
+        assert [(p.base, p.x0) for p in points[:3]] == [(base, None) for base in bases[:3]]
+        assert points[3] == gen.surface_point((0.1, 1.0))
+        report = classify(gen, points)
+        assert [a.error for a in report.points] == [
+            "point has 1 coordinates; chart has 2",
+            "point is not finite",
+            "point is not a number",
+            None,
+        ]
+
+        def reject(token):
+            raise ValueError(f"non-finite number {token}")
+
+        doc = json.loads(render_report(report), parse_constant=reject)
+        assert [p["point"] for p in doc["points"]] == [[0.1], [0.1, None], [0.1, None], [0.1, 1.0]]
+
     @pytest.mark.parametrize(
         "lo, hi", [(math.nan, 1.0), (0.0, math.inf), (-math.inf, 0.0), (1e308, -1e308)]
     )
     def test_non_finite_range_refused(self, lo, hi):
         with pytest.raises(ValueError, match="is not finite or its span overflows"):
             GridSpec(((lo, hi),), (3,))
+
+    @pytest.mark.parametrize("bound", [True, False, np.bool_(True), "a", "1.0", None])
+    def test_range_bound_that_is_not_a_real_number_refused(self, bound):
+        # a bool bound once built, and save_generator wrote a file its loader refused
+        for ranges in (((bound, 2.0), (0.5, 2.0)), ((0.0, 2.0), (0.5, bound))):
+            with pytest.raises(ValueError, match=r"^range bound .* is not a real number$"):
+                GridSpec(ranges, (2, 2))
 
     @pytest.mark.parametrize("count", [2.5, 3.0, True, False, np.bool_(True), "3", None])
     def test_count_that_is_not_a_whole_int_refused(self, count):
@@ -127,9 +156,11 @@ class TestGridSample:
 
     def test_numpy_int_count_accepted(self, tmp_path):
         entry = catalog.builtin("hyperbolic2")
-        spec = GridSpec(((-1.0, 1.0), (0.5, 4.0)), (np.int64(5), np.int32(5)))
+        ranges = ((np.float64(-1.0), np.float64(1.0)), (np.float64(0.5), 4))
+        spec = GridSpec(ranges, (np.int64(5), np.int32(5)))
         assert spec == entry.default_samples
         assert all(type(c) is int for c in spec.counts)
+        assert all(type(x) is float for bounds in spec.ranges for x in bounds)
         points = grid_sample(entry.generator, entry.default_samples)
         assert grid_sample(entry.generator, spec) == points
         path = tmp_path / "gen.json"

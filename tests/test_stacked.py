@@ -3,6 +3,8 @@ stack of points.  Every row must equal the scalar Jet2 evaluation bit for
 bit, every failing row must carry the scalar call's error, and no row may
 depend on the other rows of its stack."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,8 @@ from mongelight.autodiff import JetStack
 from mongelight.exprlang import (
     CoordinateChart,
     EvalDomainError,
+    _compile_first_order,
+    compile_expr,
     compile_stacked,
     parse,
     render,
@@ -121,8 +125,27 @@ class TestBitIdentity:
                 assert stacked_rows(expr, UVW.parameters, [point]) == [whole[k]]
 
 
+def lane_outcome(run, point):
+    """The message and node of what a lane raises at the point, or "value"."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            run(point)
+    except EvalDomainError as exc:
+        return "error", str(exc), render(exc.node)
+    return "value"
+
+
 class TestFailures:
-    """Each named failure, between rows that pass."""
+    """Each named failure, between rows that pass, and in every lane that
+    applies its rule."""
+
+    # the rules of the derivatives alone: the float tree has a value there
+    DERIVATIVE_RULES = (
+        "float division by zero",
+        "power with variable exponent needs a positive base",
+        "power 0.5 is not twice differentiable at 0",
+        "abs is not differentiable at 0",
+    )
 
     CASES = (
         # sqrt's second derivative divides by sqrt(x) * x, which underflows
@@ -132,6 +155,7 @@ class TestFailures:
         ("x^(y^3)", (-2.0, 0.0), "power with variable exponent needs a positive base", "x^y^3.0"),
         ("x^y", (-2.0, 2.0), "power with variable exponent needs a positive base", "x^y"),
         ("x^y", (-2.0, 0.5), "fractional power 0.5 of negative base -2.0", "x^y"),
+        ("x^y", (-2.0, math.inf), "fractional power inf of negative base -2.0", "x^y"),
         ("x^0.5 + y", (0.0, 1.0), "power 0.5 is not twice differentiable at 0", "x^0.5"),
         ("x^(-1)", (0.0, 1.0), "zero raised to a negative power", "x^(-1.0)"),
         ("abs(x)*y", (0.0, 2.0), "abs is not differentiable at 0", "abs(x)"),
@@ -148,7 +172,14 @@ class TestFailures:
         points = [(1.5, 0.75), bad, (1.9, 0.6), bad, (1.1, 0.5)]
         rows = assert_rows_match(expr, {}, points)
         assert [row[0] for row in rows] == ["jet", "error", "jet", "error", "jet"]
-        assert rows[1] == ("error", f"{message} in subexpression {node!r}", node)
+        error = ("error", f"{message} in subexpression {node!r}", node)
+        assert rows[1] == error
+        # the first-order lane gives Jet1's error, and the float tree the
+        # value rules' errors
+        assert lane_outcome(_compile_first_order(expr, {}, 2), bad) == error
+        assert lane_outcome(_jets.compile_expr(expr), seed(bad, 1)) == error
+        value_rule = message not in self.DERIVATIVE_RULES
+        assert lane_outcome(compile_expr(expr), bad) == (error if value_rule else "value")
 
     def test_constant_base(self):
         # (-2)^y takes the exp(y ln b) rule, which no negative base passes
