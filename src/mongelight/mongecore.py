@@ -26,6 +26,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import chain, compress
 from typing import Callable, Sequence
 
 import numpy as np
@@ -109,7 +110,8 @@ class MongeGenerator:
     metric on the graph hypersurface is lightlike at those points.
     Frozen, because per-point results are cached by generator identity.
     F (for plain floats and for stacks of jets) and the domain constraints
-    are compiled once, here.
+    (for one point, and for a stack of points: see _stacked_constraint) are
+    compiled once, here.
     """
 
     name: str
@@ -121,12 +123,15 @@ class MongeGenerator:
     _scalar: Callable = field(init=False, repr=False)
     _stacked: Callable = field(init=False, repr=False)
     _domain: tuple[Callable, ...] = field(init=False, repr=False)
+    _stacked_domain: tuple[Callable, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         params = self.chart.parameters
         object.__setattr__(self, "_scalar", compile_expr(self.scalar_field, params))
         object.__setattr__(self, "_stacked", compile_stacked(self.scalar_field, params))
         object.__setattr__(self, "_domain", tuple(c.compile(params) for c in self.constraints))
+        stacked = tuple(_stacked_constraint(c, params) for c in self.constraints)
+        object.__setattr__(self, "_stacked_domain", stacked)
 
     @property
     def dimension(self) -> int:
@@ -232,8 +237,12 @@ def _coordinate_error(base: Sequence[float], x0: float | None) -> str | None:
 
 def _length_error(gen: MongeGenerator, base: Sequence[float]) -> str | None:
     """Why a base point does not fit the chart, or None where it does."""
-    if len(base) != gen.dimension:
-        return f"point has {len(base)} coordinates; chart has {gen.dimension}"
+    try:
+        length = len(base)
+    except TypeError:
+        return "point is not a sequence"
+    if length != gen.dimension:
+        return f"point has {length} coordinates; chart has {gen.dimension}"
     return None
 
 
@@ -245,15 +254,103 @@ def _check_base(gen: MongeGenerator, base: Sequence[float]):
         raise ValueError(error)
 
 
+def _stacked_constraint(constraint: DomainConstraint, params) -> Callable:
+    """The test of ``constraint.compile`` over the points, rows of an (n, d)
+    float array, with both sides compiled once by compile_stacked: it
+    returns the masks (holds, undecided).  A row is undecided where the
+    stacked lane refuses either side, or either value is not finite; there
+    holds is False.  Elsewhere the value lanes are compile_expr's floats,
+    bit for bit, and compile_expr refuses no such row, so holds is the
+    relation of the two values, as at one point.  The stacked lane also
+    refuses where only a derivative fails (abs or x^0.5 at 0), which the
+    one-point test admits: only the one-point test decides such a row."""
+    lhs, rhs = compile_stacked(constraint.lhs, params), compile_stacked(constraint.rhs, params)
+    relation = np.greater if constraint.relation == ">" else np.greater_equal
+
+    def test(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        (a, a_failed), (b, b_failed) = lhs(points), rhs(points)
+        a, b = a.value, b.value
+        undecided = ~(np.isfinite(a) & np.isfinite(b))
+        undecided[[*a_failed, *b_failed]] = True
+        return relation(a, b) & ~undecided, undecided
+
+    return test
+
+
+# the coordinate and x0 types the stacked gate decides: float64 arithmetic
+# on them gives the bits of the one-point rule's arithmetic (which on ints
+# is exact, and so may differ)
+_FLOATS = frozenset((float, np.float64))
+
+
+def _gate(gen: MongeGenerator, points: Sequence[SurfacePoint]) -> dict[int, str]:
+    """{index: error} of the points the gate refuses: the first rule each
+    fails of _point_error, which defines the gate.
+
+    The points are admitted as one stack.  One pass finds the plain points,
+    each a tuple base of d floats with a float x0, and one array of them
+    checks that every coordinate and x0 is finite; each constraint then runs
+    once over the stack (see _stacked_constraint).  _point_error decides a
+    point only where the stack cannot: a point that is not plain or not
+    finite, or at which the stacked lane leaves a constraint undecided."""
+    n, d = len(points), gen.dimension
+    bases = [sp.base for sp in points]
+    x0s = [sp.x0 for sp in points]
+    plain = [
+        type(base) is tuple
+        and len(base) == d
+        and type(x0) in _FLOATS
+        and _FLOATS.issuperset(map(type, base))
+        for base, x0 in zip(bases, x0s)
+    ]
+    rows = np.flatnonzero(plain)
+    m = len(rows)
+    stack = np.fromiter(chain.from_iterable(compress(bases, plain)), float, m * d).reshape(m, d)
+    x0 = np.fromiter(compress(x0s, plain), float, m)
+    decided = np.isfinite(stack).all(axis=1) & np.isfinite(x0)
+    outside = np.zeros(m, dtype=bool)
+    for test in gen._stacked_domain:
+        holds, undecided = test(stack)
+        decided &= ~undecided
+        outside |= ~holds
+    errors = dict.fromkeys(rows[decided & outside].tolist(), "outside domain")
+    left = np.ones(n, dtype=bool)  # the points the stack did not decide
+    left[rows[decided]] = False
+    for i in np.flatnonzero(left).tolist():
+        error = _point_error(gen, points[i])
+        if error is not None:
+            errors[i] = error
+    return errors
+
+
+def _point_error(gen: MongeGenerator, sp: SurfacePoint) -> str | None:
+    """Why classify refuses the point before its analysis, or None: the
+    first rule it fails of its number of coordinates, numeric and finite
+    coordinates (base, and x0 unless it is None), the domain, and F (for a
+    point whose x0 is None)."""
+    base, x0 = sp.base, sp.x0
+    error = _length_error(gen, base) or _coordinate_error(base, x0)
+    if error is not None:
+        return error
+    if not gen._admits(base):
+        return "outside domain"
+    if x0 is None:
+        try:
+            gen.surface_point(base)  # raises why F has no value
+        except EvalDomainError as exc:
+            return str(exc)
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Stacked geometry
 #
 # The metric is evaluated point by point, one metric_jets_at pass each that
-# writes g (and dg), gathered through the field's slot map, into its row of
-# the stack: first-order forward mode on plain floats at the points, the
-# values only at the d >= 3 bracket neighbours.  The metric inverse, F's
-# jets (one compile_stacked call) and everything after them run once over
-# the points stacked along a leading axis.  A bracket neighbour whose g is
+# gathers g (and dg) through the field's slot map, and the passes' results
+# are stacked at once: first-order forward mode on plain floats at the
+# points, the values only at the d >= 3 bracket neighbours.  The metric
+# inverse, F's jets (one compile_stacked call) and everything after them run
+# once over the points stacked along a leading axis.  A bracket neighbour whose g is
 # bit-identical to its point's takes the point's verified inverse, which
 # invert_metric, computing each row from its bits alone, would give again;
 # only the other neighbours are inverted.  Every contraction is a matmul of
@@ -360,21 +457,23 @@ def _metric(
     gen: MongeGenerator, bases: Sequence[Sequence[float]], order: int
 ) -> tuple[np.ndarray, np.ndarray | None, dict[int, Exception]]:
     """g, and at order 1 dg (else None), at the points ``bases``, one
-    metric_jets_at pass of the given order each, written in place into the
-    stacks; and {row: EvalDomainError} of the rows whose pass fails, which
-    keep g = 0 (and dg = 0)."""
+    metric_jets_at pass of the given order each, whose results are stacked
+    by one np.array call per stack; and {row: EvalDomainError} of the rows
+    whose pass fails, which hold g = 0 (and dg = 0)."""
     n, d = len(bases), gen.dimension
-    g = np.zeros((n, d, d))
-    dg = np.zeros((n, d, d, d)) if order else None
+    failed = (np.zeros((d, d)), np.zeros((d, d, d)) if order else None)
+    rows, partial_rows = [], []
     failures: dict[int, Exception] = {}
     for k, base in enumerate(bases):
         try:
-            g[k], partials = semiriemann.metric_jets_at(gen.metric, base, order)
+            g, partials = semiriemann.metric_jets_at(gen.metric, base, order)
         except EvalDomainError as exc:
             failures[k] = exc
-            continue
-        if order:
-            dg[k] = partials
+            g, partials = failed
+        rows.append(g)
+        partial_rows.append(partials)
+    g = np.array(rows).reshape(n, d, d)
+    dg = np.array(partial_rows).reshape(n, d, d, d) if order else None
     return g, dg, failures
 
 
@@ -473,15 +572,18 @@ def _lift(vectors: np.ndarray, x0: float = 0.0) -> np.ndarray:
 
 
 def _radical_rank(data: _PointData, tolerance: float) -> np.ndarray:
-    """Singular values of the induced Gram matrix below tolerance * scale."""
+    """Singular values of the induced Gram matrix below tolerance * scale.
+    The matrix is symmetric (g passed the inverse's symmetry gate), so its
+    singular values are the magnitudes of its eigenvalues, which eigvalsh
+    computes from its lower triangle at a fraction of an SVD's cost."""
     induced = data.induced
     magnitude = np.abs(induced).max(axis=(1, 2))
     finite = np.isfinite(magnitude)
     if finite.all():  # the usual case, without the masks
-        singular = np.linalg.svd(induced, compute_uv=False)
+        singular = np.abs(np.linalg.eigvalsh(induced))
     else:  # an overflowed matrix has rank 0
         singular = np.full(induced.shape[:2], np.nan)
-        singular[finite] = np.linalg.svd(induced[finite], compute_uv=False)
+        singular[finite] = np.abs(np.linalg.eigvalsh(induced[finite]))
     scale = 1.0 + magnitude
     return (singular < tolerance * scale[:, None]).sum(axis=1)
 
@@ -940,12 +1042,16 @@ def _analyze(
     the second-form scales, and the umbilic residuals and minimal defects,
     each None unless every live point carries one.
 
-    The metric's jets run point by point, each filling g and dg from the
-    slot map; the metric inverse, F's jets and every later stage run once
-    over one stack of every point that passed the domain and F, and one
-    boolean ``alive`` mask says which rows still count.  A stage's failure
-    is recorded only at a row that is alive and that the stage gates (the
-    lightlike rows, for the screen rank, Weingarten and Gauss).  The d >= 3
+    The points are admitted as one stack (see _gate): one pass checks every
+    base's length and every coordinate's finiteness, and x0's, and each
+    domain constraint runs once over the stack; the one-point rule
+    (_point_error) decides only the points the stack cannot.  The metric's
+    jets run point by point, each gathering g and dg from the slot map, and
+    are stacked at once; the metric inverse, F's jets and every later stage
+    run once over one stack of every point that passed the domain and F,
+    and one boolean ``alive`` mask says which rows still count.  A stage's
+    failure is recorded only at a row that is alive and that the stage
+    gates (the lightlike rows, for the screen rank, Weingarten and Gauss).  The d >= 3
     bracket neighbours of the live lightlike points form one more stack,
     with one more call of F and one value-only metric pass per neighbour;
     the points' g and verified ginv go with them, and a neighbour whose g
@@ -968,22 +1074,10 @@ def _analyze(
     gbar(N, N) = (q - 1) / (4 c^2)) and gbar(e_i, xi) is the inverse's
     residual."""
     records: list[PointAnalysis | None] = [None] * len(points)
-    kept: list[int] = []
-    for i, sp in enumerate(points):
-        base, x0 = sp.base, sp.x0
-        error = _length_error(gen, base) or _coordinate_error(base, x0)
-        if error is None:
-            if not gen._admits(base):
-                error = "outside domain"
-            elif x0 is None:
-                try:
-                    gen.surface_point(base)  # raises why F has no value
-                except EvalDomainError as exc:
-                    error = str(exc)
-        if error is None:
-            kept.append(i)
-        else:
-            records[i] = PointAnalysis(index=i, point=sp, error=error)
+    refused = _gate(gen, points)
+    for i, error in refused.items():
+        records[i] = PointAnalysis(index=i, point=points[i], error=error)
+    kept = [i for i in range(len(points)) if i not in refused]
     if not kept:
         return records, {"index": []}
     data = _PointData(gen, [points[i].base for i in kept])
@@ -1101,9 +1195,14 @@ def classify(
     every verdict is "indeterminate".  A refused tolerance or a zero,
     non-finite or bool xi_scale raises ValueError; negative scales are valid.
 
-    The metric's jets are evaluated point by point, each pass filling g and
-    dg from the metric's slot map; the metric inverse, F's second-order jets
-    and every later stage run once over one stack of all the points, with
+    The points are admitted as one stack: their lengths and finiteness are
+    checked at once and each domain constraint runs once over them, and a
+    point the stack cannot decide (say, abs(x) > 0 at x = 0, where only a
+    derivative fails) is tested on its own, by the same rule.  The metric's
+    jets are evaluated point by point, each pass gathering g and dg from the
+    metric's slot map, and stacked at once; the metric inverse, F's
+    second-order jets and every later stage run once over one stack of all
+    the points, with
     one ``alive`` mask for the points that have not failed yet (the d >= 3
     bracket neighbours of the live lightlike points form one more stack,
     with one more call of F; they evaluate the metric's values only, and

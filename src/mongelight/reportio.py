@@ -347,10 +347,16 @@ REPORT_FORMAT = 2
 
 
 def _point_record(a: PointAnalysis) -> dict:
-    """Fixed-key-order dict form of one point's analysis."""
-    base, x0 = list(a.point.base), a.point.x0
+    """Fixed-key-order dict form of one point's analysis; the point is null
+    where its base is not a sequence."""
+    try:
+        base = list(a.point.base)
+    except TypeError:  # classify records "point is not a sequence"
+        base = None
+    x0 = a.point.x0
     if a.error is not None:  # classify records every non-finite point as failed
-        base = [x if _is_finite(x) else None for x in base]
+        if base is not None:
+            base = [x if _is_finite(x) else None for x in base]
         x0 = x0 if _is_finite(x0) else None
     return {
         "index": a.index,
@@ -438,14 +444,16 @@ def _cut(o, nl: str) -> list[str]:
 
 
 def _template(a: PointAnalysis, types: tuple, nl: str):
-    """``(format, keep, fixes)`` for the records shaped like ``a``, whose
-    leaves, in document order, have the types ``types``; None where a leaf
-    is not a number, a bool or None.  ``format`` is json's text of the
+    """``(format, keep, fixes, exact)`` for the records shaped like ``a``,
+    whose leaves, in document order, have the types ``types``; None where a
+    leaf is not a number, a bool or None.  ``format`` is json's text of the
     record with ``%s`` at each leaf but None (which json writes as null),
     ``keep`` picks those leaves (None when all are), and ``fixes`` lists
     the ``(position, text)`` of each leaf that ``%s`` would not write as
-    json does: bools and subclasses of float and int.  The record's keys
-    are fixed literals, and no ``%`` is among them."""
+    json does: bools and subclasses of float and int.  ``exact`` says that
+    no leaf is such a subclass but bool, so that ``sum`` adds the leaves as
+    numbers.  The record's keys are fixed literals, and no ``%`` is among
+    them."""
     fixes = []
     for i, t in enumerate(t for t in types if t is not _NONE):
         if t is float or t is int:  # %s writes these with their own __repr__
@@ -460,7 +468,8 @@ def _template(a: PointAnalysis, types: tuple, nl: str):
             return None
     record = {k: _mark(v) for k, v in _point_record(a).items()}
     keep = tuple(t is not _NONE for t in types) if _NONE in types else None
-    return "%s".join(_cut(record, nl)), keep, tuple(fixes)
+    exact = all(fix is _bool_text for _, fix in fixes)
+    return "%s".join(_cut(record, nl)), keep, tuple(fixes), exact
 
 
 def _fill_records(report: ClassificationReport) -> str | None:
@@ -472,7 +481,10 @@ def _fill_records(report: ClassificationReport) -> str | None:
     the shapes of ``B`` and ``tau``.  Exact floats and ints are written by
     ``%s``, which calls their ``__repr__``, as json does.  A record with an
     error or with a leaf of another type is written by json on its own.
-    The templates live for this one call.
+    The templates live for this one call.  One ``sum`` of a record's
+    numbers shows them finite; each is tested on its own only where that
+    sum is not finite (finite numbers may overflow it) or a leaf is a
+    subclass of float or int other than bool.
 
     None where a record holds a non-finite number, where the header or
     verdicts hold a value json refuses (json may meet a bad record first),
@@ -521,14 +533,14 @@ def _fill_records(report: ClassificationReport) -> str | None:
             if entry is False:
                 entry = templates[key] = _template(a, types, nl)
             if entry is not None:
-                form, keep, fixes = entry
+                form, keep, fixes, exact = entry
                 if keep is not None:
                     values = tuple(compress(values, keep))
                 try:
-                    finite = all(map(_isfinite, values))
-                except OverflowError:  # an int past the float range, which json writes
+                    finite = exact and _isfinite(sum(values))
+                except OverflowError:  # an int past the float range
                     finite = False
-                if not finite:
+                if not finite and not _all_finite(values):
                     return None
                 if fixes:
                     values = list(values)
@@ -539,6 +551,15 @@ def _fill_records(report: ClassificationReport) -> str | None:
                 continue
         records.append(_dumps(_point_record(a), nl))
     return head + sep.join(records) + tail
+
+
+def _all_finite(values: tuple) -> bool:
+    """Whether every number is finite; an int past the float range, which
+    json writes, is not."""
+    try:
+        return all(map(_isfinite, values))
+    except OverflowError:
+        return False
 
 
 _escape = json.encoder.encode_basestring_ascii

@@ -46,6 +46,14 @@ def local_scale(*tensors) -> float:
     return 1.0 + peak
 
 
+def svd_radical_rank(induced, tolerance: float) -> int:
+    """The radical rank by its definition: the number of singular values of
+    one point's induced Gram matrix, from a full SVD, below tolerance *
+    local_scale(induced)."""
+    singular = np.linalg.svd(induced, compute_uv=False)
+    return int(np.sum(singular < tolerance * local_scale(induced)))
+
+
 # ---------------------------------------------------------------------------
 # Finite-difference derivatives
 

@@ -64,6 +64,7 @@ from _oracles import (
     sample_admissible,
     scalar_evaluator,
     screen_base_frame,
+    svd_radical_rank,
 )
 
 HYP2 = catalog.builtin("hyperbolic2")
@@ -201,9 +202,41 @@ class TestMongeFrame:
     def test_singular_values_cross_check(self):
         gen = SCHW.generator
         _, induced, rank = monge_frame_at(gen, (0.0, 2.0))
-        singular = np.linalg.svd(induced, compute_uv=False)
-        assert rank == int(np.sum(singular < 1e-8 * local_scale(induced)))
-        assert rank == 1
+        assert rank == svd_radical_rank(induced, 1e-8) == 1
+
+    @pytest.mark.parametrize("name", [name for name, _ in catalog.list_builtins()])
+    def test_radical_rank_is_the_svd_count(self, name):
+        # classify counts the magnitudes of the symmetric Gram matrix's
+        # eigenvalues; the definition counts its singular values
+        entry = catalog.builtin(name)
+        gen = entry.generator
+        rng = np.random.default_rng(400)
+        bases = sample_admissible(rng, gen, entry.default_samples.ranges, 400)
+        induced = mongecore._PointData(gen, bases).induced
+        points = [gen.surface_point(b) for b in bases]
+        for tolerance in (1e-8, 1e-2, 0.3):
+            records = classify(gen, points, tolerance).points
+            ranks = [a.radical_rank for a in records if a.error is None]
+            expected = [
+                svd_radical_rank(induced[k], tolerance)
+                for k, a in enumerate(records)
+                if a.error is None
+            ]
+            assert len(ranks) > 300 and ranks == expected
+
+    def test_radical_rank_of_a_metric_just_inside_the_symmetry_gate(self):
+        # g12 and g21 differ by 1e-13, below the gate's 1e-12 * (1 + max|g|);
+        # eigvalsh reads one triangle of the Gram matrix, the SVD both
+        chart = CoordinateChart(("x", "y"))
+        metric = MetricField.from_strings(chart, [["1", "0.3"], ["0.3 + 1e-13", "2"]])
+        for scalar, rank in (("sqrt(0.955)*x", 1), ("x + y", 0)):
+            gen = MongeGenerator("skew", chart, metric, parse(scalar, chart))
+            points = [gen.surface_point((x, 0.5)) for x in (-1.0, 0.0, 2.0)]
+            for a in classify(gen, points).points:
+                assert a.error is None
+                induced = monge_frame_at(gen, a.point)[1]
+                assert induced[1, 0] != induced[0, 1]
+                assert a.radical_rank == svd_radical_rank(induced, 1e-8) == rank
 
 
 class TestSecondFundamentalForm:
@@ -1267,6 +1300,27 @@ class TestPointLength:
         alone = report_to_dict(classify(gen, [good]))["points"][0]
         assert report_to_dict(report)["points"][2] == dict(alone, index=2)
         assert json.loads(render_report(report))["points"][0]["error"] == one
+
+    def test_points_that_are_not_tuples_of_floats_take_the_one_point_rule(self):
+        # classify tests the domain of a tuple of floats with a float x0 on
+        # the stack; the one-point rule decides every other point, and
+        # computes x - y on ints exactly: 1 at (2**53 + 1, 2**53), where the
+        # floats of both are 2**53
+        gen = euclidean(("x", "y"), "0.6*x + 0.8*y", ("x - y > 0",))
+        big = 2**53
+        points = [
+            SurfacePoint((big + 1, big), 0.0),
+            SurfacePoint((float(big + 1), float(big)), 0.0),
+            SurfacePoint([2.0, 1.0], 0.0),
+            SurfacePoint((np.float32(2.0), 1.0), 0.0),
+            SurfacePoint((2.0, 1.0), 0),
+            gen.surface_point((2.0, 1.0)),
+            SurfacePoint((1.0, 2.0), 0.0),
+        ]
+        errors = [a.error for a in classify(gen, points).points]
+        assert errors == [None, "outside domain", None, None, None, None, "outside domain"]
+        for point, error in zip(points, errors):
+            assert classify(gen, [point]).points[0].error == error
 
     @pytest.mark.parametrize("query", PER_POINT_QUERIES)
     @pytest.mark.parametrize("point", [(0.1,), (0.1, 1.0, 2.0), SurfacePoint((0.1,), 0.0)])

@@ -135,6 +135,29 @@ class TestGridSample:
         doc = json.loads(render_report(report), parse_constant=reject)
         assert [p["point"] for p in doc["points"]] == [[0.1], [0.1, None], [0.1, None], [0.1, 1.0]]
 
+    def test_explicit_point_that_is_not_a_sequence_records_its_error(self):
+        # a base with no len once raised TypeError from materialize, from
+        # classify's gate and from the record writer; the record writes it
+        # as null, and a hand-built point with an x0 is refused alike
+        gen = catalog.builtin("hyperbolic2").generator
+        with pytest.raises(ValueError, match="^point is not a sequence$"):
+            gen.surface_point(5)
+        points = SampleSet(points=(5, (0.1, 1.0))).materialize(gen)
+        assert (points[0].base, points[0].x0) == (5, None)
+        assert points[1] == gen.surface_point((0.1, 1.0))
+        points.append(SurfacePoint(5, 0.25))
+        report = classify(gen, points)
+        errors = ["point is not a sequence", None, "point is not a sequence"]
+        assert [a.error for a in report.points] == errors
+
+        def reject(token):
+            raise ValueError(f"non-finite number {token}")
+
+        doc = json.loads(render_report(report), parse_constant=reject)
+        written = [(p["point"], p["x0"]) for p in doc["points"]]
+        assert written == [(None, None), ([0.1, 1.0], points[1].x0), (None, 0.25)]
+        assert report_to_dict(report)["points"] == doc["points"]
+
     @pytest.mark.parametrize(
         "lo, hi", [(math.nan, 1.0), (0.0, math.inf), (-math.inf, 0.0), (1e308, -1e308)]
     )
@@ -699,6 +722,24 @@ class TestNonFiniteRefused:
             render_report(hand_report(rho=math.nan))
         with pytest.raises(ValueError, match="not JSON compliant: inf"):
             render_report(hand_report(witness=math.inf))
+
+    def test_finite_numbers_whose_sum_overflows(self):
+        # the writer tests a record's numbers by their sum first; finite
+        # entries of B may overflow it, and the record is still written,
+        # from its template
+        report = hand_report()
+        report.points[0].B = np.array([[1e308, 1e308], [1e308, -1e308]])
+        assert math.isinf(sum(report.points[0].B.ravel().tolist()))
+        expected = json.dumps(report_to_dict(report), indent=2, allow_nan=False) + "\n"
+        assert render_report(report) == expected
+        assert reportio._fill_records(report) + "\n" == expected
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_entry_of_B(self, bad):
+        report = hand_report()
+        report.points[0].B = np.array([[1.0, bad], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            render_report(report)
 
     def test_non_finite_sample_point(self):
         # a NaN or infinite coordinate is that point's error, recorded before

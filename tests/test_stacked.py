@@ -221,3 +221,40 @@ class TestFailures:
     def test_empty_stack(self):
         stack, failures = compile_stacked(parse("sqrt(x)*y", XY))(np.zeros((0, 2)))
         assert failures == {} and stack.grad.shape == (2, 0) and stack.hess.shape == (2, 2, 0)
+
+
+class TestValueLane:
+    """classify's domain gate runs each constraint's sides through
+    compile_stacked and reads the value lane at the rows it does not
+    refuse.  There the lane must be compile_expr's float bit for bit, and
+    every row compile_expr refuses the lane must refuse too; the lane may
+    also refuse where only a derivative fails."""
+
+    # smooth fields fail only where a value does; the grammar's abs and
+    # powers also fail where only a derivative does
+    @pytest.mark.parametrize(
+        "draw, seed, kinks", [(random_smooth_expr, 34, 0), (random_ast, 35, 1)]
+    )
+    def test_unrefused_rows_are_the_float_tree(self, draw, seed, kinks):
+        rng = np.random.default_rng(seed)
+        outcomes = {"value": 0, "both refuse": 0, "derivative only": 0}
+        for _ in range(200):
+            expr = draw(rng, UVW, depth=int(rng.integers(1, 5)))
+            points = [[float(x) for x in rng.uniform(-3.0, 3.0, 3)] for _ in range(6)]
+            points += mixed_points(rng, 3, 6)
+            stack, failures = compile_stacked(expr, UVW.parameters)(np.array(points))
+            tree = compile_expr(expr, UVW.parameters)
+            for k, point in enumerate(points):
+                try:
+                    value = tree(point)
+                except EvalDomainError:
+                    assert k in failures
+                    outcomes["both refuse"] += 1
+                    continue
+                if k in failures:
+                    outcomes["derivative only"] += 1
+                else:
+                    assert float(stack.value[k]).hex() == value.hex()
+                    outcomes["value"] += 1
+        assert outcomes["value"] > 1000 and outcomes["both refuse"] > 20, outcomes
+        assert outcomes["derivative only"] >= kinks, outcomes
