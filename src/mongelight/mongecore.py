@@ -257,27 +257,26 @@ def _check_base(gen: MongeGenerator, base: Sequence[float]):
 def _stacked_constraint(constraint: DomainConstraint, params) -> Callable:
     """The test of ``constraint.compile`` over the points, rows of an (n, d)
     float array, with both sides compiled once by compile_stacked: it
-    returns the masks (holds, undecided).  A row is undecided where the
-    stacked lane refuses either side, or either value is not finite; there
-    holds is False.  Elsewhere the value lanes are compile_expr's floats,
-    bit for bit, and compile_expr refuses no such row, so holds is the
-    relation of the two values, as at one point.  The stacked lane also
-    refuses where only a derivative fails (abs or x^0.5 at 0), which the
-    one-point test admits: only the one-point test decides such a row."""
+    returns the mask of the rows where both values are finite and the
+    relation holds.  There the value lanes are compile_expr's floats, bit
+    for bit, and compile_expr refuses no such row, so the one-point test
+    holds too.  A row the stacked lane refuses does not hold, though the
+    one-point test may admit it: that lane also refuses where only a
+    derivative fails (abs or x^0.5 at 0)."""
     lhs, rhs = compile_stacked(constraint.lhs, params), compile_stacked(constraint.rhs, params)
     relation = np.greater if constraint.relation == ">" else np.greater_equal
 
-    def test(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def test(points: np.ndarray) -> np.ndarray:
         (a, a_failed), (b, b_failed) = lhs(points), rhs(points)
         a, b = a.value, b.value
-        undecided = ~(np.isfinite(a) & np.isfinite(b))
-        undecided[[*a_failed, *b_failed]] = True
-        return relation(a, b) & ~undecided, undecided
+        holds = relation(a, b) & np.isfinite(a) & np.isfinite(b)
+        holds[[*a_failed, *b_failed]] = False
+        return holds
 
     return test
 
 
-# the coordinate and x0 types the stacked gate decides: float64 arithmetic
+# the coordinate and x0 types the stacked gate admits: float64 arithmetic
 # on them gives the bits of the one-point rule's arithmetic (which on ints
 # is exact, and so may differ)
 _FLOATS = frozenset((float, np.float64))
@@ -289,11 +288,10 @@ def _gate(gen: MongeGenerator, points: Sequence[SurfacePoint]) -> dict[int, str]
 
     The points are admitted as one stack.  One pass finds the plain points,
     each a tuple base of d floats with a float x0, and one array of them
-    checks that every coordinate and x0 is finite; each constraint then runs
-    once over the stack (see _stacked_constraint).  _point_error decides a
-    point only where the stack cannot: a point that is not plain or not
-    finite, or at which the stacked lane leaves a constraint undecided."""
-    n, d = len(points), gen.dimension
+    admits those whose every coordinate and x0 is finite and at which every
+    constraint holds over the stack (see _stacked_constraint).  Every other
+    point, admitted or refused, is decided by _point_error alone."""
+    d = gen.dimension
     bases = [sp.base for sp in points]
     x0s = [sp.x0 for sp in points]
     plain = [
@@ -307,15 +305,12 @@ def _gate(gen: MongeGenerator, points: Sequence[SurfacePoint]) -> dict[int, str]
     m = len(rows)
     stack = np.fromiter(chain.from_iterable(compress(bases, plain)), float, m * d).reshape(m, d)
     x0 = np.fromiter(compress(x0s, plain), float, m)
-    decided = np.isfinite(stack).all(axis=1) & np.isfinite(x0)
-    outside = np.zeros(m, dtype=bool)
-    for test in gen._stacked_domain:
-        holds, undecided = test(stack)
-        decided &= ~undecided
-        outside |= ~holds
-    errors = dict.fromkeys(rows[decided & outside].tolist(), "outside domain")
-    left = np.ones(n, dtype=bool)  # the points the stack did not decide
-    left[rows[decided]] = False
+    admitted = np.isfinite(stack).all(axis=1) & np.isfinite(x0)
+    for holds in gen._stacked_domain:
+        admitted &= holds(stack)
+    left = np.ones(len(points), dtype=bool)
+    left[rows[admitted]] = False
+    errors = {}
     for i in np.flatnonzero(left).tolist():
         error = _point_error(gen, points[i])
         if error is not None:
@@ -363,22 +358,22 @@ def _point_error(gen: MongeGenerator, sp: SurfacePoint) -> str | None:
 
 
 class _PointData:
-    """The geometry of points stacked along a leading axis (row k is bases[k]),
-    with {row: first error} of the rows that fail, whose numbers mean
-    nothing: a jet error (see _jets), else a non-finite covariant Hessian.
+    """The geometry of the points, rows of the (n, d) float array ``points``
+    and stacked along a leading axis, with {row: first error} of the rows
+    that fail, whose numbers mean nothing: a jet error (see _jets), else a
+    non-finite covariant Hessian.
 
-    points holds the bases as an (n, d) float array, which F's jets and
-    the bracket neighbours read.  d2F holds plain coordinate partials
+    ``points`` holds the only floats of a point that every stage reads and
+    every message names.  d2F holds plain coordinate partials
     d_i d_j F, gamma[k, l, i, j] the Christoffel symbols (from the metric's
     partials, which are not kept) and hess the covariant Hessian; the rest
     is derived on first use (the ambient stacks gbar, xi, nxi and frame by
     the public functions only).
     """
 
-    def __init__(self, gen: MongeGenerator, bases: Sequence[tuple[float, ...]]):
-        self.bases = list(bases)
-        self.points = np.array(self.bases, dtype=float).reshape(len(self.bases), gen.dimension)
-        jets, self.failures = _jets(gen, self.points, self.bases)
+    def __init__(self, gen: MongeGenerator, points: np.ndarray):
+        self.points = points
+        jets, self.failures = _jets(gen, points)
         self.g, self.ginv, dg, self.dF, self.d2F, self.xi_hat = jets
         # the all-i _weingarten result per xi_scale, kept for weingarten_at
         self.weingarten: dict[float, tuple[np.ndarray, ...]] = {}
@@ -392,7 +387,7 @@ class _PointData:
             return
         for k in np.flatnonzero(~finite.all(axis=(1, 2))).tolist():
             self.failures.setdefault(  # a jet error comes first
-                k, NonFiniteValueError(f"derivatives not finite at {list(self.bases[k])}")
+                k, NonFiniteValueError(f"derivatives not finite at {points[k].tolist()}")
             )
 
     @cached_property
@@ -436,20 +431,22 @@ class _PointData:
         return self.g - self.dF[:, :, None] * self.dF[:, None, :]
 
 def _jets(
-    gen: MongeGenerator, points: np.ndarray, bases: Sequence[Sequence[float]]
+    gen: MongeGenerator, points: np.ndarray
 ) -> tuple[tuple[np.ndarray, ...], dict[int, Exception]]:
     """(g, ginv, dg, dF, d2F, xi_hat) at the n points, rows of the (n, d)
-    array ``points`` and, as plain floats, of ``bases`` (which error
-    messages name), stacked along a leading axis, and {row: error} of the
-    rows that fail, whose numbers mean nothing.  The metric runs point by
-    point, one first-order metric_jets_at pass each (forward mode on plain
-    floats), then the inverse's gates and F's jets (see _scalar_jets) run
-    once over every row.  A row records the first stage it fails, in the
-    order: the metric, the inverse's gates, F's jets, a finite dF."""
+    float array ``points``, stacked along a leading axis, and {row: error}
+    of the rows that fail, whose numbers mean nothing.  The metric runs
+    point by point on the rows as plain floats, one first-order
+    metric_jets_at pass each (forward mode on plain floats), then the
+    inverse's gates and F's jets (see _scalar_jets) run once over every
+    row; a message names the row's floats.  A row records the first stage
+    it fails, in the order: the metric, the inverse's gates, F's jets, a
+    finite dF."""
+    bases = points.tolist()
     g, dg, failures = _metric(gen, bases, 1)
     ginv, singular = invert_metric(g, bases)
     failures = singular | failures  # a metric error comes first
-    dF, d2F, xi_hat = _scalar_jets(gen, points, bases, ginv, failures)
+    dF, d2F, xi_hat = _scalar_jets(gen, points, ginv, failures)
     return (g, ginv, dg, dF, d2F, xi_hat), failures
 
 
@@ -480,12 +477,11 @@ def _metric(
 def _scalar_jets(
     gen: MongeGenerator,
     points: np.ndarray,
-    bases: Sequence[Sequence[float]],
     ginv: np.ndarray,
     failures: dict[int, Exception],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """dF, d2F and xi_hat = g^-1 dF at the points (rows of ``points``, named
-    by ``bases``) whose metric inverse is ``ginv``, from F's second-order
+    """dF, d2F and xi_hat = g^-1 dF at the points (rows of the (n, d) float
+    array ``points``) whose metric inverse is ``ginv``, from F's second-order
     jets (one compile_stacked call).  ``failures`` holds the rows that
     failed before; each other row that fails F's jets or has a non-finite
     dF is added to it.  dF and d2F are 0 at a row that fails before the
@@ -502,7 +498,7 @@ def _scalar_jets(
     finite = np.isfinite(dF)
     if not finite.all():  # the usual case skips the masks
         for k in np.flatnonzero(~finite.all(axis=1)).tolist():
-            failures[k] = NonFiniteValueError(f"derivatives not finite at {list(bases[k])}")
+            failures[k] = NonFiniteValueError(f"derivatives not finite at {points[k].tolist()}")
     return dF, d2F, (ginv @ dF[:, :, None])[:, :, 0]
 
 
@@ -532,7 +528,7 @@ def _point_data(gen: MongeGenerator, base: tuple) -> _PointData:
     once per point, here, before float() could read the str "2.0" or
     overflow on an int beyond its range."""
     _check_base(gen, base)
-    data = _PointData(gen, [tuple(map(float, base))])
+    data = _PointData(gen, np.array([tuple(map(float, base))]))
     _raise(data.failures)
     return data
 
@@ -935,7 +931,7 @@ def _neighbour_jets(
     if differ:
         near_inv[differ], singular = invert_metric(near[differ], [bases[k] for k in differ])
         failures = {differ[k]: exc for k, exc in singular.items()} | failures
-    dF, _, xi_hat = _scalar_jets(gen, shifted, bases, near_inv, failures)
+    dF, _, xi_hat = _scalar_jets(gen, shifted, near_inv, failures)
     first: dict[int, Exception] = {}
     for k in sorted(failures):
         first.setdefault(k // (2 * d), failures[k])
@@ -1045,7 +1041,9 @@ def _analyze(
     The points are admitted as one stack (see _gate): one pass checks every
     base's length and every coordinate's finiteness, and x0's, and each
     domain constraint runs once over the stack; the one-point rule
-    (_point_error) decides only the points the stack cannot.  The metric's
+    (_point_error) decides every point the stack does not admit.  The
+    kept points' bases are read into one float array, whose rows are the
+    only floats every later stage reads.  The metric's
     jets run point by point, each gathering g and dg from the slot map, and
     are stacked at once; the metric inverse, F's jets and every later stage
     run once over one stack of every point that passed the domain and F,
@@ -1080,8 +1078,9 @@ def _analyze(
     kept = [i for i in range(len(points)) if i not in refused]
     if not kept:
         return records, {"index": []}
-    data = _PointData(gen, [points[i].base for i in kept])
-    n, d = data.dF.shape
+    n, d = len(kept), gen.dimension
+    bases = chain.from_iterable(points[i].base for i in kept)
+    data = _PointData(gen, np.fromiter(bases, float, n * d).reshape(n, d))
     everywhere = np.ones(n, dtype=bool)
     alive = everywhere.copy()
     errors: dict[int, str] = {}
@@ -1197,8 +1196,10 @@ def classify(
 
     The points are admitted as one stack: their lengths and finiteness are
     checked at once and each domain constraint runs once over them, and a
-    point the stack cannot decide (say, abs(x) > 0 at x = 0, where only a
-    derivative fails) is tested on its own, by the same rule.  The metric's
+    point the stack does not admit (say, abs(x) > 0 at x = 0, where only a
+    derivative fails) is tested on its own, by the one rule that refuses.
+    An error that names a point (" at [x, y]") names the floats the
+    stages read.  The metric's
     jets are evaluated point by point, each pass gathering g and dg from the
     metric's slot map, and stacked at once; the metric inverse, F's
     second-order jets and every later stage run once over one stack of all

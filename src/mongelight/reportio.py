@@ -114,15 +114,23 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Either a grid spec or an explicit list of base points."""
+    """Either a grid spec or a nonempty explicit list of base points, not
+    both; anything else raises ValueError (save_generator would write a
+    file that load_generator refuses, or drop the points)."""
 
     grid: GridSpec | None = None
     points: tuple[tuple[float, ...], ...] | None = None
 
+    def __post_init__(self):
+        if self.grid is not None and self.points is not None:
+            raise ValueError("a sample set takes a grid or points, not both")
+        if self.grid is None and (self.points is None or len(self.points) == 0):
+            raise ValueError("a sample set needs a grid or a nonempty list of points")
+
     def materialize(self, gen: MongeGenerator) -> list[SurfacePoint]:
         if self.grid is not None:
             return grid_sample(gen, self.grid)
-        return [_sample_point(gen, p) for p in self.points or ()]
+        return [_sample_point(gen, p) for p in self.points]
 
 
 def _sample_point(gen: MongeGenerator, base) -> SurfacePoint:
@@ -330,7 +338,7 @@ def generator_to_dict(gen: MongeGenerator, samples: SampleSet) -> dict:
             "counts": list(samples.grid.counts),
         }
     else:
-        doc["samples"] = {"points": [list(p) for p in samples.points or ()]}
+        doc["samples"] = {"points": [list(p) for p in samples.points]}
     return doc
 
 
@@ -426,6 +434,9 @@ def render_report(report: ClassificationReport) -> str:
 # caught by the piece count, and json writes that report whole.
 _MARK = "\x00leaf\x00"
 _NONE = type(None)
+# the leaf types a template writes: %s writes a float or an int as json does,
+# with its own __repr__, and a bool is fixed to json's text
+_LEAVES = frozenset((float, int, bool, _NONE))
 _isfinite = math.isfinite
 _bool_text = {False: "false", True: "true"}.__getitem__
 
@@ -444,32 +455,21 @@ def _cut(o, nl: str) -> list[str]:
 
 
 def _template(a: PointAnalysis, types: tuple, nl: str):
-    """``(format, keep, fixes, exact)`` for the records shaped like ``a``,
-    whose leaves, in document order, have the types ``types``; None where a
-    leaf is not a number, a bool or None.  ``format`` is json's text of the
-    record with ``%s`` at each leaf but None (which json writes as null),
-    ``keep`` picks those leaves (None when all are), and ``fixes`` lists
-    the ``(position, text)`` of each leaf that ``%s`` would not write as
-    json does: bools and subclasses of float and int.  ``exact`` says that
-    no leaf is such a subclass but bool, so that ``sum`` adds the leaves as
-    numbers.  The record's keys are fixed literals, and no ``%`` is among
-    them."""
-    fixes = []
-    for i, t in enumerate(t for t in types if t is not _NONE):
-        if t is float or t is int:  # %s writes these with their own __repr__
-            continue
-        if t is bool:
-            fixes.append((i, _bool_text))
-        elif issubclass(t, float):
-            fixes.append((i, _float_repr))
-        elif issubclass(t, int):
-            fixes.append((i, _int_repr))
-        else:
-            return None
+    """``(format, keep, bools)`` for the records shaped like ``a``, whose
+    leaves, in document order, have the types ``types``; None unless each
+    type is exactly float, int, bool or None.  ``format`` is json's text of
+    the record with ``%s`` at each leaf but None (which json writes as
+    null), ``keep`` picks those leaves (None when all are), and ``bools``
+    lists the positions among them of the bools, which ``%s`` would write
+    as Python does.  The record's keys are fixed literals, and no ``%`` is
+    among them."""
+    if not _LEAVES.issuperset(types):
+        return None
+    written = [t for t in types if t is not _NONE]
+    bools = tuple(i for i, t in enumerate(written) if t is bool)
     record = {k: _mark(v) for k, v in _point_record(a).items()}
     keep = tuple(t is not _NONE for t in types) if _NONE in types else None
-    exact = all(fix is _bool_text for _, fix in fixes)
-    return "%s".join(_cut(record, nl)), keep, tuple(fixes), exact
+    return "%s".join(_cut(record, nl)), keep, bools
 
 
 def _fill_records(report: ClassificationReport) -> str | None:
@@ -478,13 +478,13 @@ def _fill_records(report: ClassificationReport) -> str | None:
     call per record in place of json's walk of its containers.  The shape
     is everything the layout reads: the leaf types in document order (so
     the dimension, which fields are None, and how numbers are written) and
-    the shapes of ``B`` and ``tau``.  Exact floats and ints are written by
+    the shapes of ``B`` and ``tau``.  Floats and ints are written by
     ``%s``, which calls their ``__repr__``, as json does.  A record with an
-    error or with a leaf of another type is written by json on its own.
-    The templates live for this one call.  One ``sum`` of a record's
-    numbers shows them finite; each is tested on its own only where that
-    sum is not finite (finite numbers may overflow it) or a leaf is a
-    subclass of float or int other than bool.
+    error or with a leaf of any other type (a subclass of float or int
+    included) is written by json on its own.  The templates live for this
+    one call.  One ``sum`` of a record's numbers shows them finite; each is
+    tested on its own only where that sum is not (finite numbers may
+    overflow it).
 
     None where a record holds a non-finite number, where the header or
     verdicts hold a value json refuses (json may meet a bad record first),
@@ -533,19 +533,19 @@ def _fill_records(report: ClassificationReport) -> str | None:
             if entry is False:
                 entry = templates[key] = _template(a, types, nl)
             if entry is not None:
-                form, keep, fixes, exact = entry
+                form, keep, bools = entry
                 if keep is not None:
                     values = tuple(compress(values, keep))
                 try:
-                    finite = exact and _isfinite(sum(values))
+                    finite = _isfinite(sum(values))
                 except OverflowError:  # an int past the float range
                     finite = False
                 if not finite and not _all_finite(values):
                     return None
-                if fixes:
+                if bools:
                     values = list(values)
-                    for i, fix in fixes:
-                        values[i] = fix(values[i])
+                    for i in bools:
+                        values[i] = _bool_text(values[i])
                     values = tuple(values)
                 records.append(form % values)
                 continue
@@ -563,8 +563,6 @@ def _all_finite(values: tuple) -> bool:
 
 
 _escape = json.encoder.encode_basestring_ascii
-_float_repr = float.__repr__
-_int_repr = int.__repr__
 
 
 def _dumps(o, nl: str = "\n") -> str:

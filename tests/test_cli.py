@@ -278,6 +278,19 @@ class TestVerifyCommand:
         assert "totally_umbilical: PASS" in out
         assert "umbilic_rho: PASS (1 within" in out
 
+    def test_closed_forms_skip_failed_points_and_missing_values(self):
+        # a failed point's numbers mean nothing, and a point that carries no
+        # value (no umbilic fit, say) has nothing to compare
+        entry = catalog.builtin("hyperbolic2")
+        points = SampleSet(grid=entry.default_samples).materialize(entry.generator)
+        report = mongecore.classify(entry.generator, points)
+        failed, missing = report.points[:2]
+        failed.error, failed.lightlike_defect, failed.umbilic_rho = "by hand", 1e9, 1e9
+        missing.umbilic_rho = None
+        checks = {name: (ok, text) for name, ok, text in cli._expected_checks(entry, report, 1e-7)}
+        assert checks["lightlike_defect"][0] and checks["umbilic_rho"][0]
+        assert checks["umbilic_rho"][1].startswith("1 within 1e-07 (worst ")
+
     def test_closed_forms_compiled_once_per_run(self, capsys, monkeypatch):
         compiled = []
         real = cli.compile_expr

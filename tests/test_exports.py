@@ -71,3 +71,23 @@ def test_each_domain_rule_message_written_once(message):
         if message in text
     ]
     assert found == ["autodiff.py"]
+
+
+def test_outside_domain_written_once_in_the_one_point_rule():
+    # the stacked gate only admits; every refusal of the domain is the
+    # one-point rule's, so its message has one owner
+    package = Path(mongelight.__file__).parent
+    found = [
+        path.name
+        for path in sorted(package.glob("*.py"))
+        for text in string_literals(ast.parse(path.read_text()))
+        if "outside domain" in text
+    ]
+    assert found == ["mongecore.py"]
+    tree = ast.parse((package / "mongecore.py").read_text())
+    (rule,) = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_point_error"
+    ]
+    assert string_literals(rule).count("outside domain") == 1

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from mongelight import exprlang
 from mongelight.exprlang import (
     BinOp,
     Call,
@@ -146,6 +147,12 @@ class TestParse:
         with pytest.raises(ExprSyntaxError) as info:
             parse("x + $", XY)
         assert info.value.position == 4
+
+    @pytest.mark.parametrize("source, position", [("(x", 2), ("sin(x", 5), ("((x + y)", 8)])
+    def test_unclosed_parenthesis(self, source, position):
+        with pytest.raises(ExprSyntaxError, match="^expected '\\)' ") as info:
+            parse(source, XY)
+        assert info.value.position == position
 
 
 class TestRenderRoundTrip:
@@ -308,6 +315,21 @@ class TestCompile:
         with pytest.raises(TypeError, match="not an expression node"):
             compile_expr(BinOp("+", Num(1.0), "x"))
 
+    @pytest.mark.parametrize(
+        "lane",
+        [
+            render,
+            lambda e: exprlang._compile_first_order(e, {}, 2),
+            lambda e: exprlang._compile_stacked(e, {}, {}),
+        ],
+        ids=["render", "first_order", "stacked"],
+    )
+    def test_not_a_node_in_every_lane(self, lane):
+        # compile_stacked renders its tree before it compiles it, so its
+        # own check is reached only through the private compiler
+        with pytest.raises(TypeError, match="^not an expression node: 'x'$"):
+            lane(BinOp("+", Coord(0, "x"), "x"))
+
     def test_one_compile_serves_many_points(self):
         rng = np.random.default_rng(5)
         chart = CoordinateChart(("u", "v"))
@@ -406,6 +428,13 @@ class TestDomain:
     def test_evaluation_error_means_outside(self):
         c = parse_constraint("ln(x) > 0", XY)
         assert c.compile({})([-1.0, 0.0]) is False
+
+    @pytest.mark.parametrize("source", ["x > 0", "x >= y", "0 > x", "y >= x"])
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_non_finite_coordinate_side_means_outside(self, source, x):
+        # a bare coordinate evaluates to itself, with no finiteness check of
+        # its own; the constraint refuses it either way round
+        assert parse_constraint(source, XY).compile({})([x, 0.0]) is False
 
     def test_missing_relation(self):
         with pytest.raises(ExprSyntaxError):

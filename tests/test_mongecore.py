@@ -46,7 +46,7 @@ from mongelight.mongecore import (
     _screen_fields,
 )
 from mongelight.reportio import GridSpec, grid_sample, render_report, report_to_dict
-from mongelight.semiriemann import MetricField, metric_jets_at
+from mongelight.semiriemann import DegenerateMetricError, MetricField, metric_jets_at
 
 from _jets import compile_expr as reference_compile
 from _jets import seed
@@ -212,7 +212,7 @@ class TestMongeFrame:
         gen = entry.generator
         rng = np.random.default_rng(400)
         bases = sample_admissible(rng, gen, entry.default_samples.ranges, 400)
-        induced = mongecore._PointData(gen, bases).induced
+        induced = mongecore._PointData(gen, np.array(bases)).induced
         points = [gen.surface_point(b) for b in bases]
         for tolerance in (1e-8, 1e-2, 0.3):
             records = classify(gen, points, tolerance).points
@@ -819,7 +819,7 @@ class TestScreenIntegrability:
         entry = catalog.builtin(name)
         for sp in default_points(entry, limit=5):
             data = _point_data(entry.generator, sp.base)
-            (*_, dF, _, xi_hat), _ = _jets(entry.generator, np.array([sp.base]), [sp.base])
+            (*_, dF, _, xi_hat), _ = _jets(entry.generator, np.array([sp.base]))
             assert np.array_equal(
                 _screen_fields(dF[0], xi_hat[0]), _screen_fields(data.dF[0], data.xi_hat[0])
             )
@@ -1009,7 +1009,7 @@ def test_classify_builds_no_ambient_stack(monkeypatch, stack):
         for c in (1.0, -2.5):
             classify(entry.generator, default_points(entry), xi_scale=c)
     with pytest.raises(AssertionError, match=f"read _PointData.{stack}$"):
-        getattr(mongecore._PointData(HYP2.generator, [(0.0, 2.0)]), stack)
+        getattr(mongecore._PointData(HYP2.generator, np.array([(0.0, 2.0)])), stack)
 
 
 class TestClassify:
@@ -1079,6 +1079,25 @@ class TestClassify:
         )
         report = classify(gen, [gen.surface_point((0.5, 0.5))])
         assert report.points[0].error.startswith("metric degenerate")
+
+    @pytest.mark.parametrize(
+        "base", [(np.float64(0.0), np.float64(0.5)), (np.float32(0.0), 0.5), (0, 0.5)]
+    )
+    def test_error_names_the_floats_the_stages_read(self, base):
+        # g = diag(x, 1) is singular at x = 0; the message named the base as
+        # given: [np.float64(0.0), np.float64(0.5)], [np.float32(0.0), 0.5], [0, 0.5]
+        chart = CoordinateChart(("x", "y"))
+        metric = MetricField.from_strings(chart, [["x", "0"], ["0", "1"]])
+        gen = MongeGenerator("singular", chart, metric, parse("y", chart))
+        report = classify(gen, [SurfacePoint(base, 0.5), gen.surface_point((1.0, 0.5))])
+        assert report.points[0].error == "metric degenerate at [0.0, 0.5]"
+        with pytest.raises(DegenerateMetricError, match=re.escape("at [0.0, 0.5]")):
+            lightlike_defect_at(gen, base)
+
+    def test_infinite_derivative_named_by_its_floats(self):
+        gen = euclidean(("x", "y"), "sqrt(x)*1e300")
+        report = classify(gen, [SurfacePoint((np.float64(1e-100), 0.5), 1.0)])
+        assert report.points[0].error == "derivatives not finite at [1e-100, 0.5]"
 
     def test_infinite_derivative_recorded(self):
         # sqrt(x)*1e300 is finite at x = 1e-100 but its slope overflows
@@ -1322,6 +1341,19 @@ class TestPointLength:
         for point, error in zip(points, errors):
             assert classify(gen, [point]).points[0].error == error
 
+    def test_stacked_constraint_is_one_mask(self):
+        # the stack admits a row where both sides are finite and the relation
+        # holds; the one-point rule decides every other row
+        gen = euclidean(("x", "y"), "y", ("x^0.5 >= 0", "exp(x) > 0"))
+        points = np.array([[0.25, 1.0], [0.0, 1.0], [-1.0, 1.0], [800.0, 1.0]])
+        masks = [test(points) for test in gen._stacked_domain]
+        assert [m.dtype for m in masks] == [np.dtype(bool)] * 2
+        assert masks[0].tolist() == [True, False, False, True]
+        assert masks[1].tolist() == [True, True, True, False]
+        surface = [SurfacePoint(tuple(p), 1.0) for p in points.tolist()]
+        errors = [a.error for a in classify(gen, surface).points]
+        assert errors == [None, None, "outside domain", "outside domain"]
+
     @pytest.mark.parametrize("query", PER_POINT_QUERIES)
     @pytest.mark.parametrize("point", [(0.1,), (0.1, 1.0, 2.0), SurfacePoint((0.1,), 0.0)])
     def test_per_point_functions_raise(self, query, point):
@@ -1524,10 +1556,10 @@ class TestCompiledExpressions:
         # F's jets run once over the stack; each row equals a stack of one
         entry = catalog.builtin("schwarzschild_tr")
         bases = [sp.base for sp in default_points(entry, limit=6)]
-        stacked, failures = _jets(entry.generator, np.array(bases), bases)
+        stacked, failures = _jets(entry.generator, np.array(bases))
         assert failures == {} and stacked[4].shape == (6, 2, 2)
         for k, base in enumerate(bases):
-            alone, _ = _jets(entry.generator, np.array([base]), [base])
+            alone, _ = _jets(entry.generator, np.array([base]))
             for got, want in zip(stacked, alone):
                 assert got[k].tobytes() == want[0].tobytes()
 

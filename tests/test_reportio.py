@@ -195,6 +195,35 @@ class TestGridSample:
         with pytest.raises(ValueError):
             grid_sample(entry.generator, GridSpec(((-1.0, 1.0),), (5,)))
 
+    @pytest.mark.parametrize(
+        "ranges, counts", [(((-1.0, 1.0),), (5, 5)), (((-1.0, 1.0), (0.5, 4.0)), (5,))]
+    )
+    def test_ranges_and_counts_misaligned(self, ranges, counts):
+        with pytest.raises(ValueError, match="^ranges and counts must align$"):
+            GridSpec(ranges, counts)
+
+    @pytest.mark.parametrize("kwargs", [{}, {"points": ()}, {"points": []}])
+    def test_sample_set_with_no_points_refused(self, kwargs):
+        # save_generator wrote "samples": {"points": []}, which load_generator refuses
+        message = "^a sample set needs a grid or a nonempty list of points$"
+        with pytest.raises(ValueError, match=message):
+            SampleSet(**kwargs)
+
+    @pytest.mark.parametrize("points", [((0.1, 1.0),), ()])
+    def test_sample_set_with_a_grid_and_points_refused(self, points):
+        # the points were dropped: materialize gave the grid's 25 points
+        grid = catalog.builtin("hyperbolic2").default_samples
+        with pytest.raises(ValueError, match="^a sample set takes a grid or points, not both$"):
+            SampleSet(grid=grid, points=points)
+
+    def test_explicit_points_round_trip(self, tmp_path):
+        gen = catalog.builtin("hyperbolic2").generator
+        samples = SampleSet(points=((0.1, 1.0), (-0.5, 2.0)))
+        path = tmp_path / "gen.json"
+        save_generator(gen, samples, path)
+        loaded = load_generator(path)[1]
+        assert loaded == samples and loaded.materialize(gen) == samples.materialize(gen)
+
 
 class TestLoadGenerator:
     def test_round_trip(self, tmp_path):
@@ -903,6 +932,25 @@ class TestTemplates:
             oracle(report_to_dict(report))
         with pytest.raises(ValueError, match=message):
             render_report(report)
+
+    def test_report_with_no_points(self):
+        # only a hand-built report has none: json writes it whole
+        report = hand_report()
+        report.points = []
+        assert render_report(report) == oracle(report_to_dict(report)) + "\n"
+        assert json.loads(render_report(report))["points"] == []
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("second_form_scale", np.float64(3.0)), ("radical_rank", enum.IntEnum("Rank", "ONE").ONE)],
+    )
+    def test_subclass_leaf_record_written_by_json(self, field, value):
+        # a record with a leaf whose type is not exactly float, int, bool or
+        # None takes no template; json writes it, with its base type's repr
+        report = self.alike_records(2)
+        setattr(report.points[1], field, value)
+        assert render_report(report) == oracle(report_to_dict(report)) + "\n"
+        assert reportio._template(report.points[1], (type(value),), "\n") is None
 
     def test_int_past_the_float_range(self):
         report = hand_report()

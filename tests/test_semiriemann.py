@@ -86,6 +86,14 @@ def kernel_christoffel(field, point):
 
 
 class TestMetricAt:
+    @pytest.mark.parametrize(
+        "rows", [[["1"]], [["1", "0"], ["0", "1"], ["0", "0"]], [["1", "0"], ["1"]]]
+    )
+    def test_metric_that_is_not_d_by_d_refused(self, rows):
+        chart = CoordinateChart(("x", "y"))
+        with pytest.raises(ValueError, match="^metric must be 2x2 for this chart$"):
+            MetricField.from_strings(chart, rows)
+
     def test_hyperbolic_plane(self):
         g, ginv = kernel_metric(HYP2.metric, [0.0, 2.0])
         assert np.allclose(g, [[0.25, 0.0], [0.0, 0.25]], atol=0)

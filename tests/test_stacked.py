@@ -94,6 +94,13 @@ class TestBitIdentity:
         # both kinds of row occur, within the same stacks
         assert failed > 50 and passed > 1000
 
+    @pytest.mark.parametrize("source", ["x^1", "(x*y)^1", "ln(x)^1", "x^1*y", "(x^1)^1"])
+    def test_first_power(self, source):
+        # u^1 is u itself, jets and errors included
+        rng = np.random.default_rng(34)
+        rows = assert_rows_match(parse(source, XY), {}, mixed_points(rng, 2, 24))
+        assert {row[0] for row in rows} == ({"jet", "error"} if "ln" in source else {"jet"})
+
     def test_random_grammar_fields(self):
         # every function and operator, parameters and coordinate exponents,
         # on points where most of them leave their domain somewhere
