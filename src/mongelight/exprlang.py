@@ -118,6 +118,8 @@ class CoordinateChart:
 
     Charts are immutable after construction; the parameter map is the
     resolved environment for every expression parsed against the chart.
+    ``read`` is the one rule that turns a base point into the floats every
+    consumer of the chart computes at.
     """
 
     names: tuple[str, ...]
@@ -143,6 +145,29 @@ class CoordinateChart:
 
     def index(self, name: str) -> int:
         return self.names.index(name)
+
+    def read(self, base, x0=None) -> tuple[float, ...]:
+        """The base point as a tuple of floats, or ValueError naming the
+        first rule it fails: it is a sequence, of the chart's number of
+        coordinates, each a number (what math.isfinite reads: an int, a
+        float, NumPy's scalars and 0-d arrays, not a str) and each finite
+        (an int beyond the float range is not).  ``x0``, the height of a
+        graph point over the base, is checked with the coordinates, after
+        them, unless it is None."""
+        try:
+            length = len(base)
+        except TypeError:
+            raise ValueError("point is not a sequence") from None
+        if length != len(self.names):
+            raise ValueError(f"point has {length} coordinates; chart has {len(self.names)}")
+        try:
+            if all(map(math.isfinite, base)) and (x0 is None or math.isfinite(x0)):
+                return tuple(map(float, base))
+        except TypeError:
+            raise ValueError("point is not a number") from None
+        except OverflowError:
+            pass
+        raise ValueError("point is not finite")
 
 
 def _parameter_value(name: str, value) -> float:

@@ -142,22 +142,21 @@ class MongeGenerator:
         return self.chart.parameters
 
     def admissible(self, base: Sequence[float]) -> bool:
-        """Whether the base point satisfies every domain constraint; a base
-        that does not fit the chart, or whose coordinates are not finite
-        numbers, raises ValueError with classify's message."""
-        _check_base(self, base)
-        return self._admits(base)
+        """Whether every domain constraint holds at the floats the chart
+        reads from the base (see CoordinateChart.read), which the stages
+        compute at; a base the chart refuses raises its ValueError, which is
+        classify's message."""
+        return self._admits(self.chart.read(base))
 
-    def _admits(self, base: Sequence[float]) -> bool:
-        """admissible, for a base already checked."""
+    def _admits(self, base: tuple[float, ...]) -> bool:
+        """admissible, at the floats of a base already read."""
         return all(holds(base) for holds in self._domain)
 
     def surface_point(self, base: Sequence[float]) -> "SurfacePoint":
-        """The point (F(base), base); a base that does not fit the chart, or
-        whose coordinates are not finite numbers, raises ValueError with
+        """The point (F(base), base) at the floats the chart reads from the
+        base; a base the chart refuses raises its ValueError, which is
         classify's message."""
-        _check_base(self, base)
-        base = tuple(map(float, base))
+        base = self.chart.read(base)
         return SurfacePoint(base, self._scalar(base))
 
 
@@ -221,39 +220,6 @@ def _check_xi_scale(xi_scale) -> float:
     return float(xi_scale)
 
 
-def _coordinate_error(base: Sequence[float], x0: float | None) -> str | None:
-    """Why a point's coordinates (base, and x0 unless it is None) cannot be
-    analyzed, or None where each is a finite number: an int beyond the
-    float range is not finite, and a str or other object is not a number."""
-    try:
-        if all(map(math.isfinite, base)) and (x0 is None or math.isfinite(x0)):
-            return None
-    except TypeError:
-        return "point is not a number"
-    except OverflowError:
-        pass
-    return "point is not finite"
-
-
-def _length_error(gen: MongeGenerator, base: Sequence[float]) -> str | None:
-    """Why a base point does not fit the chart, or None where it does."""
-    try:
-        length = len(base)
-    except TypeError:
-        return "point is not a sequence"
-    if length != gen.dimension:
-        return f"point has {length} coordinates; chart has {gen.dimension}"
-    return None
-
-
-def _check_base(gen: MongeGenerator, base: Sequence[float]):
-    """Raise ValueError, with the error classify records, for a base point
-    that does not fit the chart or whose coordinates are not finite numbers."""
-    error = _length_error(gen, base) or _coordinate_error(base, None)
-    if error is not None:
-        raise ValueError(error)
-
-
 def _stacked_constraint(constraint: DomainConstraint, params) -> Callable:
     """The test of ``constraint.compile`` over the points, rows of an (n, d)
     float array, with both sides compiled once by compile_stacked: it
@@ -276,22 +242,25 @@ def _stacked_constraint(constraint: DomainConstraint, params) -> Callable:
     return test
 
 
-# the coordinate and x0 types the stacked gate admits: float64 arithmetic
-# on them gives the bits of the one-point rule's arithmetic (which on ints
-# is exact, and so may differ)
+# the coordinate and x0 types of a plain point: the stack reads them as
+# they are, and a record writes its point as the floats they are
 _FLOATS = frozenset((float, np.float64))
 
 
-def _gate(gen: MongeGenerator, points: Sequence[SurfacePoint]) -> dict[int, str]:
-    """{index: error} of the points the gate refuses: the first rule each
-    fails of _point_error, which defines the gate.
+def _gate(
+    gen: MongeGenerator, points: Sequence[SurfacePoint]
+) -> tuple[dict[int, str], dict[int, SurfacePoint], np.ndarray]:
+    """{index: error} of the points the gate refuses, the first rule each
+    fails of _point_error, which defines the gate; {index: point as read}
+    of the others _point_error decides; and the (n, d) array of the bases'
+    floats, which the stages read (a refused point's row means nothing).
 
     The points are admitted as one stack.  One pass finds the plain points,
     each a tuple base of d floats with a float x0, and one array of them
     admits those whose every coordinate and x0 is finite and at which every
     constraint holds over the stack (see _stacked_constraint).  Every other
     point, admitted or refused, is decided by _point_error alone."""
-    d = gen.dimension
+    n, d = len(points), gen.dimension
     bases = [sp.base for sp in points]
     x0s = [sp.x0 for sp in points]
     plain = [
@@ -308,33 +277,42 @@ def _gate(gen: MongeGenerator, points: Sequence[SurfacePoint]) -> dict[int, str]
     admitted = np.isfinite(stack).all(axis=1) & np.isfinite(x0)
     for holds in gen._stacked_domain:
         admitted &= holds(stack)
-    left = np.ones(len(points), dtype=bool)
+    if m < n:
+        floats = np.zeros((n, d))
+        floats[rows] = stack
+    else:
+        floats = stack
+    left = np.ones(n, dtype=bool)
     left[rows[admitted]] = False
-    errors = {}
+    errors, read = {}, {}
     for i in np.flatnonzero(left).tolist():
-        error = _point_error(gen, points[i])
-        if error is not None:
+        error, sp = _point_error(gen, points[i])
+        if error is None:
+            floats[i], read[i] = sp.base, sp
+        else:
             errors[i] = error
-    return errors
+    return errors, read, floats
 
 
-def _point_error(gen: MongeGenerator, sp: SurfacePoint) -> str | None:
-    """Why classify refuses the point before its analysis, or None: the
-    first rule it fails of its number of coordinates, numeric and finite
-    coordinates (base, and x0 unless it is None), the domain, and F (for a
-    point whose x0 is None)."""
-    base, x0 = sp.base, sp.x0
-    error = _length_error(gen, base) or _coordinate_error(base, x0)
-    if error is not None:
-        return error
+def _point_error(gen: MongeGenerator, sp: SurfacePoint) -> tuple[str | None, SurfacePoint | None]:
+    """(why classify refuses the point before its analysis, None), or
+    (None, the point as the stages read it: its base's floats, and x0 as a
+    float or None).  The rules, in order: the chart's reader (the number
+    of coordinates, numeric and finite coordinates, and x0 unless it is
+    None), then the domain and F (for a point whose x0 is None), each at
+    the floats read."""
+    try:
+        base = gen.chart.read(sp.base, sp.x0)
+    except ValueError as exc:
+        return str(exc), None
     if not gen._admits(base):
-        return "outside domain"
-    if x0 is None:
+        return "outside domain", None
+    if sp.x0 is None:
         try:
-            gen.surface_point(base)  # raises why F has no value
+            gen._scalar(base)  # raises why F has no value
         except EvalDomainError as exc:
-            return str(exc)
-    return None
+            return str(exc), None
+    return None, SurfacePoint(base, None if sp.x0 is None else float(sp.x0))
 
 
 # ---------------------------------------------------------------------------
@@ -522,31 +500,25 @@ def _raise(failures: dict[int, Exception]):
 @lru_cache(maxsize=1)
 @_quiet
 def _point_data(gen: MongeGenerator, base: tuple) -> _PointData:
-    """The stacked geometry of the one point ``base``, as floats; a base
-    that does not fit the chart, or whose coordinates are not finite
-    numbers, raises ValueError with classify's message.  The check runs
-    once per point, here, before float() could read the str "2.0" or
-    overflow on an int beyond its range."""
-    _check_base(gen, base)
-    data = _PointData(gen, np.array([tuple(map(float, base))]))
+    """The stacked geometry of the one point ``base``, at the floats the
+    chart reads from it; a base the chart refuses raises its ValueError,
+    which is classify's message.  The base is read once per point, here,
+    on a miss of the cache."""
+    data = _PointData(gen, np.array([gen.chart.read(base)]))
     _raise(data.failures)
     return data
 
 
 def _point_at(gen: MongeGenerator, p) -> _PointData:
     """_point_data at a SurfacePoint's base or at the coordinates ``p``; a
-    base the cache cannot hash (one holding a 0-d array, say) is checked
-    and goes in as floats."""
-    base = p.base if isinstance(p, SurfacePoint) else tuple(p)
+    base the cache cannot hash (a list, or a tuple holding a 0-d array)
+    goes in as the floats the chart reads from it."""
+    base = p.base if isinstance(p, SurfacePoint) else p
     try:
-        return _point_data(gen, base)
+        hash(base)
     except TypeError:
-        try:
-            hash(base)
-        except TypeError:
-            _check_base(gen, base)
-            return _point_data(gen, tuple(map(float, base)))
-        raise
+        base = gen.chart.read(base)
+    return _point_data(gen, base)
 
 
 def _screen_fields(dF: np.ndarray, xi_hat: np.ndarray) -> np.ndarray:
@@ -1041,9 +1013,12 @@ def _analyze(
     The points are admitted as one stack (see _gate): one pass checks every
     base's length and every coordinate's finiteness, and x0's, and each
     domain constraint runs once over the stack; the one-point rule
-    (_point_error) decides every point the stack does not admit.  The
-    kept points' bases are read into one float array, whose rows are the
-    only floats every later stage reads.  The metric's
+    (_point_error) decides every point the stack does not admit, at the
+    floats the chart reads (CoordinateChart.read).  The gate hands on one
+    float array of the kept bases, the stack's rows and the one-point
+    rule's floats, which are the only floats every later stage reads; a
+    kept point's record names them (a plain point, whose floats they are,
+    keeps its own SurfacePoint).  The metric's
     jets run point by point, each gathering g and dg from the slot map, and
     are stacked at once; the metric inverse, F's jets and every later stage
     run once over one stack of every point that passed the domain and F,
@@ -1072,15 +1047,16 @@ def _analyze(
     gbar(N, N) = (q - 1) / (4 c^2)) and gbar(e_i, xi) is the inverse's
     residual."""
     records: list[PointAnalysis | None] = [None] * len(points)
-    refused = _gate(gen, points)
+    refused, read, bases = _gate(gen, points)
     for i, error in refused.items():
         records[i] = PointAnalysis(index=i, point=points[i], error=error)
+    if read:  # a kept point's record names the floats it was analyzed at
+        points = [read.get(i, sp) for i, sp in enumerate(points)]
     kept = [i for i in range(len(points)) if i not in refused]
     if not kept:
         return records, {"index": []}
     n, d = len(kept), gen.dimension
-    bases = chain.from_iterable(points[i].base for i in kept)
-    data = _PointData(gen, np.fromiter(bases, float, n * d).reshape(n, d))
+    data = _PointData(gen, bases[kept] if refused else bases)
     everywhere = np.ones(n, dtype=bool)
     alive = everywhere.copy()
     errors: dict[int, str] = {}
@@ -1199,7 +1175,9 @@ def classify(
     point the stack does not admit (say, abs(x) > 0 at x = 0, where only a
     derivative fails) is tested on its own, by the one rule that refuses.
     An error that names a point (" at [x, y]") names the floats the
-    stages read.  The metric's
+    stages read, and so does the record of every point the gate admits:
+    the base as the chart reads it (see CoordinateChart.read), and x0 as a
+    float.  The domain is tested at those floats.  The metric's
     jets are evaluated point by point, each pass gathering g and dg from the
     metric's slot map, and stacked at once; the metric inverse, F's
     second-order jets and every later stage run once over one stack of all

@@ -134,20 +134,20 @@ class SampleSet:
 
 
 def _sample_point(gen: MongeGenerator, base) -> SurfacePoint:
-    """The surface point over ``base``, with x0 None where classify records
-    the point's error: where the base does not fit the chart or is not
-    finite numbers (the base is kept as given), or where F cannot be
-    evaluated there."""
+    """The surface point over the floats the chart reads from ``base``,
+    with x0 None where classify records the point's error: where the chart
+    refuses the base (which is kept as given), or where F cannot be
+    evaluated at its floats."""
     try:
-        return gen.surface_point(base)
-    except ValueError:
+        base = gen.chart.read(base)
+        return SurfacePoint(base, gen._scalar(base))
+    except (ValueError, EvalDomainError):
         return SurfacePoint(base, None)
-    except EvalDomainError:
-        return SurfacePoint(tuple(float(x) for x in base), None)
 
 
 def grid_sample(gen: MongeGenerator, spec: GridSpec) -> list[SurfacePoint]:
-    """Cartesian grid over the spec, filtered by the generator's domain."""
+    """Cartesian grid over the spec, filtered by the generator's domain at
+    its floats; each admitted grid point is read once, by the chart."""
     if len(spec.ranges) != gen.dimension:
         raise ValueError(
             f"grid has {len(spec.ranges)} axes for a {gen.dimension}-dimensional chart"
@@ -156,11 +156,8 @@ def grid_sample(gen: MongeGenerator, spec: GridSpec) -> list[SurfacePoint]:
         np.linspace(lo, hi, count)
         for (lo, hi), count in zip(spec.ranges, spec.counts)
     ]
-    points = []
-    for combo in np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, gen.dimension):
-        base = tuple(float(x) for x in combo)
-        if gen.admissible(base):
-            points.append(_sample_point(gen, base))
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, gen.dimension)
+    points = [_sample_point(gen, base) for base in map(tuple, grid.tolist()) if gen._admits(base)]
     if not points:
         raise EmptySampleError("no grid point satisfies the domain constraints")
     return points

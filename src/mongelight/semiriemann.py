@@ -169,20 +169,18 @@ def metric_jets_at(
     only where the values leave the domain
     (division by zero, ln or sqrt of a non-positive value, a non-finite
     result), with order 1's message, and not where only a derivative does
-    not exist (abs or u^0.5 at 0).  A point whose number of coordinates is
-    not the chart's raises ValueError, and so does a coordinate float()
-    refuses, with classify's message: an int beyond the float range "is not
-    finite", and a str or other object "is not a number".
+    not exist (abs or u^0.5 at 0).  The point is read by float() alone; one
+    that float() cannot read, or whose number of coordinates is not the
+    chart's, raises the ValueError of the chart's reader
+    (CoordinateChart.read), with classify's message.
     """
     d = len(field._slots)  # the chart's dimension, read from the (d, d) slot map
     try:
         x = tuple(map(float, point))
-    except OverflowError:
-        raise ValueError("point is not finite") from None
-    except (TypeError, ValueError):
-        raise ValueError("point is not a number") from None
-    if len(x) != d:
-        raise ValueError(f"point has {len(x)} coordinates; chart has {d}")
+    except (TypeError, ValueError, OverflowError):
+        x = ()
+    if len(x) != d:  # the chart's reader says why
+        x = field.chart.read(point)
     if order == 0:
         return np.array([component(x) for component in field._distinct])[field._slots], None
     if order != 1:

@@ -91,3 +91,26 @@ def test_outside_domain_written_once_in_the_one_point_rule():
         if isinstance(node, ast.FunctionDef) and node.name == "_point_error"
     ]
     assert string_literals(rule).count("outside domain") == 1
+
+
+POINT_MESSAGES = (
+    "point is not a sequence",
+    "point is not a number",
+    "point is not finite",
+    " coordinates; chart has ",
+)
+
+
+@pytest.mark.parametrize("message", POINT_MESSAGES)
+def test_point_messages_written_once_in_the_chart_reader(message):
+    # a base point becomes floats in one rule, CoordinateChart.read, which
+    # classify, the generator, the per-point functions and metric_jets_at
+    # all ask, so its messages have one owner
+    package = Path(mongelight.__file__).parent
+    found = [
+        path.name
+        for path in sorted(package.glob("*.py"))
+        for text in string_literals(ast.parse(path.read_text()))
+        if message in text
+    ]
+    assert found == ["exprlang.py"]

@@ -7,6 +7,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mongelight import catalog, mongecore
 from mongelight.exprlang import (
@@ -1085,14 +1087,40 @@ class TestClassify:
     )
     def test_error_names_the_floats_the_stages_read(self, base):
         # g = diag(x, 1) is singular at x = 0; the message named the base as
-        # given: [np.float64(0.0), np.float64(0.5)], [np.float32(0.0), 0.5], [0, 0.5]
+        # given: [np.float64(0.0), np.float64(0.5)], [np.float32(0.0), 0.5], [0, 0.5];
+        # the record wrote it as given too, which json could not write for
+        # np.float32, and wrote [0, 0.5]
         chart = CoordinateChart(("x", "y"))
         metric = MetricField.from_strings(chart, [["x", "0"], ["0", "1"]])
         gen = MongeGenerator("singular", chart, metric, parse("y", chart))
         report = classify(gen, [SurfacePoint(base, 0.5), gen.surface_point((1.0, 0.5))])
         assert report.points[0].error == "metric degenerate at [0.0, 0.5]"
+        (record, _) = json.loads(render_report(report))["points"]
+        assert [type(x) for x in record["point"]] == [float, float]
         with pytest.raises(DegenerateMetricError, match=re.escape("at [0.0, 0.5]")):
             lightlike_defect_at(gen, base)
+
+    @pytest.mark.parametrize(
+        "base, x0",
+        [
+            ((np.float32(0.1), np.float32(1.0)), np.float32(0.0)),
+            ((np.int64(0), np.int64(1)), np.int64(0)),
+            ((0, 1), 0),
+            ([np.array(0.1), 1.0], 0.0),
+        ],
+    )
+    def test_record_names_the_floats_the_stages_read(self, base, x0):
+        # render_report raised TypeError for the NumPy scalars, which the
+        # record wrote as given, and the int base was written [0, 1]
+        gen = HYP2.generator
+        report = classify(gen, [SurfacePoint(base, x0), gen.surface_point((0.5, 2.0))])
+        text = render_report(report)
+        assert text == json.dumps(report_to_dict(report), indent=2, allow_nan=False) + "\n"
+        (record, _) = report_to_dict(report)["points"]
+        assert record["error"] is None
+        assert [type(x) for x in record["point"]] == [float, float]
+        assert (type(record["x0"]), record["x0"]) == (float, 0.0)
+        assert record["point"] == [float(x) for x in base] == list(gen.chart.read(base))
 
     def test_infinite_derivative_named_by_its_floats(self):
         gen = euclidean(("x", "y"), "sqrt(x)*1e300")
@@ -1297,6 +1325,20 @@ REFUSED_BASES = [
 ]
 
 
+# coordinates of every kind a caller may hand classify: floats, NumPy's
+# scalars, ints (beyond 2**53 and beyond the float range too), 0-d arrays,
+# and what is not a number
+COORDINATES = st.one_of(
+    st.floats(),
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(),
+    st.integers(2**53, 2**60),
+    st.sampled_from([10**400, -(10**400), "1.0", None]),
+    st.floats(allow_nan=False).map(np.array),
+)
+
+
 class TestPointLength:
     """A sample point with the wrong number of coordinates is the first gate:
     a per-point error in classify, a ValueError from the per-point functions."""
@@ -1322,9 +1364,9 @@ class TestPointLength:
 
     def test_points_that_are_not_tuples_of_floats_take_the_one_point_rule(self):
         # classify tests the domain of a tuple of floats with a float x0 on
-        # the stack; the one-point rule decides every other point, and
-        # computes x - y on ints exactly: 1 at (2**53 + 1, 2**53), where the
-        # floats of both are 2**53
+        # the stack; the one-point rule decides every other point, at the
+        # floats the chart reads: x - y on ints was 1 at (2**53 + 1, 2**53),
+        # which was admitted and then analyzed at the floats (2**53, 2**53)
         gen = euclidean(("x", "y"), "0.6*x + 0.8*y", ("x - y > 0",))
         big = 2**53
         points = [
@@ -1337,7 +1379,9 @@ class TestPointLength:
             SurfacePoint((1.0, 2.0), 0.0),
         ]
         errors = [a.error for a in classify(gen, points).points]
-        assert errors == [None, "outside domain", None, None, None, None, "outside domain"]
+        outside = "outside domain"
+        assert errors == [outside, outside, None, None, None, None, outside]
+        assert not gen.admissible((big + 1, big))
         for point, error in zip(points, errors):
             assert classify(gen, [point]).points[0].error == error
 
@@ -1379,6 +1423,43 @@ class TestPointLength:
             getattr(gen, method)(base)
         (record,) = classify(gen, [SurfacePoint(base, None)]).points
         assert record.error == message
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        base=st.tuples(COORDINATES, COORDINATES) | st.lists(COORDINATES, max_size=3).map(tuple),
+        x0=st.none() | COORDINATES,
+    )
+    def test_every_entry_point_reads_a_base_as_the_chart_does(self, base, x0):
+        # the generator, the per-point functions and classify refuse a base
+        # with the chart's message, and a live record names the floats it
+        # reads; the domain is tested at those floats
+        gen = euclidean(("x", "y"), "0.6*x + 0.8*y", ("x - y > 0",))
+        try:
+            read, message = gen.chart.read(base), None
+        except ValueError as exc:
+            read, message = None, str(exc)
+        (record,) = classify(gen, [SurfacePoint(base, None)]).points
+        for query in (gen.admissible, gen.surface_point, lambda b: lightlike_defect_at(gen, b)):
+            try:
+                query(base)
+            except ValueError as exc:
+                assert str(exc) == record.error
+            except EvalDomainError:  # F's value overflowed
+                assert read is not None
+            else:
+                assert read is not None
+        if message is not None:
+            assert record.error == message
+        elif not gen.admissible(read):
+            assert record.error == "outside domain"
+        if record.error is None:
+            assert record.point.base == read and all(type(x) is float for x in read)
+        report = classify(gen, [SurfacePoint(base, x0), gen.surface_point((2.0, 1.0))])
+        record = report.points[0]
+        if record.error is None:  # a plain point keeps its own np.float64s
+            assert record.point == SurfacePoint(read, None if x0 is None else float(x0))
+            text = render_report(report)
+            assert text == json.dumps(report_to_dict(report), indent=2, allow_nan=False) + "\n"
 
     def test_coordinate_the_point_cache_cannot_hash(self):
         # a 0-d array, which classify accepts, is read as its float
