@@ -242,18 +242,19 @@ def _stacked_constraint(constraint: DomainConstraint, params) -> Callable:
     return test
 
 
-# the coordinate and x0 types of a plain point: the stack reads them as
-# they are, and a record writes its point as the floats they are
+# the coordinate and x0 types of a plain point, which the stack reads as
+# they are
 _FLOATS = frozenset((float, np.float64))
 
 
 def _gate(
     gen: MongeGenerator, points: Sequence[SurfacePoint]
-) -> tuple[dict[int, str], dict[int, SurfacePoint], np.ndarray]:
+) -> tuple[dict[int, str], np.ndarray, np.ndarray]:
     """{index: error} of the points the gate refuses, the first rule each
-    fails of _point_error, which defines the gate; {index: point as read}
-    of the others _point_error decides; and the (n, d) array of the bases'
-    floats, which the stages read (a refused point's row means nothing).
+    fails of _point_error, which defines the gate; and the floats the
+    stages and the records read: the (n, d) array of the bases and the (n,)
+    array of x0, NaN where x0 is None (a refused point's row means
+    nothing).
 
     The points are admitted as one stack.  One pass finds the plain points,
     each a tuple base of d floats with a float x0, and one array of them
@@ -278,20 +279,20 @@ def _gate(
     for holds in gen._stacked_domain:
         admitted &= holds(stack)
     if m < n:
-        floats = np.zeros((n, d))
-        floats[rows] = stack
+        floats, heights = np.zeros((n, d)), np.full(n, np.nan)
+        floats[rows], heights[rows] = stack, x0
     else:
-        floats = stack
+        floats, heights = stack, x0
     left = np.ones(n, dtype=bool)
     left[rows[admitted]] = False
-    errors, read = {}, {}
+    errors = {}
     for i in np.flatnonzero(left).tolist():
         error, sp = _point_error(gen, points[i])
         if error is None:
-            floats[i], read[i] = sp.base, sp
+            floats[i], heights[i] = sp.base, np.nan if sp.x0 is None else sp.x0
         else:
             errors[i] = error
-    return errors, read, floats
+    return errors, floats, heights
 
 
 def _point_error(gen: MongeGenerator, sp: SurfacePoint) -> tuple[str | None, SurfacePoint | None]:
@@ -989,7 +990,13 @@ class Verdict:
 
 @dataclass
 class ClassificationReport:
-    """Aggregated per-point analyses; verdicts hold on the sampled set only."""
+    """Aggregated per-point analyses; verdicts hold on the sampled set only.
+
+    A report classify returns keeps its records as columns (see _Columns)
+    and builds ``points``, its list of PointAnalysis, from them on first
+    read; render_report writes the records from the columns until then.
+    A report whose ``points`` were read (and so may have been edited) or
+    set, and one built by hand, has no columns and is written by json."""
 
     generator_name: str
     tolerances: Tolerances
@@ -1000,15 +1007,90 @@ class ClassificationReport:
     note: str = "verdicts hold on the sampled set only; umbilical is a per-point fit"
 
 
+def _read_points(report: ClassificationReport) -> list[PointAnalysis]:
+    """``report.points``, built from the report's columns on the first read."""
+    columns = report._columns
+    if columns is not None:
+        records = list(columns.records)
+        for a in columns.analyses(np.arange(len(columns.index))):
+            records[a.index] = a
+        report.points = records
+    return report._points
+
+
+def _set_points(report: ClassificationReport, points: list[PointAnalysis]):
+    report._points, report._columns = points, None
+
+
+# set on the class after dataclass has made it, which would take a property
+# in the class body for the field's default
+ClassificationReport.points = property(_read_points, _set_points)
+
+
+def _as_read(base: list[float], x0: float) -> SurfacePoint:
+    """A point as the stages read it, from the gate's floats (x0 NaN where
+    it is None)."""
+    return SurfacePoint(tuple(base), None if math.isnan(x0) else x0)
+
+
+@dataclass(frozen=True, eq=False)
+class _Columns:
+    """classify's records: ``records`` holds the PointAnalysis of each point
+    with an error at its index and None at each live point (one with no
+    error), and every other field stacks the live points' numbers, one row
+    per point in record order, under the name of the record's field.
+    ``point`` (the base) and ``x0`` are the gate's floats, x0 NaN where it
+    is None.  A row carries umbilic_rho and umbilic_residual where ``fit``,
+    minimal_defect and integrability_defect where ``screened``, and tau
+    where is_lightlike; its record holds None for each number it does not
+    carry."""
+
+    records: list[PointAnalysis | None]
+    index: np.ndarray
+    point: np.ndarray
+    x0: np.ndarray
+    lightlike_defect: np.ndarray
+    is_lightlike: np.ndarray
+    radical_rank: np.ndarray
+    B: np.ndarray
+    umbilic_rho: np.ndarray
+    umbilic_residual: np.ndarray
+    fit: np.ndarray
+    minimal_defect: np.ndarray
+    integrability_defect: np.ndarray
+    screened: np.ndarray
+    tau: np.ndarray
+    second_form_scale: np.ndarray
+
+    def analyses(self, rows: np.ndarray) -> list[PointAnalysis]:
+        """The records of the given live rows, in their order; each B and
+        tau is a row of a new array."""
+
+        def column(values: np.ndarray, present: np.ndarray | None = None) -> list:
+            values = values[rows]
+            column = values.tolist() if values.ndim == 1 else list(values)
+            if present is None:
+                return column
+            return [v if p else None for v, p in zip(column, present[rows].tolist())]
+
+        fields = zip(
+            column(self.radical_rank), column(self.B), column(self.lightlike_defect),
+            column(self.umbilic_rho, self.fit), column(self.umbilic_residual, self.fit),
+            column(self.minimal_defect, self.screened), column(self.integrability_defect, self.screened),
+            column(self.tau, self.is_lightlike), column(self.second_form_scale), column(self.is_lightlike),
+        )
+        points = map(_as_read, self.point[rows].tolist(), self.x0[rows].tolist())
+        return [PointAnalysis(i, sp, None, *f) for i, sp, f in zip(column(self.index), points, fields)]
+
+
 @_quiet
 def _analyze(
     gen: MongeGenerator, points: Sequence[SurfacePoint], tol: float, xi_scale: float
-) -> tuple[list[PointAnalysis], dict[str, object]]:
-    """One record per sample point, and the stacked columns of the live
-    points (those with no error) that classify aggregates its verdicts from:
-    their record indices ("index", a list), their lightlike defects, B,
-    the second-form scales, and the umbilic residuals and minimal defects,
-    each None unless every live point carries one.
+) -> _Columns:
+    """classify's records as columns (see _Columns): a PointAnalysis for
+    each point with an error, and the stacked numbers of the live points,
+    from which classify aggregates its verdicts and render_report writes
+    their records.
 
     The points are admitted as one stack (see _gate): one pass checks every
     base's length and every coordinate's finiteness, and x0's, and each
@@ -1016,9 +1098,8 @@ def _analyze(
     (_point_error) decides every point the stack does not admit, at the
     floats the chart reads (CoordinateChart.read).  The gate hands on one
     float array of the kept bases, the stack's rows and the one-point
-    rule's floats, which are the only floats every later stage reads; a
-    kept point's record names them (a plain point, whose floats they are,
-    keeps its own SurfacePoint).  The metric's
+    rule's floats, and one of their x0, which are the only floats every
+    later stage reads and a kept point's record names.  The metric's
     jets run point by point, each gathering g and dg from the slot map, and
     are stacked at once; the metric inverse, F's jets and every later stage
     run once over one stack of every point that passed the domain and F,
@@ -1036,7 +1117,8 @@ def _analyze(
     None), domain, F (for a point whose x0 is None), metric jets, metric
     inverse, F jets, finite dF, Hessian finiteness, screen rank (g(dF, dF)
     not 0), bracket neighbours, Weingarten, Gauss, and finiteness of the
-    reported numbers.  Each live point's record is built once, from the columns.
+    reported numbers.  A PointAnalysis is built here only for a point with
+    an error; the live rows stay columns.
     No screen frame is built: the minimal defect, tau and both tangency
     certificates are closed forms of the jets.  The certificates gate the
     lightlike points and reach no record: the Gauss certificate is
@@ -1047,16 +1129,15 @@ def _analyze(
     gbar(N, N) = (q - 1) / (4 c^2)) and gbar(e_i, xi) is the inverse's
     residual."""
     records: list[PointAnalysis | None] = [None] * len(points)
-    refused, read, bases = _gate(gen, points)
+    refused, bases, x0 = _gate(gen, points)
     for i, error in refused.items():
         records[i] = PointAnalysis(index=i, point=points[i], error=error)
-    if read:  # a kept point's record names the floats it was analyzed at
-        points = [read.get(i, sp) for i, sp in enumerate(points)]
-    kept = [i for i in range(len(points)) if i not in refused]
-    if not kept:
-        return records, {"index": []}
+    kept = np.arange(len(points))
+    if refused:
+        kept = np.delete(kept, list(refused))
+        bases, x0 = bases[kept], x0[kept]
     n, d = len(kept), gen.dimension
-    data = _PointData(gen, bases[kept] if refused else bases)
+    data = _PointData(gen, bases)
     everywhere = np.ones(n, dtype=bool)
     alive = everywhere.copy()
     errors: dict[int, str] = {}
@@ -1107,49 +1188,19 @@ def _analyze(
         ("second_form_scale", normalizer, everywhere),
     )
     for name, values, present in reported:
-        bad = np.flatnonzero(~np.isfinite(values.reshape(n, -1)).all(axis=1)).tolist()
+        finite = np.isfinite(values).all(axis=tuple(range(1, values.ndim)))  # n may be 0
+        bad = np.flatnonzero(~finite).tolist()
         drop(dict.fromkeys(bad, NonFiniteValueError(f"{name} is not finite")), present)
 
     for k, error in errors.items():
-        i = kept[k]
-        records[i] = PointAnalysis(index=i, point=points[i], error=error)
+        i = int(kept[k])
+        point = _as_read(bases[k].tolist(), float(x0[k]))
+        records[i] = PointAnalysis(index=i, point=point, error=error)
     live = np.flatnonzero(alive)
-    index = [kept[k] for k in live.tolist()]
-
-    def column(values: np.ndarray, present: np.ndarray = everywhere) -> list:
-        """The values at the live rows: floats, or one array per row; None
-        at a row that does not carry the number."""
-        values = values[live]
-        column = values.tolist() if values.ndim == 1 else list(values)
-        shown = present[live]
-        if shown.all():
-            return column
-        return [v if p else None for v, p in zip(column, shown.tolist())]
-
-    for i, *fields in zip(
-        index,
-        rank[live].tolist(),
-        column(B),
-        column(defect),
-        column(rho, fit),
-        column(residual, fit),
-        column(minimal, screened),
-        column(bracket, screened),
-        column(tau, light),
-        column(normalizer),
-        light[live].tolist(),
-    ):
-        records[i] = PointAnalysis(i, points[i], None, *fields)
-
-    columns = {
-        "index": index,
-        "lightlike_defect": defect[live],
-        "B": B[live],
-        "second_form": normalizer[live],
-        "umbilic_residual": residual[live] if fit[live].all() else None,
-        "minimal_defect": minimal[live] if screened[live].all() else None,
-    }
-    return records, columns
+    # in the order of _Columns' fields
+    columns = (kept, bases, x0, defect, light, rank, B, rho, residual, fit)
+    columns += (minimal, bracket, screened, tau, normalizer)
+    return _Columns(records, *(column[live] for column in columns))
 
 
 def classify(
@@ -1192,7 +1243,10 @@ def classify(
     first error, and its later numbers reach no record.  A point's record
     does not depend on the other points.  The verdicts are taken from the
     live points' stacked columns; a verdict's witness is the first point
-    with the largest |value|.
+    with the largest |value|.  The report keeps those columns and builds
+    its ``points`` from them on first read (see ClassificationReport), so a
+    caller that only renders the report builds no PointAnalysis for a live
+    point.
     """
     if not isinstance(tol, Tolerances):
         tol = Tolerances() if tol is None else Tolerances(tol)
@@ -1200,9 +1254,9 @@ def classify(
     if not points:
         raise EmptySampleError("no sample points supplied")
 
-    analyses, columns = _analyze(gen, points, tol.base, xi_scale)
-    index = columns["index"]
-    failed_fraction = 1.0 - len(index) / len(analyses)
+    columns = _analyze(gen, points, tol.base, xi_scale)
+    index = columns.index
+    failed_fraction = 1.0 - len(index) / len(points)
 
     def aggregate(values: np.ndarray | None) -> Verdict:
         # not applicable unless every analyzed point carries a value
@@ -1210,7 +1264,7 @@ def classify(
             return Verdict(value=None)
         size = np.abs(values)
         worst = int(size.argmax())
-        return Verdict(bool((size < tol.base).all()), index[worst], float(values[worst]))
+        return Verdict(bool((size < tol.base).all()), int(index[worst]), float(values[worst]))
 
     if failed_fraction > 0.10:
         verdicts = {
@@ -1218,22 +1272,18 @@ def classify(
             for name in ("degenerate", "totally_geodesic", "totally_umbilical", "minimal")
         }
     else:  # at most 10% failed, so some point is live
-        defect = columns["lightlike_defect"]
-        second_form = columns["second_form"]
-        B_max = np.abs(columns["B"]).max(axis=(1, 2))
-        minimal = columns["minimal_defect"]
+        defect = columns.lightlike_defect
+        second_form = columns.second_form_scale
+        B_max = np.abs(columns.B).max(axis=(1, 2))
+        residual = columns.umbilic_residual if columns.fit.all() else None
+        minimal = columns.minimal_defect / second_form if columns.screened.all() else None
         verdicts = {
             "degenerate": aggregate(defect / (1.0 + np.abs(defect + 1.0))),
             "totally_geodesic": aggregate(B_max / (abs(xi_scale) * second_form)),
-            "totally_umbilical": aggregate(columns["umbilic_residual"]),
-            "minimal": aggregate(None if minimal is None else minimal / second_form),
+            "totally_umbilical": aggregate(residual),
+            "minimal": aggregate(minimal),
         }
 
-    return ClassificationReport(
-        generator_name=gen.name,
-        tolerances=tol,
-        xi_scale=xi_scale,
-        points=analyses,
-        verdicts=verdicts,
-        failed_fraction=failed_fraction,
-    )
+    report = ClassificationReport(gen.name, tol, xi_scale, [], verdicts, failed_fraction)
+    report._columns = columns  # its points are built from these on first read
+    return report

@@ -20,9 +20,12 @@ order and byte-identical output for identical inputs, written by
 ``json.dumps(..., indent=2)``.  A report of format 2 (its ``"format"``
 key) holds no free-form dict in a record: every record has the same fixed
 keys, whose values are numbers, bools, null, the error string, and the
-lists ``point``, ``B`` and ``tau``.  A record's shape is then its leaf
-types and the shapes of ``B`` and ``tau``, and each point record is
-filled into a template cut from json's text of that shape.
+lists ``point``, ``B`` and ``tau``.  The records of a report classify made
+are written from its stacked columns while no caller has read them: a
+live record's shape is which of its fields are null or true (lightlike,
+fit, screened, x0 present), and each shape's records are filled into one
+template cut from json's text.  json writes every error record and every
+other report.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -361,8 +363,8 @@ def _point_record(a: PointAnalysis) -> dict:
     x0 = a.point.x0
     if a.error is not None:  # classify records every non-finite point as failed
         if base is not None:
-            base = [x if _is_finite(x) else None for x in base]
-        x0 = x0 if _is_finite(x0) else None
+            base = [_written(x) for x in base]
+        x0 = _written(x0)
     return {
         "index": a.index,
         "point": base,
@@ -379,6 +381,15 @@ def _point_record(a: PointAnalysis) -> dict:
         "tau": None if a.tau is None else a.tau.tolist(),
         "second_form_scale": a.second_form_scale,
     }
+
+
+def _written(x):
+    """A refused point's coordinate or x0 as its record writes it: None
+    unless it is a finite number, and a NumPy scalar or 0-d array as its
+    Python number (an int stays an int), which json writes."""
+    if not _is_finite(x):
+        return None
+    return x.item() if isinstance(x, (np.generic, np.ndarray)) else x
 
 
 def _report_dict(report: ClassificationReport, points: list) -> dict:
@@ -414,35 +425,24 @@ def render_report(report: ClassificationReport) -> str:
     ValueError).  The bytes equal
     ``json.dumps(report_to_dict(report), indent=2, allow_nan=False) + "\\n"``.
 
-    Each point record is filled into a template cut from json's text of
-    its shape (see ``_fill_records``).  A report the templates cannot
-    write, such as one holding a non-finite number, is written by that
-    ``json.dumps`` call whole, which raises its own error: ValueError for
-    the first non-finite number in document order or for a circular tree,
-    TypeError for an object it cannot write."""
-    text = _fill_records(report)
+    A report classify returned whose records were never read is written
+    from its columns (see _write_columns).  Every other report, such as a
+    hand-built one or one whose ``points`` were read and so may have been
+    edited, is written by that ``json.dumps`` call, which raises its own
+    error: ValueError for the first non-finite number in document order or
+    for a circular tree, TypeError for an object it cannot write."""
+    columns = report._columns
+    text = None if columns is None else _write_columns(report, columns)
     if text is None:
         text = json.dumps(report_to_dict(report), indent=2, allow_nan=False)
     return text + "\n"
 
 
-# A leaf no report writes: json's text of it cuts a document into the
-# pieces between its leaves.  A header string that holds this text too is
-# caught by the piece count, and json writes that report whole.
+# Leaves no report writes: json's text of a document holding them is cut
+# at each into the pieces between its leaves.  A header string that holds
+# _MARK too is caught by the piece count, and json writes that report whole.
 _MARK = "\x00leaf\x00"
-_NONE = type(None)
-# the leaf types a template writes: %s writes a float or an int as json does,
-# with its own __repr__, and a bool is fixed to json's text
-_LEAVES = frozenset((float, int, bool, _NONE))
-_isfinite = math.isfinite
-_bool_text = {False: "false", True: "true"}.__getitem__
-
-
-def _mark(o):
-    """``o`` with every leaf but None replaced by ``_MARK``."""
-    if type(o) is list:
-        return [_mark(v) for v in o]
-    return None if o is None else _MARK
+_INT_MARK = "\x00int\x00"
 
 
 def _cut(o, nl: str) -> list[str]:
@@ -451,45 +451,38 @@ def _cut(o, nl: str) -> list[str]:
     return _dumps(o, nl).split(_escape(_MARK))
 
 
-def _template(a: PointAnalysis, types: tuple, nl: str):
-    """``(format, keep, bools)`` for the records shaped like ``a``, whose
-    leaves, in document order, have the types ``types``; None unless each
-    type is exactly float, int, bool or None.  ``format`` is json's text of
-    the record with ``%s`` at each leaf but None (which json writes as
-    null), ``keep`` picks those leaves (None when all are), and ``bools``
-    lists the positions among them of the bools, which ``%s`` would write
-    as Python does.  The record's keys are fixed literals, and no ``%`` is
-    among them."""
-    if not _LEAVES.issuperset(types):
-        return None
-    written = [t for t in types if t is not _NONE]
-    bools = tuple(i for i, t in enumerate(written) if t is bool)
-    record = {k: _mark(v) for k, v in _point_record(a).items()}
-    keep = tuple(t is not _NONE for t in types) if _NONE in types else None
-    return "%s".join(_cut(record, nl)), keep, bools
+def _marked(v):
+    """``v`` with each float replaced by ``_MARK`` and each int that is not
+    a bool by ``_INT_MARK``."""
+    if type(v) is list:
+        return [_marked(x) for x in v]
+    return {float: _MARK, int: _INT_MARK}.get(type(v), v)
 
 
-def _fill_records(report: ClassificationReport) -> str | None:
-    """The report's text without its final line break, each point record
-    filled into the template cut from json's text of its shape: one ``%``
-    call per record in place of json's walk of its containers.  The shape
-    is everything the layout reads: the leaf types in document order (so
-    the dimension, which fields are None, and how numbers are written) and
-    the shapes of ``B`` and ``tau``.  Floats and ints are written by
-    ``%s``, which calls their ``__repr__``, as json does.  A record with an
-    error or with a leaf of any other type (a subclass of float or int
-    included) is written by json on its own.  The templates live for this
-    one call.  One ``sum`` of a record's numbers shows them finite; each is
-    tested on its own only where that sum is not (finite numbers may
-    overflow it).
+def _form(record: dict, nl: str) -> str:
+    """json's text of a live record, written after ``nl``, with ``%d`` at
+    each int (the index and radical rank) and ``%r`` at each float: the
+    template of every record of its shape.  The record's keys are fixed
+    literals, and no ``%`` is among them."""
+    text = _dumps({k: _marked(v) for k, v in record.items()}, nl)
+    return text.replace(_escape(_MARK), "%r").replace(_escape(_INT_MARK), "%d")
 
-    None where a record holds a non-finite number, where the header or
-    verdicts hold a value json refuses (json may meet a bad record first),
-    or where a string there holds ``_MARK``: json then writes the whole
-    report, or raises for its first bad value.  Records are written in
-    document order, so an error one raises here is the report's first."""
-    if not report.points:
-        return None
+
+def _write_columns(report: ClassificationReport, columns) -> str | None:
+    """The report's text without its final line break, from classify's
+    columns (see mongecore._Columns).  The live rows are grouped by shape:
+    lightlike or not, fit or not, screened or not, and x0 present or not.
+    Each shape's rows are written into its template (see _form) by one
+    ``%`` each, from one float array of their numbers in record order:
+    ``%d`` writes the index and rank, which are exact as floats below
+    2**53, and ``%r`` every other number as float.__repr__, json's own
+    text.  Every number there is finite, since classify records a point
+    whose reported numbers are not as an error.  An error record is
+    written by json.  Records are merged back in document order.
+
+    None where the header or verdicts hold a value json refuses, or where a
+    string there holds ``_MARK``: json then writes the whole report, or
+    raises for its first bad value."""
     try:
         frame = _cut(_report_dict(report, [_MARK, _MARK]), "\n")
     except (TypeError, ValueError):
@@ -498,65 +491,18 @@ def _fill_records(report: ClassificationReport) -> str | None:
         return None
     head, sep, tail = frame
     nl = sep[sep.index("\n"):]  # the line break and indent of each record
-    templates = {}
-    records = []
-    for a in report.points:
-        B, tau = a.B, a.tau
-        if (
-            a.error is None
-            and (B is None or type(B) is np.ndarray)
-            and (tau is None or type(tau) is np.ndarray)
-        ):
-            point = a.point
-            # the leaves of _point_record(a) but its None error, in its order
-            values = (
-                a.index,
-                *point.base,
-                point.x0,
-                a.lightlike_defect,
-                a.is_lightlike,
-                a.radical_rank,
-                *(() if B is None else B.ravel().tolist()),
-                a.umbilic_rho,
-                a.umbilic_residual,
-                a.minimal_defect,
-                a.integrability_defect,
-                *(() if tau is None else tau.ravel().tolist()),
-                a.second_form_scale,
-            )
-            types = tuple(map(type, values))
-            key = (types, None if B is None else B.shape, None if tau is None else tau.shape)
-            entry = templates.get(key, False)
-            if entry is False:
-                entry = templates[key] = _template(a, types, nl)
-            if entry is not None:
-                form, keep, bools = entry
-                if keep is not None:
-                    values = tuple(compress(values, keep))
-                try:
-                    finite = _isfinite(sum(values))
-                except OverflowError:  # an int past the float range
-                    finite = False
-                if not finite and not _all_finite(values):
-                    return None
-                if bools:
-                    values = list(values)
-                    for i in bools:
-                        values[i] = _bool_text(values[i])
-                    values = tuple(values)
-                records.append(form % values)
-                continue
-        records.append(_dumps(_point_record(a), nl))
-    return head + sep.join(records) + tail
-
-
-def _all_finite(values: tuple) -> bool:
-    """Whether every number is finite; an int past the float range, which
-    json writes, is not."""
-    try:
-        return all(map(_isfinite, values))
-    except OverflowError:
-        return False
+    texts = [None if a is None else _dumps(_point_record(a), nl) for a in columns.records]
+    shapes = 8 * columns.is_lightlike + 4 * columns.fit + 2 * columns.screened + ~np.isnan(columns.x0)
+    for shape in np.flatnonzero(np.bincount(shapes)).tolist():  # np.unique would import numpy.ma
+        rows = np.flatnonzero(shapes == shape)
+        record = _point_record(columns.analyses(rows[:1])[0])
+        form = _form(record, nl)
+        # the shape's numbers, in the record's order: each field but the bool and the nulls
+        keys = [k for k, v in record.items() if v is not None and type(v) is not bool]
+        values = np.concatenate([getattr(columns, k)[rows].reshape(len(rows), -1) for k in keys], axis=1)
+        for i, text in zip(columns.index[rows].tolist(), map(form.__mod__, map(tuple, values.tolist()))):
+            texts[i] = text
+    return head + sep.join(texts) + tail
 
 
 _escape = json.encoder.encode_basestring_ascii

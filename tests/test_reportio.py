@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mongelight import catalog, cli, reportio
-from mongelight.exprlang import BinOp, CoordinateChart, EvalDomainError, Num, parse
+from mongelight.exprlang import BinOp, CoordinateChart, EvalDomainError, Num, parse, parse_constraint
 from mongelight.mongecore import (
     ClassificationReport,
     EmptySampleError,
@@ -43,6 +43,7 @@ from mongelight.reportio import (
     save_generator,
 )
 from mongelight.semiriemann import MetricField
+from _oracles import lightlike_line_fixtures
 from test_batch import CASES, SEEDED_SHA256, seeded_case
 
 
@@ -753,15 +754,22 @@ class TestNonFiniteRefused:
             render_report(hand_report(witness=math.inf))
 
     def test_finite_numbers_whose_sum_overflows(self):
-        # the writer tests a record's numbers by their sum first; finite
-        # entries of B may overflow it, and the record is still written,
-        # from its template
+        # finite entries of B may overflow their sum, and the record is
+        # still written: by json in a hand-built report, and from the
+        # columns in classify's (F = 1.5e308 x y at the origin)
         report = hand_report()
         report.points[0].B = np.array([[1e308, 1e308], [1e308, -1e308]])
         assert math.isinf(sum(report.points[0].B.ravel().tolist()))
         expected = json.dumps(report_to_dict(report), indent=2, allow_nan=False) + "\n"
         assert render_report(report) == expected
-        assert reportio._fill_records(report) + "\n" == expected
+        chart = CoordinateChart(("x", "y"))
+        metric = MetricField.from_strings(chart, [["1", "0"], ["0", "1"]])
+        gen = MongeGenerator("big", chart, metric, parse("1.5e308*x*y", chart))
+        live = classify(gen, [gen.surface_point((0.0, 0.0))])
+        text = render_report(live)  # before report_to_dict reads the records
+        (analysis,) = live.points
+        assert analysis.error is None and math.isinf(sum(analysis.B.ravel().tolist()))
+        assert text == json.dumps(report_to_dict(live), indent=2, allow_nan=False) + "\n"
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_entry_of_B(self, bad):
@@ -830,6 +838,29 @@ class TestNonFiniteRefused:
         (record,) = json.loads(render_report(report))["points"]
         assert (record["point"], record["x0"], record["error"]) == ([None, 1.0], None, "by hand")
 
+    def test_refused_numpy_numbers_are_written_as_python_numbers(self):
+        # a refused point's record writes its base as given; NumPy scalars
+        # and 0-d arrays there once made json raise TypeError
+        gen = catalog.builtin("hyperbolic2").generator
+        points = [
+            SurfacePoint((np.float32(0.1), np.float32(-1.0)), 0.0),
+            SurfacePoint((np.float32(1.0), "a"), None),
+            SurfacePoint((0.1, -1.0), np.int64(3)),
+            SurfacePoint((np.array(0.5), np.int64(-2)), np.array(1.5)),
+            gen.surface_point((0.5, 1.0)),
+        ]
+        report = classify(gen, points)
+        text = render_report(report)
+        assert text == oracle(report_to_dict(report)) + "\n"
+        written = [(p["point"], p["x0"], p["error"]) for p in json.loads(text)["points"][:4]]
+        assert written == [
+            ([float(np.float32(0.1)), -1.0], 0.0, "outside domain"),
+            ([1.0, None], None, "point is not a number"),
+            ([0.1, -1.0], 3, "outside domain"),
+            ([0.5, -2], 1.5, "outside domain"),
+        ]
+        assert '"x0": 3,' in text and "-2\n" in text  # an int stays an int
+
     def test_cli_writes_no_report(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "gen.json"
         path.write_text(json.dumps(hyperbolic2_doc()))
@@ -840,9 +871,8 @@ class TestNonFiniteRefused:
         assert not out.exists()
 
 
-# render_report fills each point record into a template cut from json's
-# text of the record's shape; these reports vary everything that shape
-# reads, several shapes to a report
+# hand-built reports, which json writes: they vary every leaf type and
+# array shape a record may hold, several shapes to a report
 def numbers(floats):
     return st.one_of(floats, floats.map(np.float64), st.integers(-(2**70), 2**70))
 
@@ -879,7 +909,7 @@ def point_analyses(draw, index, floats):
 def reports(draw, floats):
     count = draw(st.integers(1, 6))
     points = [draw(point_analyses(k, floats)) for k in range(count)]
-    # repeat a record, so that a later record reuses a template
+    # repeat a record, so that two records share a shape
     points += [draw(st.sampled_from(points))]
     verdicts = draw(
         st.dictionaries(
@@ -917,8 +947,8 @@ class TestTemplates:
 
     @pytest.mark.parametrize("where", ["umbilic_rho", "B", "second_form_scale"])
     def test_non_finite_after_its_template_was_used(self, where):
-        # the first record fills the template, the second, of the same
-        # shape, holds nan, and a verdict after both holds inf: json names nan
+        # the first record is finite, the second, of the same shape,
+        # holds nan, and a verdict after both holds inf: json names nan
         report = hand_report(witness=math.inf)
         first = report.points[0]
         second = dataclasses.replace(first, index=1)
@@ -945,12 +975,16 @@ class TestTemplates:
         [("second_form_scale", np.float64(3.0)), ("radical_rank", enum.IntEnum("Rank", "ONE").ONE)],
     )
     def test_subclass_leaf_record_written_by_json(self, field, value):
-        # a record with a leaf whose type is not exactly float, int, bool or
-        # None takes no template; json writes it, with its base type's repr
+        # a leaf whose type is not exactly float, int, bool or None is
+        # written by json, with its base type's repr: in a hand-built
+        # report, and in one of classify's whose records were read
         report = self.alike_records(2)
         setattr(report.points[1], field, value)
         assert render_report(report) == oracle(report_to_dict(report)) + "\n"
-        assert reportio._template(report.points[1], (type(value),), "\n") is None
+        gen = catalog.builtin("hyperbolic2").generator
+        live = classify(gen, [gen.surface_point((0.5, 1.0 + k)) for k in range(3)])
+        setattr(live.points[1], field, value)
+        assert render_report(live) == oracle(report_to_dict(live)) + "\n"
 
     def test_int_past_the_float_range(self):
         report = hand_report()
@@ -1007,12 +1041,161 @@ class TestTemplates:
             dataclasses.replace(first, index=k, **{field: values.reshape(shape)})
             for k, shape in enumerate(shapes)
         ]
-        assert reportio._fill_records(report) == oracle(report_to_dict(report))
+        assert render_report(report) == oracle(report_to_dict(report)) + "\n"
 
     def test_mark_in_a_header_string(self):
-        # a header string that holds the placeholder's own text
-        report = hand_report()
-        assert reportio._fill_records(report) == oracle(report_to_dict(report))
-        report.generator_name = reportio._MARK
-        assert reportio._fill_records(report) is None
+        # a header string that holds the placeholder's own text, in a
+        # report classify made, whose records are written from its columns
+        gen = catalog.builtin("hyperbolic2").generator
+        points = [gen.surface_point((0.5, 1.0)), gen.surface_point((-0.5, 2.0))]
+        for name in ("hyperbolic2", reportio._MARK, "a" + reportio._MARK + "b"):
+            report = classify(gen, points)
+            report.generator_name = name
+            text = render_report(report)  # before report_to_dict reads the records
+            assert text == oracle(report_to_dict(report)) + "\n"
+
+
+def flat_line(d):
+    """F = y*sqrt(1 + x) on x > -1 over d flat spacelike coordinates, as in
+    _oracles.lightlike_line_fixtures: lightlike only at x = y = 0."""
+    chart = CoordinateChart(("x", "y", "z", "w")[:d])
+    rows = [["1" if i == j else "0" for j in range(d)] for i in range(d)]
+    return MongeGenerator(
+        f"line{d}",
+        chart,
+        MetricField.from_strings(chart, rows),
+        parse("y*sqrt(1 + x)", chart),
+        (parse_constraint("x > -1", chart),),
+    )
+
+
+def live_shapes(report) -> set:
+    """(is_lightlike, fit, screened, x0 present) of each live record."""
+    return {
+        (a.is_lightlike, a.umbilic_rho is not None, a.minimal_defect is not None, a.point.x0 is not None)
+        for a in report.points
+        if a.error is None
+    }
+
+
+class TestColumnWriter:
+    # classify's reports, written from their columns, against json's text
+    # of report_to_dict; render_report runs first, since report_to_dict
+    # reads the records, and a report whose records were read is written
+    # by json
+    @staticmethod
+    def written(gen, points):
+        report = classify(gen, points)
+        assert report._columns is not None  # no record was read
+        text = render_report(report)
+        assert text == oracle(report_to_dict(report)) + "\n"
+        return report
+
+    @pytest.mark.parametrize("name", ["line2", "line3", "line_txy", "line4"])
+    def test_every_shape_with_errors_between(self, name):
+        if name == "line4":
+            gen, bases = flat_line(4), [(0.0, 0.0, 0.5, -0.5), (0.0, 0.0, -1.0, 2.0)]
+        else:
+            gen, bases, _ = lightlike_line_fixtures()[name]
+        d, x = gen.dimension, gen.chart.names.index("x")
+        off = tuple(0.25 * (i + 1) for i in range(d))
+        outside = tuple(-2.0 if i == x else 0.0 for i in range(d))
+        as_float64 = tuple(map(np.float64, off))
+        points = [
+            gen.surface_point(bases[0]),
+            gen.surface_point(off),
+            SurfacePoint(outside, 0.0),  # outside domain
+            SurfacePoint(bases[-1], None),
+            SurfacePoint(as_float64, np.float64(gen.surface_point(off).x0)),
+            SurfacePoint(off[:-1], 0.0),  # one coordinate short
+            gen.surface_point((-0.0,) * d),
+            SurfacePoint(off, None),
+            gen.surface_point(bases[-1]),
+        ]
+        report = self.written(gen, points)
+        errors = [a.index for a in report.points if a.error is not None]
+        assert errors == [2, 5]
+        # lightlike and not, with and without x0; the screen with d >= 2
+        assert live_shapes(report) == {
+            (True, True, True, True),
+            (True, True, True, False),
+            (False, True, False, True),
+            (False, True, False, False),
+        }
+        assert report.points[6].point.base == (-0.0,) * d
+        assert all(math.copysign(1.0, v) == -1.0 for v in report.points[6].point.base)
+
+    def test_one_dimensional_chart_carries_no_fit(self):
+        chart = CoordinateChart(("x",))
+        metric = MetricField.from_strings(chart, [["1"]])
+        shapes = set()
+        for source in ("x", "x^2"):
+            gen = MongeGenerator("line", chart, metric, parse(source, chart), (parse_constraint("x > -1", chart),))
+            points = [
+                gen.surface_point((0.5,)),
+                SurfacePoint((-2.0,), 0.0),
+                SurfacePoint((0.25,), None),
+                gen.surface_point((-0.0,)),
+            ]
+            shapes |= live_shapes(self.written(gen, points))
+        assert shapes == {
+            (True, False, False, True),
+            (True, False, False, False),
+            (False, False, False, True),
+            (False, False, False, False),
+        }
+
+    def test_ill_posed_fit_rows(self):
+        # dF (x) dF - g vanishes against 1 + max(|g|, |dF (x) dF|) where
+        # g = 1e-13 I and dF is as small, lightlike at the origin
+        chart = CoordinateChart(("x", "y"))
+        metric = MetricField.from_strings(chart, [["1e-13", "0"], ["0", "1e-13"]])
+        F = parse("3.1622776601683794e-07*x + 1e-9*x*y", chart)
+        gen = MongeGenerator("tiny", chart, metric, F)
+        points = [
+            gen.surface_point((0.5, 0.25)),
+            gen.surface_point((0.0, 0.0)),
+            SurfacePoint((-0.0, 0.0), None),
+            gen.surface_point((0.5, 0.25)),
+        ]
+        report = self.written(gen, points)
+        assert live_shapes(report) == {
+            (False, False, False, True),
+            (True, False, True, True),
+            (True, False, True, False),
+        }
+
+
+class TestHandOut:
+    # a report classify made is written from its columns until its records
+    # are first read; from then on json writes it
+    @staticmethod
+    def report():
+        gen = catalog.builtin("hyperbolic3").generator
+        bases = [(0.5, -0.25, 1.0), (0.0, 0.0, -1.0), (-0.5, 0.5, 2.0)]
+        return classify(gen, [gen.surface_point(b) if b[2] > 0 else SurfacePoint(b, 0.0) for b in bases])
+
+    def test_reading_the_records_keeps_the_bytes(self):
+        report = self.report()
+        first = render_report(report)
+        points = report.points
+        assert report.points is points  # built once, on the first read
+        assert render_report(report) == first
+
+    def test_an_edit_after_a_read_is_written(self):
+        report = self.report()
+        render_report(report)
+        report.points[0].B = np.full((3, 3), math.nan)
+        with pytest.raises(ValueError, match="^Out of range float values are not JSON compliant: nan$"):
+            render_report(report)
+
+    def test_copy_renders_the_same_bytes(self):
+        report = self.report()
+        first = render_report(report)
+        assert render_report(dataclasses.replace(report)) == first
+
+    def test_points_set(self):
+        report = self.report()
+        report.points = report.points[:1]
+        assert len(json.loads(render_report(report))["points"]) == 1
         assert render_report(report) == oracle(report_to_dict(report)) + "\n"
