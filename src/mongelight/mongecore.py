@@ -1037,50 +1037,35 @@ def _as_read(base: list[float], x0: float) -> SurfacePoint:
 class _Columns:
     """classify's records: ``records`` holds the PointAnalysis of each point
     with an error at its index and None at each live point (one with no
-    error), and every other field stacks the live points' numbers, one row
-    per point in record order, under the name of the record's field.
-    ``point`` (the base) and ``x0`` are the gate's floats, x0 NaN where it
-    is None.  A row carries umbilic_rho and umbilic_residual where ``fit``,
-    minimal_defect and integrability_defect where ``screened``, and tau
-    where is_lightlike; its record holds None for each number it does not
-    carry."""
+    error).  The rest stack the live points, one row per point in record
+    order: ``index``, and ``point`` (the base) and ``x0`` as the gate's
+    floats, x0 NaN where it is None; and ``fields``, the table that maps
+    each field of PointAnalysis but index, point and error, in its order, to
+    its values and the mask of the rows that carry it.  The table alone
+    decides which rows carry each number: a row's record holds None for
+    each field it does not carry."""
 
     records: list[PointAnalysis | None]
     index: np.ndarray
     point: np.ndarray
     x0: np.ndarray
-    lightlike_defect: np.ndarray
-    is_lightlike: np.ndarray
-    radical_rank: np.ndarray
-    B: np.ndarray
-    umbilic_rho: np.ndarray
-    umbilic_residual: np.ndarray
-    fit: np.ndarray
-    minimal_defect: np.ndarray
-    integrability_defect: np.ndarray
-    screened: np.ndarray
-    tau: np.ndarray
-    second_form_scale: np.ndarray
+    fields: dict[str, tuple[np.ndarray, np.ndarray]]
 
     def analyses(self, rows: np.ndarray) -> list[PointAnalysis]:
         """The records of the given live rows, in their order; each B and
         tau is a row of a new array."""
 
-        def column(values: np.ndarray, present: np.ndarray | None = None) -> list:
+        def column(values: np.ndarray, carried: np.ndarray) -> list:
             values = values[rows]
             column = values.tolist() if values.ndim == 1 else list(values)
-            if present is None:
-                return column
-            return [v if p else None for v, p in zip(column, present[rows].tolist())]
+            return [v if c else None for v, c in zip(column, carried[rows].tolist())]
 
-        fields = zip(
-            column(self.radical_rank), column(self.B), column(self.lightlike_defect),
-            column(self.umbilic_rho, self.fit), column(self.umbilic_residual, self.fit),
-            column(self.minimal_defect, self.screened), column(self.integrability_defect, self.screened),
-            column(self.tau, self.is_lightlike), column(self.second_form_scale), column(self.is_lightlike),
-        )
+        fields = zip(*(column(*pair) for pair in self.fields.values()))
         points = map(_as_read, self.point[rows].tolist(), self.x0[rows].tolist())
-        return [PointAnalysis(i, sp, None, *f) for i, sp, f in zip(column(self.index), points, fields)]
+        return [
+            PointAnalysis(i, sp, None, **dict(zip(self.fields, f)))
+            for i, sp, f in zip(self.index[rows].tolist(), points, fields)
+        ]
 
 
 @_quiet
@@ -1117,8 +1102,11 @@ def _analyze(
     None), domain, F (for a point whose x0 is None), metric jets, metric
     inverse, F jets, finite dF, Hessian finiteness, screen rank (g(dF, dF)
     not 0), bracket neighbours, Weingarten, Gauss, and finiteness of the
-    reported numbers.  A PointAnalysis is built here only for a point with
-    an error; the live rows stay columns.
+    numbers it carries, field by field in PointAnalysis' order.  A
+    PointAnalysis is built here only for a point with an error; the live
+    rows stay columns, with one table of each field's values and the rows
+    that carry it, which the finiteness gate, the verdicts and the report
+    all read.
     No screen frame is built: the minimal defect, tau and both tangency
     certificates are closed forms of the jets.  The certificates gate the
     lightlike points and reach no record: the Gauss certificate is
@@ -1174,33 +1162,34 @@ def _analyze(
     B, certificate, scale = _gauss_split(data, xi_scale)
     drop(_tangency_failures("Gauss", certificate, scale, tol), light)
 
-    # every number bound for the report, in record order, with the rows
-    # that carry it; the first that is not finite names the point's error
+    # every field of a live record with the rows that carry it, in
+    # PointAnalysis' order, not the JSON record's (B comes before
+    # lightlike_defect); the order decides which "<name> is not finite"
+    # error a row records: that of its first carried field whose value is
+    # not finite
     screened = light & (d >= 2)
-    reported = (
-        ("B", B, everywhere),
-        ("lightlike_defect", defect, everywhere),
-        ("umbilic_rho", rho, fit),
-        ("umbilic_residual", residual, fit),
-        ("minimal_defect", minimal, screened),
-        ("integrability_defect", bracket, screened),
-        ("tau", tau, light),
-        ("second_form_scale", normalizer, everywhere),
-    )
-    for name, values, present in reported:
+    table = {
+        "radical_rank": (rank, everywhere),
+        "B": (B, everywhere),
+        "lightlike_defect": (defect, everywhere),
+        "umbilic_rho": (rho, fit), "umbilic_residual": (residual, fit),
+        "minimal_defect": (minimal, screened), "integrability_defect": (bracket, screened),
+        "tau": (tau, light),
+        "second_form_scale": (normalizer, everywhere),
+        "is_lightlike": (light, everywhere),
+    }
+    for name, (values, carried) in table.items():
         finite = np.isfinite(values).all(axis=tuple(range(1, values.ndim)))  # n may be 0
         bad = np.flatnonzero(~finite).tolist()
-        drop(dict.fromkeys(bad, NonFiniteValueError(f"{name} is not finite")), present)
+        drop(dict.fromkeys(bad, NonFiniteValueError(f"{name} is not finite")), carried)
 
     for k, error in errors.items():
         i = int(kept[k])
         point = _as_read(bases[k].tolist(), float(x0[k]))
         records[i] = PointAnalysis(index=i, point=point, error=error)
     live = np.flatnonzero(alive)
-    # in the order of _Columns' fields
-    columns = (kept, bases, x0, defect, light, rank, B, rho, residual, fit)
-    columns += (minimal, bracket, screened, tau, normalizer)
-    return _Columns(records, *(column[live] for column in columns))
+    fields = {name: (values[live], carried[live]) for name, (values, carried) in table.items()}
+    return _Columns(records, kept[live], bases[live], x0[live], fields)
 
 
 def classify(
@@ -1242,11 +1231,12 @@ def classify(
     scalar test |g(dF, dF)| above a floor, with no frame built), keeps its
     first error, and its later numbers reach no record.  A point's record
     does not depend on the other points.  The verdicts are taken from the
-    live points' stacked columns; a verdict's witness is the first point
-    with the largest |value|.  The report keeps those columns and builds
-    its ``points`` from them on first read (see ClassificationReport), so a
-    caller that only renders the report builds no PointAnalysis for a live
-    point.
+    live points' stacked columns; a verdict applies when the columns' table
+    says every live point carries its field, and its witness is the first
+    point with the largest |value|.  The report keeps those columns and
+    builds its ``points`` from them on first read (see
+    ClassificationReport), so a caller that only renders the report builds
+    no PointAnalysis for a live point.
     """
     if not isinstance(tol, Tolerances):
         tol = Tolerances() if tol is None else Tolerances(tol)
@@ -1258,10 +1248,12 @@ def classify(
     index = columns.index
     failed_fraction = 1.0 - len(index) / len(points)
 
-    def aggregate(values: np.ndarray | None) -> Verdict:
-        # not applicable unless every analyzed point carries a value
-        if values is None:
+    def aggregate(name: str, scaled=lambda values: values) -> Verdict:
+        # not applicable unless every analyzed point carries the field
+        values, carried = columns.fields[name]
+        if not carried.all():
             return Verdict(value=None)
+        values = scaled(values)
         size = np.abs(values)
         worst = int(size.argmax())
         return Verdict(bool((size < tol.base).all()), int(index[worst]), float(values[worst]))
@@ -1272,16 +1264,13 @@ def classify(
             for name in ("degenerate", "totally_geodesic", "totally_umbilical", "minimal")
         }
     else:  # at most 10% failed, so some point is live
-        defect = columns.lightlike_defect
-        second_form = columns.second_form_scale
-        B_max = np.abs(columns.B).max(axis=(1, 2))
-        residual = columns.umbilic_residual if columns.fit.all() else None
-        minimal = columns.minimal_defect / second_form if columns.screened.all() else None
+        second_form = columns.fields["second_form_scale"][0]
+        geodesic_scale = abs(xi_scale) * second_form
         verdicts = {
-            "degenerate": aggregate(defect / (1.0 + np.abs(defect + 1.0))),
-            "totally_geodesic": aggregate(B_max / (abs(xi_scale) * second_form)),
-            "totally_umbilical": aggregate(residual),
-            "minimal": aggregate(minimal),
+            "degenerate": aggregate("lightlike_defect", lambda v: v / (1.0 + np.abs(v + 1.0))),
+            "totally_geodesic": aggregate("B", lambda B: np.abs(B).max(axis=(1, 2)) / geodesic_scale),
+            "totally_umbilical": aggregate("umbilic_residual"),
+            "minimal": aggregate("minimal_defect", lambda v: v / second_form),
         }
 
     report = ClassificationReport(gen.name, tol, xi_scale, [], verdicts, failed_fraction)

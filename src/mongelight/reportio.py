@@ -21,11 +21,12 @@ order and byte-identical output for identical inputs, written by
 key) holds no free-form dict in a record: every record has the same fixed
 keys, whose values are numbers, bools, null, the error string, and the
 lists ``point``, ``B`` and ``tau``.  The records of a report classify made
-are written from its stacked columns while no caller has read them: a
-live record's shape is which of its fields are null or true (lightlike,
-fit, screened, x0 present), and each shape's records are filled into one
-template cut from json's text.  json writes every error record and every
-other report.
+are written from its stacked columns while no caller has read them.
+The columns' table of fields, which says which rows carry each number,
+decides a live record's shape: which of its fields are null, the values
+of its bools, and whether x0 is present.  Each shape's records are filled
+into one template cut from json's text.  json writes every error record
+and every other report.
 """
 
 from __future__ import annotations
@@ -471,14 +472,16 @@ def _form(record: dict, nl: str) -> str:
 def _write_columns(report: ClassificationReport, columns) -> str | None:
     """The report's text without its final line break, from classify's
     columns (see mongecore._Columns).  The live rows are grouped by shape:
-    lightlike or not, fit or not, screened or not, and x0 present or not.
-    Each shape's rows are written into its template (see _form) by one
-    ``%`` each, from one float array of their numbers in record order:
-    ``%d`` writes the index and rank, which are exact as floats below
-    2**53, and ``%r`` every other number as float.__repr__, json's own
-    text.  Every number there is finite, since classify records a point
-    whose reported numbers are not as an error.  An error record is
-    written by json.  Records are merged back in document order.
+    which fields the columns' table says a row carries, the values of its
+    bool fields, and x0 present or not, so that the rows of one shape have
+    the same null and bool leaves.  Each shape's rows are written into its
+    template (see _form) by one ``%`` each, from one float array of their
+    numbers in record order, each template key's column read from the
+    table: ``%d`` writes the index and rank, which are exact as floats
+    below 2**53, and ``%r`` every other number as float.__repr__, json's
+    own text.  Every number there is finite, since classify records a point
+    whose reported numbers are not as an error.  An error record is written
+    by json.  Records are merged back in document order.
 
     None where the header or verdicts hold a value json refuses, or where a
     string there holds ``_MARK``: json then writes the whole report, or
@@ -492,14 +495,19 @@ def _write_columns(report: ClassificationReport, columns) -> str | None:
     head, sep, tail = frame
     nl = sep[sep.index("\n"):]  # the line break and indent of each record
     texts = [None if a is None else _dumps(_point_record(a), nl) for a in columns.records]
-    shapes = 8 * columns.is_lightlike + 4 * columns.fit + 2 * columns.screened + ~np.isnan(columns.x0)
+    table = columns.fields.values()
+    flags = [c for _, c in table] + [v for v, _ in table if v.dtype == bool] + [~np.isnan(columns.x0)]
+    flags = {flag.tobytes(): flag for flag in flags}.values()  # a repeated flag splits no shape
+    shapes = sum(flag << k for k, flag in enumerate(flags))  # np.dot raised peak RSS by 0.5 MB
+    column = {"index": columns.index, "point": columns.point, "x0": columns.x0}
+    column.update((name, values) for name, (values, _) in columns.fields.items())
     for shape in np.flatnonzero(np.bincount(shapes)).tolist():  # np.unique would import numpy.ma
         rows = np.flatnonzero(shapes == shape)
         record = _point_record(columns.analyses(rows[:1])[0])
         form = _form(record, nl)
-        # the shape's numbers, in the record's order: each field but the bool and the nulls
+        # the shape's numbers, in the record's order: each field but the bools and the nulls
         keys = [k for k, v in record.items() if v is not None and type(v) is not bool]
-        values = np.concatenate([getattr(columns, k)[rows].reshape(len(rows), -1) for k in keys], axis=1)
+        values = np.concatenate([column[k][rows].reshape(len(rows), -1) for k in keys], axis=1)
         for i, text in zip(columns.index[rows].tolist(), map(form.__mod__, map(tuple, values.tolist()))):
             texts[i] = text
     return head + sep.join(texts) + tail

@@ -745,23 +745,26 @@ class TestWeingarten:
         first[:] = 7.0
         assert weingarten_at(gen, base, 0)[0].tobytes() == want.tobytes()
 
-    def test_pairing_with_second_form_on_screen(self):
-        # gbar(A_N e_i, W) = B(e_i, W)/2 for screen W; the 1/2 comes from
-        # N = xi/2 - d0 with d0 parallel, via metric compatibility
+    @pytest.mark.parametrize("c", [1.0, 0.5, -2.0])
+    def test_pairing_with_second_form_on_screen(self, c):
+        # the canonical screen is conformal (Atindogbe & Duggal 2004):
+        # C(e_i, W) = gbar(A_N e_i, W) = B(e_i, W) / (2 c^2) for screen W and
+        # xi_scale c; the 1/2 comes from N = xi/2 - d0 with d0 parallel, via
+        # metric compatibility, and B scales as c while A_N scales as 1/c
         for name in DEGENERATE_NAMES:
             entry = catalog.builtin(name)
             gen = entry.generator
             for sp in grid_sample(gen, entry.default_samples)[:6]:
                 gbar = ambient_metric_at(gen, sp)
                 frame, _, _ = monge_frame_at(gen, sp)
-                B = second_fundamental_form_at(gen, sp)
+                B = second_fundamental_form_at(gen, sp, xi_scale=c)
                 screen = screen_frame_at(gen, sp)
                 for i in range(gen.dimension):
-                    a_vec, _ = weingarten_at(gen, sp, i)
+                    a_vec, _ = weingarten_at(gen, sp, i, xi_scale=c)
                     for w in screen.vectors:
                         coeff, *_ = np.linalg.lstsq(frame.T, w, rcond=None)
                         lhs = float(a_vec @ gbar @ w)
-                        rhs = 0.5 * float(B[i] @ coeff)
+                        rhs = float(B[i] @ coeff) / (2.0 * c**2)
                         assert abs(lhs - rhs) < 1e-9 * local_scale(B, a_vec)
 
     def test_fd_cross_check(self):

@@ -19,7 +19,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mongelight import catalog, cli, reportio
-from mongelight.exprlang import BinOp, CoordinateChart, EvalDomainError, Num, parse, parse_constraint
+from mongelight.exprlang import (
+    BinOp,
+    CoordinateChart,
+    DomainConstraint,
+    EvalDomainError,
+    Num,
+    parse,
+    parse_constraint,
+)
 from mongelight.mongecore import (
     ClassificationReport,
     EmptySampleError,
@@ -43,7 +51,7 @@ from mongelight.reportio import (
     save_generator,
 )
 from mongelight.semiriemann import MetricField
-from _oracles import lightlike_line_fixtures
+from _oracles import lightlike_line_fixtures, random_ast, random_box_point, random_smooth_expr
 from test_batch import CASES, SEEDED_SHA256, seeded_case
 
 
@@ -1199,3 +1207,75 @@ class TestHandOut:
         report.points = report.points[:1]
         assert len(json.loads(render_report(report))["points"]) == 1
         assert render_report(report) == oracle(report_to_dict(report)) + "\n"
+
+
+@st.composite
+def record_cases(draw):
+    """A generator on a chart of d = 1, 2 or 3 coordinates, with a
+    symmetric metric (diagonal or not), F and an optional domain constraint
+    drawn from random_smooth_expr or random_ast, a tolerance (None, or one
+    so large that every point is lightlike), and up to 8 sample points:
+    x0 = F(base) or None, np.float32 bases, short bases and non-finite
+    coordinates among them.  g and F may be scaled by 1e-12 and 1e-6, which
+    keeps g(dF, dF) of order 1 and puts dF (x) dF - g near the umbilic
+    fit's floor, so that one report holds posed and ill-posed fits."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    chart = CoordinateChart(("x", "y", "z")[:d])
+
+    def expr():
+        if draw(st.booleans()):
+            return random_smooth_expr(rng, chart, 2)
+        return random_ast(rng, chart, 2)
+
+    diagonal = draw(st.booleans())
+    rows = [[Num(0.0)] * d for _ in range(d)]
+    for i in range(d):
+        rows[i][i] = expr()
+        for j in range(i + 1, d):
+            if not diagonal:
+                rows[i][j] = rows[j][i] = expr()
+    constraints = ()
+    if draw(st.booleans()):
+        constraints = (DomainConstraint(expr(), ">", Num(draw(st.sampled_from([-1.0, 0.0, 1.0])))),)
+    F = expr()
+    if draw(st.booleans()):
+        rows = [[BinOp("*", Num(1e-12), entry) for entry in row] for row in rows]
+        F = BinOp("*", Num(1e-6), F)
+    gen = MongeGenerator("fuzz", chart, MetricField(chart, rows), F, constraints)
+    points = []
+    for _ in range(draw(st.sampled_from(range(9)))):
+        base = random_box_point(rng, d)
+        kind = draw(st.sampled_from(["x0", "none", "float32", "short", "nonfinite"]))
+        if kind == "float32":
+            base = [np.float32(x) for x in base]
+        elif kind == "short":
+            base = base[:-1]
+        elif kind == "nonfinite":
+            base[int(rng.integers(d))] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        x0 = None
+        if kind != "none":
+            try:
+                x0 = gen.surface_point(base).x0
+            except (ValueError, EvalDomainError):
+                x0 = float(rng.uniform(-2.0, 2.0))
+        points.append(SurfacePoint(tuple(base), x0))
+    return gen, points, draw(st.sampled_from([None, 1e9]))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(record_cases())
+def test_classify_reports_render_as_json_writes_them(case):
+    # every record shape, with errors between live rows: classify is total,
+    # render_report writes json's text of the report before and after its
+    # records are read
+    gen, points, tol = case
+    try:
+        report = classify(gen, points, tol)
+    except EmptySampleError:
+        assert not points
+        return
+    text = render_report(report)  # before report_to_dict reads the records
+    assert text == oracle(report_to_dict(report)) + "\n"
+    assert len(report.points) == len(points)
+    assert render_report(report) == text
