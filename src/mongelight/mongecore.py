@@ -320,8 +320,9 @@ def _point_error(gen: MongeGenerator, sp: SurfacePoint) -> tuple[str | None, Sur
 # Stacked geometry
 #
 # The metric is evaluated point by point, one metric_jets_at pass each that
-# gathers g (and dg) through the field's slot map, and the passes' results
-# are stacked at once: first-order forward mode on plain floats at the
+# returns a row of the distinct components' numbers, and the stack's rows
+# are gathered into g (and dg) at once, through the field's slot map
+# (MetricField.gather): first-order forward mode on plain floats at the
 # points, the values only at the d >= 3 bracket neighbours.  The metric
 # inverse, F's jets (one compile_stacked call) and everything after them run
 # once over the points stacked along a leading axis.  A bracket neighbour whose g is
@@ -416,11 +417,11 @@ def _jets(
     float array ``points``, stacked along a leading axis, and {row: error}
     of the rows that fail, whose numbers mean nothing.  The metric runs
     point by point on the rows as plain floats, one first-order
-    metric_jets_at pass each (forward mode on plain floats), then the
-    inverse's gates and F's jets (see _scalar_jets) run once over every
-    row; a message names the row's floats.  A row records the first stage
-    it fails, in the order: the metric, the inverse's gates, F's jets, a
-    finite dF."""
+    metric_jets_at pass each (forward mode on plain floats), whose rows are
+    gathered into g and dg once for the stack; then the inverse's gates and
+    F's jets (see _scalar_jets) run once over every row; a message names
+    the row's floats.  A row records the first stage it fails, in the
+    order: the metric, the inverse's gates, F's jets, a finite dF."""
     bases = points.tolist()
     g, dg, failures = _metric(gen, bases, 1)
     ginv, singular = invert_metric(g, bases)
@@ -433,23 +434,19 @@ def _metric(
     gen: MongeGenerator, bases: Sequence[Sequence[float]], order: int
 ) -> tuple[np.ndarray, np.ndarray | None, dict[int, Exception]]:
     """g, and at order 1 dg (else None), at the points ``bases``, one
-    metric_jets_at pass of the given order each, whose results are stacked
-    by one np.array call per stack; and {row: EvalDomainError} of the rows
-    whose pass fails, which hold g = 0 (and dg = 0)."""
-    n, d = len(bases), gen.dimension
-    failed = (np.zeros((d, d)), np.zeros((d, d, d)) if order else None)
-    rows, partial_rows = [], []
+    metric_jets_at pass of the given order each, whose rows are gathered
+    into g and dg by one MetricField.gather call per stack; and
+    {row: EvalDomainError} of the rows whose pass fails, which hold g = 0
+    (and dg = 0)."""
+    rows: list[list[float] | None] = []
     failures: dict[int, Exception] = {}
     for k, base in enumerate(bases):
         try:
-            g, partials = semiriemann.metric_jets_at(gen.metric, base, order)
+            rows.append(semiriemann.metric_jets_at(gen.metric, base, order))
         except EvalDomainError as exc:
             failures[k] = exc
-            g, partials = failed
-        rows.append(g)
-        partial_rows.append(partials)
-    g = np.array(rows).reshape(n, d, d)
-    dg = np.array(partial_rows).reshape(n, d, d, d) if order else None
+            rows.append(None)
+    g, dg = gen.metric.gather(rows, order)
     return g, dg, failures
 
 
@@ -1085,14 +1082,15 @@ def _analyze(
     float array of the kept bases, the stack's rows and the one-point
     rule's floats, and one of their x0, which are the only floats every
     later stage reads and a kept point's record names.  The metric's
-    jets run point by point, each gathering g and dg from the slot map, and
-    are stacked at once; the metric inverse, F's jets and every later stage
-    run once over one stack of every point that passed the domain and F,
-    and one boolean ``alive`` mask says which rows still count.  A stage's
-    failure is recorded only at a row that is alive and that the stage
-    gates (the lightlike rows, for the screen rank, Weingarten and Gauss).  The d >= 3
-    bracket neighbours of the live lightlike points form one more stack,
-    with one more call of F and one value-only metric pass per neighbour;
+    jets run point by point, one row each, and g and dg are gathered from
+    the slot map once per stack; the metric inverse, F's jets and every
+    later stage run once over one stack of every point that passed the
+    domain and F, and one boolean ``alive`` mask says which rows still
+    count.  A stage's failure is recorded only at a row that is alive and
+    that the stage gates (the lightlike rows, for the screen rank,
+    Weingarten and Gauss).  The d >= 3 bracket neighbours of the live
+    lightlike points form one more stack, with one more call of F and one
+    value-only metric pass per neighbour;
     the points' g and verified ginv go with them, and a neighbour whose g
     is bit-identical to its point's takes that ginv instead of being
     inverted (a live point passed every gate of the inverse, which the
@@ -1218,15 +1216,15 @@ def classify(
     stages read, and so does the record of every point the gate admits:
     the base as the chart reads it (see CoordinateChart.read), and x0 as a
     float.  The domain is tested at those floats.  The metric's
-    jets are evaluated point by point, each pass gathering g and dg from the
-    metric's slot map, and stacked at once; the metric inverse, F's
-    second-order jets and every later stage run once over one stack of all
-    the points, with
-    one ``alive`` mask for the points that have not failed yet (the d >= 3
-    bracket neighbours of the live lightlike points form one more stack,
-    with one more call of F; they evaluate the metric's values only, and
-    one whose g is bit-identical to its point's reuses the point's verified
-    inverse, so only the others are inverted, with the same outcome).  A
+    jets are evaluated point by point, each pass returning one row, and g
+    and dg are gathered from the metric's slot map once per stack; the
+    metric inverse, F's second-order jets and every later stage run once
+    over one stack of all the points, with one ``alive`` mask for the
+    points that have not failed yet (the d >= 3 bracket neighbours of the
+    live lightlike points form one more stack, with one more call of F;
+    they evaluate the metric's values only, and one whose g is
+    bit-identical to its point's reuses the point's verified inverse, so
+    only the others are inverted, with the same outcome).  A
     point that fails a gate, in _analyze's order (the screen rank is the
     scalar test |g(dF, dF)| above a floor, with no frame built), keeps its
     first error, and its later numbers reach no record.  A point's record

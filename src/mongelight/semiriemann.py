@@ -1,8 +1,9 @@
 """Tensor kernels on a semi-Riemannian base manifold.
 
-Everything here is a pure function of its inputs: the metric at a point,
-its values alone or with its first partials from first-order forward mode
-on plain floats; the verified
+Everything here is a pure function of its inputs: the metric at a point
+as one row of its distinct components' numbers, their values alone or with
+their first partials from first-order forward mode on plain floats, and g
+and dg gathered from a stack of such rows at once; the verified
 inverses of a stack of metric matrices, with the symmetry, degeneracy and
 inverse-residual gates checked per row in one call (the one place these
 gates live); and Levi-Civita connection coefficients from jet derivatives
@@ -48,9 +49,11 @@ class MetricField:
     distinct component is compiled twice, here: for the values alone
     (compile_expr's float tree, which the order-0 pass runs) and for
     first-order jets on plain floats (exprlang's first-order lane, which
-    gives the value and gradient bits of the tests' scalar jet Jet1).  A slot
-    map sends each slot [j, k] to its distinct component, so that
-    metric_jets_at fills g (and dg) with one gather per pass.
+    gives the value and gradient bits of the tests' scalar jet Jet1).  A
+    metric_jets_at pass returns one row of the distinct components'
+    numbers; a slot map sends each slot [j, k] to its distinct component,
+    so that gather fills g (and dg) of a whole stack of rows with one
+    gather.
     """
 
     chart: CoordinateChart
@@ -59,11 +62,12 @@ class MetricField:
     # for first-order jets
     _distinct: tuple[Callable, ...] = dataclasses.field(init=False, repr=False, compare=False)
     _first_order: tuple[Callable, ...] = dataclasses.field(init=False, repr=False, compare=False)
-    # stored in the shapes of g and of (g, dg), so that a pass's one gather
+    # stored in the shapes of g and of (g, dg), so that gather's one gather
     # gives them with no reshape: _slots[j, k] is the index c into _distinct
-    # of component [j][k]; into the flat rows (value, then gradient) of the
-    # first-order pass, _jet_slots[0, j, k] = c*(d + 1) and
-    # _jet_slots[1 + i, j, k] = c*(d + 1) + 1 + i, for d_i of component [j][k]
+    # of component [j][k], the order-0 row's layout; into the rows (value,
+    # then gradient, per component) of the first-order pass,
+    # _jet_slots[0, j, k] = c*(d + 1) and _jet_slots[1 + i, j, k] =
+    # c*(d + 1) + 1 + i, for d_i of component [j][k]
     _slots: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
     _jet_slots: np.ndarray = dataclasses.field(init=False, repr=False, compare=False)
 
@@ -92,6 +96,25 @@ class MetricField:
         object.__setattr__(self, "_first_order", first_order)
         object.__setattr__(self, "_slots", slots)
         object.__setattr__(self, "_jet_slots", jet_slots)
+
+    def gather(
+        self, rows: Sequence[Sequence[float] | None], order: int = 1
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """g (n, d, d) and, at order 1, dg (n, d, d, d) with dg[:, i, j, k] =
+        d_i g_jk (else None) of a stack of n metric_jets_at rows of that
+        order, with one np.array and one gather through the slot map.  A
+        row given as None (a pass that failed) reads as zeros.  Each row's
+        numbers are its own bits, whichever rows share its stack, and g and
+        dg share no memory with ``rows``."""
+        if order not in (0, 1):
+            raise ValueError(f"metric order must be 0 or 1, got {order!r}")
+        d = len(self._slots)
+        slots = self._jet_slots if order else self._slots
+        width = len(self._distinct) * (d + 1 if order else 1)
+        zeros = (0.0,) * width
+        stack = np.array([zeros if row is None else row for row in rows], dtype=float)
+        jets = stack.reshape(len(rows), width).take(slots, axis=1)
+        return (jets[:, 0], jets[:, 1:]) if order else (jets, None)
 
     @classmethod
     def from_strings(cls, chart: CoordinateChart, rows: Sequence[Sequence[str]]) -> "MetricField":
@@ -152,27 +175,26 @@ def invert_metric(
     return ginv, failures
 
 
-def metric_jets_at(
-    field: MetricField, point: Sequence[float], order: int = 1
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """The metric g (d, d) at a point and, at order 1, its first partials
-    dg[i, j, k] = d_i g_jk, else None.
+def metric_jets_at(field: MetricField, point: Sequence[float], order: int = 1) -> list[float]:
+    """One row of plain floats: each distinct component's value at the
+    point at order 0, or at order 1 each value followed by its d first
+    partials.  MetricField.gather turns a stack of rows into g (n, d, d)
+    and dg (n, d, d, d) through the slot map; the row's layout is known to
+    this module alone.
 
-    Each distinct component is evaluated once, and g and dg are gathered
-    from the per-component values and gradients through the slot map.
-    Order 1 runs first-order forward mode on plain floats (exprlang's
-    first-order lane), which gives the value and gradient bits of the tests'
-    scalar jets Jet1 and Jet2 on every expression and raises where Jet1
-    raises.  Order 0 runs the compiled expressions (compile_expr's float
-    tree) on the plain float point; the first order's value lane runs the
-    same floating-point operations, so g has order 1's bits.  It fails
-    only where the values leave the domain
-    (division by zero, ln or sqrt of a non-positive value, a non-finite
-    result), with order 1's message, and not where only a derivative does
-    not exist (abs or u^0.5 at 0).  The point is read by float() alone; one
-    that float() cannot read, or whose number of coordinates is not the
-    chart's, raises the ValueError of the chart's reader
-    (CoordinateChart.read), with classify's message.
+    Each distinct component is evaluated once.  Order 1 runs first-order
+    forward mode on plain floats (exprlang's first-order lane), which gives
+    the value and gradient bits of the tests' scalar jets Jet1 and Jet2 on
+    every expression and raises where Jet1 raises.  Order 0 runs the
+    compiled expressions (compile_expr's float tree) on the plain float
+    point; the first order's value lane runs the same floating-point
+    operations, so the values have order 1's bits.  It fails only where
+    the values leave the domain (division by zero, ln or sqrt of a
+    non-positive value, a non-finite result), with order 1's message, and
+    not where only a derivative does not exist (abs or u^0.5 at 0).  The
+    point is read by float() alone; one that float() cannot read, or whose
+    number of coordinates is not the chart's, raises the ValueError of the
+    chart's reader (CoordinateChart.read), with classify's message.
     """
     d = len(field._slots)  # the chart's dimension, read from the (d, d) slot map
     try:
@@ -182,16 +204,15 @@ def metric_jets_at(
     if len(x) != d:  # the chart's reader says why
         x = field.chart.read(point)
     if order == 0:
-        return np.array([component(x) for component in field._distinct])[field._slots], None
+        return [component(x) for component in field._distinct]
     if order != 1:
         raise ValueError(f"metric order must be 0 or 1, got {order!r}")
-    rows = []
+    row = []
     for component in field._first_order:
         value, grad = component(x)
-        rows.append(value)
-        rows.extend(grad)
-    jets = np.array(rows)[field._jet_slots]
-    return jets[0], jets[1:]
+        row.append(value)
+        row.extend(grad)
+    return row
 
 
 def christoffel_from_partials(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:

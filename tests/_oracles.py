@@ -170,11 +170,21 @@ def fd_screen_integrability_defect(metric_eval, f, x, h=RICH_STEP):
     return worst
 
 
+def jets_at(field, point, order=1):
+    """g (d, d) and, at order 1, dg (d, d, d) (else None) of one
+    metric_jets_at pass at a point: row 0 of MetricField.gather on a stack
+    of that one row.  metric_jets_at returns the row only; its layout is
+    MetricField's, so the tests read g and dg through this helper."""
+    g, dg = field.gather([metric_jets_at(field, point, order)], order)
+    return g[0], None if dg is None else dg[0]
+
+
 def reference_bracket_defect(gen, base):
     """The screen bracket of classify and screen_integrability_defect_at at
     a base point of a d >= 3 chart whose own jets pass every gate, with
     every central-difference neighbour's metric inverted, through the
-    public metric_jets_at, invert_metric and compile_stacked only:
+    public metric_jets_at (read by jets_at), invert_metric and
+    compile_stacked only:
     (defect, None), or (None, the message of the first failing neighbour,
     in the order axis ascending, +h before -h).
 
@@ -189,7 +199,7 @@ def reference_bracket_defect(gen, base):
     d = len(base)
     stacked = compile_stacked(gen.scalar_field, gen.params)
     with np.errstate(over="ignore", invalid="ignore"):
-        g, _ = metric_jets_at(gen.metric, base)
+        g, _ = jets_at(gen.metric, base)
         ginv, _ = invert_metric(g[None], [base])
         F, _ = stacked(np.array([base]))
         dF = F.grad.T.copy()
@@ -203,7 +213,7 @@ def reference_bracket_defect(gen, base):
         failures = {}
         for k, point in enumerate(shifted):
             try:
-                near[k], _ = metric_jets_at(gen.metric, point, 0)
+                near[k], _ = jets_at(gen.metric, point, 0)
             except EvalDomainError as exc:
                 failures[k] = exc
         near_inv, singular = invert_metric(near, shifted)

@@ -11,6 +11,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mongelight import catalog, mongecore
 from mongelight.exprlang import CoordinateChart, EvalDomainError, parse, parse_constraint, render
@@ -435,3 +437,56 @@ def test_a_neighbour_whose_zero_changes_sign_is_inverted(monkeypatch):
     (x, y, z), _ = (p.base for p in points)
     z_neighbours = [(x, y, z + step) for x, y, z in (p.base for p in points) for step in (h, -h)]
     assert calls[1:] == [[(x + h, y, z), *z_neighbours]]
+
+
+# ---------------------------------------------------------------------------
+# Verdicts do not depend on the order of the points or on xi's scale
+
+FIXTURES = lightlike_line_fixtures()
+INVARIANCE_CASES = [name for name, _ in catalog.list_builtins()] + sorted(FIXTURES)
+
+
+def invariance_case(name):
+    """A generator and 40 seeded points: uniform draws in a builtin's default
+    box, or in [-0.5, 0.5]^d after a fixture's own lightlike bases."""
+    if name in FIXTURES:
+        gen, bases, _ = FIXTURES[name]
+        ranges = [(-0.5, 0.5)] * gen.dimension
+    else:
+        entry = catalog.builtin(name)
+        gen, bases, ranges = entry.generator, [], entry.default_samples.ranges
+    lo, hi = np.array(ranges, dtype=float).T
+    draws = lo + (hi - lo) * np.random.default_rng(40).random((40 - len(bases), len(lo)))
+    return gen, [gen.surface_point(b) for b in [*bases, *draws.tolist()]]
+
+
+INVARIANCE_POINTS = {name: invariance_case(name) for name in INVARIANCE_CASES}
+
+
+def verdict_values(report) -> dict:
+    return {name: verdict.value for name, verdict in report.verdicts.items()}
+
+
+def near_gate(gen, points):
+    """A tolerance 1.5 times the worst totally_geodesic ratio at the default
+    one, so that a ratio which moved with xi_scale would cross the gate;
+    None (the default) where that ratio is 0 or not applicable."""
+    witness = classify(gen, points).verdicts["totally_geodesic"].witness_value
+    return 1.5 * abs(witness) if witness else None
+
+
+NEAR_GATE = {name: near_gate(*INVARIANCE_POINTS[name]) for name in INVARIANCE_CASES}
+
+
+@pytest.mark.parametrize("xi_scale", [1.0, 0.5, -2.0])
+@pytest.mark.parametrize("gate", ["default", "near"])
+@pytest.mark.parametrize("name", INVARIANCE_CASES)
+@settings(max_examples=5, derandomize=True, deadline=None)
+@given(order=st.permutations(range(40)))
+def test_verdicts_ignore_the_point_order_and_xi_scale(name, gate, xi_scale, order):
+    # the witnesses move with the points and with xi; the verdicts do not
+    gen, points = INVARIANCE_POINTS[name]
+    tol = NEAR_GATE[name] if gate == "near" else None
+    want = verdict_values(classify(gen, points, tol))
+    got = verdict_values(classify(gen, [points[k] for k in order], tol, xi_scale))
+    assert got == want

@@ -24,7 +24,10 @@ from mongelight.exprlang import (
     CoordinateChart,
     DomainConstraint,
     EvalDomainError,
+    Neg,
     Num,
+    Param,
+    evaluate,
     parse,
     parse_constraint,
 )
@@ -256,6 +259,55 @@ class TestLoadGenerator:
         gen, samples = load_generator(path)
         assert gen.name == "euclid_cone"
         assert samples.grid == entry.default_samples
+
+    @staticmethod
+    def assert_saved_reports_alike(gen, samples, tmp_path):
+        # the loaded generator samples and classifies to the same bytes
+        path = tmp_path / "saved.json"
+        save_generator(gen, samples, path)
+        loaded, loaded_samples = load_generator(path)
+        texts = [
+            render_report(classify(g, s.materialize(g)))
+            for g, s in ((gen, samples), (loaded, loaded_samples))
+        ]
+        assert texts[1] == texts[0]
+
+    @pytest.mark.parametrize("name", [name for name, _ in catalog.list_builtins()])
+    def test_saved_builtin_reports_the_same_bytes(self, name, tmp_path):
+        entry = catalog.builtin(name)
+        self.assert_saved_reports_alike(
+            entry.generator, SampleSet(grid=entry.default_samples), tmp_path
+        )
+
+    @pytest.mark.parametrize("d, domain", [(2, False), (2, True), (3, False), (3, True)])
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_saved_random_generator_reports_the_same_bytes(self, d, domain, seed, tmp_path):
+        # random_smooth_expr entries over a chart with a parameter: a
+        # symmetric metric 1 + e^2 on the diagonal (-(1 + e^2) first, for
+        # an indefinite one at odd seeds) and 0.1 e off it, F = R e, and a
+        # domain e >= its median over the grid
+        rng = np.random.default_rng(seed + 10 * d + 100 * domain)
+        chart = CoordinateChart(("x", "y", "z")[:d], {"R": 1.5})
+
+        def expr():
+            return random_smooth_expr(rng, chart, 2)
+
+        rows = [[Num(0.0)] * d for _ in range(d)]
+        for i in range(d):
+            rows[i][i] = BinOp("+", Num(1.0), BinOp("^", expr(), Num(2.0)))
+            for j in range(i + 1, d):
+                rows[i][j] = rows[j][i] = BinOp("*", Num(0.1), expr())
+        if seed % 2:
+            rows[0][0] = Neg(rows[0][0])
+        F = BinOp("*", Param("R"), expr())
+        gen = MongeGenerator("random", chart, MetricField(chart, rows), F)
+        grid = GridSpec(((0.6, 1.9),) * d, (6,) * d if d == 2 else (4,) * d)
+        if domain:
+            e = expr()
+            median = np.median([evaluate(e, p.base) for p in grid_sample(gen, grid)])
+            constraints = (DomainConstraint(e, ">=", Num(float(median))),)
+            gen = MongeGenerator("random", chart, gen.metric, F, constraints)
+        self.assert_saved_reports_alike(gen, SampleSet(grid=grid), tmp_path)
 
     def test_negative_num_power_base_survives_save(self, tmp_path):
         # g = diag((-2)^2, 1) makes F = 2x lightlike; read as -(2^2) it would not be

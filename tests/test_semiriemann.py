@@ -41,6 +41,7 @@ import _jets
 from _oracles import (
     fd_christoffel,
     fd_metric_partials,
+    jets_at,
     local_scale,
     metric_evaluator,
     random_ast,
@@ -72,7 +73,7 @@ POLAR = MetricField.from_strings(
 # the metric, its verified inverse and the Christoffel symbols along the
 # path the kernel runs, on a stack of one point; a failed gate raises
 def kernel_metric(field, point):
-    g, _ = metric_jets_at(field, point)
+    g, _ = jets_at(field, point)
     ginv, failures = invert_metric(g[None], [point])
     if failures:
         raise failures[0]
@@ -80,7 +81,7 @@ def kernel_metric(field, point):
 
 
 def kernel_christoffel(field, point):
-    _, dg = metric_jets_at(field, point)
+    _, dg = jets_at(field, point)
     _, ginv = kernel_metric(field, point)
     return christoffel_from_partials(ginv[None], dg[None])[0]
 
@@ -220,6 +221,15 @@ class TestMetricAt:
                     assert np.array_equal(alone[0], ginv[k], equal_nan=True)
 
 
+SLOT_MAP_ROWS = [
+    # all nine entries distinct
+    [["1 + x", "x*y", "z"], ["2*y", "3 + y^2", "sin(z)"], ["x - z", "exp(y)", "4 + z*x"]],
+    # asymmetric: [j, k] and [k, j] are different components
+    [["2", "x", "y^2"], ["z", "2", "x*z"], ["y", "z*x", "2"]],
+]
+SLOT_MAP_IDS = ["nine_distinct", "asymmetric"]
+
+
 class TestMetricJets:
     """metric_jets_at evaluates each distinct component once; every slot
     must still hold the bits of evaluating its own entry."""
@@ -246,7 +256,7 @@ class TestMetricJets:
     def test_hyperbolic_space(self):
         field = catalog.builtin("hyperbolic3").generator.metric
         for point in ((0.0, 0.0, 2.0), (0.3, -0.7, 0.9)):
-            for got, want in zip(metric_jets_at(field, point), self.entrywise(field, point)):
+            for got, want in zip(jets_at(field, point), self.entrywise(field, point)):
                 self.assert_same_bits(got, want)
 
     def test_signed_zeros_and_look_alike_renderings(self):
@@ -259,7 +269,7 @@ class TestMetricJets:
             [Num(0.0), BinOp("*", Neg(BinOp("^", Num(2.0), Num(2.0))), y)],
         ]
         field = MetricField(chart, comps)
-        g, dg = metric_jets_at(field, (0.5, 1.5))
+        g, dg = jets_at(field, (0.5, 1.5))
         for got, want in zip((g, dg), self.entrywise(field, (0.5, 1.5))):
             self.assert_same_bits(got, want)
         assert np.signbit(g[0, 1]) and not np.signbit(g[1, 0])
@@ -268,7 +278,7 @@ class TestMetricJets:
 
     def assert_values_only(self, field, point, g):
         # order 0 runs the float closures: g has order 1's bits, and no dg
-        values, partials = metric_jets_at(field, point, order=0)
+        values, partials = jets_at(field, point, order=0)
         assert partials is None
         self.assert_same_bits(values, g)
 
@@ -289,46 +299,43 @@ class TestMetricJets:
             field = MetricField(chart, rows)
             for _ in range(4):
                 point = random_box_point(rng, 3)
-                g, dg = metric_jets_at(field, point)
+                g, dg = jets_at(field, point)
                 for got, want in zip((g, dg), self.entrywise(field, point)):
                     self.assert_same_bits(got, want)
                 self.assert_values_only(field, point, g)
                 variable_ran += case % 3 == 0 and bool(dg[:, 1, 1].any())
         assert variable_ran == 80
 
-    @pytest.mark.parametrize(
-        "rows",
-        [
-            # all nine entries distinct
-            [["1 + x", "x*y", "z"], ["2*y", "3 + y^2", "sin(z)"], ["x - z", "exp(y)", "4 + z*x"]],
-            # asymmetric: [j, k] and [k, j] are different components
-            [["2", "x", "y^2"], ["z", "2", "x*z"], ["y", "z*x", "2"]],
-        ],
-        ids=["nine_distinct", "asymmetric"],
-    )
+    @pytest.mark.parametrize("rows", SLOT_MAP_ROWS, ids=SLOT_MAP_IDS)
     def test_slot_map_keeps_every_slot(self, rows):
         field = MetricField.from_strings(CoordinateChart(("x", "y", "z")), rows)
         point = (0.7, -0.4, 1.3)
-        g, dg = metric_jets_at(field, point)
+        g, dg = jets_at(field, point)
         for got, want in zip((g, dg), self.entrywise(field, point)):
             self.assert_same_bits(got, want)
         self.assert_values_only(field, point, g)
         assert len(field._distinct) == len(set(map(str, np.ravel(rows))))
 
     def test_results_are_fresh_arrays(self):
-        # a caller may write into g and dg: nothing reaches the next call
-        # (g and dg are views of one array gathered at each call, and the
-        # seeds' unit gradients are one cached identity per dimension)
+        # a caller may write into g and dg: nothing reaches the rows it
+        # gathered or the next pass (g and dg are views of one array gathered
+        # at each call, and the seeds' unit gradients are one cached identity
+        # per dimension)
         field = MetricField.from_strings(
             CoordinateChart(("x", "y")), [["x", "1"], ["1", "y"]]
         )
-        first = [metric_jets_at(field, (0.5, 1.5), order) for order in (1, 0)]
-        for g, dg in first:
-            g[...] = 7.0
-            if dg is not None:
-                dg[...] = 7.0
         for order in (1, 0):
-            g, dg = metric_jets_at(field, (0.5, 1.5), order)
+            row = metric_jets_at(field, (0.5, 1.5), order)
+            kept = list(row)
+            for rows in ([row], [np.array(row)], np.array([row])):
+                g, dg = field.gather(rows, order)
+                for got in (g, dg):
+                    if got is not None:
+                        assert not any(np.shares_memory(got, r) for r in rows)
+                        got[...] = 7.0
+                assert [list(r) for r in rows] == [kept]
+        for order in (1, 0):
+            g, dg = jets_at(field, (0.5, 1.5), order)
             assert g.tolist() == [[0.5, 1.0], [1.0, 1.5]]
             if order:
                 assert dg.tolist() == [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]]
@@ -360,6 +367,8 @@ class TestMetricJets:
     def test_order_is_zero_or_one(self):
         with pytest.raises(ValueError, match="order must be 0 or 1"):
             metric_jets_at(IDENTITY3, (0.0, 0.0, 0.0), order=2)
+        with pytest.raises(ValueError, match="order must be 0 or 1"):
+            IDENTITY3.gather([], order=2)
 
 
 def jet1_metric(field, point):
@@ -395,6 +404,52 @@ EDGE_VALUES = (1e-320, 1e-170, -1e-170, 5e-324, 0.0, -0.0, 1e-160, 1e154, 1e200,
 NON_FINITE = (math.inf, -math.inf, math.nan)
 
 
+# 2-d fields of hand-built rows and the points to run them at; one point
+# of a field may raise where Jet1 raises
+HAND_BUILT = [
+    # signed zeros and constant components, one of them -0.0
+    ([[Num(-0.0), "2*x - x*2"], ["-(0*y)", "3"]], [(0.5, -1.5), (-0.0, 0.0)]),
+    # variable exponents, the first raising on a base <= 0
+    (
+        [["x^y", "2^x"], ["2^x", "(1 + y^2)^(x - y)"]],
+        [(1.7, -0.6), (-2.0, 2.0), (0.0, 3.0)],
+    ),
+    # kinks: abs and a fractional power at 0, where only a derivative fails
+    ([["abs(x - 1)", "0"], ["0", "(x - 1)^0.5"]], [(1.0, 0.0), (1.5, 0.0), (0.5, 0.0)]),
+    # underflowing coefficient denominators and an overflowing exp
+    (
+        [["sqrt(x)", "ln(y)"], ["ln(y)", "exp(y)"]],
+        [(1e-320, 1.0), (2.0, 1e-170), (2.0, 1000.0)],
+    ),
+    # y / x divides by 0, 1e200 * x * x overflows
+    ([["1 + y/x", "0"], ["0", "1e200*x*x"]], [(0.0, 1.0), (1e200, 1.0), (-2.0, 3.0)]),
+    # a divisor that is the constant 0
+    ([["1", "x/(1 - 1)"], ["0", "1"]], [(2.0, 1.0)]),
+    # u^0 is the constant 1 with +0.0 partials, u^1 is u
+    ([["(y - x)^0", "(y - x)^1"], ["(y - x)^1", "1"]], [(1.0, 0.5), (-2.0, 3.0)]),
+    # the power checks come before the rule's own
+    ([["x^(-1)", "0"], ["0", "(y - 2)^0.5"]], [(0.0, 3.0), (1.0, 1.0)]),
+]
+HAND_BUILT_IDS = [
+    "signed_zeros",
+    "variable_exponents",
+    "kinks",
+    "underflow_overflow",
+    "division",
+    "zero_divisor",
+    "constant_powers",
+    "power_checks",
+]
+
+
+def hand_built_field(rows):
+    """A MetricField over (x, y) of HAND_BUILT rows, parsing each string."""
+    chart = CoordinateChart(("x", "y"))
+    return MetricField(
+        chart, [[parse(e, chart) if isinstance(e, str) else e for e in row] for row in rows]
+    )
+
+
 @st.composite
 def random_metrics(draw):
     """A d x d field (d = 1..4) of random_smooth_expr or random_ast
@@ -424,52 +479,13 @@ class TestFirstOrderLane:
     @given(random_metrics())
     def test_random_fields(self, case):
         field, point = case
-        assert jets_outcome(metric_jets_at, field, point) == jets_outcome(jet1_metric, field, point)
+        assert jets_outcome(jets_at, field, point) == jets_outcome(jet1_metric, field, point)
 
-    @pytest.mark.parametrize(
-        "rows, points",
-        [
-            # signed zeros and constant components, one of them -0.0
-            ([[Num(-0.0), "2*x - x*2"], ["-(0*y)", "3"]], [(0.5, -1.5), (-0.0, 0.0)]),
-            # variable exponents, the first raising on a base <= 0
-            (
-                [["x^y", "2^x"], ["2^x", "(1 + y^2)^(x - y)"]],
-                [(1.7, -0.6), (-2.0, 2.0), (0.0, 3.0)],
-            ),
-            # kinks: abs and a fractional power at 0, where only a derivative fails
-            ([["abs(x - 1)", "0"], ["0", "(x - 1)^0.5"]], [(1.0, 0.0), (1.5, 0.0), (0.5, 0.0)]),
-            # underflowing coefficient denominators and an overflowing exp
-            (
-                [["sqrt(x)", "ln(y)"], ["ln(y)", "exp(y)"]],
-                [(1e-320, 1.0), (2.0, 1e-170), (2.0, 1000.0)],
-            ),
-            # y / x divides by 0, 1e200 * x * x overflows
-            ([["1 + y/x", "0"], ["0", "1e200*x*x"]], [(0.0, 1.0), (1e200, 1.0), (-2.0, 3.0)]),
-            # a divisor that is the constant 0
-            ([["1", "x/(1 - 1)"], ["0", "1"]], [(2.0, 1.0)]),
-            # u^0 is the constant 1 with +0.0 partials, u^1 is u
-            ([["(y - x)^0", "(y - x)^1"], ["(y - x)^1", "1"]], [(1.0, 0.5), (-2.0, 3.0)]),
-            # the power checks come before the rule's own
-            ([["x^(-1)", "0"], ["0", "(y - 2)^0.5"]], [(0.0, 3.0), (1.0, 1.0)]),
-        ],
-        ids=[
-            "signed_zeros",
-            "variable_exponents",
-            "kinks",
-            "underflow_overflow",
-            "division",
-            "zero_divisor",
-            "constant_powers",
-            "power_checks",
-        ],
-    )
+    @pytest.mark.parametrize("rows, points", HAND_BUILT, ids=HAND_BUILT_IDS)
     def test_hand_built_fields(self, rows, points):
-        chart = CoordinateChart(("x", "y"))
-        field = MetricField(
-            chart, [[parse(e, chart) if isinstance(e, str) else e for e in row] for row in rows]
-        )
+        field = hand_built_field(rows)
         for point in points:
-            assert jets_outcome(metric_jets_at, field, point) == jets_outcome(
+            assert jets_outcome(jets_at, field, point) == jets_outcome(
                 jet1_metric, field, point
             ), point
 
@@ -478,7 +494,7 @@ class TestFirstOrderLane:
         chart = CoordinateChart(("x", "y"))
         field = MetricField.from_strings(chart, [["x", "-y"], ["abs(x)", "-abs(y)"]])
         for point in ((math.inf, 1.0), (1.0, -math.inf), (math.nan, 1.0), (-math.nan, -math.nan)):
-            outcome = jets_outcome(metric_jets_at, field, point)
+            outcome = jets_outcome(jets_at, field, point)
             assert outcome == jets_outcome(jet1_metric, field, point), point
             assert outcome[:2] == ("raised", "non-finite result in subexpression " + (
                 "'abs(x)'" if not math.isfinite(point[0]) else "'abs(y)'"
@@ -515,9 +531,94 @@ class TestFirstOrderLane:
         x = Coord(0, "x")
         rows = [[BinOp("*", x, Param("Q")), Num(1.0)], [Num(1.0), BinOp("+", Param("Q"), Num(1.0))]]
         field = MetricField(chart, rows)
-        outcome = jets_outcome(metric_jets_at, field, (0.5, 1.0))
+        outcome = jets_outcome(jets_at, field, (0.5, 1.0))
         assert outcome == jets_outcome(jet1_metric, field, (0.5, 1.0))
         assert outcome[1] == "unresolved parameter 'Q' in subexpression 'Q'"
+
+
+def passes(field, points, order):
+    """metric_jets_at's row at each point, or None where the pass raises."""
+    rows = []
+    for point in points:
+        try:
+            rows.append(metric_jets_at(field, point, order))
+        except EvalDomainError:
+            rows.append(None)
+    return rows
+
+
+def bits(a):
+    """a's float64 bits as integers: -0.0 is not 0.0, and NaN payloads count."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestGather:
+    """MetricField.gather on a stack of rows must give each row the bits of
+    gathering that row alone, at both orders; a None row (a failed pass)
+    reads as +0.0."""
+
+    @staticmethod
+    def assert_rows_alone(field, rows, order):
+        d = field.chart.dimension
+        g, dg = field.gather(rows, order)
+        assert g.shape == (len(rows), d, d)
+        assert dg is None if order == 0 else dg.shape == (len(rows), d, d, d)
+        for k, row in enumerate(rows):
+            alone_g, alone_dg = field.gather([row], order)
+            assert np.array_equal(bits(g[k]), bits(alone_g[0])), k
+            if order:
+                assert np.array_equal(bits(dg[k]), bits(alone_dg[0])), k
+
+    @pytest.mark.parametrize("order", [0, 1])
+    @pytest.mark.parametrize("rows, points", HAND_BUILT, ids=HAND_BUILT_IDS)
+    def test_hand_built_fields(self, rows, points, order):
+        field = hand_built_field(rows)
+        stack = passes(field, points, order)
+        self.assert_rows_alone(field, stack + stack[::-1], order)
+
+    @pytest.mark.parametrize("order", [0, 1])
+    @pytest.mark.parametrize("rows", SLOT_MAP_ROWS, ids=SLOT_MAP_IDS)
+    def test_slot_map_fields(self, rows, order):
+        field = MetricField.from_strings(CoordinateChart(("x", "y", "z")), rows)
+        points = [(0.7, -0.4, 1.3), (-0.0, 0.0, 2.0), (-1.1, 0.5, 0.25), (1e-170, 3.0, -2.0)]
+        self.assert_rows_alone(field, passes(field, points, order), order)
+
+    def test_random_fields(self):
+        # random_ast components fail at some points, so the stacks mix rows
+        # and None; edge coordinates give signed zeros, subnormals and inf
+        rng = np.random.default_rng(47)
+        edges = EDGE_VALUES + NON_FINITE
+        failed = 0
+        for case in range(40):
+            d = 1 + case % 4
+            chart = CoordinateChart(tuple("pqrs"[:d]), {"R": 1.5})
+            draw = random_smooth_expr if case % 2 else random_ast
+            field = MetricField(chart, [[draw(rng, chart, 2) for _ in range(d)] for _ in range(d)])
+            points = [random_box_point(rng, d) for _ in range(5)]
+            points += [tuple(rng.choice(edges, d)) for _ in range(3)]
+            for order in (0, 1):
+                stack = passes(field, points, order)
+                failed += stack.count(None)
+                self.assert_rows_alone(field, stack, order)
+        assert failed > 0
+
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_none_rows_read_as_zeros(self, order):
+        field = MetricField.from_strings(CoordinateChart(("x", "y", "z")), SLOT_MAP_ROWS[0])
+        rows = passes(field, [(0.7, -0.4, 1.3), (-0.0, 2.0, -1.5)], order)
+        g, dg = field.gather(rows, order)
+        mixed_g, mixed_dg = field.gather([None, rows[0], None, rows[1], None], order)
+        assert np.array_equal(bits(mixed_g[[1, 3]]), bits(g))
+        assert not bits(mixed_g[[0, 2, 4]]).any()  # +0.0, not -0.0
+        if order:
+            assert np.array_equal(bits(mixed_dg[[1, 3]]), bits(dg))
+            assert not bits(mixed_dg[[0, 2, 4]]).any()
+
+    def test_empty_stack(self):
+        g, dg = IDENTITY3.gather([], 1)
+        assert g.shape == (0, 3, 3) and dg.shape == (0, 3, 3, 3)
+        g, dg = IDENTITY3.gather([], 0)
+        assert g.shape == (0, 3, 3) and dg is None
 
 
 class TestChristoffel:
@@ -557,7 +658,7 @@ class TestChristoffel:
 
     def test_leading_axis_rows_match_single_points(self):
         points = [(0.0, 1.5), (0.0, 3.3), (0.0, 7.0)]
-        g, dg = map(np.array, zip(*(metric_jets_at(SCHW.metric, p) for p in points)))
+        g, dg = map(np.array, zip(*(jets_at(SCHW.metric, p) for p in points)))
         ginv, failures = invert_metric(g, points)
         assert not failures
         stacked = christoffel_from_partials(ginv, dg)
